@@ -15,9 +15,9 @@ stdout or ``--out``.  Reports embed the full configuration, the package
 version, and the closed-form reference value with a stable formula
 identifier, and are byte-identical for identical configuration and seed.
 
-Exit codes: 0 success, 2 invalid configuration, 3 a verified identity or
-count bound failed (the report names it), 4 a degenerate zero set on a
-single-run subcommand.
+Exit codes: 0 success, 2 invalid configuration or input, 3 a verified
+identity or count bound failed (the report names it), 4 a degenerate zero
+set on a single-run subcommand.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .embedding import image_volume
 from .harmonics import (
+    SphereInputError,
     build_basis,
     gradient_sum_residual,
     orthonormality_residual,
@@ -160,6 +161,10 @@ def _validate_common(args) -> None:
         raise ConfigError(f"trials must be in [1, {MAX_TRIALS}]")
     if getattr(args, "seed", None) is not None and args.seed < 0:
         raise ConfigError("seed must be >= 0")
+    for name in ("points", "probes"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be >= 1")
     for name in ("degree", "degree2"):
         value = getattr(args, name, None)
         if value is not None and not 1 <= value <= 50:
@@ -480,7 +485,7 @@ def main(argv=None) -> int:
             args.degree, args.degree2 = args.degrees
             _validate_common(args)
         report, code = args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, SphereInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     write_report(report, args.format, args.out)

@@ -345,33 +345,27 @@ def legendre_roots(degree: int) -> np.ndarray:
     """All ``degree`` roots of P_m in (-1, 1), ascending, by bisection.
 
     The roots interlace with those of P_{m-1}, so scanning a fine grid for
-    sign changes is reliable; bisection then isolates each root to ~1e-15.
+    sign changes is reliable; bisection then isolates each root to ~1e-15,
+    all brackets stepping together.
     """
     if degree < 1:
         raise SphereInputError("degree must be >= 1")
     grid = np.linspace(-1.0, 1.0, 64 * degree + 1)
     vals = legendre_values(degree, grid)
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = float(legendre_values(degree, np.array([mid]))[0])
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
+    fa, fb = vals[:-1], vals[1:]
+    exact = fa == 0.0
+    bracket = ~exact & (fa * fb < 0.0)
+    a, b, fa = grid[:-1][bracket], grid[1:][bracket], fa[bracket]
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        fm = legendre_values(degree, mid)
+        left = fa * fm <= 0.0
+        b = np.where(left, mid, b)
+        a, fa = np.where(left, a, mid), np.where(left, fa, fm)
+    roots = np.sort(np.concatenate([grid[:-1][exact], 0.5 * (a + b), grid[-1:][vals[-1:] == 0.0]]))
     if len(roots) != degree:
         raise RuntimeError(f"expected {degree} roots of P_{degree}, found {len(roots)}")
-    return np.array(roots)
+    return roots
 
 
 def rotation_coefficient_matrix(basis: HarmonicBasis, rotation: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ from .harmonics import (
     zonal,
 )
 from .zerofinder import (
-    DegenerateRestrictionError,
     RankDeficientError,
     SolverConfig,
     SolverStatus,
@@ -36,11 +35,14 @@ from .zerofinder import (
     ZeroFindingResult,
     find_common_zeros_s1,
     find_common_zeros_s2,
+    _circle_roots,
+    _circle_samples,
     make_sample,
-    restrict_to_great_circle,
+    restrict_to_great_circle,  # noqa: F401  (perfbench's traced run wraps this name)
 )
 
 MAX_RESAMPLES_PER_TRIAL = 64
+CIRCLE_CHUNK_POINTS = 8192    # scan points per batch of Crofton circles
 
 
 def sphere_surface_area(k: int) -> float:
@@ -273,6 +275,13 @@ def crofton_length(
     On the unit S2 the average number of crossings of a curve by a uniform
     random great circle is length / pi, so pi times the mean crossing count
     estimates the length.
+
+    Circle t is drawn from the generator (seed, t, attempt), and only the
+    circles on which u vanishes identically are redrawn, with attempt + 1.
+    The circles are scanned and bisected in batches of at most
+    CIRCLE_CHUNK_POINTS scan points; each circle's count is the one
+    ``restrict_to_great_circle`` gives for it alone, so the report does not
+    depend on the batching.
     """
     if basis.sphere_dim != 2:
         raise SphereInputError("length estimation is defined on S2")
@@ -283,16 +292,20 @@ def crofton_length(
         raise SphereInputError("zero function has no zero-level curve")
     counts = np.empty(trials, dtype=np.int64)
     resamples = 0
-    for t in range(trials):
+    chunk = max(1, CIRCLE_CHUNK_POINTS // _circle_samples(basis.degree))
+    for start in range(0, trials, chunk):
+        pending = np.arange(start, min(start + chunk, trials))
         for attempt in range(MAX_RESAMPLES_PER_TRIAL):
-            rng = np.random.default_rng([seed, t, attempt])
-            frame = random_circle_frame(rng)
-            try:
-                counts[t] = restrict_to_great_circle(basis, c, frame).count
-                resamples += attempt
+            frames = np.stack(
+                [random_circle_frame(np.random.default_rng([seed, t, attempt])) for t in pending]
+            )
+            _, found, degenerate = _circle_roots(basis, c, frames)
+            done = ~degenerate
+            counts[pending[done]] = found[done]
+            resamples += attempt * int(np.count_nonzero(done))
+            pending = pending[degenerate]
+            if not pending.size:
                 break
-            except DegenerateRestrictionError:
-                continue
         else:  # pragma: no cover
             raise RuntimeError("degenerate circles persisted across resampling")
     mean, stderr, _ = _summaries(counts)

@@ -481,6 +481,72 @@ class CircleRestriction:
         return float(self.values([angle])[0])
 
 
+def _circle_samples(degree: int, samples_per_degree: int = 16) -> int:
+    """Number of equispaced scan points per great circle."""
+    return max(samples_per_degree * degree, 64)
+
+
+def _circle_roots(
+    basis: HarmonicBasis,
+    c: np.ndarray,
+    frames: np.ndarray,
+    samples_per_degree: int = 16,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of u on K great circles at once, for validated inputs.
+
+    ``frames`` has shape (K, 2, 3).  All circles share one sign scan (one
+    basis evaluation on every scan point) and one 50-step bisection of every
+    bracket of every circle.  Each point is evaluated independently, so the
+    roots of a circle do not depend on the other circles in the batch.
+
+    Returns the root angles of all circles in one array, ordered by circle
+    and ascending in [0, 2*pi) within a circle; the root count of each
+    circle; and a mask of the circles on which u vanishes identically (these
+    have no roots).
+    """
+    k = frames.shape[0]
+    n_samples = _circle_samples(basis.degree, samples_per_degree)
+    t = 2.0 * math.pi * np.arange(n_samples) / n_samples
+    e1, e2 = frames[:, 0, :], frames[:, 1, :]
+    pts = np.cos(t)[None, :, None] * e1[:, None, :] + np.sin(t)[None, :, None] * e2[:, None, :]
+    vals = (eval_basis_many(basis, pts.reshape(-1, 3)) @ c).reshape(k, n_samples)
+    scale = float(np.linalg.norm(c)) * basis.embedding_radius   # sup bound for |u|
+    degenerate = np.max(np.abs(vals), axis=1) <= 1e-12 * scale
+
+    live = ~degenerate[:, None]
+    exact_zero = np.abs(vals) <= 1e-13 * scale
+    zero_owner, zero_j = np.nonzero(exact_zero & live)
+    vals_next = np.roll(vals, -1, axis=1)
+    bracket = ~exact_zero & np.roll(~exact_zero, -1, axis=1) & (vals * vals_next < 0.0) & live
+    owner, j = np.nonzero(bracket)
+    lo = t[j]
+    hi = lo + 2.0 * math.pi / n_samples
+    flo = vals[owner, j]
+    e1_b, e2_b = e1[owner], e2[owner]
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        pts_mid = np.cos(mid)[:, None] * e1_b + np.sin(mid)[:, None] * e2_b
+        fmid = eval_basis_many(basis, pts_mid) @ c
+        left = flo * fmid <= 0.0
+        hi = np.where(left, mid, hi)
+        flo = np.where(left, flo, fmid)
+        lo = np.where(left, lo, mid)
+
+    owner = np.concatenate([zero_owner, owner])
+    angles = np.concatenate([t[zero_j], 0.5 * (lo + hi) % (2.0 * math.pi)])
+    order = np.lexsort((angles, owner))
+    owner, angles = owner[order], angles[order]
+    # Merge roots closer than 1e-9 within a circle, including across 2*pi.
+    keep = np.ones(angles.size, dtype=bool)
+    keep[1:] = (np.diff(owner) != 0) | (np.diff(angles) >= 1e-9)
+    counts = np.bincount(owner, minlength=k)
+    several = np.flatnonzero(counts > 1)
+    last = np.cumsum(counts)[several] - 1
+    first = last - counts[several] + 1
+    keep[last[2.0 * math.pi - angles[last] + angles[first] < 1e-9]] = False
+    return angles[keep], np.bincount(owner[keep], minlength=k), degenerate
+
+
 def restrict_to_great_circle(
     basis: HarmonicBasis,
     coeffs,
@@ -493,6 +559,10 @@ def restrict_to_great_circle(
     bracket is then bisected.  Roots of even local multiplicity (the circle
     tangent to the zero set) are invisible to a sign scan; for the random
     circles used by the length estimator this is a measure-zero event.
+
+    This is the one-circle case of the batched scan and bisection that
+    ``crofton_length`` runs on many circles at once; the roots of a circle
+    are the same bits whichever batch it is scanned in.
     """
     if basis.sphere_dim != 2:
         raise SphereInputError("circle restriction is defined on S2")
@@ -503,41 +573,7 @@ def restrict_to_great_circle(
     gram_err = np.max(np.abs(frame @ frame.T - np.eye(2)))
     if gram_err > 1e-10:
         raise SphereInputError(f"circle frame is not orthonormal (residual {gram_err:.2e})")
-
-    m = basis.degree
-    n_samples = max(samples_per_degree * m, 64)
-    t = 2.0 * math.pi * np.arange(n_samples) / n_samples
-    pts = np.outer(np.cos(t), frame[0]) + np.outer(np.sin(t), frame[1])
-    vals = eval_basis_many(basis, pts) @ c
-    scale = float(np.linalg.norm(c)) * basis.embedding_radius   # sup bound for |u|
-    if np.max(np.abs(vals)) <= 1e-12 * scale:
+    roots, _, degenerate = _circle_roots(basis, c, frame[None], samples_per_degree)
+    if degenerate[0]:
         raise DegenerateRestrictionError("function vanishes identically on the circle")
-
-    exact_zero = np.abs(vals) <= 1e-13 * scale
-    roots = [float(t[j]) for j in np.nonzero(exact_zero)[0]]
-    nxt = np.roll(np.arange(n_samples), -1)
-    bracket = ~exact_zero & ~exact_zero[nxt] & (vals * vals[nxt] < 0.0)
-    idx = np.nonzero(bracket)[0]
-    if idx.size:
-        lo = t[idx]
-        hi = lo + 2.0 * math.pi / n_samples
-        flo = vals[idx]
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            pts_mid = np.outer(np.cos(mid), frame[0]) + np.outer(np.sin(mid), frame[1])
-            fmid = eval_basis_many(basis, pts_mid) @ c
-            left = flo * fmid <= 0.0
-            hi = np.where(left, mid, hi)
-            flo = np.where(left, flo, fmid)
-            lo = np.where(left, lo, mid)
-        roots.extend((0.5 * (lo + hi) % (2.0 * math.pi)).tolist())
-    roots_arr = np.sort(np.asarray(roots))
-    if roots_arr.size:
-        keep = np.ones(roots_arr.size, dtype=bool)
-        for j in range(1, roots_arr.size):
-            if roots_arr[j] - roots_arr[j - 1] < 1e-9:
-                keep[j] = False
-        if roots_arr.size > 1 and (2.0 * math.pi - roots_arr[-1] + roots_arr[0]) < 1e-9:
-            keep[-1] = False
-        roots_arr = roots_arr[keep]
-    return CircleRestriction(basis=basis, coeffs=c, frame=frame, root_angles=roots_arr)
+    return CircleRestriction(basis=basis, coeffs=c, frame=frame, root_angles=roots)

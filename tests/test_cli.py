@@ -2,10 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from sphere_zeros.cli import main
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(argv, capsys):
@@ -168,6 +172,19 @@ class TestCroftonCommand:
         assert report["theory"]["value"] is None
         assert report["estimate"]["mean"] > 0.0
 
+    # Reports frozen from the per-circle scan-and-bisect code, each long
+    # enough to span several batches of circles.
+    @pytest.mark.parametrize("golden", sorted((DATA / "crofton").glob("*.json")), ids=lambda p: p.stem)
+    def test_matches_golden_report(self, golden, tmp_path, capsys):
+        config = json.loads(golden.read_text())["config"]
+        out = tmp_path / "report.json"
+        argv = ["crofton-length", "--out", str(out)]
+        for name in ("degree", "function", "trials", "seed"):
+            argv += [f"--{name}", str(config[name])]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == golden.read_bytes()
+
 
 class TestOutputFormats:
     def test_csv_has_header_and_row(self, capsys):
@@ -209,6 +226,17 @@ class TestOutputFormats:
         code, _, err = run_cli(["average", "--sphere", "1", "--degree", "2", "--seed", "-1"], capsys)
         assert code == 2
         assert "seed" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["embedding", "--degree", "2", "--probes", "0"],
+        ["zonal", "--degree", "2", "--alpha", "4"],
+        ["invariants", "--degree", "2", "--points", "0"],
+    ], ids=["probes", "alpha", "points"])
+    def test_bad_input_exits_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_high_degree_allowed_off_solver_paths(self, capsys):
         code, report, _ = run_json(["invariants", "--sphere", "2", "--degree", "50"], capsys)

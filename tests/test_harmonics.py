@@ -16,6 +16,7 @@ from sphere_zeros import (
     zonal,
 )
 from sphere_zeros.harmonics import (
+    legendre_roots,
     legendre_values,
     orthonormality_residual,
     random_sphere_points,
@@ -224,6 +225,11 @@ class TestZonal:
         assert np.linalg.norm(coeffs) == pytest.approx(1.0, abs=1e-12)
         peak = float(eval_basis(basis, axis) @ coeffs)
         assert peak == pytest.approx(math.sqrt((2 * m + 1) / (4.0 * math.pi)), rel=1e-12)
+
+    def test_legendre_roots_match_gauss_nodes(self):
+        for m in range(1, 51):
+            nodes = np.polynomial.legendre.leggauss(m)[0]
+            assert np.max(np.abs(legendre_roots(m) - nodes)) <= 1e-13, m
 
     def test_matches_legendre_profile(self):
         m = 4

@@ -12,12 +12,14 @@ from sphere_zeros import (
     average_zero_count,
     conjecture_mixed_average,
     crofton_length,
+    restrict_to_great_circle,
     sample_subspace,
     sphere_surface_area,
     zonal,
     zonal_pair_demo,
     zonal_tilt_threshold,
 )
+from sphere_zeros import integralgeom
 from sphere_zeros.harmonics import legendre_values, rotate_coefficients
 from sphere_zeros.integralgeom import (
     random_circle_frame,
@@ -25,6 +27,9 @@ from sphere_zeros.integralgeom import (
     zonal_nodal_colatitudes,
     zonal_nodal_length,
 )
+from sphere_zeros.zerofinder import _circle_roots
+
+EQUATOR = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 class TestSurfaceArea:
@@ -229,6 +234,66 @@ class TestCroftonLength:
         basis = build_basis(2, 2)
         with pytest.raises(SphereInputError):
             crofton_length(basis, np.zeros(5), trials=10)
+
+    def test_batched_counts_match_single_circles(self, monkeypatch):
+        # 150 circles at m = 3 span two batches of 128.
+        basis = build_basis(2, 3)
+        coeffs = np.random.default_rng(19).standard_normal(7)
+        seed, trials = 21, 150
+        single = [
+            restrict_to_great_circle(
+                basis, coeffs, random_circle_frame(np.random.default_rng([seed, t, 0]))
+            ).count
+            for t in range(trials)
+        ]
+        report = crofton_length(basis, coeffs, trials=trials, seed=seed)
+        assert report.mean_crossings == sum(single) / trials
+        assert report.degenerate_resamples == 0
+        monkeypatch.setattr(integralgeom, "CIRCLE_CHUNK_POINTS", 7 * 64)   # 7 circles per batch
+        assert crofton_length(basis, coeffs, trials=trials, seed=seed) == report
+
+    def test_degenerate_circle_in_a_batch(self):
+        # z vanishes on the whole equator; the other circles must get the
+        # roots they get alone, to the bit.
+        basis = build_basis(2, 1)
+        coeffs = zonal(basis, np.array([0.0, 0.0, 1.0]))
+        rng = np.random.default_rng(22)
+        frames = np.stack([random_circle_frame(rng) for _ in range(9)])
+        frames[4] = EQUATOR
+        roots, counts, degenerate = _circle_roots(basis, coeffs, frames)
+        assert degenerate.tolist() == [k == 4 for k in range(9)]
+        assert counts[4] == 0
+        per_circle = np.split(roots, np.cumsum(counts)[:-1])
+        for k in range(9):
+            if k != 4:
+                alone = restrict_to_great_circle(basis, coeffs, frames[k]).root_angles
+                assert np.array_equal(per_circle[k], alone)
+
+    def test_degenerate_circles_are_redrawn(self, monkeypatch):
+        # The odd zonal function of degree 3 vanishes on the equator.  The
+        # ten circles form one batch, drawn in trial order, so draws 2, 5
+        # and 7 are the first draws of trials 2, 5 and 7.
+        basis = build_basis(2, 3)
+        coeffs = zonal(basis, np.array([0.0, 0.0, 1.0]))
+        draws = []
+
+        def frame_or_equator(rng):
+            draws.append(rng)
+            return EQUATOR if len(draws) - 1 in (2, 5, 7) else random_circle_frame(rng)
+
+        monkeypatch.setattr(integralgeom, "random_circle_frame", frame_or_equator)
+        report = crofton_length(basis, coeffs, trials=10, seed=23)
+        assert len(draws) == 13
+        assert report.degenerate_resamples == 3
+        counts = [
+            restrict_to_great_circle(
+                basis,
+                coeffs,
+                random_circle_frame(np.random.default_rng([23, t, int(t in (2, 5, 7))])),
+            ).count
+            for t in range(10)
+        ]
+        assert report.mean_crossings == sum(counts) / 10
 
     def test_random_frames_are_orthonormal(self):
         rng = np.random.default_rng(18)
