@@ -179,9 +179,6 @@ def _validate_common(args) -> None:
                     raise ConfigError(
                         f"S2 zero finding supports degrees up to {MAX_SOLVER_DEGREE}"
                     )
-        depth = getattr(args, "depth", None)
-        if depth is not None and not 1 <= depth <= MAX_DEPTH - 2:
-            raise ConfigError(f"depth must be in [1, {MAX_DEPTH - 2}]")
     qdepth = getattr(args, "quadrature_depth", None)
     if qdepth is not None and not 1 <= qdepth <= MAX_DEPTH:
         raise ConfigError(f"quadrature depth must be in [1, {MAX_DEPTH}]")
@@ -195,14 +192,26 @@ def _average_estimate(report: dict, result) -> None:
         "trials": result.trials,
     }
     report["experimental"] = result.experimental
-    report["diagnostics"] = {
-        "degenerate_resamples": result.degenerate_resamples,
-        "depth_escalations": result.depth_escalations,
-        "max_residual": result.max_residual,
-    }
+    report["diagnostics"].update(
+        degenerate_resamples=result.degenerate_resamples,
+        depth_escalations=result.depth_escalations,
+        max_residual=result.max_residual,
+    )
     report["histogram"] = {str(k): v for k, v in sorted(result.histogram.items())}
     report["relative_deviation"] = result.relative_deviation
     report["within_4_stderr"] = result.within_band
+
+
+def _zero_set_report(report: dict, result) -> bool:
+    """Write one zero-finding result into the report; True if it is Degenerate."""
+    report["diagnostics"].update(
+        depth_escalations=result.escalations,
+        max_residual=None if math.isnan(result.max_residual) else result.max_residual,
+    )
+    report["status"] = result.status.value
+    report["zero_count"] = result.count
+    report["zeros"] = [[float(c) for c in z] for z in result.zeros]
+    return result.status is SolverStatus.DEGENERATE
 
 
 def run_average(args) -> tuple[dict, int]:
@@ -236,6 +245,7 @@ def run_count(args) -> tuple[dict, int]:
         "newton_tol", "max_iter", "dedup_radius",
     ]
     report = _report_skeleton("count", _config_echo(args, config_fields))
+    config = _solver_config(args)     # checks the knobs on S1 too
     rng = np.random.default_rng([args.seed, 0, 0])
     if args.sphere == 1:
         if args.degree2 is not None:
@@ -247,17 +257,9 @@ def run_count(args) -> tuple[dict, int]:
         degree2 = args.degree2 if args.degree2 is not None else args.degree
         bases = [build_basis(2, args.degree), build_basis(2, degree2)]
         sample = sample_subspace(bases, rng)
-        result = find_common_zeros_s2(bases, sample, _solver_config(args))
+        result = find_common_zeros_s2(bases, sample, config)
     report["theory"] = {"value": float(result.bezout_bound), "formula_id": FORMULA_COUNT_BOUND}
-    report["diagnostics"] = {
-        "degenerate_resamples": 0,
-        "depth_escalations": result.escalations,
-        "max_residual": None if math.isnan(result.max_residual) else result.max_residual,
-    }
-    report["status"] = result.status.value
-    report["zero_count"] = result.count
-    report["zeros"] = [[float(c) for c in z] for z in result.zeros]
-    if result.status is SolverStatus.DEGENERATE:
+    if _zero_set_report(report, result):
         return report, EXIT_DEGENERATE
     if result.count > result.bezout_bound:
         report["violated"] = FORMULA_COUNT_BOUND
@@ -274,15 +276,7 @@ def run_zonal(args) -> tuple[dict, int]:
     report["config"]["alpha_threshold"] = threshold
     result = zonal_pair_demo(args.degree, args.alpha, _solver_config(args))
     report["theory"] = {"value": float(2 * args.degree), "formula_id": FORMULA_ZONAL_PAIR}
-    report["diagnostics"] = {
-        "degenerate_resamples": 0,
-        "depth_escalations": result.escalations,
-        "max_residual": None if math.isnan(result.max_residual) else result.max_residual,
-    }
-    report["status"] = result.status.value
-    report["zero_count"] = result.count
-    report["zeros"] = [[float(c) for c in z] for z in result.zeros]
-    if result.status is SolverStatus.DEGENERATE:
+    if _zero_set_report(report, result):
         return report, EXIT_DEGENERATE
     if args.alpha < threshold and result.count != 2 * args.degree:
         report["violated"] = FORMULA_ZONAL_PAIR
@@ -319,11 +313,7 @@ def run_invariants(args) -> tuple[dict, int]:
         if not passed and violated is None:
             violated = name
     report["identities"] = identities
-    report["diagnostics"] = {
-        "degenerate_resamples": 0,
-        "depth_escalations": 0,
-        "max_residual": worst,
-    }
+    report["diagnostics"]["max_residual"] = worst
     if violated is not None:
         report["violated"] = violated
         return report, EXIT_INVARIANT_VIOLATION
@@ -347,11 +337,7 @@ def run_embedding(args) -> tuple[dict, int]:
         "max_gram_residual": emb.max_gram_residual,
         "antipodal_identified": emb.antipodal_identified,
     }
-    report["diagnostics"] = {
-        "degenerate_resamples": 0,
-        "depth_escalations": 0,
-        "max_residual": emb.max_gram_residual,
-    }
+    report["diagnostics"]["max_residual"] = emb.max_gram_residual
     violated = None
     if emb.max_gram_residual > TOL_DILATION * emb.dilation:
         violated = "dilation"
@@ -387,11 +373,7 @@ def run_crofton_length(args) -> tuple[dict, int]:
         "trials": result.trials,
     }
     report["mean_crossings"] = result.mean_crossings
-    report["diagnostics"] = {
-        "degenerate_resamples": result.degenerate_resamples,
-        "depth_escalations": 0,
-        "max_residual": None,
-    }
+    report["diagnostics"]["degenerate_resamples"] = result.degenerate_resamples
     return report, EXIT_OK
 
 

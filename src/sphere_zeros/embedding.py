@@ -24,6 +24,7 @@ from .harmonics import (
     eval_gradient,
     eval_gradient_many,
     random_sphere_points,
+    tangent_frames,
 )
 from .icosphere import icosphere, spherical_face_areas
 
@@ -64,16 +65,6 @@ def radius_check(basis: HarmonicBasis, num_points: int, rng: np.random.Generator
     return float(np.max(np.abs(np.einsum("pk,pk->p", values, values) - basis.unsold_constant)))
 
 
-def _tangent_frame_at(point: np.ndarray) -> np.ndarray:
-    if point.shape[0] == 2:
-        return np.array([[-point[1], point[0]]])
-    helper = np.zeros(3)
-    helper[int(np.argmin(np.abs(point)))] = 1.0
-    e1 = np.cross(point, helper)
-    e1 /= np.linalg.norm(e1)
-    return np.stack([e1, np.cross(point, e1)])
-
-
 def dilation_check(basis: HarmonicBasis, point) -> float:
     """Max |Gram - C*I| entry of the differential at one point.
 
@@ -82,7 +73,7 @@ def dilation_check(basis: HarmonicBasis, point) -> float:
     gradient sum, tying this check to the radius identity.
     """
     p = as_sphere_point(point, basis.sphere_dim)
-    frame = _tangent_frame_at(p)
+    frame = tangent_frames(p[None, :])[0]
     grads = eval_gradient(basis, p)                   # (N, n+1)
     differential = grads @ frame.T                    # (N, n)
     gram = differential.T @ differential
@@ -129,42 +120,40 @@ def covering_degree(basis: HarmonicBasis, probes: int, rng: np.random.Generator)
 
     # S1: count collision angles along one revolution from each probe.  One
     # probe already scans the whole circle; a handful guards consistency.
-    counts = set()
-    for _ in range(min(probes, 6)):
-        t0 = rng.uniform(0.0, 2.0 * math.pi)
-        base = np.array([math.cos(t0), math.sin(t0)])
-        f0 = eval_basis_many(basis, base[None, :])[0]
-        n_scan = 512 * basis.degree
-        t = 2.0 * math.pi * (np.arange(1, n_scan) / n_scan)
-        pts = np.stack([np.cos(t0 + t), np.sin(t0 + t)], axis=1)
-        gap = np.linalg.norm(eval_basis_many(basis, pts) - f0[None, :], axis=1)
-        # Local minima of the gap, refined by ternary search.
-        local = np.nonzero((gap[1:-1] < gap[:-2]) & (gap[1:-1] < gap[2:]))[0] + 1
-        hits = 0
-        for j in local:
-            lo, hi = t[j - 1], t[j + 1]
-            for _ in range(200):
-                third = (hi - lo) / 3.0
-                a, b = lo + third, hi - third
-                ga = _gap_at(basis, t0, a, f0)
-                gb = _gap_at(basis, t0, b, f0)
-                if ga < gb:
-                    hi = b
-                else:
-                    lo = a
-                if hi - lo < 1e-14:
-                    break
-            if _gap_at(basis, t0, 0.5 * (lo + hi), f0) < tol:
-                hits += 1
-        counts.add(hits + 1)          # the trivial collision at t = 0
+    t0 = rng.uniform(0.0, 2.0 * math.pi, size=min(probes, 6))
+    n_scan = 512 * basis.degree
+    t = 2.0 * math.pi * (np.arange(n_scan) / n_scan)
+    angles = (t0[:, None] + t[None, :]).reshape(-1)
+    scan = eval_basis_many(basis, np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    scan = scan.reshape(t0.size, n_scan, 2)
+    f0 = scan[:, 0]
+    gap = np.linalg.norm(scan[:, 1:] - f0[:, None, :], axis=2)
+    # Local minima of the gap on every probe, refined together by ternary
+    # search; each interval stops once it is narrower than 1e-14.
+    owner, j = np.nonzero((gap[:, 1:-1] < gap[:, :-2]) & (gap[:, 1:-1] < gap[:, 2:]))
+    lo, hi = t[j + 1], t[j + 3]
+    base, ref = t0[owner], f0[owner]
+
+    def gap_at(s: np.ndarray) -> np.ndarray:
+        a = base + s
+        pts = np.stack([np.cos(a), np.sin(a)], axis=-1).reshape(-1, 2)
+        return np.linalg.norm(eval_basis_many(basis, pts).reshape(a.shape + (2,)) - ref, axis=-1)
+
+    for _ in range(200):
+        live = hi - lo >= 1e-14
+        if not live.any():
+            break
+        third = (hi - lo) / 3.0
+        a, b = lo + third, hi - third
+        ga, gb = gap_at(np.stack([a, b]))
+        left = ga < gb
+        hi = np.where(live & left, b, hi)
+        lo = np.where(live & ~left, a, lo)
+    hits = np.bincount(owner[gap_at(0.5 * (lo + hi)) < tol], minlength=t0.size)
+    counts = set((hits + 1).tolist())     # + the trivial collision at t = 0
     if len(counts) != 1:
         raise UnexpectedFiberError(f"inconsistent collision counts across probes: {counts}")
     return counts.pop()
-
-
-def _gap_at(basis: HarmonicBasis, t0: float, t: float, f0: np.ndarray) -> float:
-    p = np.array([math.cos(t0 + t), math.sin(t0 + t)])
-    return float(np.linalg.norm(eval_basis_many(basis, p[None, :])[0] - f0))
 
 
 def image_volume(
@@ -198,30 +187,11 @@ def image_volume(
         weights = np.full(n_nodes, 2.0 * math.pi / n_nodes)
 
     grads = eval_gradient_many(basis, nodes)          # (P, N, n+1)
-    if n == 2:
-        helper = np.zeros_like(nodes)
-        helper[np.arange(nodes.shape[0]), np.argmin(np.abs(nodes), axis=1)] = 1.0
-        e1 = np.cross(nodes, helper)
-        e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-        e2 = np.cross(nodes, e1)
-        d1 = np.einsum("pkj,pj->pk", grads, e1)
-        d2 = np.einsum("pkj,pj->pk", grads, e2)
-        g11 = np.einsum("pk,pk->p", d1, d1)
-        g22 = np.einsum("pk,pk->p", d2, d2)
-        g12 = np.einsum("pk,pk->p", d1, d2)
-        det = g11 * g22 - g12**2
-        gram_residual = float(
-            max(
-                np.max(np.abs(g11 - target)),
-                np.max(np.abs(g22 - target)),
-                np.max(np.abs(g12)),
-            )
-        )
-    else:
-        tangent = np.stack([-nodes[:, 1], nodes[:, 0]], axis=1)
-        d1 = np.einsum("pkj,pj->pk", grads, tangent)
-        det = np.einsum("pk,pk->p", d1, d1)
-        gram_residual = float(np.max(np.abs(det - target)))
+    frames = tangent_frames(nodes)                    # (P, n, n+1)
+    d = [np.einsum("pkj,pj->pk", grads, frames[:, i]) for i in range(n)]
+    gram = np.array([[np.einsum("pk,pk->p", a, b) for b in d] for a in d])   # (n, n, P)
+    det = gram[0, 0] if n == 1 else gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2
+    gram_residual = float(np.max(np.abs(gram - target * np.eye(n)[:, :, None])))
 
     numeric_integral = float(np.sum(weights * np.sqrt(np.clip(det, 0.0, None))))
     values = eval_basis_many(basis, nodes)

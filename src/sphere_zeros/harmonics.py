@@ -33,6 +33,7 @@ import numpy as np
 
 UNIT_NORM_TOL = 1e-12
 MAX_DEGREE = 50
+LAPLACIAN_STEP = 1e-4         # geodesic step of the laplacian_residual stencil
 
 
 class SphereInputError(ValueError):
@@ -228,12 +229,16 @@ def _eval_s1(degree: int, pts: np.ndarray, want_gradient: bool):
     return vals, grads
 
 
+def _evaluate(basis: HarmonicBasis, points: np.ndarray, want_gradient: bool):
+    """Values (P, N) and, if asked, tangential gradients (P, N, n+1) on S1 or S2."""
+    pts = _check_points(points, basis.sphere_dim)
+    kernel = _eval_s1 if basis.sphere_dim == 1 else _eval_s2
+    return kernel(basis.degree, pts, want_gradient)
+
+
 def eval_basis_many(basis: HarmonicBasis, points: np.ndarray) -> np.ndarray:
     """Basis values at many points, shape (P, N)."""
-    pts = _check_points(points, basis.sphere_dim)
-    if basis.sphere_dim == 1:
-        return _eval_s1(basis.degree, pts, want_gradient=False)[0]
-    return _eval_s2(basis.degree, pts, want_gradient=False)[0]
+    return _evaluate(basis, points, want_gradient=False)[0]
 
 
 def eval_basis(basis: HarmonicBasis, point) -> np.ndarray:
@@ -244,10 +249,7 @@ def eval_basis(basis: HarmonicBasis, point) -> np.ndarray:
 
 def eval_gradient_many(basis: HarmonicBasis, points: np.ndarray) -> np.ndarray:
     """Tangential gradients at many points, shape (P, N, n+1)."""
-    pts = _check_points(points, basis.sphere_dim)
-    if basis.sphere_dim == 1:
-        return _eval_s1(basis.degree, pts, want_gradient=True)[1]
-    return _eval_s2(basis.degree, pts, want_gradient=True)[1]
+    return _evaluate(basis, points, want_gradient=True)[1]
 
 
 def eval_gradient(basis: HarmonicBasis, point) -> np.ndarray:
@@ -263,12 +265,24 @@ def eval_basis_and_gradient_many(
     basis: HarmonicBasis, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values (P, N) and tangential gradients (P, N, n+1) in one pass."""
-    pts = _check_points(points, basis.sphere_dim)
-    if basis.sphere_dim == 1:
-        vals, grads = _eval_s1(basis.degree, pts, want_gradient=True)
-    else:
-        vals, grads = _eval_s2(basis.degree, pts, want_gradient=True)
-    return vals, grads
+    return _evaluate(basis, points, want_gradient=True)
+
+
+def tangent_frames(points: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent frames at unit vectors on S1 or S2, shape (P, n, n+1).
+
+    On S1 the frame is the unit tangent (-y, x).  On S2 the first vector is
+    x crossed with the coordinate axis least aligned with x, normalized; the
+    second is x crossed with the first.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[1] == 2:
+        return np.stack([-pts[:, 1], pts[:, 0]], axis=1)[:, None, :]
+    helper = np.zeros_like(pts)
+    helper[np.arange(pts.shape[0]), np.argmin(np.abs(pts), axis=1)] = 1.0
+    e1 = np.cross(pts, helper)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    return np.stack([e1, np.cross(pts, e1)], axis=1)
 
 
 def check_coefficients(basis: HarmonicBasis, coeffs) -> np.ndarray:
@@ -278,6 +292,8 @@ def check_coefficients(basis: HarmonicBasis, coeffs) -> np.ndarray:
         raise SphereInputError(
             f"coefficient vector must have length {basis.dimension}, got shape {c.shape}"
         )
+    if not np.isfinite(c).all():
+        raise SphereInputError("coefficients must be finite")
     return c
 
 
@@ -287,7 +303,7 @@ def eval_function(basis: HarmonicBasis, coeffs, points: np.ndarray) -> np.ndarra
     return eval_basis_many(basis, points) @ c
 
 
-def laplacian_residual(basis: HarmonicBasis, coeffs, point, step: float = 1e-4) -> float:
+def laplacian_residual(basis: HarmonicBasis, coeffs, point) -> float:
     """|Delta u(x) + lam * u(x)| from a symmetric second-order stencil.
 
     The stencil walks geodesics from x along an orthonormal tangent frame, so
@@ -295,22 +311,14 @@ def laplacian_residual(basis: HarmonicBasis, coeffs, point, step: float = 1e-4) 
     """
     c = check_coefficients(basis, coeffs)
     p = as_sphere_point(point, basis.sphere_dim)
-    if basis.sphere_dim == 1:
-        frame = [np.array([-p[1], p[0]])]
-    else:
-        axis = np.zeros(3)
-        axis[np.argmin(np.abs(p))] = 1.0
-        e1 = np.cross(p, axis)
-        e1 /= np.linalg.norm(e1)
-        frame = [e1, np.cross(p, e1)]
     u0 = float(eval_function(basis, c, p[None, :])[0])
-    cos_h, sin_h = math.cos(step), math.sin(step)
+    cos_h, sin_h = math.cos(LAPLACIAN_STEP), math.sin(LAPLACIAN_STEP)
     lap = 0.0
-    for e in frame:
+    for e in tangent_frames(p[None, :])[0]:
         plus = cos_h * p + sin_h * e
         minus = cos_h * p - sin_h * e
         u_pm = eval_function(basis, c, np.stack([plus, minus]))
-        lap += (u_pm[0] - 2.0 * u0 + u_pm[1]) / step**2
+        lap += (u_pm[0] - 2.0 * u0 + u_pm[1]) / LAPLACIAN_STEP**2
     return abs(lap + basis.eigenvalue * u0)
 
 

@@ -362,21 +362,9 @@ def zonal_pair_demo(
     basis = build_basis(2, degree)
     pole = np.array([0.0, 0.0, 1.0])
     tilted = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
-    if alpha == 0.0:
-        return ZeroFindingResult(
-            zeros=np.empty((0, 3)),
-            status=SolverStatus.DEGENERATE,
-            max_residual=math.nan,
-            bezout_bound=2 * degree * degree,
-        )
     try:
         sample = make_sample([zonal(basis, pole), zonal(basis, tilted)], [degree, degree])
     except RankDeficientError:
-        # Axes so close that the two functions coincide numerically.
-        return ZeroFindingResult(
-            zeros=np.empty((0, 3)),
-            status=SolverStatus.DEGENERATE,
-            max_residual=math.nan,
-            bezout_bound=2 * degree * degree,
-        )
+        # alpha = 0, or axes so close that the two functions coincide numerically.
+        return ZeroFindingResult.degenerate(2 * degree * degree)
     return find_common_zeros_s2([basis, basis], sample, config)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from .harmonics import (
     check_coefficients,
     eval_basis_and_gradient_many,
     eval_basis_many,
+    tangent_frames,
 )
 from .icosphere import SphereMesh, icosphere
 
@@ -43,6 +45,8 @@ RESIDUAL_FACTOR = 1e-9        # converged zeros satisfy |u_i| <= factor * scale
 DEGENERACY_FACTOR = 4         # deduped count above factor * bezout => Degenerate
 RANK_TOLERANCE = 1e-8         # smallest/largest singular value ratio
 MAX_SOLVER_DEGREE = 12        # keeps the deepest confirmation mesh at depth 9
+MAX_BASE_DEPTH = 7            # confirmation meshes go two levels deeper, to 9
+CIRCLE_SAMPLES_PER_DEGREE = 16  # sign-scan points per degree on a great circle
 
 
 class RankDeficientError(ValueError):
@@ -61,12 +65,30 @@ class SolverStatus(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable knobs of the S2 zero finder; all exposed on the command line."""
+    """Tunable knobs of the S2 zero finder; all exposed on the command line.
+
+    Out-of-range values raise SphereInputError: depth must be None (automatic)
+    or an integer in [1, 7], max_newton_iter an integer in [1, 1000],
+    newton_tol a number in (0, 1e-8] and dedup_radius a number in (0, 1e-3].
+    """
 
     depth: int | None = None          # None: max(4, ceil(log2 m) + 3)
     newton_tol: float = 1e-12         # stop when the step norm drops below this
     max_newton_iter: int = 30
     dedup_radius: float = 1e-6        # geodesic merge radius for found zeros
+
+    def __post_init__(self):
+        for name, high in (("depth", MAX_BASE_DEPTH), ("max_newton_iter", 1000)):
+            value = getattr(self, name)
+            if name == "depth" and value is None:
+                continue
+            if not isinstance(value, numbers.Integral) or not 1 <= value <= high:
+                raise SphereInputError(f"{name} must be an integer in [1, {high}], got {value!r}")
+        for name, high in (("newton_tol", 1e-8), ("dedup_radius", 1e-3)):
+            value = getattr(self, name)
+            # NaN fails both comparisons and infinity the upper one.
+            if not isinstance(value, numbers.Real) or not 0.0 < value <= high:
+                raise SphereInputError(f"{name} must be finite and in (0, {high:g}], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +112,10 @@ class SubspaceSample:
             raise SphereInputError("one source degree is required per row")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "source_degrees", degrees)
-        gram = self.function_gram()
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.function_gram()
+        if not np.isfinite(gram).all():
+            raise SphereInputError("coefficient rows must be finite, with finite squared norms")
         eigs = np.linalg.eigvalsh(gram)
         if eigs[0] <= (RANK_TOLERANCE**2) * eigs[-1] or eigs[-1] == 0.0:
             raise RankDeficientError(
@@ -138,6 +163,20 @@ class ZeroFindingResult:
     depth_used: int = 0
     escalations: int = 0
 
+    @classmethod
+    def degenerate(
+        cls, bezout_bound: int, depth_used: int = 0, escalations: int = 0
+    ) -> ZeroFindingResult:
+        """A Degenerate result: no zeros are reported and the residual is NaN."""
+        return cls(
+            zeros=np.empty((0, 3)),
+            status=SolverStatus.DEGENERATE,
+            max_residual=math.nan,
+            bezout_bound=bezout_bound,
+            depth_used=depth_used,
+            escalations=escalations,
+        )
+
     @property
     def count(self) -> int:
         return int(self.zeros.shape[0])
@@ -164,16 +203,27 @@ def _basis_at_vertices(degree: int, depth: int) -> np.ndarray:
     return eval_basis_many(build_basis(2, degree), mesh.vertices)
 
 
-def _degree_groups(bases: list[HarmonicBasis]) -> list[tuple[int, list[int]]]:
+def _degree_groups(bases: list[HarmonicBasis]) -> list[tuple[HarmonicBasis, list[int]]]:
+    """(basis, row indices) per distinct degree, in ascending degree."""
     groups: dict[int, list[int]] = {}
     for i, b in enumerate(bases):
         groups.setdefault(b.degree, []).append(i)
-    return sorted(groups.items())
+    return [(bases[idx[0]], idx) for _, idx in sorted(groups.items())]
+
+
+def _row_values(
+    groups: list[tuple[HarmonicBasis, list[int]]], rows: np.ndarray, pts: np.ndarray
+) -> np.ndarray:
+    """Values (P, n) of the row functions at the points, one evaluation per degree."""
+    vals = np.empty((pts.shape[0], rows.shape[0]))
+    for basis, idx in groups:
+        vals[:, idx] = eval_basis_many(basis, pts) @ rows[idx, : basis.dimension].T
+    return vals
 
 
 def _candidate_faces(
     mesh: SphereMesh,
-    bases: list[HarmonicBasis],
+    groups: list[tuple[HarmonicBasis, list[int]]],
     rows: np.ndarray,
     lipschitz: np.ndarray,
     face_pool: np.ndarray | None,
@@ -187,13 +237,12 @@ def _candidate_faces(
     quadrisection.  ``face_pool`` restricts the search (used when the parent
     depth already excluded the rest of the sphere).
     """
-    groups = _degree_groups(bases)
     faces = mesh.faces if face_pool is None else mesh.faces[face_pool]
     cov = mesh.covering_radius if face_pool is None else mesh.covering_radius[face_pool]
     corner = [np.ascontiguousarray(faces[:, k]) for k in range(3)]
     keep = np.ones(faces.shape[0], dtype=bool)
-    for degree, idx in groups:
-        values = _basis_at_vertices(degree, mesh.depth) @ rows[idx, : 2 * degree + 1].T
+    for basis, idx in groups:
+        values = _basis_at_vertices(basis.degree, mesh.depth) @ rows[idx, : basis.dimension].T
         v0, v1, v2 = values[corner[0]], values[corner[1]], values[corner[2]]
         vmax = np.maximum(np.maximum(v0, v1), v2)
         vmin = np.minimum(np.minimum(v0, v1), v2)
@@ -206,25 +255,13 @@ def _candidate_faces(
         return np.empty((0, 3)), cand
     centroids = mesh.centroids[cand]
     reach = mesh.centroid_reach[cand]
-    ok = np.ones(cand.size, dtype=bool)
-    for degree, idx in groups:
-        basis = next(b for b in bases if b.degree == degree)
-        vals = eval_basis_many(basis, centroids) @ rows[idx, : basis.dimension].T
-        ok &= (np.abs(vals) <= lipschitz[idx][None, :] * reach[:, None]).all(axis=1)
-    cand = cand[ok]
-    return centroids[ok], cand
-
-
-def _tangent_frames(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    helper = np.zeros_like(pts)
-    helper[np.arange(pts.shape[0]), np.argmin(np.abs(pts), axis=1)] = 1.0
-    e1 = np.cross(pts, helper)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    return e1, np.cross(pts, e1)
+    vals = _row_values(groups, rows, centroids)
+    ok = (np.abs(vals) <= lipschitz[None, :] * reach[:, None]).all(axis=1)
+    return centroids[ok], cand[ok]
 
 
 def _newton_refine(
-    bases: list[HarmonicBasis],
+    groups: list[tuple[HarmonicBasis, list[int]]],
     rows: np.ndarray,
     starts: np.ndarray,
     mesh: SphereMesh,
@@ -233,7 +270,6 @@ def _newton_refine(
     """Newton iteration in the moving tangent plane; returns converged points."""
     if starts.shape[0] == 0:
         return starts
-    groups = _degree_groups(bases)
     pts = starts.copy()
     origin = starts
     path = np.zeros(pts.shape[0])
@@ -248,13 +284,13 @@ def _newton_refine(
         p = pts[active]
         vals = np.empty((active.size, 2))
         grad = np.empty((active.size, 2, 3))
-        for degree, idx in groups:
-            basis = next(b for b in bases if b.degree == degree)
+        for basis, idx in groups:
             v, g = eval_basis_and_gradient_many(basis, p)
             c = rows[idx, : basis.dimension]
             vals[:, idx] = v @ c.T
             grad[:, idx, :] = np.einsum("pkj,rk->prj", g, c)
-        e1, e2 = _tangent_frames(p)
+        frames = tangent_frames(p)
+        e1, e2 = frames[:, 0], frames[:, 1]
         j00 = np.einsum("pj,pj->p", grad[:, 0], e1)
         j01 = np.einsum("pj,pj->p", grad[:, 0], e2)
         j10 = np.einsum("pj,pj->p", grad[:, 1], e1)
@@ -331,27 +367,18 @@ def _solve_at_depth(
     surviving faces seed the restricted search one depth deeper.
     """
     mesh = icosphere(depth)
+    groups = _degree_groups(bases)
     lipschitz = np.array([math.sqrt(b.gradient_sum_constant) for b in bases])
-    starts, faces_kept = _candidate_faces(mesh, bases, rows, lipschitz, face_pool)
-    converged = _newton_refine(bases, rows, starts, mesh, config)
-    scale = max(math.sqrt(b.gradient_sum_constant) for b in bases)
+    starts, faces_kept = _candidate_faces(mesh, groups, rows, lipschitz, face_pool)
+    converged = _newton_refine(groups, rows, starts, mesh, config)
     if converged.shape[0]:
-        resid = np.zeros(converged.shape[0])
-        for degree, idx in _degree_groups(bases):
-            basis = next(b for b in bases if b.degree == degree)
-            v = eval_basis_many(basis, converged) @ rows[idx, : basis.dimension].T
-            resid = np.maximum(resid, np.abs(v).max(axis=1))
-        converged = converged[resid <= RESIDUAL_FACTOR * scale]
+        resid = np.abs(_row_values(groups, rows, converged)).max(axis=1)
+        converged = converged[resid <= RESIDUAL_FACTOR * lipschitz.max()]
     zeros = _dedup_and_sort(converged, config.dedup_radius, DEGENERACY_FACTOR * bezout)
     degenerate = zeros.shape[0] > DEGENERACY_FACTOR * bezout
     max_residual = 0.0
     if zeros.shape[0] and not degenerate:
-        resid = np.zeros(zeros.shape[0])
-        for degree, idx in _degree_groups(bases):
-            basis = next(b for b in bases if b.degree == degree)
-            v = eval_basis_many(basis, zeros) @ rows[idx, : basis.dimension].T
-            resid = np.maximum(resid, np.abs(v).max(axis=1))
-        max_residual = float(resid.max())
+        max_residual = float(np.abs(_row_values(groups, rows, zeros)).max())
     return zeros, max_residual, degenerate, faces_kept
 
 
@@ -384,24 +411,14 @@ def find_common_zeros_s2(
         max(b.degree for b in bases)
     )
 
-    def degenerate_result(depth: int, escalations: int = 0) -> ZeroFindingResult:
-        return ZeroFindingResult(
-            zeros=np.empty((0, 3)),
-            status=SolverStatus.DEGENERATE,
-            max_residual=math.nan,
-            bezout_bound=bezout,
-            depth_used=depth,
-            escalations=escalations,
-        )
-
     zeros0, _, degen0, faces0 = _solve_at_depth(bases, rows, depth0, config, bezout)
     if degen0:
-        return degenerate_result(depth0)
+        return ZeroFindingResult.degenerate(bezout, depth0)
     zeros1, resid1, degen1, faces1 = _solve_at_depth(
         bases, rows, depth0 + 1, config, bezout, face_pool=_children_of(faces0, depth0)
     )
     if degen1:
-        return degenerate_result(depth0 + 1)
+        return ZeroFindingResult.degenerate(bezout, depth0 + 1)
     if zeros0.shape[0] == zeros1.shape[0] and zeros1.shape[0] <= bezout:
         return ZeroFindingResult(
             zeros=zeros1,
@@ -414,7 +431,7 @@ def find_common_zeros_s2(
         bases, rows, depth0 + 2, config, bezout, face_pool=_children_of(faces1, depth0 + 1)
     )
     if degen2:
-        return degenerate_result(depth0 + 2, escalations=1)
+        return ZeroFindingResult.degenerate(bezout, depth0 + 2, escalations=1)
     return ZeroFindingResult(
         zeros=zeros2,
         status=SolverStatus.DEPTH_ESCALATED,
@@ -477,20 +494,14 @@ class CircleRestriction:
         pts = np.outer(np.cos(t), self.frame[0]) + np.outer(np.sin(t), self.frame[1])
         return eval_basis_many(self.basis, pts) @ self.coeffs
 
-    def __call__(self, angle: float) -> float:
-        return float(self.values([angle])[0])
 
-
-def _circle_samples(degree: int, samples_per_degree: int = 16) -> int:
+def _circle_samples(degree: int) -> int:
     """Number of equispaced scan points per great circle."""
-    return max(samples_per_degree * degree, 64)
+    return max(CIRCLE_SAMPLES_PER_DEGREE * degree, 64)
 
 
 def _circle_roots(
-    basis: HarmonicBasis,
-    c: np.ndarray,
-    frames: np.ndarray,
-    samples_per_degree: int = 16,
+    basis: HarmonicBasis, c: np.ndarray, frames: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of u on K great circles at once, for validated inputs.
 
@@ -505,7 +516,7 @@ def _circle_roots(
     have no roots).
     """
     k = frames.shape[0]
-    n_samples = _circle_samples(basis.degree, samples_per_degree)
+    n_samples = _circle_samples(basis.degree)
     t = 2.0 * math.pi * np.arange(n_samples) / n_samples
     e1, e2 = frames[:, 0, :], frames[:, 1, :]
     pts = np.cos(t)[None, :, None] * e1[:, None, :] + np.sin(t)[None, :, None] * e2[:, None, :]
@@ -547,12 +558,7 @@ def _circle_roots(
     return angles[keep], np.bincount(owner[keep], minlength=k), degenerate
 
 
-def restrict_to_great_circle(
-    basis: HarmonicBasis,
-    coeffs,
-    circle_frame,
-    samples_per_degree: int = 16,
-) -> CircleRestriction:
+def restrict_to_great_circle(basis: HarmonicBasis, coeffs, circle_frame) -> CircleRestriction:
     """Roots of u along the great circle spanned by an orthonormal 2-frame.
 
     Dense sampling (at least 16m points) brackets every sign change; each
@@ -573,7 +579,7 @@ def restrict_to_great_circle(
     gram_err = np.max(np.abs(frame @ frame.T - np.eye(2)))
     if gram_err > 1e-10:
         raise SphereInputError(f"circle frame is not orthonormal (residual {gram_err:.2e})")
-    roots, _, degenerate = _circle_roots(basis, c, frame[None], samples_per_degree)
+    roots, _, degenerate = _circle_roots(basis, c, frame[None])
     if degenerate[0]:
         raise DegenerateRestrictionError("function vanishes identically on the circle")
     return CircleRestriction(basis=basis, coeffs=c, frame=frame, root_angles=roots)

@@ -186,6 +186,43 @@ class TestCroftonCommand:
         assert out.read_bytes() == golden.read_bytes()
 
 
+# Reports frozen before the shared frame, row-value, degenerate-result and
+# report helpers replaced their copies: name -> (argv, exit code).
+GOLDEN_REPORTS = {
+    "count_s2_m3_seed5": (["count", "--sphere", "2", "--degree", "3", "--seed", "5"], 0),
+    "count_s2_m2_m5": (["count", "--degree", "2", "--degree2", "5"], 0),
+    "count_s1_m4": (["count", "--sphere", "1", "--degree", "4"], 0),
+    "count_s2_m4_seed2_csv": (["count", "--degree", "4", "--seed", "2", "--format", "csv"], 0),
+    "zonal_m4_alpha005": (["zonal", "--degree", "4", "--alpha", "0.05"], 0),
+    "zonal_m7": (["zonal", "--degree", "7"], 0),
+    "zonal_m2_alpha0": (["zonal", "--degree", "2", "--alpha", "0"], 4),
+    "average_s2_m2": (["average", "--sphere", "2", "--degree", "2", "--trials", "20"], 0),
+    "average_s1_m3": (["average", "--sphere", "1", "--degree", "3"], 0),
+    "conjecture_1_2": (["conjecture", "--degrees", "1", "2", "--trials", "20"], 0),
+    "embedding_s2_m4_q3": (
+        ["embedding", "--sphere", "2", "--degree", "4", "--quadrature-depth", "3"], 0
+    ),
+    "embedding_s1_m8": (["embedding", "--sphere", "1", "--degree", "8"], 0),
+    "invariants_s2_m6": (["invariants", "--sphere", "2", "--degree", "6"], 0),
+    "invariants_s1_m5": (["invariants", "--sphere", "1", "--degree", "5"], 0),
+}
+
+
+class TestGoldenReports:
+    def test_every_golden_has_a_command(self):
+        stems = {p.stem for p in (DATA / "reports").iterdir()}
+        assert stems == set(GOLDEN_REPORTS)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_matches_golden_report(self, name, tmp_path, capsys):
+        argv, expected_code = GOLDEN_REPORTS[name]
+        golden = DATA / "reports" / (name + (".csv" if "csv" in argv else ".json"))
+        out = tmp_path / golden.name
+        assert main(argv + ["--out", str(out)]) == expected_code
+        capsys.readouterr()
+        assert out.read_bytes() == golden.read_bytes()
+
+
 class TestOutputFormats:
     def test_csv_has_header_and_row(self, capsys):
         code, out, _ = run_cli(
@@ -231,7 +268,15 @@ class TestOutputFormats:
         ["embedding", "--degree", "2", "--probes", "0"],
         ["zonal", "--degree", "2", "--alpha", "4"],
         ["invariants", "--degree", "2", "--points", "0"],
-    ], ids=["probes", "alpha", "points"])
+        ["count", "--degree", "3", "--seed", "5", "--max-iter", "0"],
+        ["count", "--degree", "3", "--seed", "5", "--newton-tol", "-1"],
+        ["count", "--degree", "3", "--seed", "5", "--newton-tol", "nan"],
+        ["count", "--degree", "3", "--seed", "5", "--dedup-radius", "0"],
+        ["count", "--degree", "3", "--seed", "5", "--dedup-radius", "1"],
+    ], ids=[
+        "probes", "alpha", "points", "max-iter-0", "newton-tol-negative", "newton-tol-nan",
+        "dedup-radius-0", "dedup-radius-1",
+    ])
     def test_bad_input_exits_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2

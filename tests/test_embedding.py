@@ -87,7 +87,7 @@ class TestCoveringDegree:
         assert d == (2 if m % 2 == 0 else 1)
 
     def test_circle_wraps_degree_times(self):
-        for m in (1, 2, 3, 5):
+        for m in (1, 2, 3, 5, 8, 13, 50):
             basis = build_basis(1, m)
             assert covering_degree(basis, 6, np.random.default_rng(m)) == m
 

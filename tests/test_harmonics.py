@@ -22,6 +22,7 @@ from sphere_zeros.harmonics import (
     random_sphere_points,
     rotate_coefficients,
     rotation_coefficient_matrix,
+    tangent_frames,
 )
 
 # Frozen from the quadrature oracle below: int_{S2} z^2 dx = 4*pi/3, so the
@@ -182,6 +183,28 @@ class TestGradients:
         total = float(np.einsum("ki,ki->", grads, grads))
         target = basis.eigenvalue * basis.dimension / basis.manifold_volume
         assert total == pytest.approx(target, rel=1e-12)
+
+
+class TestTangentFrames:
+    @pytest.mark.parametrize("sphere_dim", [1, 2])
+    def test_orthonormal_and_tangent(self, sphere_dim):
+        rng = np.random.default_rng(sphere_dim)
+        axes = np.eye(sphere_dim + 1)
+        pts = np.concatenate([axes, -axes, random_sphere_points(sphere_dim, 50, rng)])
+        frames = tangent_frames(pts)
+        assert frames.shape == (pts.shape[0], sphere_dim, sphere_dim + 1)
+        gram = np.einsum("pij,pkj->pik", frames, frames)
+        assert np.max(np.abs(gram - np.eye(sphere_dim))) <= 1e-15
+        assert np.max(np.abs(np.einsum("pij,pj->pi", frames, pts))) <= 1e-15
+
+
+class TestCoefficientChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        coeffs = np.ones(7)
+        coeffs[3] = bad
+        with pytest.raises(SphereInputError):
+            laplacian_residual(build_basis(2, 3), coeffs, NORTH)
 
 
 class TestLaplacianStencil:

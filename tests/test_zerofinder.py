@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphere_zeros import (
     DegenerateRestrictionError,
     RankDeficientError,
     SolverConfig,
     SolverStatus,
+    SphereInputError,
     build_basis,
     eval_basis_many,
     find_common_zeros_s1,
@@ -19,7 +22,7 @@ from sphere_zeros import (
     verify_bezout,
     zonal,
 )
-from sphere_zeros.harmonics import random_sphere_points, rotate_coefficients
+from sphere_zeros.harmonics import check_coefficients, random_sphere_points, rotate_coefficients
 from sphere_zeros.zerofinder import ZeroFindingResult
 
 
@@ -56,6 +59,64 @@ class TestSubspaceSample:
     def test_zero_row_rejected(self):
         with pytest.raises(RankDeficientError):
             make_sample([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1, 1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+    def test_non_finite_rows_rejected(self, bad):
+        # 1e200 is finite, but its squared norm overflows the rank check.
+        with pytest.raises(SphereInputError):
+            make_sample([[bad] * 7, [1.0] * 7], [3, 3])
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("field, value", [
+        ("depth", 0), ("depth", 8), ("depth", 2.5),
+        ("max_newton_iter", 0), ("max_newton_iter", 1001),
+        ("newton_tol", 0.0), ("newton_tol", -1.0), ("newton_tol", 1e-7), ("newton_tol", math.nan),
+        ("dedup_radius", 0.0), ("dedup_radius", 1.0), ("dedup_radius", math.inf),
+    ])
+    def test_solver_config_rejects(self, field, value):
+        with pytest.raises(SphereInputError):
+            SolverConfig(**{field: value})
+
+    def test_solver_config_bounds_accepted(self):
+        SolverConfig(depth=7, newton_tol=1e-8, max_newton_iter=1000, dedup_radius=1e-3)
+        SolverConfig(depth=1, newton_tol=1e-300, max_newton_iter=1, dedup_radius=1e-300)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        depth=st.one_of(st.none(), st.integers(-2, 12)),
+        newton_tol=st.one_of(ANY_FLOAT, st.floats(1e-16, 1e-8)),
+        max_iter=st.integers(-5, 2000),
+        dedup_radius=st.one_of(ANY_FLOAT, st.floats(1e-9, 1e-3)),
+    )
+    def test_solver_config_fuzz(self, depth, newton_tol, max_iter, dedup_radius):
+        try:
+            config = SolverConfig(depth, newton_tol, max_iter, dedup_radius)
+        except SphereInputError:
+            return
+        assert config.depth is None or 1 <= config.depth <= 7
+        assert 1 <= config.max_newton_iter <= 1000
+        assert math.isfinite(config.newton_tol) and 0.0 < config.newton_tol <= 1e-8
+        assert math.isfinite(config.dedup_radius) and 0.0 < config.dedup_radius <= 1e-3
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.one_of(ANY_FLOAT, st.floats(-10.0, 10.0)), min_size=14, max_size=14))
+    def test_coefficient_rows_fuzz(self, values):
+        basis = build_basis(2, 3)
+        for row in (values[:7], values[7:]):
+            try:
+                assert np.isfinite(check_coefficients(basis, row)).all()
+            except SphereInputError:
+                pass
+        try:
+            sample = make_sample([values[:7], values[7:]], [3, 3])
+        except (SphereInputError, RankDeficientError):
+            return
+        assert np.isfinite(sample.rows).all()
+        assert np.isfinite(sample.function_gram()).all()
 
 
 class TestCircleZeros:
