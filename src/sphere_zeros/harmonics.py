@@ -22,10 +22,23 @@ The S2 functions are evaluated through stable normalized recurrences on the
 polynomial part in z, multiplied by real/imaginary parts of (x + i*y)^mu.
 This form has no pole singularities, works at the poles, and gives exact
 ambient polynomial gradients that are projected to the tangent plane.
+
+The kernel works on blocks of about EVAL_BLOCK basis values, one row per
+basis function, and steps every order mu of the Legendre recurrence at once,
+so a block costs O(m) array operations and its temporaries stay bounded.
+Values-only calls skip the derivative recurrence.  Given coefficient rows,
+``eval_basis_and_gradient_many`` returns the gradients of the row functions
+directly (the Newton step of the S2 zero finder uses this), and never forms
+the (P, N, n+1) gradient tensor.  Every value and gradient is bit-identical
+to the straightforward evaluation: per-order recurrences, the (P, N, n+1)
+tensor projected with ``einsum("pki,pi->pk")`` and contracted with
+``einsum("pkj,rk->prj")``.  The summation orders that make this so are
+pinned by a reference test.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +47,7 @@ import numpy as np
 UNIT_NORM_TOL = 1e-12
 MAX_DEGREE = 50
 LAPLACIAN_STEP = 1e-4         # geodesic step of the laplacian_residual stencil
+EVAL_BLOCK = 32768            # basis values per kernel block: P * N, bounds the temporaries
 
 
 class SphereInputError(ValueError):
@@ -140,100 +154,177 @@ def random_sphere_points(sphere_dim: int, count: int, rng: np.random.Generator) 
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _legendre_q_block(degree: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized Legendre polynomial parts Q and dQ/dz, rows mu = 0..m.
+@functools.lru_cache(maxsize=None)
+def _legendre_steps(degree: int):
+    """Scalars of the normalized recurrence: the diagonal start of each order
+    mu, its first step in the degree, and per degree ell >= 2 the (mu, 1)
+    columns of the three-term coefficients for the orders mu <= ell - 2."""
+    m = degree
+    diag = [math.sqrt(1.0 / (4.0 * math.pi))]
+    for mu in range(1, m + 1):
+        diag.append(diag[-1] * math.sqrt((2.0 * mu + 1.0) / (2.0 * mu)))
+    first = [math.sqrt(2.0 * mu + 3.0) for mu in range(m)]
+    steps = []
+    for ell in range(2, m + 1):
+        a = [math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - mu * mu)) for mu in range(ell - 1)]
+        b = [
+            math.sqrt(((ell - 1.0) ** 2 - mu * mu) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+            for mu in range(ell - 1)
+        ]
+        steps.append((np.array(a)[:, None], np.array(b)[:, None]))
+    return diag, first, steps
+
+
+def _legendre_q_block(degree: int, z: np.ndarray, want_derivative: bool):
+    """Normalized Legendre polynomial parts Q and, if asked, dQ/dz, rows mu = 0..m.
 
     Q[mu] is the degree-(m - mu) polynomial in z with
     Pbar_m^mu(cos t) = sin(t)^mu * Q[mu](cos t), where Pbar is normalized so
     the resulting basis is orthonormal for the unnormalized surface measure.
     Three-term recurrences in the degree keep this stable far beyond m = 50.
+    All orders step through the degree together (order mu joins at degree
+    mu + 1), so the cost is O(m) array operations on (mu, P) blocks.
     """
     m = degree
+    diag, first, steps = _legendre_steps(m)
     npts = z.shape[0]
-    q_out = np.empty((m + 1, npts))
-    dq_out = np.empty((m + 1, npts))
-    diag = math.sqrt(1.0 / (4.0 * math.pi))
-    for mu in range(m + 1):
-        if mu > 0:
-            diag *= math.sqrt((2.0 * mu + 1.0) / (2.0 * mu))
-        q_prev = np.full(npts, diag)
-        dq_prev = np.zeros(npts)
-        if mu == m:
-            q_out[mu], dq_out[mu] = q_prev, dq_prev
-            continue
-        c = math.sqrt(2.0 * mu + 3.0)
-        q_curr = c * z * q_prev
-        dq_curr = c * q_prev
-        for ell in range(mu + 2, m + 1):
-            a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - mu * mu))
-            b = math.sqrt(((ell - 1.0) ** 2 - mu * mu) / (4.0 * (ell - 1.0) ** 2 - 1.0))
-            q_next = a * (z * q_curr - b * q_prev)
-            dq_next = a * (q_curr + z * dq_curr - b * dq_prev)
-            q_prev, q_curr = q_curr, q_next
-            dq_prev, dq_curr = dq_curr, dq_next
-        q_out[mu], dq_out[mu] = q_curr, dq_curr
-    return q_out, dq_out
+    prev, curr, nxt = np.empty((3, m + 1, npts))
+    dprev, dcurr, dnxt = np.empty((3, m + 1, npts)) if want_derivative else (None,) * 3
+    for ell in range(1, m + 1):
+        k = ell - 1                       # orders below k step, order k starts
+        if k:
+            a, b = steps[ell - 2]
+            np.multiply(z, curr[:k], out=nxt[:k])
+            nxt[:k] -= b * prev[:k]
+            nxt[:k] *= a
+            if want_derivative:
+                np.multiply(z, dcurr[:k], out=dnxt[:k])
+                dnxt[:k] += curr[:k]
+                dnxt[:k] -= b * dprev[:k]
+                dnxt[:k] *= a
+        prev, curr, nxt = curr, nxt, prev
+        prev[k] = diag[k]
+        np.multiply(first[k] * z, diag[k], out=curr[k])
+        if want_derivative:
+            dprev, dcurr, dnxt = dcurr, dnxt, dprev
+            dprev[k] = 0.0
+            dcurr[k] = first[k] * diag[k]
+    curr[m] = diag[m]
+    if want_derivative:
+        dcurr[m] = 0.0
+    return curr, dcurr
 
 
 def _eval_s2(degree: int, pts: np.ndarray, want_gradient: bool):
-    """Values (P, N) and optionally tangential gradients (P, N, 3) on S2."""
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    q, dq = _legendre_q_block(degree, z)
-    npts = pts.shape[0]
-    nfun = 2 * degree + 1
-    vals = np.empty((npts, nfun))
-    vals[:, 0] = q[0]
-    root2 = math.sqrt(2.0)
-    grads = None
-    if want_gradient:
-        grads = np.zeros((npts, nfun, 3))
-        grads[:, 0, 2] = dq[0]
-    cr = np.ones(npts)
-    ci = np.zeros(npts)
-    for mu in range(1, degree + 1):
-        cr_prev, ci_prev = cr, ci
-        cr = cr_prev * x - ci_prev * y
-        ci = ci_prev * x + cr_prev * y
-        qc = root2 * q[mu]
-        vals[:, 2 * mu - 1] = qc * cr
-        vals[:, 2 * mu] = qc * ci
-        if want_gradient:
-            dqc = root2 * dq[mu]
-            grads[:, 2 * mu - 1, 0] = qc * mu * cr_prev
-            grads[:, 2 * mu - 1, 1] = -qc * mu * ci_prev
-            grads[:, 2 * mu - 1, 2] = dqc * cr
-            grads[:, 2 * mu, 0] = qc * mu * ci_prev
-            grads[:, 2 * mu, 1] = qc * mu * cr_prev
-            grads[:, 2 * mu, 2] = dqc * ci
-    if want_gradient:
-        radial = np.einsum("pki,pi->pk", grads, pts)
-        grads -= radial[:, :, None] * pts[:, None, :]
+    """Values (N, P) and optionally tangential gradients (3, N, P) on S2.
+
+    Function-major: row k is basis function k, and gradient component j of
+    function k is ``grads[j, k]``.  The ambient polynomial gradients are
+    projected to the tangent plane inside the kernel, with the radial part
+    summed from zero as (g0*x + g2*z) + g1*y, the order of
+    ``einsum("pki,pi->pk")`` on the (P, N, 3) tensor.
+    """
+    m = degree
+    x, y, z = coords = np.ascontiguousarray(pts.T)
+    q, dq = _legendre_q_block(m, z, want_gradient)
+    # cr + i*ci = (x + i*y)^mu, row mu.
+    cr, ci = np.empty((2, m + 1, pts.shape[0]))
+    cr[0], ci[0] = 1.0, 0.0
+    for mu in range(1, m + 1):
+        np.multiply(cr[mu - 1], x, out=cr[mu])
+        cr[mu] -= ci[mu - 1] * y
+        np.multiply(ci[mu - 1], x, out=ci[mu])
+        ci[mu] += cr[mu - 1] * y
+    vals = np.empty((2 * m + 1, pts.shape[0]))
+    vals[0] = q[0]
+    qc = math.sqrt(2.0) * q[1:]
+    np.multiply(qc, cr[1:], out=vals[1::2])
+    np.multiply(qc, ci[1:], out=vals[2::2])
+    if not want_gradient:
+        return vals, None
+    grads = np.empty((3,) + vals.shape)
+    grads[:2, 0] = 0.0
+    grads[2, 0] = dq[0]
+    qc *= np.arange(1.0, m + 1.0)[:, None]
+    np.multiply(qc, cr[:-1], out=grads[0, 1::2])
+    np.multiply(qc, ci[:-1], out=grads[0, 2::2])
+    np.negative(grads[0, 2::2], out=grads[1, 1::2])
+    grads[1, 2::2] = grads[0, 1::2]
+    dqc = math.sqrt(2.0) * dq[1:]
+    np.multiply(dqc, cr[1:], out=grads[2, 1::2])
+    np.multiply(dqc, ci[1:], out=grads[2, 2::2])
+    radial = grads[0] * x
+    radial += 0.0                         # a sum from zero: -0.0 becomes 0.0
+    radial += grads[2] * z
+    radial += grads[1] * y
+    for g, coord in zip(grads, coords):
+        g -= radial * coord
     return vals, grads
 
 
 def _eval_s1(degree: int, pts: np.ndarray, want_gradient: bool):
-    """Values and tangential gradients of [cos(mt), sin(mt)]/sqrt(pi) on S1."""
+    """Values (2, P) and tangential gradients (2, 2, P) of [cos(mt), sin(mt)]/sqrt(pi) on S1.
+
+    Function-major like ``_eval_s2``: gradient component j of function k is
+    ``grads[j, k]``.
+    """
     m = degree
     # cos(mt), sin(mt) via complex powers of (cos t + i sin t); no arctangents.
     w = (pts[:, 0] + 1j * pts[:, 1]) ** m
     inv_root_pi = 1.0 / math.sqrt(math.pi)
-    vals = np.empty((pts.shape[0], 2))
-    vals[:, 0] = w.real * inv_root_pi
-    vals[:, 1] = w.imag * inv_root_pi
-    grads = None
-    if want_gradient:
-        tangent = np.stack([-pts[:, 1], pts[:, 0]], axis=1)
-        grads = np.empty((pts.shape[0], 2, 2))
-        grads[:, 0, :] = (-m * inv_root_pi * w.imag)[:, None] * tangent
-        grads[:, 1, :] = (m * inv_root_pi * w.real)[:, None] * tangent
-    return vals, grads
+    vals = np.empty((2, pts.shape[0]))
+    vals[0] = w.real * inv_root_pi
+    vals[1] = w.imag * inv_root_pi
+    if not want_gradient:
+        return vals, None
+    tangent = np.empty((2, 1, pts.shape[0]))
+    tangent[0, 0] = -pts[:, 1]
+    tangent[1, 0] = pts[:, 0]
+    scale = np.empty((2, pts.shape[0]))
+    scale[0] = -m * inv_root_pi * w.imag
+    scale[1] = m * inv_root_pi * w.real
+    return vals, scale * tangent
 
 
-def _evaluate(basis: HarmonicBasis, points: np.ndarray, want_gradient: bool):
-    """Values (P, N) and, if asked, tangential gradients (P, N, n+1) on S1 or S2."""
+def _contract_rows(grads: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Gradients (n+1, r, P) of the row functions from function-major (n+1, N, P).
+
+    Adds g_k * rows[:, k] in ascending k starting from zero, the order of
+    ``einsum("pkj,rk->prj")`` on the (P, N, n+1) tensor.
+    """
+    total = np.zeros((grads.shape[0], rows.shape[0], grads.shape[2]))
+    for k in range(rows.shape[1]):
+        total += grads[:, k, None, :] * rows[None, :, k, None]
+    return total
+
+
+def _evaluate(basis: HarmonicBasis, points: np.ndarray, want_gradient: bool, rows=None):
+    """Values and, if asked, tangential gradients on S1 or S2, EVAL_BLOCK // N points at a time.
+
+    Without ``rows``: values (P, N) and gradients (P, N, n+1).  With rows of
+    shape (r, N): the row functions' values (P, r) and gradients (P, r, n+1).
+    Every entry depends on its own point only, so chunking leaves the bits
+    unchanged.
+    """
     pts = _check_points(points, basis.sphere_dim)
     kernel = _eval_s1 if basis.sphere_dim == 1 else _eval_s2
-    return kernel(basis.degree, pts, want_gradient)
+    npts = pts.shape[0]
+    vals = np.empty((npts, basis.dimension))
+    grads = None
+    if want_gradient:
+        width = basis.dimension if rows is None else rows.shape[0]
+        grads = np.empty((npts, width, basis.ambient_dim))
+    step = max(1, EVAL_BLOCK // basis.dimension)
+    for lo in range(0, npts, step):
+        v, g = kernel(basis.degree, pts[lo : lo + step], want_gradient)
+        vals[lo : lo + step] = v.T
+        if want_gradient:
+            if rows is not None:
+                g = _contract_rows(g, rows)
+            grads[lo : lo + step] = g.transpose(2, 1, 0)
+    if rows is not None:
+        vals = vals @ rows.T
+    return vals, grads
 
 
 def eval_basis_many(basis: HarmonicBasis, points: np.ndarray) -> np.ndarray:
@@ -262,10 +353,21 @@ def eval_gradient(basis: HarmonicBasis, point) -> np.ndarray:
 
 
 def eval_basis_and_gradient_many(
-    basis: HarmonicBasis, points: np.ndarray
+    basis: HarmonicBasis, points: np.ndarray, rows=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values (P, N) and tangential gradients (P, N, n+1) in one pass."""
-    return _evaluate(basis, points, want_gradient=True)
+    """Values (P, N) and tangential gradients (P, N, n+1) in one pass.
+
+    With coefficient rows of shape (r, N), returns instead the values (P, r)
+    and gradients (P, r, n+1) of the r row functions, without forming the
+    (P, N, n+1) tensor.
+    """
+    if rows is not None:
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != basis.dimension:
+            raise SphereInputError(
+                f"coefficient rows must have shape (r, {basis.dimension}), got {rows.shape}"
+            )
+    return _evaluate(basis, points, want_gradient=True, rows=rows)
 
 
 def tangent_frames(points: np.ndarray) -> np.ndarray:
@@ -273,16 +375,30 @@ def tangent_frames(points: np.ndarray) -> np.ndarray:
 
     On S1 the frame is the unit tangent (-y, x).  On S2 the first vector is
     x crossed with the coordinate axis least aligned with x, normalized; the
-    second is x crossed with the first.
+    second is x crossed with the first.  The cross products are written out
+    per component, in the operation order of ``np.cross``.
     """
     pts = np.asarray(points, dtype=float)
+    frames = np.empty((pts.shape[0], pts.shape[1] - 1, pts.shape[1]))
     if pts.shape[1] == 2:
-        return np.stack([-pts[:, 1], pts[:, 0]], axis=1)[:, None, :]
-    helper = np.zeros_like(pts)
-    helper[np.arange(pts.shape[0]), np.argmin(np.abs(pts), axis=1)] = 1.0
-    e1 = np.cross(pts, helper)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    return np.stack([e1, np.cross(pts, e1)], axis=1)
+        frames[:, 0, 0] = -pts[:, 1]
+        frames[:, 0, 1] = pts[:, 0]
+        return frames
+    x, y, z = pts.T
+    axis = np.argmin(np.abs(pts), axis=1)
+    h0, h1, h2 = (axis == 0) * 1.0, (axis == 1) * 1.0, (axis == 2) * 1.0
+    a = y * h2 - z * h1
+    b = z * h0 - x * h2
+    c = x * h1 - y * h0
+    norm = np.sqrt((a * a + b * b) + c * c)
+    a /= norm
+    b /= norm
+    c /= norm
+    frames[:, 0, 0], frames[:, 0, 1], frames[:, 0, 2] = a, b, c
+    frames[:, 1, 0] = y * c - z * b
+    frames[:, 1, 1] = z * a - x * c
+    frames[:, 1, 2] = x * b - y * a
+    return frames
 
 
 def check_coefficients(basis: HarmonicBasis, coeffs) -> np.ndarray:

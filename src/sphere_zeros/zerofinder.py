@@ -285,10 +285,9 @@ def _newton_refine(
         vals = np.empty((active.size, 2))
         grad = np.empty((active.size, 2, 3))
         for basis, idx in groups:
-            v, g = eval_basis_and_gradient_many(basis, p)
-            c = rows[idx, : basis.dimension]
-            vals[:, idx] = v @ c.T
-            grad[:, idx, :] = np.einsum("pkj,rk->prj", g, c)
+            vals[:, idx], grad[:, idx, :] = eval_basis_and_gradient_many(
+                basis, p, rows=rows[idx, : basis.dimension]
+            )
         frames = tangent_frames(p)
         e1, e2 = frames[:, 0], frames[:, 1]
         j00 = np.einsum("pj,pj->p", grad[:, 0], e1)

@@ -1,12 +1,18 @@
 """Command-line interface: subcommands, report schema, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sphere_zeros.cli import main
+import sphere_zeros.harmonics
+from sphere_zeros.cli import MAX_DEPTH, MAX_TRIALS, main
+from sphere_zeros.zerofinder import MAX_BASE_DEPTH, MAX_SOLVER_DEGREE
 
 
 DATA = Path(__file__).parent / "data"
@@ -205,6 +211,15 @@ GOLDEN_REPORTS = {
     "embedding_s1_m8": (["embedding", "--sphere", "1", "--degree", "8"], 0),
     "invariants_s2_m6": (["invariants", "--sphere", "2", "--degree", "6"], 0),
     "invariants_s1_m5": (["invariants", "--sphere", "1", "--degree", "5"], 0),
+    # Frozen before the S2 kernel contracted coefficient rows itself.
+    "average_s2_m8_seed77": (
+        ["average", "--sphere", "2", "--degree", "8", "--trials", "2", "--seed", "77"], 0
+    ),
+    "zonal_m8_alpha003": (["zonal", "--degree", "8", "--alpha", "0.03"], 0),
+    "count_s2_m3_m7_seed4": (["count", "--degree", "3", "--degree2", "7", "--seed", "4"], 0),
+    "embedding_s2_m24_q5_seed3": (
+        ["embedding", "--sphere", "2", "--degree", "24", "--quadrature-depth", "5", "--seed", "3"], 0
+    ),
 }
 
 
@@ -296,3 +311,113 @@ class TestOutputFormats:
         assert code == 3
         assert report["violated"] == "orthonormality"
         assert "invariant violation" in err
+
+
+# Valid argv per subcommand as (flag, value) pairs; the fuzz test corrupts one.
+SOLVER_FLAGS = [("--depth", "4"), ("--newton-tol", "1e-12"), ("--max-iter", "30"),
+                ("--dedup-radius", "1e-6"), ("--format", "json")]
+VALID_ARGVS = {
+    "average": [("--sphere", "2"), ("--degree", "2"), ("--trials", "3"), ("--seed", "1")]
+    + SOLVER_FLAGS,
+    "conjecture": [("--degrees", "1 2"), ("--trials", "3"), ("--seed", "1")] + SOLVER_FLAGS,
+    "count": [("--sphere", "2"), ("--degree", "2"), ("--degree2", "3"), ("--seed", "1")]
+    + SOLVER_FLAGS,
+    "zonal": [("--degree", "2"), ("--alpha", "0.1")] + SOLVER_FLAGS,
+    "invariants": [("--sphere", "2"), ("--degree", "2"), ("--points", "10"), ("--seed", "1"),
+                   ("--format", "csv")],
+    "embedding": [("--sphere", "2"), ("--degree", "2"), ("--quadrature-depth", "2"),
+                  ("--probes", "4"), ("--seed", "1")],
+    "crofton-length": [("--degree", "2"), ("--function", "zonal"), ("--trials", "3"),
+                       ("--seed", "1")],
+}
+NOT_AN_INT = st.sampled_from(["", "x", "1.5", "1e3", "nan", "0x10", "two", "--"])
+NOT_A_FLOAT = st.sampled_from(["", "x", "1e", "0x1p-3", "1,5", "--"])
+
+
+def _ints_outside(low, high=None):
+    outside = st.integers(max_value=low - 1)
+    if high is not None:
+        outside |= st.integers(min_value=high + 1)
+    return outside.map(str) | NOT_AN_INT
+
+
+def _floats_outside(low, high, low_open):
+    """Strings of floats outside [low, high) (or (low, high] when ``low_open``), NaN and inf."""
+    below = st.floats(max_value=low, exclude_max=not low_open, allow_nan=False)
+    above = st.floats(min_value=high, exclude_min=low_open, allow_nan=False)
+    return (below | above | st.just(math.nan)).map(repr) | NOT_A_FLOAT
+
+
+def _bad_values(command, flag):
+    solver = command in ("average", "conjecture", "count", "zonal")
+    degree_high = MAX_SOLVER_DEGREE if solver else 50
+    return {
+        "--sphere": _ints_outside(1, 2),
+        "--degree": _ints_outside(1, degree_high),
+        "--degree2": _ints_outside(1, degree_high),
+        "--degrees": _ints_outside(1, degree_high).map(lambda v: v + " 2"),
+        "--trials": _ints_outside(1, MAX_TRIALS),
+        "--seed": _ints_outside(0),
+        "--points": _ints_outside(1),
+        "--probes": _ints_outside(1),
+        "--quadrature-depth": _ints_outside(1, MAX_DEPTH),
+        "--depth": _ints_outside(1, MAX_BASE_DEPTH),
+        "--max-iter": _ints_outside(1, 1000),
+        "--newton-tol": _floats_outside(0.0, 1e-8, low_open=True),
+        "--dedup-radius": _floats_outside(0.0, 1e-3, low_open=True),
+        "--alpha": _floats_outside(0.0, math.pi, low_open=False),
+        "--format": st.sampled_from(["", "xml", "JSON", "csv2"]),
+        "--function": st.sampled_from(["", "Zonal", "gaussian"]),
+    }[flag]
+
+
+@st.composite
+def corrupted_argvs(draw):
+    command = draw(st.sampled_from(sorted(VALID_ARGVS)))
+    pairs = VALID_ARGVS[command]
+    bad = draw(st.integers(0, len(pairs) - 1))
+    flag = pairs[bad][0]
+    return _argv(command, pairs[:bad] + [(flag, draw(_bad_values(command, flag)))] + pairs[bad + 1 :])
+
+
+class _Evaluated(Exception):
+    pass
+
+
+def _run_without_evaluation(argv):
+    """(exit code, stdout, stderr) of main(argv); raises _Evaluated at the first basis evaluation."""
+    def no_evaluation(*args, **kwargs):
+        raise _Evaluated(argv)
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sphere_zeros.harmonics, "_evaluate", no_evaluation)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:          # argparse rejects the value itself
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _argv(command, pairs):
+    argv = [command]
+    for flag, value in pairs:
+        argv += [flag] + (value.split(" ") if flag == "--degrees" else [value])
+    return argv
+
+
+class TestArgumentFuzz:
+    @pytest.mark.parametrize("command", sorted(VALID_ARGVS))
+    def test_uncorrupted_argv_passes_every_check(self, command):
+        with pytest.raises(_Evaluated):
+            _run_without_evaluation(_argv(command, VALID_ARGVS[command]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(corrupted_argvs())
+    def test_one_bad_flag_exits_2_with_an_error_line(self, argv):
+        code, out, err = _run_without_evaluation(argv)
+        assert code == 2, argv
+        assert out == ""
+        assert any("error: " in line for line in err.splitlines()), err
+        assert "Traceback" not in err

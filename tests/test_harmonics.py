@@ -15,7 +15,9 @@ from sphere_zeros import (
     laplacian_residual,
     zonal,
 )
+from sphere_zeros import harmonics
 from sphere_zeros.harmonics import (
+    eval_basis_and_gradient_many,
     legendre_roots,
     legendre_values,
     orthonormality_residual,
@@ -356,3 +358,187 @@ class TestKernelAndEquivariance:
         rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         rep = rotation_coefficient_matrix(basis, rotation)
         assert np.max(np.abs(rep @ rep.T - np.eye(basis.dimension))) < 1e-10
+
+
+# Reference kernels: verbatim copies of the per-order Legendre recurrence, the
+# S1/S2 evaluation with the (P, N, n+1) gradient tensor, the Newton row
+# contraction over that tensor, and the np.cross tangent frames.  The kernel
+# in harmonics must reproduce them bit for bit.
+def _ref_legendre_q_block(degree: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    m = degree
+    npts = z.shape[0]
+    q_out = np.empty((m + 1, npts))
+    dq_out = np.empty((m + 1, npts))
+    diag = math.sqrt(1.0 / (4.0 * math.pi))
+    for mu in range(m + 1):
+        if mu > 0:
+            diag *= math.sqrt((2.0 * mu + 1.0) / (2.0 * mu))
+        q_prev = np.full(npts, diag)
+        dq_prev = np.zeros(npts)
+        if mu == m:
+            q_out[mu], dq_out[mu] = q_prev, dq_prev
+            continue
+        c = math.sqrt(2.0 * mu + 3.0)
+        q_curr = c * z * q_prev
+        dq_curr = c * q_prev
+        for ell in range(mu + 2, m + 1):
+            a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - mu * mu))
+            b = math.sqrt(((ell - 1.0) ** 2 - mu * mu) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+            q_next = a * (z * q_curr - b * q_prev)
+            dq_next = a * (q_curr + z * dq_curr - b * dq_prev)
+            q_prev, q_curr = q_curr, q_next
+            dq_prev, dq_curr = dq_curr, dq_next
+        q_out[mu], dq_out[mu] = q_curr, dq_curr
+    return q_out, dq_out
+
+
+def _ref_eval_s2(degree: int, pts: np.ndarray, want_gradient: bool):
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    q, dq = _ref_legendre_q_block(degree, z)
+    npts = pts.shape[0]
+    nfun = 2 * degree + 1
+    vals = np.empty((npts, nfun))
+    vals[:, 0] = q[0]
+    root2 = math.sqrt(2.0)
+    grads = None
+    if want_gradient:
+        grads = np.zeros((npts, nfun, 3))
+        grads[:, 0, 2] = dq[0]
+    cr = np.ones(npts)
+    ci = np.zeros(npts)
+    for mu in range(1, degree + 1):
+        cr_prev, ci_prev = cr, ci
+        cr = cr_prev * x - ci_prev * y
+        ci = ci_prev * x + cr_prev * y
+        qc = root2 * q[mu]
+        vals[:, 2 * mu - 1] = qc * cr
+        vals[:, 2 * mu] = qc * ci
+        if want_gradient:
+            dqc = root2 * dq[mu]
+            grads[:, 2 * mu - 1, 0] = qc * mu * cr_prev
+            grads[:, 2 * mu - 1, 1] = -qc * mu * ci_prev
+            grads[:, 2 * mu - 1, 2] = dqc * cr
+            grads[:, 2 * mu, 0] = qc * mu * ci_prev
+            grads[:, 2 * mu, 1] = qc * mu * cr_prev
+            grads[:, 2 * mu, 2] = dqc * ci
+    if want_gradient:
+        radial = np.einsum("pki,pi->pk", grads, pts)
+        grads -= radial[:, :, None] * pts[:, None, :]
+    return vals, grads
+
+
+def _ref_eval_s1(degree: int, pts: np.ndarray, want_gradient: bool):
+    m = degree
+    w = (pts[:, 0] + 1j * pts[:, 1]) ** m
+    inv_root_pi = 1.0 / math.sqrt(math.pi)
+    vals = np.empty((pts.shape[0], 2))
+    vals[:, 0] = w.real * inv_root_pi
+    vals[:, 1] = w.imag * inv_root_pi
+    grads = None
+    if want_gradient:
+        tangent = np.stack([-pts[:, 1], pts[:, 0]], axis=1)
+        grads = np.empty((pts.shape[0], 2, 2))
+        grads[:, 0, :] = (-m * inv_root_pi * w.imag)[:, None] * tangent
+        grads[:, 1, :] = (m * inv_root_pi * w.real)[:, None] * tangent
+    return vals, grads
+
+
+def _ref_newton_rows(v: np.ndarray, g: np.ndarray, c: np.ndarray):
+    return v @ c.T, np.einsum("pkj,rk->prj", g, c)
+
+
+def _ref_tangent_frames(points: np.ndarray) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[1] == 2:
+        return np.stack([-pts[:, 1], pts[:, 0]], axis=1)[:, None, :]
+    helper = np.zeros_like(pts)
+    helper[np.arange(pts.shape[0]), np.argmin(np.abs(pts), axis=1)] = 1.0
+    e1 = np.cross(pts, helper)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    return np.stack([e1, np.cross(pts, e1)], axis=1)
+
+
+def _points_with_poles(count: int, seed: int) -> np.ndarray:
+    pts = random_sphere_points(2, count, np.random.default_rng(seed))
+    pts[: min(count, 2)] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]][: min(count, 2)]
+    return pts
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+BATCH_SIZES = [1, 2, 3, 7, 64, 401, 4001]
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("m", list(range(1, 13)) + [16, 24, 50])
+    def test_values_and_full_gradients(self, m):
+        basis = build_basis(2, m)
+        for count in BATCH_SIZES:
+            pts = _points_with_poles(count, seed=1000 * m + count)
+            ref_vals, ref_grads = _ref_eval_s2(m, pts, want_gradient=True)
+            vals, grads = eval_basis_and_gradient_many(basis, pts)
+            assert _same_bits(vals, ref_vals), (m, count)
+            assert _same_bits(grads, ref_grads), (m, count)
+            assert _same_bits(eval_basis_many(basis, pts), ref_vals), (m, count)
+            assert _same_bits(eval_gradient_many(basis, pts), ref_grads), (m, count)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_row_contracted_gradients(self, m, r):
+        basis = build_basis(2, m)
+        rng = np.random.default_rng(10 * m + r)
+        # Rows sliced out of a wider block, as for a mixed-degree system.
+        rows = rng.standard_normal((r, basis.dimension + 3))[:, : basis.dimension]
+        rows[0, 0] = -abs(rows[0, 0])     # zero gradients at the poles times it give -0.0
+        for count in BATCH_SIZES:
+            pts = _points_with_poles(count, seed=100 * m + count)
+            ref_vals, ref_grads = _ref_newton_rows(*_ref_eval_s2(m, pts, True), rows)
+            vals, grads = eval_basis_and_gradient_many(basis, pts, rows=rows)
+            assert _same_bits(vals, ref_vals), (m, r, count)
+            assert _same_bits(grads, ref_grads), (m, r, count)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 50])
+    def test_circle_kernel(self, m):
+        basis = build_basis(1, m)
+        t = np.random.default_rng(m).uniform(0.0, 2.0 * math.pi, 401)
+        pts = np.stack([np.cos(t), np.sin(t)], axis=1)
+        pts[:4] = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        ref_vals, ref_grads = _ref_eval_s1(m, pts, want_gradient=True)
+        vals, grads = eval_basis_and_gradient_many(basis, pts)
+        assert _same_bits(vals, ref_vals) and _same_bits(grads, ref_grads)
+        rows = np.array([[0.3, -1.7]])
+        ref = _ref_newton_rows(ref_vals, ref_grads, rows)
+        ours = eval_basis_and_gradient_many(basis, pts, rows=rows)
+        assert _same_bits(ours[0], ref[0]) and _same_bits(ours[1], ref[1])
+
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_block_size_does_not_change_bits(self, m, monkeypatch):
+        basis = build_basis(2, m)
+        pts = _points_with_poles(401, seed=m)
+        rows = np.random.default_rng(m).standard_normal((2, basis.dimension))
+        whole = eval_basis_and_gradient_many(basis, pts), eval_basis_and_gradient_many(basis, pts, rows=rows)
+        monkeypatch.setattr(harmonics, "EVAL_BLOCK", 5 * basis.dimension)
+        split = eval_basis_and_gradient_many(basis, pts), eval_basis_and_gradient_many(basis, pts, rows=rows)
+        for a, b in zip(whole, split):
+            assert _same_bits(a[0], b[0]) and _same_bits(a[1], b[1])
+
+    def test_rows_of_wrong_width_rejected(self):
+        basis = build_basis(2, 3)
+        with pytest.raises(SphereInputError):
+            eval_basis_and_gradient_many(basis, _points_with_poles(5, seed=0), rows=np.ones((2, 6)))
+
+    @pytest.mark.parametrize("count", BATCH_SIZES)
+    def test_tangent_frames(self, count):
+        s = math.sqrt(0.5)
+        axis_aligned = np.array([
+            [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+            [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0],
+            [s, s, 0.0], [-s, 0.0, s], [0.0, -s, -s], [-0.0, -1.0, -0.0],
+        ])
+        pts = np.concatenate([_points_with_poles(count, seed=count), axis_aligned])
+        assert _same_bits(tangent_frames(pts), _ref_tangent_frames(pts))
+        t = np.random.default_rng(count).uniform(0.0, 2.0 * math.pi, count)
+        circle = np.stack([np.cos(t), np.sin(t)], axis=1)
+        assert _same_bits(tangent_frames(circle), _ref_tangent_frames(circle))
