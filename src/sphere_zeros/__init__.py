@@ -41,7 +41,6 @@ from .integralgeom import (
 from .zerofinder import (
     DegenerateRestrictionError,
     RankDeficientError,
-    SolverConfig,
     SolverStatus,
     SubspaceSample,
     ZeroFindingResult,
@@ -59,7 +58,6 @@ __all__ = [
     "HarmonicBasis",
     "LengthReport",
     "RankDeficientError",
-    "SolverConfig",
     "SolverStatus",
     "SphereInputError",
     "SubspaceSample",

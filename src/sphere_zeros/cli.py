@@ -50,9 +50,12 @@ from .integralgeom import (
     zonal_tilt_threshold,
 )
 from .zerofinder import (
+    DEDUP_RADIUS,
+    MAX_NEWTON_ITER,
     MAX_SOLVER_DEGREE,
-    SolverConfig,
+    NEWTON_TOL,
     SolverStatus,
+    check_depth,
     find_common_zeros_s1,
     find_common_zeros_s2,
 )
@@ -86,15 +89,6 @@ MAX_DEPTH = 9
 
 class ConfigError(ValueError):
     pass
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        depth=args.depth,
-        newton_tol=args.newton_tol,
-        max_newton_iter=args.max_iter,
-        dedup_radius=args.dedup_radius,
-    )
 
 
 def _config_echo(args, fields: list[str]) -> dict:
@@ -182,6 +176,7 @@ def _validate_common(args) -> None:
     qdepth = getattr(args, "quadrature_depth", None)
     if qdepth is not None and not 1 <= qdepth <= MAX_DEPTH:
         raise ConfigError(f"quadrature depth must be in [1, {MAX_DEPTH}]")
+    check_depth(getattr(args, "depth", None))   # on S1 too, where it is unused
 
 
 def _average_estimate(report: dict, result) -> None:
@@ -222,7 +217,7 @@ def run_average(args) -> tuple[dict, int]:
     report = _report_skeleton("average", _config_echo(args, config_fields))
     basis = build_basis(args.sphere, args.degree)
     bases = [basis] * args.sphere
-    result = average_zero_count(bases, args.trials, _solver_config(args), args.seed)
+    result = average_zero_count(bases, args.trials, args.depth, args.seed)
     _average_estimate(report, result)
     return report, EXIT_OK
 
@@ -234,7 +229,7 @@ def run_conjecture(args) -> tuple[dict, int]:
     ]
     report = _report_skeleton("conjecture", _config_echo(args, config_fields))
     bases = [build_basis(2, args.degree), build_basis(2, args.degree2)]
-    result = conjecture_mixed_average(bases, args.trials, _solver_config(args), args.seed)
+    result = conjecture_mixed_average(bases, args.trials, args.depth, args.seed)
     _average_estimate(report, result)
     return report, EXIT_OK
 
@@ -245,7 +240,6 @@ def run_count(args) -> tuple[dict, int]:
         "newton_tol", "max_iter", "dedup_radius",
     ]
     report = _report_skeleton("count", _config_echo(args, config_fields))
-    config = _solver_config(args)     # checks the knobs on S1 too
     rng = np.random.default_rng([args.seed, 0, 0])
     if args.sphere == 1:
         if args.degree2 is not None:
@@ -257,7 +251,7 @@ def run_count(args) -> tuple[dict, int]:
         degree2 = args.degree2 if args.degree2 is not None else args.degree
         bases = [build_basis(2, args.degree), build_basis(2, degree2)]
         sample = sample_subspace(bases, rng)
-        result = find_common_zeros_s2(bases, sample, config)
+        result = find_common_zeros_s2(bases, sample, args.depth)
     report["theory"] = {"value": float(result.bezout_bound), "formula_id": FORMULA_COUNT_BOUND}
     if _zero_set_report(report, result):
         return report, EXIT_DEGENERATE
@@ -274,7 +268,7 @@ def run_zonal(args) -> tuple[dict, int]:
         args.alpha = threshold / 2.0
     report = _report_skeleton("zonal", _config_echo(args, config_fields))
     report["config"]["alpha_threshold"] = threshold
-    result = zonal_pair_demo(args.degree, args.alpha, _solver_config(args))
+    result = zonal_pair_demo(args.degree, args.alpha, args.depth)
     report["theory"] = {"value": float(2 * args.degree), "formula_id": FORMULA_ZONAL_PAIR}
     if _zero_set_report(report, result):
         return report, EXIT_DEGENERATE
@@ -379,9 +373,8 @@ def run_crofton_length(args) -> tuple[dict, int]:
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--depth", type=int, default=None, help="mesh depth (default: auto)")
-    parser.add_argument("--newton-tol", type=float, default=1e-12, dest="newton_tol")
-    parser.add_argument("--max-iter", type=int, default=30, dest="max_iter")
-    parser.add_argument("--dedup-radius", type=float, default=1e-6, dest="dedup_radius")
+    # Fixed solver constants, echoed in the report's config.
+    parser.set_defaults(newton_tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER, dedup_radius=DEDUP_RADIUS)
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -462,10 +455,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _validate_common(args)
         if args.command == "conjecture":
             args.degree, args.degree2 = args.degrees
-            _validate_common(args)
+        _validate_common(args)
         report, code = args.func(args)
     except (ConfigError, SphereInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,6 @@ from .harmonics import (
 )
 from .zerofinder import (
     RankDeficientError,
-    SolverConfig,
     SolverStatus,
     SubspaceSample,
     ZeroFindingResult,
@@ -37,6 +36,7 @@ from .zerofinder import (
     find_common_zeros_s2,
     _circle_roots,
     _circle_samples,
+    check_depth,
     make_sample,
     restrict_to_great_circle,  # noqa: F401  (perfbench's traced run wraps this name)
 )
@@ -117,7 +117,7 @@ def sample_subspace(bases, rng: np.random.Generator) -> SubspaceSample:
 
 def _count_zeros_once(
     bases: list[HarmonicBasis],
-    config: SolverConfig,
+    depth: int | None,
     seed: int,
     trial: int,
 ) -> tuple[ZeroFindingResult, int]:
@@ -128,7 +128,7 @@ def _count_zeros_once(
         if bases[0].sphere_dim == 1:
             result = find_common_zeros_s1(bases[0], sample)
         else:
-            result = find_common_zeros_s2(bases, sample, config)
+            result = find_common_zeros_s2(bases, sample, depth)
         if result.status is not SolverStatus.DEGENERATE:
             return result, attempt
     raise RuntimeError("degenerate samples persisted across resampling")  # pragma: no cover
@@ -137,18 +137,19 @@ def _count_zeros_once(
 def _monte_carlo_average(
     bases: list[HarmonicBasis],
     trials: int,
-    config: SolverConfig,
+    depth: int | None,
     seed: int,
     theory: float,
     experimental: bool,
     formula_id: str,
 ) -> AverageReport:
+    check_depth(depth)     # S1 trials never reach the S2 solver's own check
     counts = np.empty(trials, dtype=np.int64)
     resamples = 0
     escalations = 0
     max_residual = 0.0
     for t in range(trials):
-        result, extra = _count_zeros_once(bases, config, seed, t)
+        result, extra = _count_zeros_once(bases, depth, seed, t)
         counts[t] = result.count
         resamples += extra
         escalations += result.escalations
@@ -180,7 +181,7 @@ def theoretical_average(sphere_dim: int, eigenvalue: float, volume: float) -> fl
 def average_zero_count(
     bases,
     trials: int,
-    config: SolverConfig | None = None,
+    depth: int | None = None,
     seed: int = 0,
 ) -> AverageReport:
     """Average |Z(U)| over Haar-random n-subspaces of one eigenspace.
@@ -202,7 +203,7 @@ def average_zero_count(
     return _monte_carlo_average(
         bases,
         trials,
-        config or SolverConfig(),
+        depth,
         seed,
         theory,
         experimental=False,
@@ -213,7 +214,7 @@ def average_zero_count(
 def conjecture_mixed_average(
     bases,
     trials: int,
-    config: SolverConfig | None = None,
+    depth: int | None = None,
     seed: int = 0,
 ) -> AverageReport:
     """Monte Carlo test of the conjectured mixed-eigenvalue average on S2.
@@ -236,7 +237,7 @@ def conjecture_mixed_average(
     return _monte_carlo_average(
         bases,
         trials,
-        config or SolverConfig(),
+        depth,
         seed,
         theory,
         experimental=True,
@@ -345,7 +346,7 @@ def zonal_tilt_threshold(degree: int) -> float:
 def zonal_pair_demo(
     degree: int,
     alpha: float,
-    config: SolverConfig | None = None,
+    depth: int | None = None,
 ) -> ZeroFindingResult:
     """Common zeros of two axis-symmetric functions with axes ``alpha`` apart.
 
@@ -367,4 +368,4 @@ def zonal_pair_demo(
     except RankDeficientError:
         # alpha = 0, or axes so close that the two functions coincide numerically.
         return ZeroFindingResult.degenerate(2 * degree * degree)
-    return find_common_zeros_s2([basis, basis], sample, config)
+    return find_common_zeros_s2([basis, basis], sample, depth)

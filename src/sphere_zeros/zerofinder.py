@@ -47,6 +47,9 @@ RANK_TOLERANCE = 1e-8         # smallest/largest singular value ratio
 MAX_SOLVER_DEGREE = 12        # keeps the deepest confirmation mesh at depth 9
 MAX_BASE_DEPTH = 7            # confirmation meshes go two levels deeper, to 9
 CIRCLE_SAMPLES_PER_DEGREE = 16  # sign-scan points per degree on a great circle
+NEWTON_TOL = 1e-12            # Newton stops when the step norm drops below this
+MAX_NEWTON_ITER = 30
+DEDUP_RADIUS = 1e-6           # geodesic merge radius for found zeros
 
 
 class RankDeficientError(ValueError):
@@ -63,32 +66,12 @@ class SolverStatus(str, enum.Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tunable knobs of the S2 zero finder; all exposed on the command line.
-
-    Out-of-range values raise SphereInputError: depth must be None (automatic)
-    or an integer in [1, 7], max_newton_iter an integer in [1, 1000],
-    newton_tol a number in (0, 1e-8] and dedup_radius a number in (0, 1e-3].
-    """
-
-    depth: int | None = None          # None: max(4, ceil(log2 m) + 3)
-    newton_tol: float = 1e-12         # stop when the step norm drops below this
-    max_newton_iter: int = 30
-    dedup_radius: float = 1e-6        # geodesic merge radius for found zeros
-
-    def __post_init__(self):
-        for name, high in (("depth", MAX_BASE_DEPTH), ("max_newton_iter", 1000)):
-            value = getattr(self, name)
-            if name == "depth" and value is None:
-                continue
-            if not isinstance(value, numbers.Integral) or not 1 <= value <= high:
-                raise SphereInputError(f"{name} must be an integer in [1, {high}], got {value!r}")
-        for name, high in (("newton_tol", 1e-8), ("dedup_radius", 1e-3)):
-            value = getattr(self, name)
-            # NaN fails both comparisons and infinity the upper one.
-            if not isinstance(value, numbers.Real) or not 0.0 < value <= high:
-                raise SphereInputError(f"{name} must be finite and in (0, {high:g}], got {value!r}")
+def check_depth(depth) -> None:
+    """Raise SphereInputError unless depth is None (automatic) or an integer in [1, 7]."""
+    if depth is not None and (
+        not isinstance(depth, numbers.Integral) or not 1 <= depth <= MAX_BASE_DEPTH
+    ):
+        raise SphereInputError(f"depth must be an integer in [1, {MAX_BASE_DEPTH}], got {depth!r}")
 
 
 @dataclass(frozen=True)
@@ -132,13 +115,6 @@ class SubspaceSample:
                 if self.source_degrees[i] == self.source_degrees[j]:
                     gram[i, j] = gram[j, i] = float(np.dot(self.rows[i], self.rows[j]))
         return gram
-
-    def row_coefficients(self, i: int, basis: HarmonicBasis) -> np.ndarray:
-        if basis.degree != self.source_degrees[i]:
-            raise SphereInputError(
-                f"row {i} has degree {self.source_degrees[i]}, basis has {basis.degree}"
-            )
-        return self.rows[i, : basis.dimension]
 
 
 def make_sample(coefficient_rows, degrees) -> SubspaceSample:
@@ -265,7 +241,6 @@ def _newton_refine(
     rows: np.ndarray,
     starts: np.ndarray,
     mesh: SphereMesh,
-    config: SolverConfig,
 ) -> np.ndarray:
     """Newton iteration in the moving tangent plane; returns converged points."""
     if starts.shape[0] == 0:
@@ -277,7 +252,7 @@ def _newton_refine(
     step_cap = mesh.max_edge
     travel_cap = 3.0 * mesh.max_edge                # ~ the face's 2-ring neighborhood
     path_cap = 4.0 * mesh.max_edge                  # kills oscillating non-roots early
-    for _ in range(config.max_newton_iter):
+    for _ in range(MAX_NEWTON_ITER):
         active = np.nonzero(state == 0)[0]
         if active.size == 0:
             break
@@ -307,21 +282,21 @@ def _newton_refine(
         path[active] += step * damp
         travel = np.arccos(np.clip(np.einsum("pi,pi->p", moved, origin[active]), -1.0, 1.0))
         failed = singular | (travel > travel_cap) | (path[active] > path_cap)
-        converged = (step < config.newton_tol) & ~failed
+        converged = (step < NEWTON_TOL) & ~failed
         state[active[converged]] = 1
         state[active[failed]] = 2
     return pts[state == 1]
 
 
-def _dedup_and_sort(points: np.ndarray, radius: float, stop_above: int) -> np.ndarray:
-    """Greedy geodesic dedup after collapsing near-identical points.
+def _dedup_and_sort(points: np.ndarray, stop_above: int) -> np.ndarray:
+    """Greedy geodesic dedup (radius DEDUP_RADIUS) after collapsing near-identical points.
 
     Stops early (returning the oversized set) once more than ``stop_above``
     representatives appear -- the caller then declares degeneracy.
     """
     if points.shape[0] == 0:
         return points.reshape(0, 3)
-    # Group nearly identical Newton outputs first (they agree to ~newton_tol,
+    # Group nearly identical Newton outputs first (they agree to ~NEWTON_TOL,
     # far below the dedup radius); representatives keep full precision.
     _, first = np.unique(np.round(points, 8), axis=0, return_index=True)
     collapsed = points[np.sort(first)]
@@ -332,7 +307,7 @@ def _dedup_and_sort(points: np.ndarray, radius: float, stop_above: int) -> np.nd
     for p in collapsed:
         if rep_arr.shape[0]:
             dots = rep_arr @ p
-            if np.arccos(np.clip(dots.max(), -1.0, 1.0)) < radius:
+            if np.arccos(np.clip(dots.max(), -1.0, 1.0)) < DEDUP_RADIUS:
                 continue
         reps.append(p)
         rep_arr = np.asarray(reps)
@@ -356,7 +331,6 @@ def _solve_at_depth(
     bases: list[HarmonicBasis],
     rows: np.ndarray,
     depth: int,
-    config: SolverConfig,
     bezout: int,
     face_pool: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, bool, np.ndarray]:
@@ -369,11 +343,11 @@ def _solve_at_depth(
     groups = _degree_groups(bases)
     lipschitz = np.array([math.sqrt(b.gradient_sum_constant) for b in bases])
     starts, faces_kept = _candidate_faces(mesh, groups, rows, lipschitz, face_pool)
-    converged = _newton_refine(groups, rows, starts, mesh, config)
+    converged = _newton_refine(groups, rows, starts, mesh)
     if converged.shape[0]:
         resid = np.abs(_row_values(groups, rows, converged)).max(axis=1)
         converged = converged[resid <= RESIDUAL_FACTOR * lipschitz.max()]
-    zeros = _dedup_and_sort(converged, config.dedup_radius, DEGENERACY_FACTOR * bezout)
+    zeros = _dedup_and_sort(converged, DEGENERACY_FACTOR * bezout)
     degenerate = zeros.shape[0] > DEGENERACY_FACTOR * bezout
     max_residual = 0.0
     if zeros.shape[0] and not degenerate:
@@ -384,9 +358,15 @@ def _solve_at_depth(
 def find_common_zeros_s2(
     bases,
     sample: SubspaceSample,
-    config: SolverConfig | None = None,
+    depth: int | None = None,
 ) -> ZeroFindingResult:
-    """Enumerate Z(u1, u2) on S2 for the two coefficient rows of ``sample``."""
+    """Enumerate Z(u1, u2) on S2 for the two coefficient rows of ``sample``.
+
+    ``depth`` is the base mesh depth, None (automatic: max(4, ceil(log2 m) + 3))
+    or an integer in [1, 7]; the count is confirmed one and, if needed, two
+    levels deeper.
+    """
+    check_depth(depth)
     bases = list(bases)
     if len(bases) != 2 or any(b.sphere_dim != 2 for b in bases):
         raise SphereInputError("two S2 bases are required, one per sample row")
@@ -400,21 +380,18 @@ def find_common_zeros_s2(
     for i, b in enumerate(bases):
         if sample.source_degrees[i] != b.degree:
             raise SphereInputError(f"row {i} degree does not match its basis")
-    config = config or SolverConfig()
     # Unit rows: rescaling a function does not move its zeros, and it turns
     # the gradient-sum identity into an exact Lipschitz constant.
     rows = sample.rows.copy()
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     bezout = 2 * bases[0].degree * bases[1].degree
-    depth0 = config.depth if config.depth is not None else default_mesh_depth(
-        max(b.degree for b in bases)
-    )
+    depth0 = depth if depth is not None else default_mesh_depth(max(b.degree for b in bases))
 
-    zeros0, _, degen0, faces0 = _solve_at_depth(bases, rows, depth0, config, bezout)
+    zeros0, _, degen0, faces0 = _solve_at_depth(bases, rows, depth0, bezout)
     if degen0:
         return ZeroFindingResult.degenerate(bezout, depth0)
     zeros1, resid1, degen1, faces1 = _solve_at_depth(
-        bases, rows, depth0 + 1, config, bezout, face_pool=_children_of(faces0, depth0)
+        bases, rows, depth0 + 1, bezout, face_pool=_children_of(faces0, depth0)
     )
     if degen1:
         return ZeroFindingResult.degenerate(bezout, depth0 + 1)
@@ -427,7 +404,7 @@ def find_common_zeros_s2(
             depth_used=depth0 + 1,
         )
     zeros2, resid2, degen2, _ = _solve_at_depth(
-        bases, rows, depth0 + 2, config, bezout, face_pool=_children_of(faces1, depth0 + 1)
+        bases, rows, depth0 + 2, bezout, face_pool=_children_of(faces1, depth0 + 1)
     )
     if degen2:
         return ZeroFindingResult.degenerate(bezout, depth0 + 2, escalations=1)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from sphere_zeros import (
     DegenerateRestrictionError,
     RankDeficientError,
-    SolverConfig,
     SolverStatus,
     SphereInputError,
+    average_zero_count,
     build_basis,
     eval_basis_many,
     find_common_zeros_s1,
@@ -23,7 +23,7 @@ from sphere_zeros import (
     zonal,
 )
 from sphere_zeros.harmonics import check_coefficients, random_sphere_points, rotate_coefficients
-from sphere_zeros.zerofinder import ZeroFindingResult
+from sphere_zeros.zerofinder import MAX_BASE_DEPTH, ZeroFindingResult, check_depth
 
 
 def gaussian_sample(degrees, rng):
@@ -71,36 +71,35 @@ ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 
 class TestInputChecks:
-    @pytest.mark.parametrize("field, value", [
-        ("depth", 0), ("depth", 8), ("depth", 2.5),
-        ("max_newton_iter", 0), ("max_newton_iter", 1001),
-        ("newton_tol", 0.0), ("newton_tol", -1.0), ("newton_tol", 1e-7), ("newton_tol", math.nan),
-        ("dedup_radius", 0.0), ("dedup_radius", 1.0), ("dedup_radius", math.inf),
-    ])
-    def test_solver_config_rejects(self, field, value):
-        with pytest.raises(SphereInputError):
-            SolverConfig(**{field: value})
+    """The solver's one setting is the base mesh depth: None or an integer in [1, 7]."""
+
+    @pytest.mark.parametrize("depth", [0, 8, 2.5], ids=lambda d: f"depth-{d}")
+    def test_solver_config_rejects(self, depth):
+        basis = build_basis(2, 1)
+        sample = make_sample([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1, 1])
+        with pytest.raises(SphereInputError, match=r"depth must be an integer in \[1, 7\]"):
+            find_common_zeros_s2([basis, basis], sample, depth)
+        # S1 averages never mesh, and still reject the setting.
+        with pytest.raises(SphereInputError, match="depth"):
+            average_zero_count([build_basis(1, 3)], 1, depth)
 
     def test_solver_config_bounds_accepted(self):
-        SolverConfig(depth=7, newton_tol=1e-8, max_newton_iter=1000, dedup_radius=1e-3)
-        SolverConfig(depth=1, newton_tol=1e-300, max_newton_iter=1, dedup_radius=1e-300)
+        for depth in (None, 1, MAX_BASE_DEPTH):
+            check_depth(depth)
+        basis = build_basis(2, 1)
+        sample = make_sample([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1, 1])
+        assert find_common_zeros_s2([basis, basis], sample, 1).count == 2
 
     @settings(max_examples=50, deadline=None)
-    @given(
-        depth=st.one_of(st.none(), st.integers(-2, 12)),
-        newton_tol=st.one_of(ANY_FLOAT, st.floats(1e-16, 1e-8)),
-        max_iter=st.integers(-5, 2000),
-        dedup_radius=st.one_of(ANY_FLOAT, st.floats(1e-9, 1e-3)),
-    )
-    def test_solver_config_fuzz(self, depth, newton_tol, max_iter, dedup_radius):
+    @given(depth=st.one_of(st.none(), st.integers(-2, 12), ANY_FLOAT))
+    def test_solver_config_fuzz(self, depth):
+        valid = depth is None or (isinstance(depth, int) and 1 <= depth <= MAX_BASE_DEPTH)
         try:
-            config = SolverConfig(depth, newton_tol, max_iter, dedup_radius)
+            check_depth(depth)
         except SphereInputError:
-            return
-        assert config.depth is None or 1 <= config.depth <= 7
-        assert 1 <= config.max_newton_iter <= 1000
-        assert math.isfinite(config.newton_tol) and 0.0 < config.newton_tol <= 1e-8
-        assert math.isfinite(config.dedup_radius) and 0.0 < config.dedup_radius <= 1e-3
+            assert not valid
+        else:
+            assert valid
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.one_of(ANY_FLOAT, st.floats(-10.0, 10.0)), min_size=14, max_size=14))
@@ -209,13 +208,27 @@ class TestSphereZeros:
                 nearest = min(geodesic(-z, w) for w in result.zeros)
                 assert nearest < 1e-6
 
+    @settings(max_examples=25, deadline=None)
+    @given(m1=st.integers(1, 4), m2=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_zero_set_is_even_bounded_and_antipodal(self, m1, m2, seed):
+        # u(-x) = (-1)^m u(x) for every degree m, so Z(u1, u2) = -Z(u1, u2).
+        bases = [build_basis(2, m1), build_basis(2, m2)]
+        sample = gaussian_sample([m1, m2], np.random.default_rng(seed))
+        result = find_common_zeros_s2(bases, sample)
+        if result.status is SolverStatus.DEGENERATE:
+            return
+        assert result.count % 2 == 0
+        assert result.count <= 2 * m1 * m2
+        for z in result.zeros:
+            assert min(geodesic(-z, w) for w in result.zeros) < 1e-6
+
     def test_depth_stability_of_complete_results(self):
         basis = build_basis(2, 3)
         rng = np.random.default_rng(17)
         sample = gaussian_sample([3, 3], rng)
         base = find_common_zeros_s2([basis, basis], sample)
         assert base.status is SolverStatus.COMPLETE
-        deeper = find_common_zeros_s2([basis, basis], sample, SolverConfig(depth=6))
+        deeper = find_common_zeros_s2([basis, basis], sample, depth=6)
         assert deeper.count == base.count
 
     def test_rotation_equivariance_of_zero_set(self):
