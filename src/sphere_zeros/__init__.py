@@ -20,9 +20,7 @@ from .harmonics import (
     HarmonicBasis,
     SphereInputError,
     build_basis,
-    eval_basis,
     eval_basis_many,
-    eval_gradient,
     eval_gradient_many,
     laplacian_residual,
     zonal,
@@ -69,9 +67,7 @@ __all__ = [
     "covering_degree",
     "crofton_length",
     "dilation_check",
-    "eval_basis",
     "eval_basis_many",
-    "eval_gradient",
     "eval_gradient_many",
     "find_common_zeros_s1",
     "find_common_zeros_s2",

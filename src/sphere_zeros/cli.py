@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .embedding import image_volume
 from .harmonics import (
+    MAX_DEGREE,
     SphereInputError,
     build_basis,
     gradient_sum_residual,
@@ -84,6 +85,7 @@ TOL_GRADIENT_SUM = 1e-6          # relative
 TOL_DILATION = 1e-6              # relative
 TOL_IMAGE_VOLUME = 5e-3          # relative
 MAX_TRIALS = 10**6
+MAX_POINTS = 10**5               # --points and --probes
 MAX_DEPTH = 9
 
 
@@ -157,12 +159,12 @@ def _validate_common(args) -> None:
         raise ConfigError("seed must be >= 0")
     for name in ("points", "probes"):
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise ConfigError(f"{name} must be >= 1")
+        if value is not None and not 1 <= value <= MAX_POINTS:
+            raise ConfigError(f"{name} must be in [1, {MAX_POINTS}]")
     for name in ("degree", "degree2"):
         value = getattr(args, name, None)
-        if value is not None and not 1 <= value <= 50:
-            raise ConfigError("degrees must be in [1, 50]")
+        if value is not None and not 1 <= value <= MAX_DEGREE:
+            raise ConfigError(f"degrees must be in [1, {MAX_DEGREE}]")
     # S2 zero finding meshes two levels past the base depth; keep the deepest
     # mesh at the supported maximum.
     if getattr(args, "command", None) in ("average", "count", "conjecture", "zonal"):

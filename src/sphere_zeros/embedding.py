@@ -21,7 +21,6 @@ from .harmonics import (
     SphereInputError,
     as_sphere_point,
     eval_basis_many,
-    eval_gradient,
     eval_gradient_many,
     random_sphere_points,
     tangent_frames,
@@ -74,7 +73,7 @@ def dilation_check(basis: HarmonicBasis, point) -> float:
     """
     p = as_sphere_point(point, basis.sphere_dim)
     frame = tangent_frames(p[None, :])[0]
-    grads = eval_gradient(basis, p)                   # (N, n+1)
+    grads = eval_gradient_many(basis, p[None, :])[0]  # (N, n+1)
     differential = grads @ frame.T                    # (N, n)
     gram = differential.T @ differential
     return float(np.max(np.abs(gram - basis.dilation_constant * np.eye(basis.sphere_dim))))

@@ -332,24 +332,9 @@ def eval_basis_many(basis: HarmonicBasis, points: np.ndarray) -> np.ndarray:
     return _evaluate(basis, points, want_gradient=False)[0]
 
 
-def eval_basis(basis: HarmonicBasis, point) -> np.ndarray:
-    """Basis values (f_1(x), ..., f_N(x)) at one point, shape (N,)."""
-    p = as_sphere_point(point, basis.sphere_dim)
-    return eval_basis_many(basis, p[None, :])[0]
-
-
 def eval_gradient_many(basis: HarmonicBasis, points: np.ndarray) -> np.ndarray:
     """Tangential gradients at many points, shape (P, N, n+1)."""
     return _evaluate(basis, points, want_gradient=True)[1]
-
-
-def eval_gradient(basis: HarmonicBasis, point) -> np.ndarray:
-    """Tangential gradients grad f_i(x) in ambient coordinates, shape (N, n+1).
-
-    Each row lies in the tangent plane at x (orthogonal to x).
-    """
-    p = as_sphere_point(point, basis.sphere_dim)
-    return eval_gradient_many(basis, p[None, :])[0]
 
 
 def eval_basis_and_gradient_many(
@@ -450,46 +435,19 @@ def zonal(basis: HarmonicBasis, axis) -> np.ndarray:
     a = as_sphere_point(axis, 2)
     # Pointwise-kernel construction: coefficients are the basis values at the
     # axis, scaled to unit norm (their squared sum is N / vol(M) everywhere).
-    return eval_basis(basis, a) / basis.embedding_radius
-
-
-def legendre_values(degree: int, t: np.ndarray) -> np.ndarray:
-    """Plain Legendre polynomial P_m by the classic three-term recurrence."""
-    t = np.asarray(t, dtype=float)
-    p_prev = np.ones_like(t)
-    if degree == 0:
-        return p_prev
-    p_curr = t.copy()
-    for ell in range(2, degree + 1):
-        p_prev, p_curr = p_curr, ((2 * ell - 1) * t * p_curr - (ell - 1) * p_prev) / ell
-    return p_curr
+    return eval_basis_many(basis, a[None, :])[0] / basis.embedding_radius
 
 
 def legendre_roots(degree: int) -> np.ndarray:
-    """All ``degree`` roots of P_m in (-1, 1), ascending, by bisection.
+    """All ``degree`` roots of the Legendre polynomial P_m in (-1, 1), ascending.
 
-    The roots interlace with those of P_{m-1}, so scanning a fine grid for
-    sign changes is reliable; bisection then isolates each root to ~1e-15,
-    all brackets stepping together.
+    They are the Gauss-Legendre nodes: ``leggauss`` takes the eigenvalues of
+    the symmetric companion matrix of P_m, polishes them with one Newton
+    step and symmetrizes them about 0.
     """
     if degree < 1:
         raise SphereInputError("degree must be >= 1")
-    grid = np.linspace(-1.0, 1.0, 64 * degree + 1)
-    vals = legendre_values(degree, grid)
-    fa, fb = vals[:-1], vals[1:]
-    exact = fa == 0.0
-    bracket = ~exact & (fa * fb < 0.0)
-    a, b, fa = grid[:-1][bracket], grid[1:][bracket], fa[bracket]
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        fm = legendre_values(degree, mid)
-        left = fa * fm <= 0.0
-        b = np.where(left, mid, b)
-        a, fa = np.where(left, a, mid), np.where(left, fa, fm)
-    roots = np.sort(np.concatenate([grid[:-1][exact], 0.5 * (a + b), grid[-1:][vals[-1:] == 0.0]]))
-    if len(roots) != degree:
-        raise RuntimeError(f"expected {degree} roots of P_{degree}, found {len(roots)}")
-    return roots
+    return np.polynomial.legendre.leggauss(degree)[0]
 
 
 def rotation_coefficient_matrix(basis: HarmonicBasis, rotation: np.ndarray) -> np.ndarray:

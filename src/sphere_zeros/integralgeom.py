@@ -35,14 +35,13 @@ from .zerofinder import (
     find_common_zeros_s1,
     find_common_zeros_s2,
     _circle_roots,
-    _circle_samples,
     check_depth,
     make_sample,
     restrict_to_great_circle,  # noqa: F401  (perfbench's traced run wraps this name)
 )
 
 MAX_RESAMPLES_PER_TRIAL = 64
-CIRCLE_CHUNK_POINTS = 8192    # scan points per batch of Crofton circles
+CIRCLE_CHUNK_POINTS = 8192    # sample points per batch of Crofton circles, 2m + 2 per circle
 
 
 def sphere_surface_area(k: int) -> float:
@@ -279,10 +278,11 @@ def crofton_length(
 
     Circle t is drawn from the generator (seed, t, attempt), and only the
     circles on which u vanishes identically are redrawn, with attempt + 1.
-    The circles are scanned and bisected in batches of at most
-    CIRCLE_CHUNK_POINTS scan points; each circle's count is the one
-    ``restrict_to_great_circle`` gives for it alone, so the report does not
-    depend on the batching.
+    Each circle's crossings are the unit-circle companion eigenvalues of its
+    trigonometric polynomial (see ``restrict_to_great_circle``), found in
+    batches of CIRCLE_CHUNK_POINTS // (2m + 2) circles; each circle's count
+    is the one ``restrict_to_great_circle`` gives for it alone, so the
+    report does not depend on the batching.
     """
     if basis.sphere_dim != 2:
         raise SphereInputError("length estimation is defined on S2")
@@ -293,7 +293,7 @@ def crofton_length(
         raise SphereInputError("zero function has no zero-level curve")
     counts = np.empty(trials, dtype=np.int64)
     resamples = 0
-    chunk = max(1, CIRCLE_CHUNK_POINTS // _circle_samples(basis.degree))
+    chunk = max(1, CIRCLE_CHUNK_POINTS // (2 * basis.degree + 2))
     for start in range(0, trials, chunk):
         pending = np.arange(start, min(start + chunk, trials))
         for attempt in range(MAX_RESAMPLES_PER_TRIAL):

@@ -46,7 +46,7 @@ DEGENERACY_FACTOR = 4         # deduped count above factor * bezout => Degenerat
 RANK_TOLERANCE = 1e-8         # smallest/largest singular value ratio
 MAX_SOLVER_DEGREE = 12        # keeps the deepest confirmation mesh at depth 9
 MAX_BASE_DEPTH = 7            # confirmation meshes go two levels deeper, to 9
-CIRCLE_SAMPLES_PER_DEGREE = 16  # sign-scan points per degree on a great circle
+UNIT_CIRCLE_TOL = 1e-8        # companion eigenvalues with |log|z|| below this are circle roots
 NEWTON_TOL = 1e-12            # Newton stops when the step norm drops below this
 MAX_NEWTON_ITER = 30
 DEDUP_RADIUS = 1e-6           # geodesic merge radius for found zeros
@@ -95,26 +95,44 @@ class SubspaceSample:
             raise SphereInputError("one source degree is required per row")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "source_degrees", degrees)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = self.function_gram()
-        if not np.isfinite(gram).all():
-            raise SphereInputError("coefficient rows must be finite, with finite squared norms")
-        eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] <= (RANK_TOLERANCE**2) * eigs[-1] or eigs[-1] == 0.0:
+        if not np.isfinite(rows).all():
+            raise SphereInputError("coefficient rows must be finite")
+        if not np.any(rows, axis=1).all():
+            raise RankDeficientError("sample rows are numerically rank deficient (a zero row)")
+        eigs = np.linalg.eigvalsh(self.function_gram())
+        if eigs[0] <= (RANK_TOLERANCE**2) * eigs[-1]:
             raise RankDeficientError(
                 "sample rows are numerically rank deficient "
-                f"(singular value ratio {math.sqrt(max(eigs[0], 0.0) / eigs[-1]) if eigs[-1] else 0.0:.2e})"
+                f"(singular value ratio {math.sqrt(max(eigs[0], 0.0) / eigs[-1]):.2e})"
             )
 
     def function_gram(self) -> np.ndarray:
-        """L2 Gram matrix of the row functions (cross-degree products vanish)."""
-        n = self.rows.shape[0]
+        """L2 Gram matrix of the row functions scaled to unit norm.
+
+        Cross-degree products vanish.  Scaling a function moves neither its
+        zeros nor this matrix, so the rank check does not depend on scale.
+        """
+        rows = _unit_rows(self.rows)
+        n = rows.shape[0]
         gram = np.zeros((n, n))
         for i in range(n):
             for j in range(i, n):
                 if self.source_degrees[i] == self.source_degrees[j]:
-                    gram[i, j] = gram[j, i] = float(np.dot(self.rows[i], self.rows[j]))
+                    gram[i, j] = gram[j, i] = float(np.dot(rows[i], rows[j]))
         return gram
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Nonzero finite rows divided by their Euclidean norms.
+
+    Each row is first scaled by the power of two that brings its largest
+    entry into [0.5, 1).  That scaling is exact, so normal-range rows get
+    the same bits as from a plain division, and the squared norms of tiny
+    or huge rows neither underflow nor overflow.
+    """
+    _, exponent = np.frexp(np.max(np.abs(rows), axis=1, keepdims=True))
+    rows = np.ldexp(rows, -exponent)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def make_sample(coefficient_rows, degrees) -> SubspaceSample:
@@ -382,8 +400,7 @@ def find_common_zeros_s2(
             raise SphereInputError(f"row {i} degree does not match its basis")
     # Unit rows: rescaling a function does not move its zeros, and it turns
     # the gradient-sum identity into an exact Lipschitz constant.
-    rows = sample.rows.copy()
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = _unit_rows(sample.rows)
     bezout = 2 * bases[0].degree * bases[1].degree
     depth0 = depth if depth is not None else default_mesh_depth(max(b.degree for b in bases))
 
@@ -471,28 +488,27 @@ class CircleRestriction:
         return eval_basis_many(self.basis, pts) @ self.coeffs
 
 
-def _circle_samples(degree: int) -> int:
-    """Number of equispaced scan points per great circle."""
-    return max(CIRCLE_SAMPLES_PER_DEGREE * degree, 64)
-
-
-def _circle_roots(
+def _circle_eigenvalues(
     basis: HarmonicBasis, c: np.ndarray, frames: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roots of u on K great circles at once, for validated inputs.
+    """Companion eigenvalues of u on K great circles at once, for validated inputs.
 
-    ``frames`` has shape (K, 2, 3).  All circles share one sign scan (one
-    basis evaluation on every scan point) and one 50-step bisection of every
-    bracket of every circle.  Each point is evaluated independently, so the
-    roots of a circle do not depend on the other circles in the batch.
+    ``frames`` has shape (K, 2, 3).  On the circle of frame (e1, e2),
+    u(cos t e1 + sin t e2) = sum_{j=-m..m} c_j e^{ijt}, so its roots are the
+    angles of the unit-modulus roots of z^m sum_j c_j z^j (Boyd, "Finding
+    the zeros of a univariate equation", SIAM Review 55, 2013).  One basis
+    evaluation at 2m + 2 equispaced angles per circle and one FFT give the
+    c_j; one batched ``eigvals`` of the 2m x 2m companion matrices gives the
+    roots.  Each circle is transformed and solved on its own, so its
+    eigenvalues do not depend on the other circles in the batch.
 
-    Returns the root angles of all circles in one array, ordered by circle
-    and ascending in [0, 2*pi) within a circle; the root count of each
-    circle; and a mask of the circles on which u vanishes identically (these
-    have no roots).
+    Returns the eigenvalues (L, 2m) of the L circles on which u does not
+    vanish identically, their indices, and the mask (K,) of the circles on
+    which it does.
     """
     k = frames.shape[0]
-    n_samples = _circle_samples(basis.degree)
+    m = basis.degree
+    n_samples = 2 * m + 2
     t = 2.0 * math.pi * np.arange(n_samples) / n_samples
     e1, e2 = frames[:, 0, :], frames[:, 1, :]
     pts = np.cos(t)[None, :, None] * e1[:, None, :] + np.sin(t)[None, :, None] * e2[:, None, :]
@@ -500,51 +516,57 @@ def _circle_roots(
     scale = float(np.linalg.norm(c)) * basis.embedding_radius   # sup bound for |u|
     degenerate = np.max(np.abs(vals), axis=1) <= 1e-12 * scale
 
-    live = ~degenerate[:, None]
-    exact_zero = np.abs(vals) <= 1e-13 * scale
-    zero_owner, zero_j = np.nonzero(exact_zero & live)
-    vals_next = np.roll(vals, -1, axis=1)
-    bracket = ~exact_zero & np.roll(~exact_zero, -1, axis=1) & (vals * vals_next < 0.0) & live
-    owner, j = np.nonzero(bracket)
-    lo = t[j]
-    hi = lo + 2.0 * math.pi / n_samples
-    flo = vals[owner, j]
-    e1_b, e2_b = e1[owner], e2[owner]
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        pts_mid = np.cos(mid)[:, None] * e1_b + np.sin(mid)[:, None] * e2_b
-        fmid = eval_basis_many(basis, pts_mid) @ c
-        left = flo * fmid <= 0.0
-        hi = np.where(left, mid, hi)
-        flo = np.where(left, flo, fmid)
-        lo = np.where(left, lo, mid)
+    live = np.flatnonzero(~degenerate)
+    spec = np.fft.fft(vals[live], axis=1)
+    # n_samples * (c_{-m}, ..., c_m), the coefficients of z^m sum_j c_j z^j in
+    # ascending powers; bin m + 1 holds the absent frequency m + 1.
+    poly = np.concatenate([spec[:, m + 2 :], spec[:, : m + 1]], axis=1)
+    # A leading coefficient below the rounding of the FFT (an even zonal
+    # function is constant on its equator) is raised to that level; this
+    # only moves roots near 0 and infinity.
+    lead = poly[:, -1]
+    floor = np.finfo(float).eps * np.max(np.abs(poly), axis=1)
+    lead = np.where(np.abs(lead) < floor, floor, lead)
+    companion = np.zeros((live.size, 2 * m, 2 * m), dtype=complex)
+    companion[:, np.arange(1, 2 * m), np.arange(2 * m - 1)] = 1.0
+    companion[:, :, -1] = -poly[:, :-1] / lead[:, None]
+    return np.linalg.eigvals(companion), live, degenerate
 
-    owner = np.concatenate([zero_owner, owner])
-    angles = np.concatenate([t[zero_j], 0.5 * (lo + hi) % (2.0 * math.pi)])
+
+def _circle_roots(
+    basis: HarmonicBasis, c: np.ndarray, frames: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of u on K great circles at once, for validated inputs.
+
+    A root is a companion eigenvalue z with |log|z|| < UNIT_CIRCLE_TOL, at
+    angle arg z.  Returns the root angles of all circles in one array,
+    ordered by circle and ascending in [0, 2*pi) within a circle; the root
+    count of each circle; and a mask of the circles on which u vanishes
+    identically (these have no roots).
+    """
+    z, live, degenerate = _circle_eigenvalues(basis, c, frames)
+    radius = np.abs(z)
+    on_circle = (radius > math.exp(-UNIT_CIRCLE_TOL)) & (radius < math.exp(UNIT_CIRCLE_TOL))
+    owner = np.broadcast_to(live[:, None], z.shape)[on_circle]
+    angles = np.angle(z[on_circle]) % (2.0 * math.pi)
+    angles[angles == 2.0 * math.pi] = 0.0       # a tiny negative angle rounds up to 2*pi
     order = np.lexsort((angles, owner))
-    owner, angles = owner[order], angles[order]
-    # Merge roots closer than 1e-9 within a circle, including across 2*pi.
-    keep = np.ones(angles.size, dtype=bool)
-    keep[1:] = (np.diff(owner) != 0) | (np.diff(angles) >= 1e-9)
-    counts = np.bincount(owner, minlength=k)
-    several = np.flatnonzero(counts > 1)
-    last = np.cumsum(counts)[several] - 1
-    first = last - counts[several] + 1
-    keep[last[2.0 * math.pi - angles[last] + angles[first] < 1e-9]] = False
-    return angles[keep], np.bincount(owner[keep], minlength=k), degenerate
+    return angles[order], np.bincount(owner, minlength=frames.shape[0]), degenerate
 
 
 def restrict_to_great_circle(basis: HarmonicBasis, coeffs, circle_frame) -> CircleRestriction:
     """Roots of u along the great circle spanned by an orthonormal 2-frame.
 
-    Dense sampling (at least 16m points) brackets every sign change; each
-    bracket is then bisected.  Roots of even local multiplicity (the circle
-    tangent to the zero set) are invisible to a sign scan; for the random
-    circles used by the length estimator this is a measure-zero event.
+    The restriction is a trigonometric polynomial of degree m; its roots are
+    the unit-circle eigenvalues of a 2m x 2m companion matrix built from one
+    FFT of 2m + 2 samples.  A double root (the circle tangent to the zero
+    set) may split into a pair just off the unit circle and then be missed;
+    for the random circles used by the length estimator this is a
+    measure-zero event.
 
-    This is the one-circle case of the batched scan and bisection that
-    ``crofton_length`` runs on many circles at once; the roots of a circle
-    are the same bits whichever batch it is scanned in.
+    This is the one-circle case of the batched core that ``crofton_length``
+    runs on many circles at once; the roots of a circle are the same bits
+    whichever batch it is solved in.
     """
     if basis.sphere_dim != 2:
         raise SphereInputError("circle restriction is defined on S2")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphere_zeros.harmonics
-from sphere_zeros.cli import MAX_DEPTH, MAX_TRIALS, main
+from sphere_zeros.cli import MAX_DEPTH, MAX_POINTS, MAX_TRIALS, main
 from sphere_zeros.zerofinder import MAX_BASE_DEPTH, MAX_SOLVER_DEGREE
 
 
@@ -283,7 +283,10 @@ class TestOutputFormats:
         ["embedding", "--degree", "2", "--probes", "0"],
         ["zonal", "--degree", "2", "--alpha", "4"],
         ["invariants", "--degree", "2", "--points", "0"],
-    ], ids=["probes", "alpha", "points"])
+        ["invariants", "--degree", "2", "--points", "100000000000"],
+        ["embedding", "--degree", "2", "--probes", "100000000000"],
+        ["invariants", "--degree", "2", "--points", str(MAX_POINTS + 1)],
+    ], ids=["probes", "alpha", "points", "points-huge", "probes-huge", "points-over"])
     def test_bad_input_exits_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
@@ -376,8 +379,8 @@ def _bad_values(command, flag):
         "--degrees": _ints_outside(1, degree_high).map(lambda v: v + " 2"),
         "--trials": _ints_outside(1, MAX_TRIALS),
         "--seed": _ints_outside(0),
-        "--points": _ints_outside(1),
-        "--probes": _ints_outside(1),
+        "--points": _ints_outside(1, MAX_POINTS),
+        "--probes": _ints_outside(1, MAX_POINTS),
         "--quadrature-depth": _ints_outside(1, MAX_DEPTH),
         "--depth": _ints_outside(1, MAX_BASE_DEPTH),
         "--alpha": _floats_outside(0.0, math.pi),

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval
 
 from sphere_zeros import (
     SolverStatus,
@@ -20,7 +21,7 @@ from sphere_zeros import (
     zonal_tilt_threshold,
 )
 from sphere_zeros import integralgeom
-from sphere_zeros.harmonics import legendre_values, rotate_coefficients
+from sphere_zeros.harmonics import rotate_coefficients
 from sphere_zeros.integralgeom import (
     random_circle_frame,
     theoretical_average,
@@ -181,17 +182,17 @@ class TestCroftonLength:
         assert report.length == pytest.approx(2.0 * math.pi, rel=1e-12)
 
     def test_zonal_reference_lengths(self):
-        # Independent oracle: bisection roots of P_m and circle lengths
-        # 2*pi*sin(colatitude).
+        # Independent oracle: bisection roots of P_m (numpy's Legendre series)
+        # and circle lengths 2*pi*sin(colatitude).
         for m in (2, 3, 4):
             grid = np.linspace(-1.0, 1.0, 256 * m)
-            vals = legendre_values(m, grid)
+            vals = legval(grid, np.eye(m + 1)[m])
             roots = []
             for lo, hi, flo, fhi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
                 if flo * fhi < 0.0:
                     for _ in range(60):
                         mid = 0.5 * (lo + hi)
-                        fm = float(legendre_values(m, np.array([mid]))[0])
+                        fm = float(legval(mid, np.eye(m + 1)[m]))
                         if flo * fm <= 0.0:
                             hi = mid
                         else:
@@ -236,7 +237,7 @@ class TestCroftonLength:
             crofton_length(basis, np.zeros(5), trials=10)
 
     def test_batched_counts_match_single_circles(self, monkeypatch):
-        # 150 circles at m = 3 span two batches of 128.
+        # 150 circles at m = 3 fit one batch of 1024; then 7 circles per batch.
         basis = build_basis(2, 3)
         coeffs = np.random.default_rng(19).standard_normal(7)
         seed, trials = 21, 150
@@ -249,7 +250,7 @@ class TestCroftonLength:
         report = crofton_length(basis, coeffs, trials=trials, seed=seed)
         assert report.mean_crossings == sum(single) / trials
         assert report.degenerate_resamples == 0
-        monkeypatch.setattr(integralgeom, "CIRCLE_CHUNK_POINTS", 7 * 64)   # 7 circles per batch
+        monkeypatch.setattr(integralgeom, "CIRCLE_CHUNK_POINTS", 7 * 8)   # 7 circles per batch
         assert crofton_length(basis, coeffs, trials=trials, seed=seed) == report
 
     def test_degenerate_circle_in_a_batch(self):

@@ -23,7 +23,16 @@ from sphere_zeros import (
     zonal,
 )
 from sphere_zeros.harmonics import check_coefficients, random_sphere_points, rotate_coefficients
-from sphere_zeros.zerofinder import MAX_BASE_DEPTH, ZeroFindingResult, check_depth
+from sphere_zeros.integralgeom import random_circle_frame
+from sphere_zeros.zerofinder import (
+    MAX_BASE_DEPTH,
+    UNIT_CIRCLE_TOL,
+    ZeroFindingResult,
+    _circle_eigenvalues,
+    check_depth,
+)
+
+NORTH = np.array([0.0, 0.0, 1.0])
 
 
 def gaussian_sample(degrees, rng):
@@ -60,11 +69,32 @@ class TestSubspaceSample:
         with pytest.raises(RankDeficientError):
             make_sample([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1, 1])
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rows_rejected(self, bad):
-        # 1e200 is finite, but its squared norm overflows the rank check.
         with pytest.raises(SphereInputError):
             make_sample([[bad] * 7, [1.0] * 7], [3, 3])
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160, 1e200])
+    def test_rank_check_is_scale_free(self, scale):
+        # Squared norms of these rows underflow (1e-170) or overflow (1e160,
+        # 1e200); scaling a row moves neither its zeros nor its rank.
+        rows = np.random.default_rng(0).standard_normal((2, 7))
+        assert make_sample(rows * scale, [3, 3]).rows.shape == (2, 7)
+        assert make_sample([rows[0] * scale, rows[1]], [3, 3]).rows.shape == (2, 7)
+        with pytest.raises(RankDeficientError):
+            make_sample([rows[0] * scale, 2.0 * rows[0]], [3, 3])
+        with pytest.raises(RankDeficientError):
+            make_sample([rows[0] * scale, np.zeros(7)], [3, 3])
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_scaled_rows_give_the_same_zeros(self, scale):
+        basis = build_basis(2, 3)
+        rows = np.random.default_rng(0).standard_normal((2, 7))
+        plain = find_common_zeros_s2([basis, basis], make_sample(rows, [3, 3]))
+        scaled = find_common_zeros_s2([basis, basis], make_sample(rows * scale, [3, 3]))
+        assert plain.status is scaled.status is SolverStatus.COMPLETE
+        assert plain.count == scaled.count > 0
+        assert np.max(np.abs(plain.zeros - scaled.zeros)) < 1e-12
 
 
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
@@ -353,6 +383,43 @@ class TestCircleRestriction:
             vals = eval_basis_many(basis, pts) @ coeffs
             sign_flips = int(np.sum(np.sign(vals) != np.sign(np.roll(vals, -1))))
             assert restriction.count == sign_flips
+
+    def test_close_root_pair_is_counted(self):
+        # Roots at t = 1.178 and 1.268 (and their antipodes) lie closer
+        # together than one step of a 64-point sign scan, which saw 2 roots;
+        # a 200000-point scan sees 6.
+        basis = build_basis(2, 3)
+        frame = random_circle_frame(np.random.default_rng([2, 224, 0]))
+        restriction = restrict_to_great_circle(basis, zonal(basis, NORTH), frame)
+        assert restriction.count == 6
+        assert np.max(np.abs(restriction.values(restriction.root_angles))) < 1e-12
+
+    @pytest.mark.parametrize("m", [1, 3, 8, 16, 50])
+    def test_companion_eigenvalue_gap(self, m):
+        # Eigenvalues on the unit circle sit far inside UNIT_CIRCLE_TOL, and
+        # the rest far outside it, for zonal and random functions.
+        basis = build_basis(2, m)
+        rng = np.random.default_rng([m, 31])
+        frames = np.stack([random_circle_frame(rng) for _ in range(100)])
+        for coeffs in (zonal(basis, NORTH), rng.standard_normal(2 * m + 1)):
+            z, _, degenerate = _circle_eigenvalues(basis, coeffs, frames)
+            assert not degenerate.any()
+            gap = np.abs(np.log(np.abs(z)))
+            assert gap[gap < UNIT_CIRCLE_TOL].max(initial=0.0) <= 1e-11
+            assert gap[gap >= UNIT_CIRCLE_TOL].min(initial=np.inf) >= 1e-5
+
+    @settings(max_examples=50, deadline=None)
+    @given(m=st.integers(1, 24), seed=st.integers(0, 2**32 - 1), turn=st.floats(0.0, 2.0 * math.pi))
+    def test_count_is_even_bounded_and_rotation_invariant(self, m, seed, turn):
+        basis = build_basis(2, m)
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(2 * m + 1)
+        e1, e2 = random_circle_frame(rng)
+        turned = np.stack([math.cos(turn) * e1 + math.sin(turn) * e2,
+                           math.cos(turn) * e2 - math.sin(turn) * e1])
+        count = restrict_to_great_circle(basis, coeffs, np.stack([e1, e2])).count
+        assert count % 2 == 0 and count <= 2 * m
+        assert restrict_to_great_circle(basis, coeffs, turned).count == count
 
     def test_rejects_bad_frame(self):
         basis = build_basis(2, 2)
