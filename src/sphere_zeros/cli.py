@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .embedding import image_volume
+from .embedding import COVERING_PROBES, image_volume
 from .harmonics import (
     MAX_DEGREE,
     SphereInputError,
@@ -53,10 +53,8 @@ from .integralgeom import (
 from .zerofinder import (
     DEDUP_RADIUS,
     MAX_NEWTON_ITER,
-    MAX_SOLVER_DEGREE,
     NEWTON_TOL,
     SolverStatus,
-    check_depth,
     find_common_zeros_s1,
     find_common_zeros_s2,
 )
@@ -85,7 +83,7 @@ TOL_GRADIENT_SUM = 1e-6          # relative
 TOL_DILATION = 1e-6              # relative
 TOL_IMAGE_VOLUME = 5e-3          # relative
 MAX_TRIALS = 10**6
-MAX_POINTS = 10**5               # --points and --probes
+MAX_POINTS = 10**5               # --points
 MAX_DEPTH = 9
 
 
@@ -157,28 +155,15 @@ def _validate_common(args) -> None:
         raise ConfigError(f"trials must be in [1, {MAX_TRIALS}]")
     if getattr(args, "seed", None) is not None and args.seed < 0:
         raise ConfigError("seed must be >= 0")
-    for name in ("points", "probes"):
-        value = getattr(args, name, None)
-        if value is not None and not 1 <= value <= MAX_POINTS:
-            raise ConfigError(f"{name} must be in [1, {MAX_POINTS}]")
+    if getattr(args, "points", None) is not None and not 1 <= args.points <= MAX_POINTS:
+        raise ConfigError(f"points must be in [1, {MAX_POINTS}]")
     for name in ("degree", "degree2"):
         value = getattr(args, name, None)
         if value is not None and not 1 <= value <= MAX_DEGREE:
             raise ConfigError(f"degrees must be in [1, {MAX_DEGREE}]")
-    # S2 zero finding meshes two levels past the base depth; keep the deepest
-    # mesh at the supported maximum.
-    if getattr(args, "command", None) in ("average", "count", "conjecture", "zonal"):
-        if getattr(args, "sphere", 2) == 2:
-            for name in ("degree", "degree2"):
-                value = getattr(args, name, None)
-                if value is not None and value > MAX_SOLVER_DEGREE:
-                    raise ConfigError(
-                        f"S2 zero finding supports degrees up to {MAX_SOLVER_DEGREE}"
-                    )
     qdepth = getattr(args, "quadrature_depth", None)
     if qdepth is not None and not 1 <= qdepth <= MAX_DEPTH:
         raise ConfigError(f"quadrature depth must be in [1, {MAX_DEPTH}]")
-    check_depth(getattr(args, "depth", None))   # on S1 too, where it is unused
 
 
 def _average_estimate(report: dict, result) -> None:
@@ -219,7 +204,7 @@ def run_average(args) -> tuple[dict, int]:
     report = _report_skeleton("average", _config_echo(args, config_fields))
     basis = build_basis(args.sphere, args.degree)
     bases = [basis] * args.sphere
-    result = average_zero_count(bases, args.trials, args.depth, args.seed)
+    result = average_zero_count(bases, args.trials, args.seed)
     _average_estimate(report, result)
     return report, EXIT_OK
 
@@ -231,7 +216,7 @@ def run_conjecture(args) -> tuple[dict, int]:
     ]
     report = _report_skeleton("conjecture", _config_echo(args, config_fields))
     bases = [build_basis(2, args.degree), build_basis(2, args.degree2)]
-    result = conjecture_mixed_average(bases, args.trials, args.depth, args.seed)
+    result = conjecture_mixed_average(bases, args.trials, args.seed)
     _average_estimate(report, result)
     return report, EXIT_OK
 
@@ -253,7 +238,7 @@ def run_count(args) -> tuple[dict, int]:
         degree2 = args.degree2 if args.degree2 is not None else args.degree
         bases = [build_basis(2, args.degree), build_basis(2, degree2)]
         sample = sample_subspace(bases, rng)
-        result = find_common_zeros_s2(bases, sample, args.depth)
+        result = find_common_zeros_s2(bases, sample)
     report["theory"] = {"value": float(result.bezout_bound), "formula_id": FORMULA_COUNT_BOUND}
     if _zero_set_report(report, result):
         return report, EXIT_DEGENERATE
@@ -270,7 +255,7 @@ def run_zonal(args) -> tuple[dict, int]:
         args.alpha = threshold / 2.0
     report = _report_skeleton("zonal", _config_echo(args, config_fields))
     report["config"]["alpha_threshold"] = threshold
-    result = zonal_pair_demo(args.degree, args.alpha, args.depth)
+    result = zonal_pair_demo(args.degree, args.alpha)
     report["theory"] = {"value": float(2 * args.degree), "formula_id": FORMULA_ZONAL_PAIR}
     if _zero_set_report(report, result):
         return report, EXIT_DEGENERATE
@@ -320,7 +305,7 @@ def run_embedding(args) -> tuple[dict, int]:
     config_fields = ["sphere", "degree", "quadrature_depth", "probes", "seed"]
     report = _report_skeleton("embedding", _config_echo(args, config_fields))
     basis = build_basis(args.sphere, args.degree)
-    emb = image_volume(basis, args.quadrature_depth, probes=args.probes, seed=args.seed)
+    emb = image_volume(basis, args.quadrature_depth, seed=args.seed)
     report["theory"] = {"value": emb.predicted_image_volume, "formula_id": FORMULA_IMAGE_VOLUME}
     report["embedding"] = {
         "radius": emb.radius,
@@ -373,10 +358,11 @@ def run_crofton_length(args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--depth", type=int, default=None, help="mesh depth (default: auto)")
-    # Fixed solver constants, echoed in the report's config.
-    parser.set_defaults(newton_tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER, dedup_radius=DEDUP_RADIUS)
+def _add_solver_defaults(parser: argparse.ArgumentParser) -> None:
+    # Fixed solver constants, echoed in the report's config; depth None is the automatic mesh.
+    parser.set_defaults(
+        depth=None, newton_tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER, dedup_radius=DEDUP_RADIUS
+    )
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -397,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--trials", type=int, default=400)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_solver_flags(p)
+    _add_solver_defaults(p)
     _add_output_flags(p)
     p.set_defaults(func=run_average)
 
@@ -405,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", type=int, nargs=2, required=True, metavar=("M1", "M2"))
     p.add_argument("--trials", type=int, default=400)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_solver_flags(p)
+    _add_solver_defaults(p)
     _add_output_flags(p)
     p.set_defaults(func=run_conjecture)
 
@@ -414,14 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--degree2", type=int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_solver_flags(p)
+    _add_solver_defaults(p)
     _add_output_flags(p)
     p.set_defaults(func=run_count)
 
     p = sub.add_parser("zonal", help="tilted axis-symmetric pair demo")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--alpha", type=float, default=None, help="tilt angle (default: threshold/2)")
-    _add_solver_flags(p)
+    _add_solver_defaults(p)
     _add_output_flags(p)
     p.set_defaults(func=run_zonal)
 
@@ -437,10 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sphere", type=int, choices=(1, 2), default=2)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--quadrature-depth", type=int, default=4, dest="quadrature_depth")
-    p.add_argument("--probes", type=int, default=64)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_flags(p)
-    p.set_defaults(func=run_embedding)
+    p.set_defaults(func=run_embedding, probes=COVERING_PROBES)   # echoed in the report's config
 
     p = sub.add_parser("crofton-length", help="nodal length from random circle crossings")
     p.add_argument("--degree", type=int, required=True)

@@ -29,6 +29,7 @@ from .icosphere import icosphere, spherical_face_areas
 
 COLLISION_FACTOR = 1e-8       # image points closer than factor*R count as equal
 MIN_SEPARATION = 1e-3         # geodesic distance below which pairs are ignored
+COVERING_PROBES = 64          # random points, and random point pairs, per S2 covering check
 
 
 class UnexpectedFiberError(RuntimeError):
@@ -79,28 +80,26 @@ def dilation_check(basis: HarmonicBasis, point) -> float:
     return float(np.max(np.abs(gram - basis.dilation_constant * np.eye(basis.sphere_dim))))
 
 
-def covering_degree(basis: HarmonicBasis, probes: int, rng: np.random.Generator) -> int:
+def covering_degree(basis: HarmonicBasis, rng: np.random.Generator) -> int:
     """Covering multiplicity of the joint map onto its image, by probing.
 
     On S2 the fiber over any image point is {x} or {x, -x}; the probe tests
     f(-x) = f(x) and scans random far-apart pairs for other collisions,
     which would flag a bug.  On S1 the map wraps the circle m times, so the
     multiplicity is recovered by counting the collision angles of
-    t -> |f(t0 + t) - f(t0)| over a full revolution at each probe.
+    t -> |f(t0 + t) - f(t0)| over a full revolution at each of 6 probes.
     """
-    if probes < 1:
-        raise SphereInputError("probes must be >= 1")
     radius = basis.embedding_radius
     tol = COLLISION_FACTOR * radius
     if basis.sphere_dim == 2:
-        pts = random_sphere_points(2, probes, rng)
+        pts = random_sphere_points(2, COVERING_PROBES, rng)
         values = eval_basis_many(basis, pts)
         mirrored = eval_basis_many(basis, -pts)
         antipodal = bool(np.max(np.linalg.norm(values - mirrored, axis=1)) <= tol)
         degree = 2 if antipodal else 1
         # Collision scan over random far-apart, non-identified pairs.
-        x = random_sphere_points(2, probes, rng)
-        y = random_sphere_points(2, probes, rng)
+        x = random_sphere_points(2, COVERING_PROBES, rng)
+        y = random_sphere_points(2, COVERING_PROBES, rng)
         sep = np.arccos(np.clip(np.einsum("pi,pi->p", x, y), -1.0, 1.0))
         ok = sep > MIN_SEPARATION
         if antipodal:
@@ -119,7 +118,7 @@ def covering_degree(basis: HarmonicBasis, probes: int, rng: np.random.Generator)
 
     # S1: count collision angles along one revolution from each probe.  One
     # probe already scans the whole circle; a handful guards consistency.
-    t0 = rng.uniform(0.0, 2.0 * math.pi, size=min(probes, 6))
+    t0 = rng.uniform(0.0, 2.0 * math.pi, size=6)
     n_scan = 512 * basis.degree
     t = 2.0 * math.pi * (np.arange(n_scan) / n_scan)
     angles = (t0[:, None] + t[None, :]).reshape(-1)
@@ -156,10 +155,7 @@ def covering_degree(basis: HarmonicBasis, probes: int, rng: np.random.Generator)
 
 
 def image_volume(
-    basis: HarmonicBasis,
-    quadrature_depth: int = 4,
-    probes: int = 64,
-    seed: int = 988,
+    basis: HarmonicBasis, quadrature_depth: int = 4, seed: int = 988
 ) -> EmbeddingReport:
     """Full embedding report with the image volume measured by quadrature.
 
@@ -171,7 +167,7 @@ def image_volume(
     limited only by the pointwise identity residuals.
     """
     rng = np.random.default_rng([seed, basis.sphere_dim, basis.degree])
-    degree_count = covering_degree(basis, probes, rng)
+    degree_count = covering_degree(basis, rng)
     n = basis.sphere_dim
     target = basis.dilation_constant
 

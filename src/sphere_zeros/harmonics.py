@@ -511,16 +511,35 @@ def orthonormality_residual(basis: HarmonicBasis) -> float:
     return float(np.max(np.abs(gram - np.eye(basis.dimension))))
 
 
+def _max_over_blocks(basis: HarmonicBasis, points: np.ndarray, deviation) -> float:
+    """Max of ``deviation(block)`` over blocks of EVAL_BLOCK // N points.
+
+    The identity checks reduce every point on its own, so the blocks give the
+    bits of one call over all points without holding its (P, N) values or
+    (P, N, n+1) gradients.
+    """
+    step = max(1, EVAL_BLOCK // basis.dimension)
+    blocks = range(0, len(points), step)
+    return max(float(np.max(deviation(points[lo : lo + step]))) for lo in blocks)
+
+
 def unsold_residual(basis: HarmonicBasis, points: np.ndarray) -> float:
     """Max relative deviation of sum_i f_i(x)^2 from N / vol(M)."""
-    values = eval_basis_many(basis, points)
     target = basis.unsold_constant
-    return float(np.max(np.abs(np.einsum("pk,pk->p", values, values) - target)) / target)
+
+    def deviation(block):
+        values = eval_basis_many(basis, block)
+        return np.abs(np.einsum("pk,pk->p", values, values) - target)
+
+    return _max_over_blocks(basis, points, deviation) / target
 
 
 def gradient_sum_residual(basis: HarmonicBasis, points: np.ndarray) -> float:
     """Max relative deviation of sum_i |grad f_i(x)|^2 from lam*N / vol(M)."""
-    grads = eval_gradient_many(basis, points)
     target = basis.gradient_sum_constant
-    total = np.einsum("pki,pki->p", grads, grads)
-    return float(np.max(np.abs(total - target)) / target)
+
+    def deviation(block):
+        grads = eval_gradient_many(basis, block)
+        return np.abs(np.einsum("pki,pki->p", grads, grads) - target)
+
+    return _max_over_blocks(basis, points, deviation) / target

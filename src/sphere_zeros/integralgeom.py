@@ -34,8 +34,8 @@ from .zerofinder import (
     ZeroFindingResult,
     find_common_zeros_s1,
     find_common_zeros_s2,
+    _check_solver_degree,
     _circle_roots,
-    check_depth,
     make_sample,
     restrict_to_great_circle,  # noqa: F401  (perfbench's traced run wraps this name)
 )
@@ -115,10 +115,7 @@ def sample_subspace(bases, rng: np.random.Generator) -> SubspaceSample:
 
 
 def _count_zeros_once(
-    bases: list[HarmonicBasis],
-    depth: int | None,
-    seed: int,
-    trial: int,
+    bases: list[HarmonicBasis], seed: int, trial: int
 ) -> tuple[ZeroFindingResult, int]:
     """Run one trial, resampling Degenerate draws; returns (result, resamples)."""
     for attempt in range(MAX_RESAMPLES_PER_TRIAL):
@@ -127,7 +124,7 @@ def _count_zeros_once(
         if bases[0].sphere_dim == 1:
             result = find_common_zeros_s1(bases[0], sample)
         else:
-            result = find_common_zeros_s2(bases, sample, depth)
+            result = find_common_zeros_s2(bases, sample)
         if result.status is not SolverStatus.DEGENERATE:
             return result, attempt
     raise RuntimeError("degenerate samples persisted across resampling")  # pragma: no cover
@@ -136,19 +133,17 @@ def _count_zeros_once(
 def _monte_carlo_average(
     bases: list[HarmonicBasis],
     trials: int,
-    depth: int | None,
     seed: int,
     theory: float,
     experimental: bool,
     formula_id: str,
 ) -> AverageReport:
-    check_depth(depth)     # S1 trials never reach the S2 solver's own check
     counts = np.empty(trials, dtype=np.int64)
     resamples = 0
     escalations = 0
     max_residual = 0.0
     for t in range(trials):
-        result, extra = _count_zeros_once(bases, depth, seed, t)
+        result, extra = _count_zeros_once(bases, seed, t)
         counts[t] = result.count
         resamples += extra
         escalations += result.escalations
@@ -177,12 +172,7 @@ def theoretical_average(sphere_dim: int, eigenvalue: float, volume: float) -> fl
     return 2.0 / sphere_surface_area(n) * (eigenvalue / n) ** (n / 2.0) * volume
 
 
-def average_zero_count(
-    bases,
-    trials: int,
-    depth: int | None = None,
-    seed: int = 0,
-) -> AverageReport:
+def average_zero_count(bases, trials: int, seed: int = 0) -> AverageReport:
     """Average |Z(U)| over Haar-random n-subspaces of one eigenspace.
 
     All bases must share one degree (and one sphere); the closed-form
@@ -202,7 +192,6 @@ def average_zero_count(
     return _monte_carlo_average(
         bases,
         trials,
-        depth,
         seed,
         theory,
         experimental=False,
@@ -210,12 +199,7 @@ def average_zero_count(
     )
 
 
-def conjecture_mixed_average(
-    bases,
-    trials: int,
-    depth: int | None = None,
-    seed: int = 0,
-) -> AverageReport:
+def conjecture_mixed_average(bases, trials: int, seed: int = 0) -> AverageReport:
     """Monte Carlo test of the conjectured mixed-eigenvalue average on S2.
 
     The conjectured value 2 sqrt(lam_1 lam_2) / (sigma_2 * 2) * vol(S2)
@@ -236,7 +220,6 @@ def conjecture_mixed_average(
     return _monte_carlo_average(
         bases,
         trials,
-        depth,
         seed,
         theory,
         experimental=True,
@@ -343,11 +326,7 @@ def zonal_tilt_threshold(degree: int) -> float:
     return float(gaps.min() / 4.0)
 
 
-def zonal_pair_demo(
-    degree: int,
-    alpha: float,
-    depth: int | None = None,
-) -> ZeroFindingResult:
+def zonal_pair_demo(degree: int, alpha: float) -> ZeroFindingResult:
     """Common zeros of two axis-symmetric functions with axes ``alpha`` apart.
 
     For 0 < alpha below the per-degree tilt threshold the zero circles pair
@@ -356,6 +335,7 @@ def zonal_pair_demo(
     """
     if degree < 1:
         raise SphereInputError("degree must be >= 1")
+    _check_solver_degree(degree)
     if not 0.0 <= alpha < math.pi:
         raise SphereInputError("tilt angle must lie in [0, pi)")
     from .harmonics import build_basis
@@ -368,4 +348,4 @@ def zonal_pair_demo(
     except RankDeficientError:
         # alpha = 0, or axes so close that the two functions coincide numerically.
         return ZeroFindingResult.degenerate(2 * degree * degree)
-    return find_common_zeros_s2([basis, basis], sample, depth)
+    return find_common_zeros_s2([basis, basis], sample)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,6 @@ RESIDUAL_FACTOR = 1e-9        # converged zeros satisfy |u_i| <= factor * scale
 DEGENERACY_FACTOR = 4         # deduped count above factor * bezout => Degenerate
 RANK_TOLERANCE = 1e-8         # smallest/largest singular value ratio
 MAX_SOLVER_DEGREE = 12        # keeps the deepest confirmation mesh at depth 9
-MAX_BASE_DEPTH = 7            # confirmation meshes go two levels deeper, to 9
 UNIT_CIRCLE_TOL = 1e-8        # companion eigenvalues with |log|z|| below this are circle roots
 NEWTON_TOL = 1e-12            # Newton stops when the step norm drops below this
 MAX_NEWTON_ITER = 30
@@ -64,14 +62,6 @@ class SolverStatus(str, enum.Enum):
     COMPLETE = "Complete"
     DEPTH_ESCALATED = "DepthEscalated"
     DEGENERATE = "Degenerate"
-
-
-def check_depth(depth) -> None:
-    """Raise SphereInputError unless depth is None (automatic) or an integer in [1, 7]."""
-    if depth is not None and (
-        not isinstance(depth, numbers.Integral) or not 1 <= depth <= MAX_BASE_DEPTH
-    ):
-        raise SphereInputError(f"depth must be an integer in [1, {MAX_BASE_DEPTH}], got {depth!r}")
 
 
 @dataclass(frozen=True)
@@ -185,7 +175,16 @@ def verify_bezout(result: ZeroFindingResult) -> bool:
 
 def default_mesh_depth(max_degree: int) -> int:
     """Mesh depth scaling with the nodal feature size pi/m."""
-    return max(4, math.ceil(math.log2(max_degree)) + 3) if max_degree > 1 else 4
+    return max(4, math.ceil(math.log2(max_degree)) + 3)
+
+
+def _check_solver_degree(degree: int) -> None:
+    """Raise SphereInputError past MAX_SOLVER_DEGREE, where the deepest mesh would pass depth 9."""
+    if degree > MAX_SOLVER_DEGREE:
+        raise SphereInputError(
+            f"S2 zero finding supports degrees up to {MAX_SOLVER_DEGREE} "
+            "(mesh confirmation depth would exceed the supported maximum)"
+        )
 
 
 @functools.lru_cache(maxsize=24)
@@ -220,21 +219,20 @@ def _candidate_faces(
     groups: list[tuple[HarmonicBasis, list[int]]],
     rows: np.ndarray,
     lipschitz: np.ndarray,
-    face_pool: np.ndarray | None,
+    face_pool: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton starting points and the faces that may contain a common zero.
+    """Newton starting points and the faces of ``face_pool`` that may contain a common zero.
 
     A zero of u_i inside a face forces |u_i| <= L_i * r at any face vertex
     (r the covering radius) and |u_i| <= L_i * reach at the centroid, with
     L_i the exact global gradient bound; faces failing either test for any i
     are excluded rigorously.  Survivors are narrowed further by certified
-    quadrisection.  ``face_pool`` restricts the search (used when the parent
-    depth already excluded the rest of the sphere).
+    quadrisection.  The pool is every face on the first pass and the
+    children of the parent depth's survivors after that.
     """
-    faces = mesh.faces if face_pool is None else mesh.faces[face_pool]
-    cov = mesh.covering_radius if face_pool is None else mesh.covering_radius[face_pool]
-    corner = [np.ascontiguousarray(faces[:, k]) for k in range(3)]
-    keep = np.ones(faces.shape[0], dtype=bool)
+    corner = [mesh.faces[:, k][face_pool] for k in range(3)]   # 1-D gathers beat a (F, 3) one
+    cov = mesh.covering_radius[face_pool]
+    keep = np.ones(face_pool.size, dtype=bool)
     for basis, idx in groups:
         values = _basis_at_vertices(basis.degree, mesh.depth) @ rows[idx, : basis.dimension].T
         v0, v1, v2 = values[corner[0]], values[corner[1]], values[corner[2]]
@@ -244,7 +242,7 @@ def _candidate_faces(
         sign_change = (vmax >= 0.0) & (vmin <= 0.0)
         clearance = lipschitz[idx][None, :] * cov[:, None]
         keep &= (sign_change | (amin <= clearance)).all(axis=1)
-    cand = np.nonzero(keep)[0] if face_pool is None else face_pool[keep]
+    cand = face_pool[keep]
     if cand.size == 0:
         return np.empty((0, 3)), cand
     centroids = mesh.centroids[cand]
@@ -350,12 +348,12 @@ def _solve_at_depth(
     rows: np.ndarray,
     depth: int,
     bezout: int,
-    face_pool: np.ndarray | None = None,
+    face_pool: np.ndarray,
 ) -> tuple[np.ndarray, float, bool, np.ndarray]:
-    """One full pipeline pass.
+    """One full pipeline pass over the faces of ``face_pool``.
 
     Returns (zeros, max_residual, degenerate_flag, surviving_faces); the
-    surviving faces seed the restricted search one depth deeper.
+    children of the surviving faces are the pool one depth deeper.
     """
     mesh = icosphere(depth)
     groups = _degree_groups(bases)
@@ -373,26 +371,19 @@ def _solve_at_depth(
     return zeros, max_residual, degenerate, faces_kept
 
 
-def find_common_zeros_s2(
-    bases,
-    sample: SubspaceSample,
-    depth: int | None = None,
-) -> ZeroFindingResult:
+def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     """Enumerate Z(u1, u2) on S2 for the two coefficient rows of ``sample``.
 
-    ``depth`` is the base mesh depth, None (automatic: max(4, ceil(log2 m) + 3))
-    or an integer in [1, 7]; the count is confirmed one and, if needed, two
-    levels deeper.
+    The base mesh depth is ``default_mesh_depth`` of the larger degree.  Each
+    pass searches the children of the faces the previous pass kept; the count
+    is Complete once two consecutive passes agree within the Bezout ceiling,
+    and DepthEscalated if that has not happened by the third pass.
     """
-    check_depth(depth)
     bases = list(bases)
     if len(bases) != 2 or any(b.sphere_dim != 2 for b in bases):
         raise SphereInputError("two S2 bases are required, one per sample row")
-    if any(b.degree > MAX_SOLVER_DEGREE for b in bases):
-        raise SphereInputError(
-            f"S2 zero finding supports degrees up to {MAX_SOLVER_DEGREE} "
-            "(mesh confirmation depth would exceed the supported maximum)"
-        )
+    max_degree = max(b.degree for b in bases)
+    _check_solver_degree(max_degree)
     if sample.rows.shape[0] != 2:
         raise SphereInputError("sample must have exactly two rows on S2")
     for i, b in enumerate(bases):
@@ -402,37 +393,26 @@ def find_common_zeros_s2(
     # the gradient-sum identity into an exact Lipschitz constant.
     rows = _unit_rows(sample.rows)
     bezout = 2 * bases[0].degree * bases[1].degree
-    depth0 = depth if depth is not None else default_mesh_depth(max(b.degree for b in bases))
+    depth0 = default_mesh_depth(max_degree)
 
-    zeros0, _, degen0, faces0 = _solve_at_depth(bases, rows, depth0, bezout)
-    if degen0:
-        return ZeroFindingResult.degenerate(bezout, depth0)
-    zeros1, resid1, degen1, faces1 = _solve_at_depth(
-        bases, rows, depth0 + 1, bezout, face_pool=_children_of(faces0, depth0)
-    )
-    if degen1:
-        return ZeroFindingResult.degenerate(bezout, depth0 + 1)
-    if zeros0.shape[0] == zeros1.shape[0] and zeros1.shape[0] <= bezout:
-        return ZeroFindingResult(
-            zeros=zeros1,
-            status=SolverStatus.COMPLETE,
-            max_residual=resid1,
-            bezout_bound=bezout,
-            depth_used=depth0 + 1,
-        )
-    zeros2, resid2, degen2, _ = _solve_at_depth(
-        bases, rows, depth0 + 2, bezout, face_pool=_children_of(faces1, depth0 + 1)
-    )
-    if degen2:
-        return ZeroFindingResult.degenerate(bezout, depth0 + 2, escalations=1)
-    return ZeroFindingResult(
-        zeros=zeros2,
-        status=SolverStatus.DEPTH_ESCALATED,
-        max_residual=resid2,
-        bezout_bound=bezout,
-        depth_used=depth0 + 2,
-        escalations=1,
-    )
+    pool = np.arange(20 * 4**depth0)
+    count = None
+    for depth in range(depth0, depth0 + 3):
+        zeros, residual, degenerate, kept = _solve_at_depth(bases, rows, depth, bezout, pool)
+        escalated = depth == depth0 + 2
+        if degenerate:
+            return ZeroFindingResult.degenerate(bezout, depth, int(escalated))
+        if escalated or zeros.shape[0] == count <= bezout:
+            return ZeroFindingResult(
+                zeros=zeros,
+                status=SolverStatus.DEPTH_ESCALATED if escalated else SolverStatus.COMPLETE,
+                max_residual=residual,
+                bezout_bound=bezout,
+                depth_used=depth,
+                escalations=int(escalated),
+            )
+        count = zeros.shape[0]
+        pool = _children_of(kept, depth)
 
 
 def find_common_zeros_s1(basis: HarmonicBasis, sample: SubspaceSample) -> ZeroFindingResult:

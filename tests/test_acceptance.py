@@ -153,7 +153,7 @@ def test_criterion_5_embedding_package():
     from sphere_zeros import covering_degree
 
     parity_ok = all(
-        covering_degree(build_basis(2, m), 64, np.random.default_rng([ACCEPTANCE_SEED, m]))
+        covering_degree(build_basis(2, m), np.random.default_rng([ACCEPTANCE_SEED, m]))
         == (2 if m % 2 == 0 else 1)
         for m in range(1, 11)
     )

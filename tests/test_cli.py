@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphere_zeros.harmonics
-from sphere_zeros.cli import MAX_DEPTH, MAX_POINTS, MAX_TRIALS, main
-from sphere_zeros.zerofinder import MAX_BASE_DEPTH, MAX_SOLVER_DEGREE
+from sphere_zeros.cli import MAX_DEPTH, MAX_POINTS, MAX_TRIALS, _validate_common, build_parser, main
+from sphere_zeros.zerofinder import MAX_SOLVER_DEGREE
 
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run_cli(argv, capsys):
@@ -270,23 +272,17 @@ class TestOutputFormats:
         assert code == 2
         assert "degrees up to" in err
 
-    def test_depth_cap(self, capsys):
-        code, _, err = run_cli(["count", "--sphere", "2", "--degree", "3", "--depth", "8"], capsys)
-        assert code == 2
-
     def test_negative_seed_rejected(self, capsys):
         code, _, err = run_cli(["average", "--sphere", "1", "--degree", "2", "--seed", "-1"], capsys)
         assert code == 2
         assert "seed" in err
 
     @pytest.mark.parametrize("argv", [
-        ["embedding", "--degree", "2", "--probes", "0"],
         ["zonal", "--degree", "2", "--alpha", "4"],
         ["invariants", "--degree", "2", "--points", "0"],
         ["invariants", "--degree", "2", "--points", "100000000000"],
-        ["embedding", "--degree", "2", "--probes", "100000000000"],
         ["invariants", "--degree", "2", "--points", str(MAX_POINTS + 1)],
-    ], ids=["probes", "alpha", "points", "points-huge", "probes-huge", "points-over"])
+    ], ids=["alpha", "points", "points-huge", "points-over"])
     def test_bad_input_exits_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
@@ -294,31 +290,57 @@ class TestOutputFormats:
         assert err.startswith("error: ")
 
     @pytest.mark.parametrize("argv", [
-        ["count", "--degree", "3", "--depth", "8"],
-        ["count", "--sphere", "1", "--degree", "3", "--depth", "8"],
-        ["average", "--degree", "2", "--trials", "2", "--depth", "8"],
-        ["average", "--sphere", "1", "--degree", "3", "--trials", "2", "--depth", "8"],
-        ["conjecture", "--degrees", "1", "2", "--trials", "2", "--depth", "8"],
-        ["zonal", "--degree", "3", "--depth", "8"],
-    ], ids=["count", "count-s1", "average", "average-s1", "conjecture", "zonal"])
-    def test_bad_depth_exits_2_on_every_solver_command(self, argv, capsys):
+        ["count", "--degree", "3", "--degree2", "13"],
+        ["average", "--degree", "13", "--trials", "2"],
+        ["conjecture", "--degrees", "2", "13", "--trials", "2"],
+        ["zonal", "--degree", "13"],
+        ["zonal", "--degree", "13", "--alpha", "0"],
+    ], ids=["count-degree2", "average", "conjecture", "zonal", "zonal-alpha0"])
+    def test_solver_degree_cap_on_every_solver_command(self, argv, capsys):
+        # Every S2 entry point raises the library's cap, zonal at alpha = 0 included.
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
-        assert err == "error: depth must be an integer in [1, 7], got 8\n"
+        assert err.startswith("error: S2 zero finding supports degrees up to 12")
 
     # The first two in-range values starved Newton into a wrong Complete count
     # (0 zeros where there are 10); the solver settings are fixed constants now.
-    @pytest.mark.parametrize("flag, value", [
-        ("--max-iter", "1"), ("--newton-tol", "1e-300"), ("--dedup-radius", "1e-6"),
+    # --depth and --probes each had one value in use and are constants too.
+    @pytest.mark.parametrize("argv", [
+        ["count", "--degree", "3", "--seed", "5", "--max-iter", "1"],
+        ["count", "--degree", "3", "--seed", "5", "--newton-tol", "1e-300"],
+        ["count", "--degree", "3", "--seed", "5", "--dedup-radius", "1e-6"],
+        ["count", "--degree", "3", "--depth", "4"],
+        ["count", "--sphere", "1", "--degree", "3", "--depth", "4"],
+        ["average", "--degree", "2", "--trials", "2", "--depth", "4"],
+        ["average", "--sphere", "1", "--degree", "3", "--trials", "2", "--depth", "4"],
+        ["conjecture", "--degrees", "1", "2", "--trials", "2", "--depth", "4"],
+        ["zonal", "--degree", "3", "--depth", "4"],
+        ["embedding", "--degree", "2", "--probes", "64"],
+    ], ids=[
+        "--max-iter-1", "--newton-tol-1e-300", "--dedup-radius-1e-6",
+        "count-depth", "count-s1-depth", "average-depth", "average-s1-depth",
+        "conjecture-depth", "zonal-depth", "embedding-probes",
     ])
-    def test_removed_solver_flags_exit_2(self, flag, value, capsys):
+    def test_removed_solver_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["count", "--degree", "3", "--seed", "5", flag, value])
+            main(argv)
         out, err = capsys.readouterr()
         assert exc.value.code == 2
         assert out == ""
         assert any("error: " in line for line in err.splitlines()), err
+
+    def test_readme_examples_parse_and_validate(self):
+        # A README example with a removed or out-of-range flag fails here.
+        examples, fenced = [], False
+        for line in README.read_text(encoding="utf-8").splitlines():
+            if line.startswith("```"):
+                fenced = not fenced
+            elif fenced and line.startswith("sphere-zeros "):
+                examples.append(line)
+        assert len(examples) >= 7
+        for line in examples:
+            _validate_common(build_parser().parse_args(shlex.split(line, comments=True)[1:]))
 
     def test_high_degree_allowed_off_solver_paths(self, capsys):
         code, report, _ = run_json(["invariants", "--sphere", "2", "--degree", "50"], capsys)
@@ -336,7 +358,7 @@ class TestOutputFormats:
 
 
 # Valid argv per subcommand as (flag, value) pairs; the fuzz test corrupts one.
-SOLVER_FLAGS = [("--depth", "4"), ("--format", "json")]
+SOLVER_FLAGS = [("--format", "json")]
 VALID_ARGVS = {
     "average": [("--sphere", "2"), ("--degree", "2"), ("--trials", "3"), ("--seed", "1")]
     + SOLVER_FLAGS,
@@ -347,7 +369,7 @@ VALID_ARGVS = {
     "invariants": [("--sphere", "2"), ("--degree", "2"), ("--points", "10"), ("--seed", "1"),
                    ("--format", "csv")],
     "embedding": [("--sphere", "2"), ("--degree", "2"), ("--quadrature-depth", "2"),
-                  ("--probes", "4"), ("--seed", "1")],
+                  ("--seed", "1")],
     "crofton-length": [("--degree", "2"), ("--function", "zonal"), ("--trials", "3"),
                        ("--seed", "1")],
 }
@@ -380,9 +402,7 @@ def _bad_values(command, flag):
         "--trials": _ints_outside(1, MAX_TRIALS),
         "--seed": _ints_outside(0),
         "--points": _ints_outside(1, MAX_POINTS),
-        "--probes": _ints_outside(1, MAX_POINTS),
         "--quadrature-depth": _ints_outside(1, MAX_DEPTH),
-        "--depth": _ints_outside(1, MAX_BASE_DEPTH),
         "--alpha": _floats_outside(0.0, math.pi),
         "--format": st.sampled_from(["", "xml", "JSON", "csv2"]),
         "--function": st.sampled_from(["", "Zonal", "gaussian"]),

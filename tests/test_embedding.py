@@ -83,13 +83,13 @@ class TestCoveringDegree:
     @pytest.mark.parametrize("m", range(1, 11))
     def test_sphere_parity_law(self, m):
         basis = build_basis(2, m)
-        d = covering_degree(basis, 64, np.random.default_rng(m))
+        d = covering_degree(basis, np.random.default_rng(m))
         assert d == (2 if m % 2 == 0 else 1)
 
     def test_circle_wraps_degree_times(self):
         for m in (1, 2, 3, 5, 8, 13, 50):
             basis = build_basis(1, m)
-            assert covering_degree(basis, 6, np.random.default_rng(m)) == m
+            assert covering_degree(basis, np.random.default_rng(m)) == m
 
 
 class TestImageVolume:

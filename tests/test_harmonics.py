@@ -17,12 +17,14 @@ from sphere_zeros import (
 from sphere_zeros import harmonics
 from sphere_zeros.harmonics import (
     eval_basis_and_gradient_many,
+    gradient_sum_residual,
     legendre_roots,
     orthonormality_residual,
     random_sphere_points,
     rotate_coefficients,
     rotation_coefficient_matrix,
     tangent_frames,
+    unsold_residual,
 )
 
 # Frozen from the quadrature oracle below: int_{S2} z^2 dx = 4*pi/3, so the
@@ -150,6 +152,24 @@ class TestGradients:
         target = basis.eigenvalue * basis.dimension / basis.manifold_volume
         total = np.einsum("pki,pki->p", grads, grads)
         assert np.max(np.abs(total - target)) <= 1e-6 * target
+
+    @pytest.mark.parametrize("sphere_dim, m", [(1, 3), (2, 4), (2, 50)])
+    def test_blocked_residuals_match_one_pass(self, sphere_dim, m, monkeypatch):
+        # The identity residuals reduce EVAL_BLOCK // N points at a time: 4
+        # blocks at m = 50 by default, then 8 blocks and one point per block.
+        basis = build_basis(sphere_dim, m)
+        pts = random_sphere_points(sphere_dim, 1000, np.random.default_rng(m))
+        grads = eval_gradient_many(basis, pts)
+        values = eval_basis_many(basis, pts)
+        g_target, u_target = basis.gradient_sum_constant, basis.unsold_constant
+        g_total = np.einsum("pki,pki->p", grads, grads)
+        u_total = np.einsum("pk,pk->p", values, values)
+        expected_grad = float(np.max(np.abs(g_total - g_target)) / g_target)
+        expected_sum = float(np.max(np.abs(u_total - u_target)) / u_target)
+        for block in (harmonics.EVAL_BLOCK, 125 * basis.dimension, basis.dimension):
+            monkeypatch.setattr(harmonics, "EVAL_BLOCK", block)
+            assert gradient_sum_residual(basis, pts) == expected_grad
+            assert unsold_residual(basis, pts) == expected_sum
 
     def test_gradients_are_tangential(self):
         for m in (1, 5, 12):

@@ -331,3 +331,9 @@ class TestZonalPairDemo:
             zonal_pair_demo(2, -0.5)
         with pytest.raises(SphereInputError):
             zonal_pair_demo(0, 0.1)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05])
+    def test_rejects_degree_past_solver_cap(self, alpha):
+        # alpha = 0 gives two equal rows; the cap is checked before the rank check.
+        with pytest.raises(SphereInputError, match="S2 zero finding supports degrees up to 12"):
+            zonal_pair_demo(13, alpha)

@@ -12,7 +12,6 @@ from sphere_zeros import (
     RankDeficientError,
     SolverStatus,
     SphereInputError,
-    average_zero_count,
     build_basis,
     eval_basis_many,
     find_common_zeros_s1,
@@ -22,14 +21,14 @@ from sphere_zeros import (
     verify_bezout,
     zonal,
 )
+from sphere_zeros import zerofinder
 from sphere_zeros.harmonics import check_coefficients, random_sphere_points, rotate_coefficients
 from sphere_zeros.integralgeom import random_circle_frame
 from sphere_zeros.zerofinder import (
-    MAX_BASE_DEPTH,
     UNIT_CIRCLE_TOL,
     ZeroFindingResult,
+    _children_of,
     _circle_eigenvalues,
-    check_depth,
 )
 
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -101,35 +100,12 @@ ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 
 class TestInputChecks:
-    """The solver's one setting is the base mesh depth: None or an integer in [1, 7]."""
-
-    @pytest.mark.parametrize("depth", [0, 8, 2.5], ids=lambda d: f"depth-{d}")
-    def test_solver_config_rejects(self, depth):
+    def test_solver_config_bounds_accepted(self, monkeypatch):
+        # The shallowest mesh (depth 1, 80 faces) still finds both poles.
+        monkeypatch.setattr(zerofinder, "default_mesh_depth", lambda max_degree: 1)
         basis = build_basis(2, 1)
         sample = make_sample([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1, 1])
-        with pytest.raises(SphereInputError, match=r"depth must be an integer in \[1, 7\]"):
-            find_common_zeros_s2([basis, basis], sample, depth)
-        # S1 averages never mesh, and still reject the setting.
-        with pytest.raises(SphereInputError, match="depth"):
-            average_zero_count([build_basis(1, 3)], 1, depth)
-
-    def test_solver_config_bounds_accepted(self):
-        for depth in (None, 1, MAX_BASE_DEPTH):
-            check_depth(depth)
-        basis = build_basis(2, 1)
-        sample = make_sample([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1, 1])
-        assert find_common_zeros_s2([basis, basis], sample, 1).count == 2
-
-    @settings(max_examples=50, deadline=None)
-    @given(depth=st.one_of(st.none(), st.integers(-2, 12), ANY_FLOAT))
-    def test_solver_config_fuzz(self, depth):
-        valid = depth is None or (isinstance(depth, int) and 1 <= depth <= MAX_BASE_DEPTH)
-        try:
-            check_depth(depth)
-        except SphereInputError:
-            assert not valid
-        else:
-            assert valid
+        assert find_common_zeros_s2([basis, basis], sample).count == 2
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.one_of(ANY_FLOAT, st.floats(-10.0, 10.0)), min_size=14, max_size=14))
@@ -252,13 +228,14 @@ class TestSphereZeros:
         for z in result.zeros:
             assert min(geodesic(-z, w) for w in result.zeros) < 1e-6
 
-    def test_depth_stability_of_complete_results(self):
+    def test_depth_stability_of_complete_results(self, monkeypatch):
         basis = build_basis(2, 3)
         rng = np.random.default_rng(17)
         sample = gaussian_sample([3, 3], rng)
         base = find_common_zeros_s2([basis, basis], sample)
         assert base.status is SolverStatus.COMPLETE
-        deeper = find_common_zeros_s2([basis, basis], sample, depth=6)
+        monkeypatch.setattr(zerofinder, "default_mesh_depth", lambda max_degree: 6)
+        deeper = find_common_zeros_s2([basis, basis], sample)
         assert deeper.count == base.count
 
     def test_rotation_equivariance_of_zero_set(self):
@@ -295,6 +272,74 @@ class TestSphereZeros:
         sample = make_sample([[1, 0, 0], [0, 1, 0]], [1, 1])
         with pytest.raises(Exception):
             find_common_zeros_s2([basis, basis], sample)
+
+
+def _points(k):
+    """k distinct unit vectors standing in for a pass's zeros."""
+    t = np.arange(k) + 0.5
+    return np.stack([np.cos(t), np.sin(t), np.zeros(k)], axis=1)
+
+
+class TestDepthConfirmation:
+    """Every exit of the pass loop, with scripted (zeros, residual, degenerate, kept) passes.
+
+    Degree 1 on both rows: base depth 4 and Bezout ceiling 2.
+    """
+
+    DEPTH0 = 4
+    KEPT = [np.array([3, 17, 40]), np.array([5, 90, 700]), np.array([11])]
+
+    def run(self, monkeypatch, passes):
+        calls = []
+
+        def scripted(bases, rows, depth, bezout, face_pool=None):
+            calls.append((depth, face_pool))
+            zeros, residual, degenerate = passes[len(calls) - 1]
+            return zeros, residual, degenerate, self.KEPT[len(calls) - 1]
+
+        monkeypatch.setattr(zerofinder, "_solve_at_depth", scripted)
+        basis = build_basis(2, 1)
+        sample = make_sample([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1, 1])
+        result = find_common_zeros_s2([basis, basis], sample)
+        assert [depth for depth, _ in calls] == [self.DEPTH0 + k for k in range(len(calls))]
+        for k in range(1, len(calls)):
+            pool = calls[k][1]
+            assert np.array_equal(pool, _children_of(self.KEPT[k - 1], self.DEPTH0 + k - 1))
+        return result, len(calls)
+
+    def test_complete_at_depth0_plus_1(self, monkeypatch):
+        zeros = _points(2)
+        result, passes = self.run(monkeypatch, [(_points(2), 3e-14, False), (zeros, 2e-14, False)])
+        assert passes == 2
+        assert result.status is SolverStatus.COMPLETE
+        assert (result.depth_used, result.escalations) == (self.DEPTH0 + 1, 0)
+        assert result.max_residual == 2e-14
+        assert np.array_equal(result.zeros, zeros)
+
+    @pytest.mark.parametrize("counts", [(0, 2), (4, 4)], ids=["disagree", "above-bezout"])
+    def test_depth_escalated_at_depth0_plus_2(self, monkeypatch, counts):
+        zeros = _points(2)
+        result, passes = self.run(monkeypatch, [
+            (_points(counts[0]), 0.0, False),
+            (_points(counts[1]), 1e-14, False),
+            (zeros, 4e-14, False),
+        ])
+        assert passes == 3
+        assert result.status is SolverStatus.DEPTH_ESCALATED
+        assert (result.depth_used, result.escalations) == (self.DEPTH0 + 2, 1)
+        assert result.max_residual == 4e-14
+        assert np.array_equal(result.zeros, zeros)
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_degenerate_at_each_depth(self, monkeypatch, at):
+        # The first two passes disagree, so every pass up to ``at`` runs.
+        disagreeing = [(_points(0), 0.0, False), (_points(2), 1e-14, False)]
+        result, passes = self.run(monkeypatch, disagreeing[:at] + [(_points(9), 0.0, True)])
+        assert passes == at + 1
+        assert result.status is SolverStatus.DEGENERATE
+        assert (result.depth_used, result.escalations) == (self.DEPTH0 + at, int(at == 2))
+        assert math.isnan(result.max_residual)
+        assert result.zeros.shape == (0, 3)
 
 
 class TestBezout:
