@@ -14,7 +14,6 @@ from .embedding import (
     covering_degree,
     dilation_check,
     image_volume,
-    radius_check,
 )
 from .harmonics import (
     HarmonicBasis,
@@ -74,7 +73,6 @@ __all__ = [
     "image_volume",
     "laplacian_residual",
     "make_sample",
-    "radius_check",
     "restrict_to_great_circle",
     "sample_subspace",
     "sphere_surface_area",

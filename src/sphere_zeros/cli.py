@@ -157,8 +157,8 @@ def _validate_common(args) -> None:
         raise ConfigError("seed must be >= 0")
     if getattr(args, "points", None) is not None and not 1 <= args.points <= MAX_POINTS:
         raise ConfigError(f"points must be in [1, {MAX_POINTS}]")
-    for name in ("degree", "degree2"):
-        value = getattr(args, name, None)
+    degrees = (getattr(args, "degree", None), getattr(args, "degree2", None))
+    for value in degrees + tuple(getattr(args, "degrees", ())):
         if value is not None and not 1 <= value <= MAX_DEGREE:
             raise ConfigError(f"degrees must be in [1, {MAX_DEGREE}]")
     qdepth = getattr(args, "quadrature_depth", None)
@@ -210,6 +210,7 @@ def run_average(args) -> tuple[dict, int]:
 
 
 def run_conjecture(args) -> tuple[dict, int]:
+    args.degree, args.degree2 = args.degrees
     config_fields = [
         "degree", "degree2", "trials", "seed", "depth",
         "newton_tol", "max_iter", "dedup_radius",
@@ -442,8 +443,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "conjecture":
-            args.degree, args.degree2 = args.degrees
         _validate_common(args)
         report, code = args.func(args)
     except (ConfigError, SphereInputError) as exc:

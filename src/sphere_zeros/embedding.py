@@ -4,9 +4,10 @@ The map sends the sphere onto a round sphere of radius R = sqrt(N/vol(M)),
 is a metric dilation by C = lam*N / (n*vol(M)) (so its differential has
 Gram matrix C*I in any orthonormal tangent frame), and covers its image
 with some finite degree d.  This module measures all of these numerically:
-R and C from pointwise identities, d by collision probing, and the image
-volume by integrating sqrt(det Gram) over a geodesic mesh and dividing by
-the multiplicity d.
+R and C from pointwise identities, d by counting collisions f(x) = f(x0),
+and the image volume by integrating sqrt(det Gram) over a geodesic mesh and
+dividing by the multiplicity d.  On S1 the collisions are found in closed
+form: each is a zero of the degree-m eigenfunction x -> <f(x), df(x0)>.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .harmonics import (
     HarmonicBasis,
-    SphereInputError,
     as_sphere_point,
     eval_basis_many,
     eval_gradient_many,
@@ -26,6 +26,7 @@ from .harmonics import (
     tangent_frames,
 )
 from .icosphere import icosphere, spherical_face_areas
+from .zerofinder import find_common_zeros_s1, make_sample
 
 COLLISION_FACTOR = 1e-8       # image points closer than factor*R count as equal
 MIN_SEPARATION = 1e-3         # geodesic distance below which pairs are ignored
@@ -47,8 +48,8 @@ class EmbeddingReport:
     covering_degree: int
     numeric_integral: float           # integral of sqrt(det Gram) over the source
     predicted_image_volume: float     # (1/d) * dilation^(n/2) * vol M
-    max_gram_residual: float          # worst |Gram - C*I| entry over probe points
-    antipodal_identified: bool        # whether f(-x) = f(x) held at the probes
+    max_gram_residual: float          # worst |Gram - C*I| entry over the quadrature nodes
+    antipodal_identified: bool        # whether f(-x) = f(x), read off the covering degree
 
     @property
     def numeric_image_volume(self) -> float:
@@ -56,13 +57,12 @@ class EmbeddingReport:
         return self.numeric_integral / self.covering_degree
 
 
-def radius_check(basis: HarmonicBasis, num_points: int, rng: np.random.Generator) -> float:
-    """Max |sum_i f_i(x)^2 - N/vol(M)| over random points."""
-    if num_points < 1:
-        raise SphereInputError("num_points must be >= 1")
-    pts = random_sphere_points(basis.sphere_dim, num_points, rng)
-    values = eval_basis_many(basis, pts)
-    return float(np.max(np.abs(np.einsum("pk,pk->p", values, values) - basis.unsold_constant)))
+def _gram(basis: HarmonicBasis, nodes: np.ndarray) -> np.ndarray:
+    """Gram matrices of the differential in orthonormal tangent frames, shape (n, n, P)."""
+    grads = eval_gradient_many(basis, nodes)          # (P, N, n+1)
+    frames = tangent_frames(nodes)                    # (P, n, n+1)
+    d = [np.einsum("pkj,pj->pk", grads, frames[:, i]) for i in range(basis.sphere_dim)]
+    return np.array([[np.einsum("pk,pk->p", a, b) for b in d] for a in d])
 
 
 def dilation_check(basis: HarmonicBasis, point) -> float:
@@ -73,10 +73,7 @@ def dilation_check(basis: HarmonicBasis, point) -> float:
     gradient sum, tying this check to the radius identity.
     """
     p = as_sphere_point(point, basis.sphere_dim)
-    frame = tangent_frames(p[None, :])[0]
-    grads = eval_gradient_many(basis, p[None, :])[0]  # (N, n+1)
-    differential = grads @ frame.T                    # (N, n)
-    gram = differential.T @ differential
+    gram = _gram(basis, p[None])[:, :, 0]
     return float(np.max(np.abs(gram - basis.dilation_constant * np.eye(basis.sphere_dim))))
 
 
@@ -85,9 +82,10 @@ def covering_degree(basis: HarmonicBasis, rng: np.random.Generator) -> int:
 
     On S2 the fiber over any image point is {x} or {x, -x}; the probe tests
     f(-x) = f(x) and scans random far-apart pairs for other collisions,
-    which would flag a bug.  On S1 the map wraps the circle m times, so the
-    multiplicity is recovered by counting the collision angles of
-    t -> |f(t0 + t) - f(t0)| over a full revolution at each of 6 probes.
+    which would flag a bug.  On S1, |f|^2 is constant, so every x with
+    f(x) = f(x0) is a zero of the degree-m eigenfunction x -> <f(x), df(x0)>;
+    its 2m zeros come in closed form, x0 among them, and the multiplicity is
+    the number of them that f sends to f(x0).  Six base points x0 must agree.
     """
     radius = basis.embedding_radius
     tol = COLLISION_FACTOR * radius
@@ -116,39 +114,14 @@ def covering_degree(basis: HarmonicBasis, rng: np.random.Generator) -> int:
                 )
         return degree
 
-    # S1: count collision angles along one revolution from each probe.  One
-    # probe already scans the whole circle; a handful guards consistency.
     t0 = rng.uniform(0.0, 2.0 * math.pi, size=6)
-    n_scan = 512 * basis.degree
-    t = 2.0 * math.pi * (np.arange(n_scan) / n_scan)
-    angles = (t0[:, None] + t[None, :]).reshape(-1)
-    scan = eval_basis_many(basis, np.stack([np.cos(angles), np.sin(angles)], axis=1))
-    scan = scan.reshape(t0.size, n_scan, 2)
-    f0 = scan[:, 0]
-    gap = np.linalg.norm(scan[:, 1:] - f0[:, None, :], axis=2)
-    # Local minima of the gap on every probe, refined together by ternary
-    # search; each interval stops once it is narrower than 1e-14.
-    owner, j = np.nonzero((gap[:, 1:-1] < gap[:, :-2]) & (gap[:, 1:-1] < gap[:, 2:]))
-    lo, hi = t[j + 1], t[j + 3]
-    base, ref = t0[owner], f0[owner]
-
-    def gap_at(s: np.ndarray) -> np.ndarray:
-        a = base + s
-        pts = np.stack([np.cos(a), np.sin(a)], axis=-1).reshape(-1, 2)
-        return np.linalg.norm(eval_basis_many(basis, pts).reshape(a.shape + (2,)) - ref, axis=-1)
-
-    for _ in range(200):
-        live = hi - lo >= 1e-14
-        if not live.any():
-            break
-        third = (hi - lo) / 3.0
-        a, b = lo + third, hi - third
-        ga, gb = gap_at(np.stack([a, b]))
-        left = ga < gb
-        hi = np.where(live & left, b, hi)
-        lo = np.where(live & ~left, a, lo)
-    hits = np.bincount(owner[gap_at(0.5 * (lo + hi)) < tol], minlength=t0.size)
-    counts = set((hits + 1).tolist())     # + the trivial collision at t = 0
+    base = np.stack([np.cos(t0), np.sin(t0)], axis=1)
+    df0 = np.einsum("pkj,pj->pk", eval_gradient_many(basis, base), tangent_frames(base)[:, 0])
+    counts = set()
+    for ref, row in zip(eval_basis_many(basis, base), df0):
+        zeros = find_common_zeros_s1(basis, make_sample([row], [basis.degree])).zeros
+        gap = np.linalg.norm(eval_basis_many(basis, zeros) - ref, axis=1)
+        counts.add(int(np.count_nonzero(gap < tol)))
     if len(counts) != 1:
         raise UnexpectedFiberError(f"inconsistent collision counts across probes: {counts}")
     return counts.pop()
@@ -181,21 +154,13 @@ def image_volume(
         nodes = np.stack([np.cos(t), np.sin(t)], axis=1)
         weights = np.full(n_nodes, 2.0 * math.pi / n_nodes)
 
-    grads = eval_gradient_many(basis, nodes)          # (P, N, n+1)
-    frames = tangent_frames(nodes)                    # (P, n, n+1)
-    d = [np.einsum("pkj,pj->pk", grads, frames[:, i]) for i in range(n)]
-    gram = np.array([[np.einsum("pk,pk->p", a, b) for b in d] for a in d])   # (n, n, P)
+    gram = _gram(basis, nodes)
     det = gram[0, 0] if n == 1 else gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2
     gram_residual = float(np.max(np.abs(gram - target * np.eye(n)[:, :, None])))
 
     numeric_integral = float(np.sum(weights * np.sqrt(np.clip(det, 0.0, None))))
     values = eval_basis_many(basis, nodes)
     radius = float(math.sqrt(np.mean(np.einsum("pk,pk->p", values, values))))
-    mirrored = eval_basis_many(basis, -nodes[: min(64, nodes.shape[0])])
-    antipodal = bool(
-        np.max(np.linalg.norm(values[: mirrored.shape[0]] - mirrored, axis=1))
-        <= COLLISION_FACTOR * basis.embedding_radius
-    )
     predicted = target ** (n / 2.0) * basis.manifold_volume / degree_count
     return EmbeddingReport(
         sphere_dim=n,
@@ -206,5 +171,7 @@ def image_volume(
         numeric_integral=numeric_integral,
         predicted_image_volume=predicted,
         max_gram_residual=gram_residual,
-        antipodal_identified=antipodal,
+        # f(-x) = f(x) exactly when the fiber holds -x: on S2 that is d = 2, and
+        # on S1 the fiber of x is x rotated by 2*pi*Z/d, which holds pi iff d is even.
+        antipodal_identified=degree_count % 2 == 0,
     )

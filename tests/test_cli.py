@@ -12,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphere_zeros.harmonics
-from sphere_zeros.cli import MAX_DEPTH, MAX_POINTS, MAX_TRIALS, _validate_common, build_parser, main
+from sphere_zeros.cli import (
+    MAX_DEPTH,
+    MAX_POINTS,
+    MAX_TRIALS,
+    ConfigError,
+    _validate_common,
+    build_parser,
+    main,
+)
 from sphere_zeros.zerofinder import MAX_SOLVER_DEGREE
 
 
@@ -81,6 +89,15 @@ class TestConjectureCommand:
         assert report["experimental"] is True
         assert report["theory"]["formula_id"] == "SEC5_CONJECTURE"
         assert report["theory"]["value"] == pytest.approx(math.sqrt(12.0), rel=1e-12)
+
+    def test_degrees_validated_before_the_run(self, capsys):
+        args = build_parser().parse_args(["conjecture", "--degrees", "1", "51"])
+        with pytest.raises(ConfigError, match=r"degrees must be in \[1, 50\]"):
+            _validate_common(args)
+        code, out, err = run_cli(["conjecture", "--degrees", "1", "51"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: degrees must be in [1, 50]\n"
 
 
 class TestCountCommand:
@@ -221,6 +238,11 @@ GOLDEN_REPORTS = {
     "count_s2_m3_m7_seed4": (["count", "--degree", "3", "--degree2", "7", "--seed", "4"], 0),
     "embedding_s2_m24_q5_seed3": (
         ["embedding", "--sphere", "2", "--degree", "24", "--quadrature-depth", "5", "--seed", "3"], 0
+    ),
+    # Frozen before the S1 covering degree came from the closed-form circle zeros.
+    "embedding_s1_m1": (["embedding", "--sphere", "1", "--degree", "1"], 0),
+    "embedding_s1_m50_q5_seed3": (
+        ["embedding", "--sphere", "1", "--degree", "50", "--quadrature-depth", "5", "--seed", "3"], 0
     ),
 }
 

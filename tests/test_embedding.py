@@ -1,38 +1,47 @@
 """Radius, dilation, covering degree, and image volume of the joint eigenbasis map."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from sphere_zeros import (
+    SphereInputError,
+    UnexpectedFiberError,
     build_basis,
     covering_degree,
     dilation_check,
+    embedding,
     image_volume,
-    radius_check,
 )
-from sphere_zeros.harmonics import eval_basis_many, eval_gradient_many, random_sphere_points
+from sphere_zeros.harmonics import (
+    eval_basis_many,
+    eval_gradient_many,
+    random_sphere_points,
+    unsold_residual,
+)
 
 
 class TestRadius:
     def test_degree1_sphere(self):
         basis = build_basis(2, 1)
         assert basis.unsold_constant == pytest.approx(3.0 / (4.0 * math.pi), rel=1e-14)
-        deviation = radius_check(basis, 100, np.random.default_rng(0))
-        assert deviation <= 1e-8 * basis.unsold_constant
+        points = random_sphere_points(2, 100, np.random.default_rng(0))
+        assert unsold_residual(basis, points) <= 1e-8
 
     @pytest.mark.parametrize("m", [1, 2, 5, 9])
     def test_circle_any_degree(self, m):
         basis = build_basis(1, m)
         assert basis.unsold_constant == pytest.approx(1.0 / math.pi, rel=1e-14)
-        assert radius_check(basis, 50, np.random.default_rng(m)) <= 1e-10
+        residual = unsold_residual(basis, random_sphere_points(1, 50, np.random.default_rng(m)))
+        assert residual <= 1e-10 / basis.unsold_constant
 
     def test_degree4_sphere(self):
         basis = build_basis(2, 4)
         assert basis.unsold_constant == pytest.approx(9.0 / (4.0 * math.pi), rel=1e-14)
-        deviation = radius_check(basis, 100, np.random.default_rng(1))
-        assert deviation <= 1e-8 * basis.unsold_constant
+        points = random_sphere_points(2, 100, np.random.default_rng(1))
+        assert unsold_residual(basis, points) <= 1e-8
 
 
 class TestDilation:
@@ -75,7 +84,7 @@ class TestDilation:
             assert float(deriv @ deriv) == pytest.approx(9.0 / math.pi, rel=1e-6)
 
     def test_rejects_off_sphere(self):
-        with pytest.raises(Exception):
+        with pytest.raises(SphereInputError):
             dilation_check(build_basis(2, 2), np.array([0.0, 0.0, 2.0]))
 
 
@@ -86,10 +95,34 @@ class TestCoveringDegree:
         d = covering_degree(basis, np.random.default_rng(m))
         assert d == (2 if m % 2 == 0 else 1)
 
-    def test_circle_wraps_degree_times(self):
-        for m in (1, 2, 3, 5, 8, 13, 50):
-            basis = build_basis(1, m)
-            assert covering_degree(basis, np.random.default_rng(m)) == m
+    @pytest.mark.parametrize("m", range(1, 51))
+    def test_circle_wraps_degree_times(self, m):
+        basis = build_basis(1, m)
+        for seed in range(5):
+            assert covering_degree(basis, np.random.default_rng([seed, m])) == m
+
+    def test_sphere_collision_raises(self, monkeypatch):
+        # A tolerance above the image diameter 2R makes every probe pair collide.
+        monkeypatch.setattr(embedding, "COLLISION_FACTOR", 3.0)
+        with pytest.raises(UnexpectedFiberError, match="non-identified"):
+            covering_degree(build_basis(2, 3), np.random.default_rng(0))
+
+    def test_circle_probes_must_agree(self, monkeypatch):
+        # One probe loses all its candidates, the trivial collision x0 included.
+        solve = embedding.find_common_zeros_s1
+        calls = []
+
+        def drop_first(basis, sample):
+            result = solve(basis, sample)
+            calls.append(None)
+            if len(calls) == 1:
+                return dataclasses.replace(result, zeros=result.zeros[:0])
+            return result
+
+        monkeypatch.setattr(embedding, "find_common_zeros_s1", drop_first)
+        with pytest.raises(UnexpectedFiberError, match="inconsistent"):
+            covering_degree(build_basis(1, 4), np.random.default_rng(0))
+        assert len(calls) == 6
 
 
 class TestImageVolume:
