@@ -36,7 +36,6 @@ from .integralgeom import (
     zonal_tilt_threshold,
 )
 from .zerofinder import (
-    DegenerateRestrictionError,
     RankDeficientError,
     SolverStatus,
     SubspaceSample,
@@ -50,7 +49,6 @@ from .zerofinder import (
 
 __all__ = [
     "AverageReport",
-    "DegenerateRestrictionError",
     "EmbeddingReport",
     "HarmonicBasis",
     "LengthReport",

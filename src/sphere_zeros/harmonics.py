@@ -133,7 +133,7 @@ def as_sphere_point(point, sphere_dim: int) -> np.ndarray:
         raise SphereInputError(
             f"expected a {sphere_dim + 1}-vector for S{sphere_dim}, got shape {p.shape}"
         )
-    if abs(np.dot(p, p) - 1.0) > 2.0 * UNIT_NORM_TOL:
+    if not abs(np.dot(p, p) - 1.0) <= 2.0 * UNIT_NORM_TOL:
         raise SphereInputError(f"point is not on the unit sphere: |x| = {np.linalg.norm(p)!r}")
     return p
 
@@ -143,7 +143,7 @@ def _check_points(points: np.ndarray, sphere_dim: int) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != sphere_dim + 1:
         raise SphereInputError(f"expected points of shape (P, {sphere_dim + 1}), got {pts.shape}")
     err = np.abs(np.einsum("pi,pi->p", pts, pts) - 1.0)
-    if err.size and err.max() > 2.0 * UNIT_NORM_TOL:
+    if err.size and not err.max() <= 2.0 * UNIT_NORM_TOL:
         raise SphereInputError(f"points not on the unit sphere (max |x|^2 - 1 = {err.max():.3e})")
     return pts
 
@@ -462,7 +462,7 @@ def rotation_coefficient_matrix(basis: HarmonicBasis, rotation: np.ndarray) -> n
     d = basis.ambient_dim
     if rot.shape != (d, d):
         raise SphereInputError(f"rotation must be {d}x{d}, got {rot.shape}")
-    if np.max(np.abs(rot @ rot.T - np.eye(d))) > 1e-10:
+    if not np.max(np.abs(rot @ rot.T - np.eye(d))) <= 1e-10:
         raise SphereInputError("rotation matrix is not orthogonal")
     pts, wts = orthonormality_quadrature(basis)
     values = eval_basis_many(basis, pts)

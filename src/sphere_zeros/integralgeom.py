@@ -35,9 +35,8 @@ from .zerofinder import (
     find_common_zeros_s1,
     find_common_zeros_s2,
     _check_solver_degree,
-    _circle_roots,
     make_sample,
-    restrict_to_great_circle,  # noqa: F401  (perfbench's traced run wraps this name)
+    restrict_to_great_circle,
 )
 
 MAX_RESAMPLES_PER_TRIAL = 64
@@ -261,11 +260,9 @@ def crofton_length(
 
     Circle t is drawn from the generator (seed, t, attempt), and only the
     circles on which u vanishes identically are redrawn, with attempt + 1.
-    Each circle's crossings are the unit-circle companion eigenvalues of its
-    trigonometric polynomial (see ``restrict_to_great_circle``), found in
-    batches of CIRCLE_CHUNK_POINTS // (2m + 2) circles; each circle's count
-    is the one ``restrict_to_great_circle`` gives for it alone, so the
-    report does not depend on the batching.
+    Each batch of CIRCLE_CHUNK_POINTS // (2m + 2) circles is one call of
+    ``restrict_to_great_circle``, which counts each circle's crossings on
+    its own, so the report does not depend on the batching.
     """
     if basis.sphere_dim != 2:
         raise SphereInputError("length estimation is defined on S2")
@@ -283,7 +280,7 @@ def crofton_length(
             frames = np.stack(
                 [random_circle_frame(np.random.default_rng([seed, t, attempt])) for t in pending]
             )
-            _, found, degenerate = _circle_roots(basis, c, frames)
+            _, found, degenerate = restrict_to_great_circle(basis, c, frames)
             done = ~degenerate
             counts[pending[done]] = found[done]
             resamples += attempt * int(np.count_nonzero(done))

@@ -19,6 +19,11 @@ a proof; the Bezout ceiling 2*m1*m2 is checked on every result.  Samples
 whose deduplicated candidate set exceeds four times the Bezout ceiling are
 reported Degenerate (the common zero set is judged non-finite, e.g. two
 axis-symmetric functions about the same axis).
+
+``restrict_to_great_circle`` finds the roots of one S2 function on a batch
+of great circles, the crossings that ``crofton_length`` counts: on each
+circle the function is a trigonometric polynomial, and its roots are the
+unit-circle eigenvalues of a companion matrix.
 """
 
 from __future__ import annotations
@@ -52,10 +57,6 @@ DEDUP_RADIUS = 1e-6           # geodesic merge radius for found zeros
 
 class RankDeficientError(ValueError):
     """The coefficient rows do not span an n-dimensional function space."""
-
-
-class DegenerateRestrictionError(RuntimeError):
-    """A function restricted to a circle vanished identically."""
 
 
 class SolverStatus(str, enum.Enum):
@@ -307,8 +308,11 @@ def _newton_refine(
 def _dedup_and_sort(points: np.ndarray, stop_above: int) -> np.ndarray:
     """Greedy geodesic dedup (radius DEDUP_RADIUS) after collapsing near-identical points.
 
-    Stops early (returning the oversized set) once more than ``stop_above``
-    representatives appear -- the caller then declares degeneracy.
+    The representatives come out in lexicographic (x, y, z) order: the
+    collapsed points are lexsorted once, and the representatives are a
+    subsequence of them taken in order.  Stops early (returning the
+    oversized set) once more than ``stop_above`` representatives appear --
+    the caller then declares degeneracy.
     """
     if points.shape[0] == 0:
         return points.reshape(0, 3)
@@ -329,8 +333,7 @@ def _dedup_and_sort(points: np.ndarray, stop_above: int) -> np.ndarray:
         rep_arr = np.asarray(reps)
         if len(reps) > stop_above:
             break
-    order = np.lexsort((rep_arr[:, 2], rep_arr[:, 1], rep_arr[:, 0]))
-    return rep_arr[order]
+    return rep_arr
 
 
 def _children_of(faces: np.ndarray, parent_depth: int) -> np.ndarray:
@@ -443,31 +446,6 @@ def find_common_zeros_s1(basis: HarmonicBasis, sample: SubspaceSample) -> ZeroFi
     )
 
 
-@dataclass(frozen=True)
-class CircleRestriction:
-    """A degree-m function restricted to a great circle, with its roots.
-
-    The restriction t -> u(cos(t) e1 + sin(t) e2) is a trigonometric
-    polynomial of degree <= m, so it has at most 2m roots unless it vanishes
-    identically (circle contained in the zero set), which raises
-    DegenerateRestrictionError at construction.
-    """
-
-    basis: HarmonicBasis
-    coeffs: np.ndarray
-    frame: np.ndarray                 # (2, 3) orthonormal rows e1, e2
-    root_angles: np.ndarray           # sorted in [0, 2*pi)
-
-    @property
-    def count(self) -> int:
-        return int(self.root_angles.shape[0])
-
-    def values(self, angles) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(angles, dtype=float))
-        pts = np.outer(np.cos(t), self.frame[0]) + np.outer(np.sin(t), self.frame[1])
-        return eval_basis_many(self.basis, pts) @ self.coeffs
-
-
 def _circle_eigenvalues(
     basis: HarmonicBasis, c: np.ndarray, frames: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -513,17 +491,32 @@ def _circle_eigenvalues(
     return np.linalg.eigvals(companion), live, degenerate
 
 
-def _circle_roots(
-    basis: HarmonicBasis, c: np.ndarray, frames: np.ndarray
+def restrict_to_great_circle(
+    basis: HarmonicBasis, coeffs, frames
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roots of u on K great circles at once, for validated inputs.
+    """Roots of u on K great circles at once, one per orthonormal 2-frame.
 
-    A root is a companion eigenvalue z with |log|z|| < UNIT_CIRCLE_TOL, at
-    angle arg z.  Returns the root angles of all circles in one array,
-    ordered by circle and ascending in [0, 2*pi) within a circle; the root
-    count of each circle; and a mask of the circles on which u vanishes
-    identically (these have no roots).
+    ``frames`` has shape (K, 2, 3) with K >= 1; one circle is ``frame[None]``.
+    A root is a companion eigenvalue z of ``_circle_eigenvalues`` with
+    |log|z|| < UNIT_CIRCLE_TOL, at angle arg z.  A double root (the circle
+    tangent to the zero set) may split into a pair just off the unit circle
+    and then be missed; for random circles this is a measure-zero event.
+
+    Returns the root angles of all circles in one array, ordered by circle
+    and ascending in [0, 2*pi) within a circle; the root count of each
+    circle; and the mask of the circles on which u vanishes identically
+    (these have no roots).  The roots of a circle are the same bits
+    whichever batch it is solved in.
     """
+    if basis.sphere_dim != 2:
+        raise SphereInputError("circle restriction is defined on S2")
+    c = check_coefficients(basis, coeffs)
+    frames = np.asarray(frames, dtype=float)
+    if frames.ndim != 3 or frames.shape[1:] != (2, 3) or frames.shape[0] == 0:
+        raise SphereInputError(f"frames must have shape (K, 2, 3) with K >= 1, got {frames.shape}")
+    gram_err = np.max(np.abs(np.einsum("kij,klj->kil", frames, frames) - np.eye(2)))
+    if not gram_err <= 1e-10:
+        raise SphereInputError(f"circle frames are not orthonormal (residual {gram_err:.2e})")
     z, live, degenerate = _circle_eigenvalues(basis, c, frames)
     radius = np.abs(z)
     on_circle = (radius > math.exp(-UNIT_CIRCLE_TOL)) & (radius < math.exp(UNIT_CIRCLE_TOL))
@@ -532,32 +525,3 @@ def _circle_roots(
     angles[angles == 2.0 * math.pi] = 0.0       # a tiny negative angle rounds up to 2*pi
     order = np.lexsort((angles, owner))
     return angles[order], np.bincount(owner, minlength=frames.shape[0]), degenerate
-
-
-def restrict_to_great_circle(basis: HarmonicBasis, coeffs, circle_frame) -> CircleRestriction:
-    """Roots of u along the great circle spanned by an orthonormal 2-frame.
-
-    The restriction is a trigonometric polynomial of degree m; its roots are
-    the unit-circle eigenvalues of a 2m x 2m companion matrix built from one
-    FFT of 2m + 2 samples.  A double root (the circle tangent to the zero
-    set) may split into a pair just off the unit circle and then be missed;
-    for the random circles used by the length estimator this is a
-    measure-zero event.
-
-    This is the one-circle case of the batched core that ``crofton_length``
-    runs on many circles at once; the roots of a circle are the same bits
-    whichever batch it is solved in.
-    """
-    if basis.sphere_dim != 2:
-        raise SphereInputError("circle restriction is defined on S2")
-    c = check_coefficients(basis, coeffs)
-    frame = np.asarray(circle_frame, dtype=float)
-    if frame.shape != (2, 3):
-        raise SphereInputError("circle_frame must be two 3-vectors")
-    gram_err = np.max(np.abs(frame @ frame.T - np.eye(2)))
-    if gram_err > 1e-10:
-        raise SphereInputError(f"circle frame is not orthonormal (residual {gram_err:.2e})")
-    roots, _, degenerate = _circle_roots(basis, c, frame[None])
-    if degenerate[0]:
-        raise DegenerateRestrictionError("function vanishes identically on the circle")
-    return CircleRestriction(basis=basis, coeffs=c, frame=frame, root_angles=roots)

@@ -216,7 +216,8 @@ def test_criterion_8_mixed_degree_conjecture():
         for t in range(counts.size):
             rng = np.random.default_rng([ACCEPTANCE_SEED, 8, m2, t])
             coeffs = rng.standard_normal(bases[1].dimension)
-            counts[t] = restrict_to_great_circle(bases[1], coeffs, random_circle_frame(rng)).count
+            frame = random_circle_frame(rng)
+            counts[t] = restrict_to_great_circle(bases[1], coeffs, frame[None])[1][0]
         cross_mean = counts.mean()
         cross_stderr = counts.std(ddof=1) / math.sqrt(counts.size)
         combined = math.hypot(report.stderr, cross_stderr)

@@ -2,12 +2,15 @@
 
 ``perfbench/spans.py`` replaces ``sphere_zeros.<module>.<name>`` at runtime
 for each entry of its ``PATCHES`` table; a rename in the package would break
-the traced run, so it is caught here in seconds.
+the traced run, and a name its module no longer calls would leave its
+span at 0; both are caught here in seconds.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from sphere_zeros.cli import main
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -25,3 +28,32 @@ def test_every_traced_name_resolves():
     for module, name, *_ in patches:
         mod = importlib.import_module(f"sphere_zeros.{module}")
         assert callable(getattr(mod, name, None)), f"sphere_zeros.{module}.{name}"
+
+
+# One small run of each subcommand the benchmark traces.
+OPS = (
+    ["average", "--degree", "1", "--trials", "1"],
+    ["conjecture", "--degrees", "1", "2", "--trials", "1"],
+    ["crofton-length", "--degree", "2", "--trials", "2"],
+    ["embedding", "--sphere", "2", "--degree", "2", "--quadrature-depth", "1"],
+    ["invariants", "--degree", "2", "--points", "10"],
+)
+
+
+def test_every_traced_name_is_called(monkeypatch):
+    # A name its module imports but never calls would give a span that
+    # always reads 0.
+    calls = {}
+    for module, name, *_ in load_patches():
+        mod = importlib.import_module(f"sphere_zeros.{module}")
+        key = f"{module}.{name}"
+        calls[key] = 0
+
+        def counted(*args, _fn=getattr(mod, name), _key=key, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    for argv in OPS:
+        assert main(argv) == 0, argv
+    assert [key for key, n in calls.items() if n == 0] == []

@@ -9,6 +9,7 @@ from numpy.polynomial.legendre import legval
 from sphere_zeros import (
     SphereInputError,
     build_basis,
+    dilation_check,
     eval_basis_many,
     eval_gradient_many,
     laplacian_residual,
@@ -225,6 +226,28 @@ class TestCoefficientChecks:
         coeffs[3] = bad
         with pytest.raises(SphereInputError):
             laplacian_residual(build_basis(2, 3), coeffs, NORTH)
+
+
+NAN_POINT = np.array([math.nan, 0.0, 0.0])
+
+
+class TestNonFiniteGeometry:
+    # NaN compares False with every tolerance, so each check must reject
+    # what is not within it rather than accept what is not beyond it.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: eval_basis_many(b, NAN_POINT[None]),
+            lambda b: zonal(b, NAN_POINT),
+            lambda b: dilation_check(b, NAN_POINT),
+            lambda b: laplacian_residual(b, np.ones(b.dimension), NAN_POINT),
+            lambda b: rotate_coefficients(b, np.ones(b.dimension), np.full((3, 3), math.nan)),
+        ],
+        ids=["eval_basis_many", "zonal", "dilation_check", "laplacian_residual", "rotate_coefficients"],
+    )
+    def test_nan_input_rejected(self, call):
+        with pytest.raises(SphereInputError):
+            call(build_basis(2, 3))
 
 
 class TestLaplacianStencil:

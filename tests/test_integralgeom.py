@@ -28,7 +28,6 @@ from sphere_zeros.integralgeom import (
     zonal_nodal_colatitudes,
     zonal_nodal_length,
 )
-from sphere_zeros.zerofinder import _circle_roots
 
 EQUATOR = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
@@ -243,8 +242,8 @@ class TestCroftonLength:
         seed, trials = 21, 150
         single = [
             restrict_to_great_circle(
-                basis, coeffs, random_circle_frame(np.random.default_rng([seed, t, 0]))
-            ).count
+                basis, coeffs, random_circle_frame(np.random.default_rng([seed, t, 0]))[None]
+            )[1][0]
             for t in range(trials)
         ]
         report = crofton_length(basis, coeffs, trials=trials, seed=seed)
@@ -261,13 +260,13 @@ class TestCroftonLength:
         rng = np.random.default_rng(22)
         frames = np.stack([random_circle_frame(rng) for _ in range(9)])
         frames[4] = EQUATOR
-        roots, counts, degenerate = _circle_roots(basis, coeffs, frames)
+        roots, counts, degenerate = restrict_to_great_circle(basis, coeffs, frames)
         assert degenerate.tolist() == [k == 4 for k in range(9)]
         assert counts[4] == 0
         per_circle = np.split(roots, np.cumsum(counts)[:-1])
         for k in range(9):
             if k != 4:
-                alone = restrict_to_great_circle(basis, coeffs, frames[k]).root_angles
+                alone, _, _ = restrict_to_great_circle(basis, coeffs, frames[k][None])
                 assert np.array_equal(per_circle[k], alone)
 
     def test_degenerate_circles_are_redrawn(self, monkeypatch):
@@ -286,15 +285,11 @@ class TestCroftonLength:
         report = crofton_length(basis, coeffs, trials=10, seed=23)
         assert len(draws) == 13
         assert report.degenerate_resamples == 3
-        counts = [
-            restrict_to_great_circle(
-                basis,
-                coeffs,
-                random_circle_frame(np.random.default_rng([23, t, int(t in (2, 5, 7))])),
-            ).count
-            for t in range(10)
-        ]
-        assert report.mean_crossings == sum(counts) / 10
+        rngs = [np.random.default_rng([23, t, int(t in (2, 5, 7))]) for t in range(10)]
+        frames = np.stack([random_circle_frame(rng) for rng in rngs])
+        _, counts, degenerate = restrict_to_great_circle(basis, coeffs, frames)
+        assert not degenerate.any()
+        assert report.mean_crossings == counts.sum() / 10
 
     def test_random_frames_are_orthonormal(self):
         rng = np.random.default_rng(18)

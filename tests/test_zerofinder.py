@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphere_zeros import (
-    DegenerateRestrictionError,
     RankDeficientError,
     SolverStatus,
     SphereInputError,
@@ -387,28 +386,44 @@ class TestBezout:
                     assert verify_bezout(result)
 
 
+def circle_roots(basis, coeffs, frame):
+    """Root angles of u on the one great circle of ``frame``, which must not be degenerate."""
+    roots, counts, degenerate = restrict_to_great_circle(basis, coeffs, np.asarray(frame)[None])
+    assert not degenerate[0] and counts.tolist() == [roots.size]
+    return roots
+
+
+def values_on_circle(basis, coeffs, frame, angles):
+    """u at cos(t) e1 + sin(t) e2 for each angle t."""
+    pts = np.outer(np.cos(angles), frame[0]) + np.outer(np.sin(angles), frame[1])
+    return eval_basis_many(basis, pts) @ coeffs
+
+
 class TestCircleRestriction:
     EQUATOR = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     MERIDIAN = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
     def test_z_on_equator_degenerate(self):
         basis = build_basis(2, 1)
-        with pytest.raises(DegenerateRestrictionError):
-            restrict_to_great_circle(basis, [1.0, 0.0, 0.0], self.EQUATOR)
+        roots, counts, degenerate = restrict_to_great_circle(
+            basis, [1.0, 0.0, 0.0], self.EQUATOR[None]
+        )
+        assert degenerate[0]
+        assert counts.tolist() == [0] and roots.size == 0
 
     def test_z_on_meridian_two_roots(self):
         basis = build_basis(2, 1)
-        restriction = restrict_to_great_circle(basis, [1.0, 0.0, 0.0], self.MERIDIAN)
-        assert restriction.count == 2
+        roots = circle_roots(basis, [1.0, 0.0, 0.0], self.MERIDIAN)
+        assert roots.size == 2
         # u along the meridian is proportional to sin t: roots at 0 and pi.
-        assert np.max(np.abs(restriction.root_angles - np.array([0.0, math.pi]))) < 1e-10
+        assert np.max(np.abs(roots - np.array([0.0, math.pi]))) < 1e-10
 
     def test_roots_are_roots(self):
         basis = build_basis(2, 4)
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal(9)
-        restriction = restrict_to_great_circle(basis, coeffs, self.MERIDIAN)
-        assert np.max(np.abs(restriction.values(restriction.root_angles))) < 1e-10
+        roots = circle_roots(basis, coeffs, self.MERIDIAN)
+        assert np.max(np.abs(values_on_circle(basis, coeffs, self.MERIDIAN, roots))) < 1e-10
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     def test_count_against_brute_force_scan(self, m):
@@ -421,13 +436,12 @@ class TestCircleRestriction:
             e1 = raw[0] / np.linalg.norm(raw[0])
             v2 = raw[1] - np.dot(raw[1], e1) * e1
             frame = np.stack([e1, v2 / np.linalg.norm(v2)])
-            restriction = restrict_to_great_circle(basis, coeffs, frame)
-            assert restriction.count <= 2 * m
+            count = circle_roots(basis, coeffs, frame).size
+            assert count <= 2 * m
             t = 2.0 * math.pi * np.arange(64 * m) / (64 * m)
-            pts = np.outer(np.cos(t), frame[0]) + np.outer(np.sin(t), frame[1])
-            vals = eval_basis_many(basis, pts) @ coeffs
+            vals = values_on_circle(basis, coeffs, frame, t)
             sign_flips = int(np.sum(np.sign(vals) != np.sign(np.roll(vals, -1))))
-            assert restriction.count == sign_flips
+            assert count == sign_flips
 
     def test_close_root_pair_is_counted(self):
         # Roots at t = 1.178 and 1.268 (and their antipodes) lie closer
@@ -435,9 +449,10 @@ class TestCircleRestriction:
         # a 200000-point scan sees 6.
         basis = build_basis(2, 3)
         frame = random_circle_frame(np.random.default_rng([2, 224, 0]))
-        restriction = restrict_to_great_circle(basis, zonal(basis, NORTH), frame)
-        assert restriction.count == 6
-        assert np.max(np.abs(restriction.values(restriction.root_angles))) < 1e-12
+        coeffs = zonal(basis, NORTH)
+        roots = circle_roots(basis, coeffs, frame)
+        assert roots.size == 6
+        assert np.max(np.abs(values_on_circle(basis, coeffs, frame, roots))) < 1e-12
 
     @pytest.mark.parametrize("m", [1, 3, 8, 16, 50])
     def test_companion_eigenvalue_gap(self, m):
@@ -462,11 +477,17 @@ class TestCircleRestriction:
         e1, e2 = random_circle_frame(rng)
         turned = np.stack([math.cos(turn) * e1 + math.sin(turn) * e2,
                            math.cos(turn) * e2 - math.sin(turn) * e1])
-        count = restrict_to_great_circle(basis, coeffs, np.stack([e1, e2])).count
-        assert count % 2 == 0 and count <= 2 * m
-        assert restrict_to_great_circle(basis, coeffs, turned).count == count
+        _, counts, _ = restrict_to_great_circle(basis, coeffs, np.stack([[e1, e2], turned]))
+        assert counts[0] % 2 == 0 and counts[0] <= 2 * m
+        assert counts[1] == counts[0]
 
     def test_rejects_bad_frame(self):
         basis = build_basis(2, 2)
-        with pytest.raises(Exception):
-            restrict_to_great_circle(basis, np.ones(5), np.array([[1.0, 0, 0], [1.0, 0, 0]]))
+        for frames in (
+            np.array([[[1.0, 0, 0], [1.0, 0, 0]]]),     # not orthonormal
+            self.EQUATOR,                               # a bare (2, 3) frame
+            np.empty((0, 2, 3)),                        # no circle
+            np.full((1, 2, 3), np.nan),                 # compares False with any tolerance
+        ):
+            with pytest.raises(SphereInputError):
+                restrict_to_great_circle(basis, np.ones(5), frames)
