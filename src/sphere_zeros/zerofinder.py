@@ -2,14 +2,18 @@
 
 The S2 solver enumerates Z(u1, u2) = {x : u1(x) = u2(x) = 0} by
 
-1. subdividing an icosahedral geodesic mesh to depth D,
+1. subdividing an icosahedral geodesic mesh to depth D and keeping the
+   half of it that descends from icosahedron faces 0-9 (faces 10-19 are
+   their antipodes),
 2. discarding every triangle on which some u_i provably cannot vanish
    (sign-definite vertex values further than a Lipschitz clearance from
    zero; the Lipschitz constant comes from the exact pointwise gradient-sum
    identity, so the exclusion is certified, not heuristic),
 3. re-testing survivors at their centroids with the same certified bound,
 4. running a damped Newton iteration in the moving tangent plane from each
-   surviving centroid, reprojecting to the sphere after every step,
+   surviving centroid, reprojecting to the sphere after every step, and
+   adding the antipode of every converged point (u(-x) = (-1)^m u(x), so
+   Z(u1, u2) = -Z(u1, u2) and the other half needs no search),
 5. deduplicating converged points by geodesic radius, and
 6. cross-checking the count against a re-run one depth deeper; a
    disagreement escalates once more and marks the result DepthEscalated.
@@ -228,8 +232,9 @@ def _candidate_faces(
     (r the covering radius) and |u_i| <= L_i * reach at the centroid, with
     L_i the exact global gradient bound; faces failing either test for any i
     are excluded rigorously.  Survivors are narrowed further by certified
-    quadrisection.  The pool is every face on the first pass and the
-    children of the parent depth's survivors after that.
+    quadrisection.  The pool is the half mesh descended from icosahedron
+    faces 0-9 on the first pass and the children of the parent depth's
+    survivors after that.
     """
     corner = [mesh.faces[:, k][face_pool] for k in range(3)]   # 1-D gathers beat a (F, 3) one
     cov = mesh.covering_radius[face_pool]
@@ -353,7 +358,13 @@ def _solve_at_depth(
     bezout: int,
     face_pool: np.ndarray,
 ) -> tuple[np.ndarray, float, bool, np.ndarray]:
-    """One full pipeline pass over the faces of ``face_pool``.
+    """One full pipeline pass over the faces of ``face_pool``, mirrored.
+
+    The converged points that pass the residual filter are joined by their
+    antipodes before dedup.  Every kernel operation is sign-symmetric, so
+    the antipode of a point passes the filter with the same residual bits;
+    with ``face_pool`` one half of the mesh, the union is the zero set of
+    the whole sphere.
 
     Returns (zeros, max_residual, degenerate_flag, surviving_faces); the
     children of the surviving faces are the pool one depth deeper.
@@ -366,6 +377,7 @@ def _solve_at_depth(
     if converged.shape[0]:
         resid = np.abs(_row_values(groups, rows, converged)).max(axis=1)
         converged = converged[resid <= RESIDUAL_FACTOR * lipschitz.max()]
+    converged = np.concatenate([converged, -converged])
     zeros = _dedup_and_sort(converged, DEGENERACY_FACTOR * bezout)
     degenerate = zeros.shape[0] > DEGENERACY_FACTOR * bezout
     max_residual = 0.0
@@ -377,8 +389,11 @@ def _solve_at_depth(
 def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     """Enumerate Z(u1, u2) on S2 for the two coefficient rows of ``sample``.
 
-    The base mesh depth is ``default_mesh_depth`` of the larger degree.  Each
-    pass searches the children of the faces the previous pass kept; the count
+    The base mesh depth is ``default_mesh_depth`` of the larger degree.  The
+    first pass searches the half of that mesh descended from icosahedron
+    faces 0-9 (their antipodes are faces 10-19, and ``_children_of`` keeps
+    every descendant of face i congruent to i mod 20).  Each later pass
+    searches the children of the faces the previous pass kept; the count
     is Complete once two consecutive passes agree within the Bezout ceiling,
     and DepthEscalated if that has not happened by the third pass.
     """
@@ -398,7 +413,7 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     bezout = 2 * bases[0].degree * bases[1].degree
     depth0 = default_mesh_depth(max_degree)
 
-    pool = np.arange(20 * 4**depth0)
+    pool = np.flatnonzero(np.arange(20 * 4**depth0) % 20 < 10)
     count = None
     for depth in range(depth0, depth0 + 3):
         zeros, residual, degenerate, kept = _solve_at_depth(bases, rows, depth, bezout, pool)

@@ -22,6 +22,7 @@ from sphere_zeros import (
 )
 from sphere_zeros import zerofinder
 from sphere_zeros.harmonics import check_coefficients, random_sphere_points, rotate_coefficients
+from sphere_zeros.icosphere import icosphere
 from sphere_zeros.integralgeom import random_circle_frame
 from sphere_zeros.zerofinder import (
     UNIT_CIRCLE_TOL,
@@ -227,6 +228,26 @@ class TestSphereZeros:
         for z in result.zeros:
             assert min(geodesic(-z, w) for w in result.zeros) < 1e-6
 
+    @settings(max_examples=25, deadline=None)
+    @given(m1=st.integers(1, 4), m2=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_count_is_rotation_invariant(self, m1, m2, seed):
+        # A rotation carries zeros across the seam between the searched half
+        # of the mesh and the mirrored half.
+        bases = [build_basis(2, m1), build_basis(2, m2)]
+        rng = np.random.default_rng(seed)
+        sample = gaussian_sample([m1, m2], rng)
+        rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        rotated_rows = [
+            rotate_coefficients(b, row[: b.dimension], rotation)
+            for b, row in zip(bases, sample.rows)
+        ]
+        rotated_sample = make_sample(rotated_rows, [m1, m2])
+        base = find_common_zeros_s2(bases, sample)
+        rotated = find_common_zeros_s2(bases, rotated_sample)
+        degenerate = SolverStatus.DEGENERATE
+        assert (rotated.status is degenerate) == (base.status is degenerate)
+        assert rotated.count == base.count
+
     def test_depth_stability_of_complete_results(self, monkeypatch):
         basis = build_basis(2, 3)
         rng = np.random.default_rng(17)
@@ -273,6 +294,78 @@ class TestSphereZeros:
             find_common_zeros_s2([basis, basis], sample)
 
 
+def _half_mesh(depth):
+    """Faces descended from icosahedron faces 0-9."""
+    return np.flatnonzero(np.arange(20 * 4**depth) % 20 < 10)
+
+
+def _antipodal_faces(mesh):
+    """Index of the face whose vertices are the exact negations of each face's vertices."""
+    n = mesh.vertices.shape[0]
+    both = np.concatenate([mesh.vertices, -mesh.vertices]) + 0.0   # + 0.0 folds -0.0 into 0.0
+    keys, inverse = np.unique(both, axis=0, return_inverse=True)
+    assert keys.shape[0] == n                   # every negated vertex is a vertex
+    vertex_of = np.empty(n, dtype=np.int64)
+    vertex_of[inverse[:n]] = np.arange(n)
+    negated = vertex_of[inverse[n:]]
+    corners = np.sort(np.concatenate([mesh.faces, negated[mesh.faces]]), axis=1)
+    keys, inverse = np.unique(corners, axis=0, return_inverse=True)
+    assert keys.shape[0] == mesh.num_faces       # every negated face is a face
+    face_of = np.empty(mesh.num_faces, dtype=np.int64)
+    face_of[inverse[: mesh.num_faces]] = np.arange(mesh.num_faces)
+    return face_of[inverse[mesh.num_faces :]]
+
+
+class TestAntipodalHalves:
+    """The solver searches faces i with i % 20 < 10 and mirrors what it finds."""
+
+    @pytest.mark.parametrize("depth", range(7))
+    def test_mesh_splits_into_antipodal_halves(self, depth):
+        antipode = _antipodal_faces(icosphere(depth))
+        faces = np.arange(antipode.size)
+        assert np.array_equal(antipode[antipode], faces)
+        assert np.array_equal(antipode % 20 < 10, faces % 20 >= 10)
+        half = _half_mesh(depth)
+        assert half.size == antipode.size // 2
+        assert np.array_equal(_children_of(half, depth), _half_mesh(depth + 1))
+
+    @pytest.mark.parametrize("degrees", [(1, 1), (2, 5), (8, 12)])
+    def test_row_values_are_sign_symmetric_to_the_bit(self, degrees):
+        # So the antipode of a point that passes the residual filter passes it too.
+        bases = [build_basis(2, m) for m in degrees]
+        rows = gaussian_sample(degrees, np.random.default_rng(list(degrees))).rows
+        pts = random_sphere_points(2, 500, np.random.default_rng(0))
+        groups = zerofinder._degree_groups(bases)
+        values = zerofinder._row_values(groups, rows, pts)
+        assert np.array_equal(np.abs(zerofinder._row_values(groups, rows, -pts)), np.abs(values))
+
+    @pytest.mark.parametrize(
+        "degrees, samples",
+        [((1, 1), 4), ((2, 5), 3), ((3, 3), 4), ((5, 5), 2), ((8, 8), 1)],
+        ids=["1x1", "2x5", "3x3", "5x5", "8x8"],
+    )
+    def test_either_half_or_the_whole_mesh_gives_the_same_zeros(self, degrees, samples):
+        # With every face in the pool, Newton runs from every start of the
+        # full-mesh search; the mirror then only adds duplicates.
+        bases = [build_basis(2, m) for m in degrees]
+        depth = zerofinder.default_mesh_depth(max(degrees))
+        faces = np.arange(20 * 4**depth)
+        pools = [_half_mesh(depth), faces[faces % 20 >= 10], faces]
+        rng = np.random.default_rng([*degrees, 7])
+        for _ in range(samples):
+            rows = zerofinder._unit_rows(gaussian_sample(degrees, rng).rows)
+            bezout = 2 * degrees[0] * degrees[1]
+            results = [zerofinder._solve_at_depth(bases, rows, depth, bezout, p) for p in pools]
+            half_zeros = results[0][0]
+            assert half_zeros.shape[0] > 0
+            for zeros, _, degenerate, _ in results:
+                assert not degenerate
+                assert zeros.shape == half_zeros.shape
+                gap = np.linalg.norm(zeros[:, None, :] - half_zeros[None, :, :], axis=2)
+                assert gap.min(axis=1).max() < 1e-12
+                assert gap.min(axis=0).max() < 1e-12
+
+
 def _points(k):
     """k distinct unit vectors standing in for a pass's zeros."""
     t = np.arange(k) + 0.5
@@ -301,6 +394,8 @@ class TestDepthConfirmation:
         sample = make_sample([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1, 1])
         result = find_common_zeros_s2([basis, basis], sample)
         assert [depth for depth, _ in calls] == [self.DEPTH0 + k for k in range(len(calls))]
+        assert np.array_equal(calls[0][1], _half_mesh(self.DEPTH0))
+        assert calls[0][1].size == 20 * 4**self.DEPTH0 // 2
         for k in range(1, len(calls)):
             pool = calls[k][1]
             assert np.array_equal(pool, _children_of(self.KEPT[k - 1], self.DEPTH0 + k - 1))
