@@ -57,6 +57,7 @@ from .zerofinder import (
     SolverStatus,
     find_common_zeros_s1,
     find_common_zeros_s2,
+    verify_bezout,
 )
 
 DEFAULT_SEED = 12345
@@ -164,24 +165,6 @@ def _validate_common(args) -> None:
         raise ConfigError(f"quadrature depth must be in [1, {MAX_DEPTH}]")
 
 
-def _average_estimate(report: dict, result) -> None:
-    report["theory"] = {"value": result.theory, "formula_id": result.formula_id}
-    report["estimate"] = {
-        "mean": result.mean,
-        "stderr": result.stderr,
-        "trials": result.trials,
-    }
-    report["experimental"] = result.experimental
-    report["diagnostics"].update(
-        degenerate_resamples=result.degenerate_resamples,
-        depth_escalations=result.depth_escalations,
-        max_residual=result.max_residual,
-    )
-    report["histogram"] = {str(k): v for k, v in sorted(result.histogram.items())}
-    report["relative_deviation"] = result.relative_deviation
-    report["within_4_stderr"] = result.within_band
-
-
 def _zero_set_report(report: dict, result) -> bool:
     """Write one zero-finding result into the report; True if it is Degenerate."""
     report["diagnostics"].update(
@@ -195,28 +178,30 @@ def _zero_set_report(report: dict, result) -> bool:
 
 
 def run_average(args) -> tuple[dict, int]:
-    config_fields = [
-        "sphere", "degree", "trials", "seed", "depth",
-        "newton_tol", "max_iter", "dedup_radius",
-    ]
-    report = _report_skeleton("average", _config_echo(args, config_fields))
-    basis = build_basis(args.sphere, args.degree)
-    bases = [basis] * args.sphere
-    result = average_zero_count(bases, args.trials, args.seed)
-    _average_estimate(report, result)
-    return report, EXIT_OK
-
-
-def run_conjecture(args) -> tuple[dict, int]:
-    args.degree, args.degree2 = args.degrees
-    config_fields = [
-        "degree", "degree2", "trials", "seed", "depth",
-        "newton_tol", "max_iter", "dedup_radius",
-    ]
-    report = _report_skeleton("conjecture", _config_echo(args, config_fields))
-    bases = [build_basis(2, args.degree), build_basis(2, args.degree2)]
-    result = conjecture_mixed_average(bases, args.trials, args.seed)
-    _average_estimate(report, result)
+    """``average`` (n functions of one degree) and ``conjecture`` (two S2 degrees)."""
+    if args.command == "average":
+        fields = ["sphere", "degree"]
+        bases = [build_basis(args.sphere, args.degree)] * args.sphere
+        estimator = average_zero_count   # the module attribute at call time, which tracing may wrap
+    else:
+        args.degree, args.degree2 = args.degrees
+        fields = ["degree", "degree2"]
+        bases = [build_basis(2, args.degree), build_basis(2, args.degree2)]
+        estimator = conjecture_mixed_average
+    fields += ["trials", "seed", "depth", "newton_tol", "max_iter", "dedup_radius"]
+    report = _report_skeleton(args.command, _config_echo(args, fields))
+    result = estimator(bases, args.trials, args.seed)
+    report["theory"] = {"value": result.theory, "formula_id": result.formula_id}
+    report["estimate"] = {"mean": result.mean, "stderr": result.stderr, "trials": result.trials}
+    report["experimental"] = result.experimental
+    report["diagnostics"].update(
+        degenerate_resamples=result.degenerate_resamples,
+        depth_escalations=result.depth_escalations,
+        max_residual=result.max_residual,
+    )
+    report["histogram"] = {str(k): v for k, v in sorted(result.histogram.items())}
+    report["relative_deviation"] = result.relative_deviation
+    report["within_4_stderr"] = result.within_band
     return report, EXIT_OK
 
 
@@ -241,7 +226,7 @@ def run_count(args) -> tuple[dict, int]:
     report["theory"] = {"value": float(result.bezout_bound), "formula_id": FORMULA_COUNT_BOUND}
     if _zero_set_report(report, result):
         return report, EXIT_DEGENERATE
-    if result.count > result.bezout_bound:
+    if not verify_bezout(result):
         report["violated"] = FORMULA_COUNT_BOUND
         return report, EXIT_INVARIANT_VIOLATION
     return report, EXIT_OK
@@ -341,14 +326,13 @@ def run_crofton_length(args) -> tuple[dict, int]:
     basis = build_basis(2, args.degree)
     if args.function == "zonal":
         coeffs = zonal(basis, np.array([0.0, 0.0, 1.0]))
-        reference = zonal_nodal_length(args.degree)
+        report["theory"]["value"] = zonal_nodal_length(args.degree)
     else:
         coeffs = np.random.default_rng([args.seed, 7, args.degree]).standard_normal(
             basis.dimension
         )
-        reference = None
-    result = crofton_length(basis, coeffs, args.trials, args.seed, reference=reference)
-    report["theory"] = {"value": reference, "formula_id": FORMULA_CROFTON}
+    report["theory"]["formula_id"] = FORMULA_CROFTON
+    result = crofton_length(basis, coeffs, args.trials, args.seed)
     report["estimate"] = {
         "mean": result.length,
         "stderr": result.stderr,
@@ -394,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_solver_defaults(p)
     _add_output_flags(p)
-    p.set_defaults(func=run_conjecture)
+    p.set_defaults(func=run_average)
 
     p = sub.add_parser("count", help="one zero-finding run on a random sample")
     p.add_argument("--sphere", type=int, choices=(1, 2), default=2)

@@ -81,7 +81,6 @@ class LengthReport:
     mean_crossings: float
     length: float                     # pi * mean_crossings on the unit S2
     stderr: float                     # pi * stderr of the crossing count
-    reference: float | None
     degenerate_resamples: int
     seed: int
 
@@ -129,14 +128,51 @@ def _count_zeros_once(
     raise RuntimeError("degenerate samples persisted across resampling")  # pragma: no cover
 
 
+def theoretical_average(sphere_dim: int, eigenvalues, volume: float) -> float:
+    """Expected common-zero count (2/sigma_n) prod_i (lam_i/n)^(1/2) vol(M).
+
+    With n equal eigenvalues this is THM_1_1, (2/sigma_n) (lam/n)^(n/2) vol(M):
+    m(m+1) on S2 and 2m on S1.  With unequal eigenvalues it is the same
+    Kac-Rice computation (Azais and Wschebor, *Level Sets and Extrema of
+    Random Processes and Fields*, Wiley 2009) under this module's sampling
+    model, so on S2 it gives sqrt(lam_1 lam_2), the value the paper states
+    as a conjecture:
+
+    * The coefficient rows are independent standard Gaussians.  Zero sets do
+      not change under scaling, so this is also a uniform direction in each
+      eigenspace.
+    * u_i(x) ~ N(0, N_i / 4 pi), independent of grad u_i(x) because
+      sum_k f_k^2 is constant.
+    * grad u_i(x) ~ N(0, (lam_i N_i / 8 pi) I_2) by the gradient-sum
+      identity THM_2_1.
+    * E|det| of a 2 x 2 matrix of standard Gaussians is 1, so the density
+      of common zeros is sqrt(lam_1 lam_2) / 4 pi, and the expected count
+      over the area 4 pi is sqrt(lam_1 lam_2).
+
+    On any n-dimensional homogeneous M with irreducible isotropy the same
+    steps give the product formula, since E|det G_n| / (2 pi)^(n/2) = 2/sigma_n
+    for an n x n matrix G_n of standard Gaussians.
+    """
+    n = sphere_dim
+    root = math.sqrt(math.prod(lam / n for lam in eigenvalues))
+    return 2.0 * (volume / sphere_surface_area(n)) * root
+
+
 def _monte_carlo_average(
     bases: list[HarmonicBasis],
     trials: int,
     seed: int,
-    theory: float,
     experimental: bool,
     formula_id: str,
 ) -> AverageReport:
+    """Average |Z(U)| over ``trials`` random samples, against ``theoretical_average``."""
+    if trials < 1:
+        raise SphereInputError("trials must be >= 1")
+    if not bases or len(bases) != bases[0].sphere_dim or len({b.sphere_dim for b in bases}) != 1:
+        raise SphereInputError("need as many functions as the sphere dimension")
+    theory = theoretical_average(
+        bases[0].sphere_dim, [b.eigenvalue for b in bases], bases[0].manifold_volume
+    )
     counts = np.empty(trials, dtype=np.int64)
     resamples = 0
     escalations = 0
@@ -165,64 +201,29 @@ def _monte_carlo_average(
     )
 
 
-def theoretical_average(sphere_dim: int, eigenvalue: float, volume: float) -> float:
-    """Closed-form average count (2/sigma_n) (lam/n)^(n/2) vol(M)."""
-    n = sphere_dim
-    return 2.0 / sphere_surface_area(n) * (eigenvalue / n) ** (n / 2.0) * volume
-
-
 def average_zero_count(bases, trials: int, seed: int = 0) -> AverageReport:
-    """Average |Z(U)| over Haar-random n-subspaces of one eigenspace.
+    """Average |Z(U)| over Haar-random n-subspaces of one eigenspace (THM_1_1).
 
-    All bases must share one degree (and one sphere); the closed-form
-    reference value is (2/sigma_n) (lam/n)^(n/2) vol(M), which is m(m+1)
-    on S2 and 2m on S1.
+    All bases must share one degree and one sphere.
     """
     bases = list(bases)
-    if trials < 1:
-        raise SphereInputError("trials must be >= 1")
-    if len({(b.sphere_dim, b.degree) for b in bases}) != 1:
+    if len({b.degree for b in bases}) != 1:
         raise SphereInputError("equal-average theory requires equal degrees")
-    if len(bases) != bases[0].sphere_dim:
-        raise SphereInputError("need as many functions as the sphere dimension")
-    theory = theoretical_average(
-        bases[0].sphere_dim, bases[0].eigenvalue, bases[0].manifold_volume
-    )
-    return _monte_carlo_average(
-        bases,
-        trials,
-        seed,
-        theory,
-        experimental=False,
-        formula_id="THM_1_1",
-    )
+    return _monte_carlo_average(bases, trials, seed, experimental=False, formula_id="THM_1_1")
 
 
 def conjecture_mixed_average(bases, trials: int, seed: int = 0) -> AverageReport:
-    """Monte Carlo test of the conjectured mixed-eigenvalue average on S2.
+    """Average |Z(u_1, u_2)| on S2 for two degrees, against sqrt(lam_1 lam_2).
 
-    The conjectured value 2 sqrt(lam_1 lam_2) / (sigma_2 * 2) * vol(S2)
-    reduces to sqrt(lam_1 * lam_2).  It is not established theory, so the
-    report is flagged experimental.
+    The value is a theorem under the Gaussian sampling model (see
+    ``theoretical_average``); the report keeps the paper's label, a
+    conjecture, and is flagged experimental.
     """
     bases = list(bases)
-    if trials < 1:
-        raise SphereInputError("trials must be >= 1")
-    if len(bases) != 2 or any(b.sphere_dim != 2 for b in bases):
+    if any(b.sphere_dim != 2 for b in bases):
         raise SphereInputError("mixed-average runs take two S2 bases")
-    theory = (
-        2.0
-        * math.sqrt(bases[0].eigenvalue * bases[1].eigenvalue)
-        / (sphere_surface_area(2) * 2.0)
-        * bases[0].manifold_volume
-    )
     return _monte_carlo_average(
-        bases,
-        trials,
-        seed,
-        theory,
-        experimental=True,
-        formula_id="SEC5_CONJECTURE",
+        bases, trials, seed, experimental=True, formula_id="SEC5_CONJECTURE"
     )
 
 
@@ -245,13 +246,7 @@ def random_circle_frame(rng: np.random.Generator) -> np.ndarray:
         return np.stack([e1, v2 / v2_norm])
 
 
-def crofton_length(
-    basis: HarmonicBasis,
-    coeffs,
-    trials: int,
-    seed: int = 0,
-    reference: float | None = None,
-) -> LengthReport:
+def crofton_length(basis: HarmonicBasis, coeffs, trials: int, seed: int = 0) -> LengthReport:
     """Estimate the length of {u = 0} from crossings with random great circles.
 
     On the unit S2 the average number of crossings of a curve by a uniform
@@ -295,7 +290,6 @@ def crofton_length(
         mean_crossings=mean,
         length=math.pi * mean,
         stderr=math.pi * stderr,
-        reference=reference,
         degenerate_resamples=resamples,
         seed=seed,
     )

@@ -12,9 +12,9 @@ to see them on success).  Criteria:
    covering-degree parity law hold.
 6. The tilted axis-symmetric pair has exactly 2m zeros for m = 1..8.
 7. The circle-crossing length estimator reproduces known lengths.
-8. Mixed-degree averages: agreement with the conjectured value is recorded
-   (not enforced); internal consistency with the crossing estimator is
-   enforced at three combined standard errors.
+8. Mixed-degree averages match sqrt(lam1 lam2) within four standard errors
+   (a Kac-Rice theorem under the Gaussian sampling model), and for m1 = 1
+   agree with the crossing estimator within three combined standard errors.
 9. Reports are byte-identical when configuration and seed repeat.
 """
 
@@ -199,12 +199,11 @@ def test_criterion_8_mixed_degree_conjecture():
         bases = [build_basis(2, m1), build_basis(2, m2)]
         report = conjecture_mixed_average(bases, trials=400, seed=ACCEPTANCE_SEED + 10 * m1 + m2)
         assert report.experimental
-        agrees = abs(report.mean - report.theory) <= 4.0 * report.stderr
-        # Agreement with the conjectured value is recorded, not enforced.
-        print(
-            f"[criterion 8] {'AGREES' if agrees else 'DISAGREES'} (experimental): "
-            f"degrees ({m1},{m2}) mean={report.mean:.4f} stderr={report.stderr:.4f} "
-            f"conjectured={report.theory:.4f}"
+        record(
+            "criterion 8",
+            report.within_band,
+            f"degrees ({m1},{m2}): mean={report.mean:.4f} stderr={report.stderr:.4f} "
+            f"sqrt(lam1 lam2)={report.theory:.4f}",
         )
         if m1 != 1:
             continue

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import legval
 
 from sphere_zeros import (
@@ -102,7 +104,7 @@ class TestAverageZeroCount:
         report = average_zero_count([basis], trials=40, seed=1)
         assert report.mean == 12.0
         assert report.stderr == 0.0
-        assert report.theory == pytest.approx(12.0)
+        assert report.theory == 12.0
         assert report.histogram == {12: 40}
 
     def test_sphere_degree1_always_two(self):
@@ -110,12 +112,12 @@ class TestAverageZeroCount:
         report = average_zero_count([basis, basis], trials=50, seed=2)
         assert report.mean == 2.0
         assert report.stderr == 0.0
-        assert report.theory == pytest.approx(2.0)
+        assert report.theory == 2.0
 
     def test_sphere_degree3_within_band(self):
         basis = build_basis(2, 3)
         report = average_zero_count([basis, basis], trials=150, seed=3)
-        assert report.theory == pytest.approx(12.0)
+        assert report.theory == 12.0
         assert abs(report.mean - 12.0) <= 4.0 * report.stderr
         assert not report.experimental
         assert report.formula_id == "THM_1_1"
@@ -128,9 +130,10 @@ class TestAverageZeroCount:
         assert sum(report.histogram.values()) == report.trials
 
     def test_closed_form_values(self):
-        assert theoretical_average(2, 12.0, 4 * math.pi) == pytest.approx(12.0)
-        assert theoretical_average(1, 36.0, 2 * math.pi) == pytest.approx(12.0)
-        assert theoretical_average(2, 2.0, 4 * math.pi) == pytest.approx(2.0)
+        for m in range(1, 51):
+            s2, s1 = build_basis(2, m), build_basis(1, m)
+            assert theoretical_average(2, [s2.eigenvalue] * 2, s2.manifold_volume) == m * (m + 1)
+            assert theoretical_average(1, [s1.eigenvalue], s1.manifold_volume) == 2 * m
 
     def test_requires_equal_degrees(self):
         with pytest.raises(SphereInputError):
@@ -147,15 +150,21 @@ class TestConjectureMixedAverage:
     def test_equal_degrees_reduce_to_main_average(self):
         basis = build_basis(2, 3)
         report = conjecture_mixed_average([basis, basis], trials=1, seed=0)
-        assert report.theory == pytest.approx(
-            theoretical_average(2, basis.eigenvalue, basis.manifold_volume)
-        )
+        assert report.theory == average_zero_count([basis, basis], trials=1, seed=0).theory == 12.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(m1=st.integers(1, 50), m2=st.integers(1, 50))
+    def test_mixed_value_is_sqrt_of_eigenvalue_product(self, m1, m2):
+        lam1, lam2 = build_basis(2, m1).eigenvalue, build_basis(2, m2).eigenvalue
+        value = theoretical_average(2, [lam1, lam2], 4 * math.pi)
+        assert value == math.sqrt(lam1 * lam2)
+        assert value == theoretical_average(2, [lam2, lam1], 4 * math.pi)
 
     def test_conjectured_value_degree_1_2(self):
         report = conjecture_mixed_average(
             [build_basis(2, 1), build_basis(2, 2)], trials=1, seed=0
         )
-        assert report.theory == pytest.approx(math.sqrt(12.0), rel=1e-12)
+        assert report.theory == math.sqrt(12.0)
         assert report.experimental
         assert report.formula_id == "SEC5_CONJECTURE"
 
