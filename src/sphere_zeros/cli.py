@@ -23,6 +23,7 @@ set on a single-run subcommand.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -355,7 +356,9 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="report path (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="sphere-zeros",
         description="Zero counting and identity verification for eigenfunctions on S1 and S2",
@@ -424,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _validate_common(args)
         report, code = args.func(args)

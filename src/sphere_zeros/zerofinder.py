@@ -13,10 +13,19 @@ The S2 solver enumerates Z(u1, u2) = {x : u1(x) = u2(x) = 0} by
 4. running a damped Newton iteration in the moving tangent plane from each
    surviving centroid, reprojecting to the sphere after every step, and
    adding the antipode of every converged point (u(-x) = (-1)^m u(x), so
-   Z(u1, u2) = -Z(u1, u2) and the other half needs no search),
+   Z(u1, u2) = -Z(u1, u2) and the other half needs no search); the starts
+   of the first two depths run in one Newton sweep, each with the step caps
+   of its own mesh,
 5. deduplicating converged points by geodesic radius, and
-6. cross-checking the count against a re-run one depth deeper; a
-   disagreement escalates once more and marks the result DepthEscalated.
+6. cross-checking the count against the pass one depth deeper, over the
+   children of the faces the first pass kept; a disagreement runs a third
+   pass on its own, one depth deeper again, and marks the result
+   DepthEscalated.
+
+A start takes the same steps whichever starts share its sweep, up to the
+last bits: a start left alone in an iteration takes BLAS's matrix-vector
+path for the kernel's ``vals @ rows.T``, which may round differently from
+the matrix-matrix path.
 
 Agreement across depths is a strong heuristic completeness certificate, not
 a proof; the Bezout ceiling 2*m1*m2 is checked on every result.  Samples
@@ -262,18 +271,23 @@ def _newton_refine(
     groups: list[tuple[HarmonicBasis, list[int]]],
     rows: np.ndarray,
     starts: np.ndarray,
-    mesh: SphereMesh,
-) -> np.ndarray:
-    """Newton iteration in the moving tangent plane; returns converged points."""
-    if starts.shape[0] == 0:
-        return starts
+    max_edge: float | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton iteration in the moving tangent plane from each start.
+
+    ``max_edge`` is the edge length of the mesh a start came from, one value
+    for all starts or one per start; it sets that start's step, travel and
+    path caps.  Every start runs on its own, so it takes the same steps in
+    any sweep up to the last bits (see the module docstring).  Returns the
+    final points and the mask of the starts that converged.
+    """
     pts = starts.copy()
     origin = starts
     path = np.zeros(pts.shape[0])
     state = np.zeros(pts.shape[0], dtype=np.int8)   # 0 active, 1 converged, 2 failed
-    step_cap = mesh.max_edge
-    travel_cap = 3.0 * mesh.max_edge                # ~ the face's 2-ring neighborhood
-    path_cap = 4.0 * mesh.max_edge                  # kills oscillating non-roots early
+    step_cap = np.broadcast_to(max_edge, path.shape)
+    travel_cap = 3.0 * step_cap                     # ~ the face's 2-ring neighborhood
+    path_cap = 4.0 * step_cap                       # kills oscillating non-roots early
     for _ in range(MAX_NEWTON_ITER):
         active = np.nonzero(state == 0)[0]
         if active.size == 0:
@@ -297,17 +311,17 @@ def _newton_refine(
         s1 = (-vals[:, 0] * j11 + vals[:, 1] * j01) / det
         s2 = (-vals[:, 1] * j00 + vals[:, 0] * j10) / det
         step = np.hypot(s1, s2)
-        damp = np.minimum(1.0, step_cap / np.maximum(step, 1e-300))
+        damp = np.minimum(1.0, step_cap[active] / np.maximum(step, 1e-300))
         moved = p + (s1 * damp)[:, None] * e1 + (s2 * damp)[:, None] * e2
         moved /= np.linalg.norm(moved, axis=1, keepdims=True)
         pts[active] = moved
         path[active] += step * damp
         travel = np.arccos(np.clip(np.einsum("pi,pi->p", moved, origin[active]), -1.0, 1.0))
-        failed = singular | (travel > travel_cap) | (path[active] > path_cap)
+        failed = singular | (travel > travel_cap[active]) | (path[active] > path_cap[active])
         converged = (step < NEWTON_TOL) & ~failed
         state[active[converged]] = 1
         state[active[failed]] = 2
-    return pts[state == 1]
+    return pts, state == 1
 
 
 def _dedup_and_sort(points: np.ndarray, stop_above: int) -> np.ndarray:
@@ -351,39 +365,60 @@ def _children_of(faces: np.ndarray, parent_depth: int) -> np.ndarray:
     return np.sort(np.concatenate([faces + k * nf_parent for k in range(4)]))
 
 
-def _solve_at_depth(
+def _solve_passes(
     bases: list[HarmonicBasis],
     rows: np.ndarray,
-    depth: int,
     bezout: int,
-    face_pool: np.ndarray,
-) -> tuple[np.ndarray, float, bool, np.ndarray]:
-    """One full pipeline pass over the faces of ``face_pool``, mirrored.
+    depth: int,
+    pool: np.ndarray,
+    passes: int,
+) -> list[tuple[np.ndarray, float, bool, np.ndarray]]:
+    """Pipeline passes at depths ``depth, ..., depth + passes - 1`` with one Newton sweep.
 
-    The converged points that pass the residual filter are joined by their
-    antipodes before dedup.  Every kernel operation is sign-symmetric, so
-    the antipode of a point passes the filter with the same residual bits;
-    with ``face_pool`` one half of the mesh, the union is the zero set of
-    the whole sphere.
+    The first pass searches the faces of ``pool``, and each later pass the
+    children of the faces the pass before it kept.  Those pools are known
+    before any Newton step, so the starts of every pass run through one
+    ``_newton_refine`` call, each capped by the edge length of its own mesh,
+    and one residual filter; the converged points are then split back by
+    pass.  The points of a pass are joined by their antipodes before dedup.
+    Every kernel operation is sign-symmetric, so the antipode of a point
+    passes the filter with the same residual bits; with ``pool`` one half of
+    the mesh, the union is the zero set of the whole sphere.
 
-    Returns (zeros, max_residual, degenerate_flag, surviving_faces); the
-    children of the surviving faces are the pool one depth deeper.
+    Returns one (zeros, max_residual, degenerate_flag, surviving_faces) per
+    pass; the children of the last pass's surviving faces are the pool one
+    depth deeper.
     """
-    mesh = icosphere(depth)
     groups = _degree_groups(bases)
     lipschitz = np.array([math.sqrt(b.gradient_sum_constant) for b in bases])
-    starts, faces_kept = _candidate_faces(mesh, groups, rows, lipschitz, face_pool)
-    converged = _newton_refine(groups, rows, starts, mesh)
-    if converged.shape[0]:
-        resid = np.abs(_row_values(groups, rows, converged)).max(axis=1)
-        converged = converged[resid <= RESIDUAL_FACTOR * lipschitz.max()]
-    converged = np.concatenate([converged, -converged])
-    zeros = _dedup_and_sort(converged, DEGENERACY_FACTOR * bezout)
-    degenerate = zeros.shape[0] > DEGENERACY_FACTOR * bezout
-    max_residual = 0.0
-    if zeros.shape[0] and not degenerate:
-        max_residual = float(np.abs(_row_values(groups, rows, zeros)).max())
-    return zeros, max_residual, degenerate, faces_kept
+    starts, edges, kept = [], [], []
+    for d in range(depth, depth + passes):
+        if kept:
+            pool = _children_of(kept[-1], d - 1)
+        mesh = icosphere(d)
+        centroids, faces = _candidate_faces(mesh, groups, rows, lipschitz, pool)
+        starts.append(centroids)
+        edges.append(mesh.max_edge)
+        kept.append(faces)
+    sizes = [s.shape[0] for s in starts]
+    owner = np.repeat(np.arange(passes), sizes)
+    points, ok = _newton_refine(groups, rows, np.concatenate(starts), np.repeat(edges, sizes))
+    points, owner = points[ok], owner[ok]
+    if points.shape[0]:
+        resid = np.abs(_row_values(groups, rows, points)).max(axis=1)
+        ok = resid <= RESIDUAL_FACTOR * lipschitz.max()
+        points, owner = points[ok], owner[ok]
+    results = []
+    for k in range(passes):
+        converged = points[owner == k]
+        converged = np.concatenate([converged, -converged])
+        zeros = _dedup_and_sort(converged, DEGENERACY_FACTOR * bezout)
+        degenerate = zeros.shape[0] > DEGENERACY_FACTOR * bezout
+        max_residual = 0.0
+        if zeros.shape[0] and not degenerate:
+            max_residual = float(np.abs(_row_values(groups, rows, zeros)).max())
+        results.append((zeros, max_residual, degenerate, kept[k]))
+    return results
 
 
 def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
@@ -395,7 +430,8 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     every descendant of face i congruent to i mod 20).  Each later pass
     searches the children of the faces the previous pass kept; the count
     is Complete once two consecutive passes agree within the Bezout ceiling,
-    and DepthEscalated if that has not happened by the third pass.
+    and DepthEscalated if that has not happened by the third pass.  The
+    first two passes share one Newton sweep; the third runs alone.
     """
     bases = list(bases)
     if len(bases) != 2 or any(b.sphere_dim != 2 for b in bases):
@@ -413,11 +449,15 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     bezout = 2 * bases[0].degree * bases[1].degree
     depth0 = default_mesh_depth(max_degree)
 
-    pool = np.flatnonzero(np.arange(20 * 4**depth0) % 20 < 10)
+    half = np.flatnonzero(np.arange(20 * 4**depth0) % 20 < 10)
+    results = _solve_passes(bases, rows, bezout, depth0, half, passes=2)
     count = None
     for depth in range(depth0, depth0 + 3):
-        zeros, residual, degenerate, kept = _solve_at_depth(bases, rows, depth, bezout, pool)
         escalated = depth == depth0 + 2
+        if escalated:
+            pool = _children_of(kept, depth - 1)
+            results += _solve_passes(bases, rows, bezout, depth, pool, passes=1)
+        zeros, residual, degenerate, kept = results[depth - depth0]
         if degenerate:
             return ZeroFindingResult.degenerate(bezout, depth, int(escalated))
         if escalated or zeros.shape[0] == count <= bezout:
@@ -430,7 +470,6 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
                 escalations=int(escalated),
             )
         count = zeros.shape[0]
-        pool = _children_of(kept, depth)
 
 
 def find_common_zeros_s1(basis: HarmonicBasis, sample: SubspaceSample) -> ZeroFindingResult:

@@ -261,6 +261,18 @@ class TestGoldenReports:
         capsys.readouterr()
         assert out.read_bytes() == golden.read_bytes()
 
+    def test_one_parser_serves_consecutive_calls(self, tmp_path, capsys):
+        # main parses with one parser per process, so the defaults and the
+        # values of one call must not leak into the next.
+        assert build_parser() is build_parser()
+        names = ["conjecture_1_2", "average_s2_m2", "average_s1_m3", "conjecture_1_2"]
+        for k, name in enumerate(names + ["count_s2_m3_seed5"]):
+            argv, expected_code = GOLDEN_REPORTS[name]
+            out = tmp_path / f"{k}.json"
+            assert main(argv + ["--out", str(out)]) == expected_code
+            assert out.read_bytes() == (DATA / "reports" / f"{name}.json").read_bytes(), name
+        capsys.readouterr()
+
 
 class TestOutputFormats:
     def test_csv_has_header_and_row(self, capsys):

@@ -355,10 +355,13 @@ class TestAntipodalHalves:
         for _ in range(samples):
             rows = zerofinder._unit_rows(gaussian_sample(degrees, rng).rows)
             bezout = 2 * degrees[0] * degrees[1]
-            results = [zerofinder._solve_at_depth(bases, rows, depth, bezout, p) for p in pools]
-            half_zeros = results[0][0]
+            results = [
+                zerofinder._solve_passes(bases, rows, bezout, depth, p, passes=1) for p in pools
+            ]
+            assert all(len(r) == 1 for r in results)
+            half_zeros = results[0][0][0]
             assert half_zeros.shape[0] > 0
-            for zeros, _, degenerate, _ in results:
+            for [(zeros, _, degenerate, _)] in results:
                 assert not degenerate
                 assert zeros.shape == half_zeros.shape
                 gap = np.linalg.norm(zeros[:, None, :] - half_zeros[None, :, :], axis=2)
@@ -375,31 +378,33 @@ def _points(k):
 class TestDepthConfirmation:
     """Every exit of the pass loop, with scripted (zeros, residual, degenerate, kept) passes.
 
-    Degree 1 on both rows: base depth 4 and Bezout ceiling 2.
+    Degree 1 on both rows: base depth 4 and Bezout ceiling 2.  The first
+    two passes come from one ``_solve_passes`` call, the third from another.
     """
 
     DEPTH0 = 4
     KEPT = [np.array([3, 17, 40]), np.array([5, 90, 700]), np.array([11])]
 
-    def run(self, monkeypatch, passes):
+    def run(self, monkeypatch, outcomes):
         calls = []
 
-        def scripted(bases, rows, depth, bezout, face_pool=None):
-            calls.append((depth, face_pool))
-            zeros, residual, degenerate = passes[len(calls) - 1]
-            return zeros, residual, degenerate, self.KEPT[len(calls) - 1]
+        def scripted(bases, rows, bezout, depth, pool, passes):
+            done = sum(n for _, _, n in calls)
+            calls.append((depth, pool, passes))
+            return [(*outcomes[done + k], self.KEPT[done + k]) for k in range(passes)]
 
-        monkeypatch.setattr(zerofinder, "_solve_at_depth", scripted)
+        monkeypatch.setattr(zerofinder, "_solve_passes", scripted)
         basis = build_basis(2, 1)
         sample = make_sample([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1, 1])
         result = find_common_zeros_s2([basis, basis], sample)
-        assert [depth for depth, _ in calls] == [self.DEPTH0 + k for k in range(len(calls))]
+        assert [(depth, n) for depth, _, n in calls] == [(self.DEPTH0, 2), (self.DEPTH0 + 2, 1)][
+            : len(calls)
+        ]
         assert np.array_equal(calls[0][1], _half_mesh(self.DEPTH0))
         assert calls[0][1].size == 20 * 4**self.DEPTH0 // 2
-        for k in range(1, len(calls)):
-            pool = calls[k][1]
-            assert np.array_equal(pool, _children_of(self.KEPT[k - 1], self.DEPTH0 + k - 1))
-        return result, len(calls)
+        if len(calls) == 2:
+            assert np.array_equal(calls[1][1], _children_of(self.KEPT[1], self.DEPTH0 + 1))
+        return result, sum(n for _, _, n in calls)
 
     def test_complete_at_depth0_plus_1(self, monkeypatch):
         zeros = _points(2)
@@ -426,14 +431,155 @@ class TestDepthConfirmation:
 
     @pytest.mark.parametrize("at", [0, 1, 2])
     def test_degenerate_at_each_depth(self, monkeypatch, at):
-        # The first two passes disagree, so every pass up to ``at`` runs.
+        # The first two passes disagree, so every pass up to ``at`` is read;
+        # the second pass is computed even when the first is Degenerate.
         disagreeing = [(_points(0), 0.0, False), (_points(2), 1e-14, False)]
-        result, passes = self.run(monkeypatch, disagreeing[:at] + [(_points(9), 0.0, True)])
-        assert passes == at + 1
+        outcomes = disagreeing[:at] + [(_points(9), 0.0, True)] + disagreeing[at + 1 : 2]
+        result, passes = self.run(monkeypatch, outcomes)
+        assert passes == max(2, at + 1)
         assert result.status is SolverStatus.DEGENERATE
         assert (result.depth_used, result.escalations) == (self.DEPTH0 + at, int(at == 2))
         assert math.isnan(result.max_residual)
         assert result.zeros.shape == (0, 3)
+
+
+def _sweep_inputs(degrees, rng):
+    """Bases, unit rows, degree groups and Lipschitz bounds of one Gaussian sample."""
+    bases = [build_basis(2, m) for m in degrees]
+    rows = zerofinder._unit_rows(gaussian_sample(degrees, rng).rows)
+    lipschitz = np.array([math.sqrt(b.gradient_sum_constant) for b in bases])
+    return bases, rows, zerofinder._degree_groups(bases), lipschitz
+
+
+SWEEP_DEGREES = pytest.mark.parametrize(
+    "degrees, samples",
+    [((1, 1), 4), ((2, 5), 3), ((3, 3), 4), ((8, 8), 1)],
+    ids=["1x1", "2x5", "3x3", "8x8"],
+)
+
+
+class TestNewtonSweep:
+    """One Newton sweep serves the first two depths; each start keeps its own caps."""
+
+    @SWEEP_DEGREES
+    def test_cap_array_of_one_value_matches_the_scalar_cap(self, degrees, samples):
+        depth = zerofinder.default_mesh_depth(max(degrees))
+        mesh = icosphere(depth)
+        rng = np.random.default_rng([*degrees, 11])
+        for _ in range(samples):
+            _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
+            pool = _half_mesh(depth)
+            starts, _ = zerofinder._candidate_faces(mesh, groups, rows, lipschitz, pool)
+            scalar = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
+            array = zerofinder._newton_refine(
+                groups, rows, starts, np.full(starts.shape[0], mesh.max_edge)
+            )
+            assert scalar[1].any()
+            assert np.array_equal(scalar[0], array[0])
+            assert np.array_equal(scalar[1], array[1])
+
+    @SWEEP_DEGREES
+    def test_one_sweep_over_both_depths_matches_two_sweeps(self, degrees, samples):
+        depth = zerofinder.default_mesh_depth(max(degrees))
+        meshes = [icosphere(depth), icosphere(depth + 1)]
+        rng = np.random.default_rng([*degrees, 13])
+        for _ in range(samples):
+            _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
+            first, kept = zerofinder._candidate_faces(
+                meshes[0], groups, rows, lipschitz, _half_mesh(depth)
+            )
+            second, _ = zerofinder._candidate_faces(
+                meshes[1], groups, rows, lipschitz, _children_of(kept, depth)
+            )
+            caps = np.repeat([meshes[0].max_edge, meshes[1].max_edge], [len(first), len(second)])
+            points, ok = zerofinder._newton_refine(
+                groups, rows, np.concatenate([first, second]), caps
+            )
+            split = np.cumsum([len(first)])
+            for starts, mesh, pts, conv in zip(
+                (first, second), meshes, np.split(points, split), np.split(ok, split)
+            ):
+                alone, alone_ok = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
+                assert conv.sum() == alone_ok.sum() > 0
+                assert np.array_equal(conv, alone_ok)
+                assert np.max(np.abs(pts[conv] - alone[alone_ok])) <= 1e-15
+
+    @SWEEP_DEGREES
+    def test_two_passes_match_two_single_passes(self, degrees, samples):
+        depth = zerofinder.default_mesh_depth(max(degrees))
+        bezout = 2 * degrees[0] * degrees[1]
+        rng = np.random.default_rng([*degrees, 17])
+        for _ in range(samples):
+            bases, rows, _, _ = _sweep_inputs(degrees, rng)
+            half = _half_mesh(depth)
+            both = zerofinder._solve_passes(bases, rows, bezout, depth, half, passes=2)
+            first = zerofinder._solve_passes(bases, rows, bezout, depth, half, passes=1)
+            pool = _children_of(first[0][3], depth)
+            second = zerofinder._solve_passes(bases, rows, bezout, depth + 1, pool, passes=1)
+            assert len(both) == 2
+            for (zeros, residual, degenerate, kept), (z1, r1, d1, k1) in zip(both, first + second):
+                assert zeros.shape == z1.shape and zeros.shape[0] > 0
+                assert np.max(np.abs(zeros - z1)) <= 1e-15
+                assert residual == pytest.approx(r1, abs=1e-15)
+                assert degenerate is d1 is False
+                assert np.array_equal(kept, k1)
+
+
+class TestPassSweep:
+    """The real pipeline: which pools each depth searches, and how many Newton sweeps run."""
+
+    def spy(self, monkeypatch):
+        faces, sweeps = [], []
+        candidate_faces, newton_refine = zerofinder._candidate_faces, zerofinder._newton_refine
+
+        def candidates(mesh, groups, rows, lipschitz, face_pool):
+            starts, kept = candidate_faces(mesh, groups, rows, lipschitz, face_pool)
+            faces.append((mesh.depth, face_pool, kept))
+            return starts, kept
+
+        def newton(groups, rows, starts, max_edge):
+            sweeps.append(starts.shape[0])
+            return newton_refine(groups, rows, starts, max_edge)
+
+        monkeypatch.setattr(zerofinder, "_candidate_faces", candidates)
+        monkeypatch.setattr(zerofinder, "_newton_refine", newton)
+        return faces, sweeps
+
+    def check_pools(self, faces, depth0):
+        assert [depth for depth, _, _ in faces] == [depth0 + k for k in range(len(faces))]
+        assert np.array_equal(faces[0][1], _half_mesh(depth0))
+        for k in range(1, len(faces)):
+            assert np.array_equal(faces[k][1], _children_of(faces[k - 1][2], depth0 + k - 1))
+
+    def test_complete_result_makes_one_newton_sweep(self, monkeypatch):
+        faces, sweeps = self.spy(monkeypatch)
+        basis = build_basis(2, 3)
+        sample = gaussian_sample([3, 3], np.random.default_rng(17))
+        result = find_common_zeros_s2([basis, basis], sample)
+        assert result.status is SolverStatus.COMPLETE
+        assert len(faces) == 2 and len(sweeps) == 1
+        self.check_pools(faces, zerofinder.default_mesh_depth(3))
+
+    def test_third_pass_makes_a_second_newton_sweep(self, monkeypatch):
+        faces, sweeps = self.spy(monkeypatch)
+        solve_passes = zerofinder._solve_passes
+
+        def disagreeing(bases, rows, bezout, depth, pool, passes):
+            # The second pass loses a zero, so the two counts disagree.
+            results = solve_passes(bases, rows, bezout, depth, pool, passes)
+            if passes == 2:
+                zeros, residual, degenerate, kept = results[1]
+                results[1] = (zeros[1:], residual, degenerate, kept)
+            return results
+
+        monkeypatch.setattr(zerofinder, "_solve_passes", disagreeing)
+        basis = build_basis(2, 3)
+        sample = gaussian_sample([3, 3], np.random.default_rng(17))
+        result = find_common_zeros_s2([basis, basis], sample)
+        assert result.status is SolverStatus.DEPTH_ESCALATED
+        assert len(faces) == 3 and len(sweeps) == 2
+        self.check_pools(faces, zerofinder.default_mesh_depth(3))
+        assert sweeps[0] > 0 and sweeps[1] > 0
 
 
 class TestBezout:
