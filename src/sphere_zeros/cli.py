@@ -15,9 +15,9 @@ stdout or ``--out``.  Reports embed the full configuration, the package
 version, and the closed-form reference value with a stable formula
 identifier, and are byte-identical for identical configuration and seed.
 
-Exit codes: 0 success, 2 invalid configuration or input, 3 a verified
-identity or count bound failed (the report names it), 4 a degenerate zero
-set on a single-run subcommand.
+Exit codes: 0 success, 2 invalid configuration or input or an ``--out``
+path that cannot be written, 3 a verified identity or count bound failed
+(the report names it), 4 a degenerate zero set on a single-run subcommand.
 """
 
 from __future__ import annotations
@@ -146,8 +146,11 @@ def write_report(report: dict, fmt: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report to {out_path}: {exc.strerror}") from exc
 
 
 def _validate_common(args) -> None:
@@ -431,10 +434,10 @@ def main(argv=None) -> int:
     try:
         _validate_common(args)
         report, code = args.func(args)
+        write_report(report, args.format, args.out)
     except (ConfigError, SphereInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    write_report(report, args.format, args.out)
     if code == EXIT_INVARIANT_VIOLATION:
         print(f"invariant violation: {report.get('violated')}", file=sys.stderr)
     elif code == EXIT_DEGENERATE:

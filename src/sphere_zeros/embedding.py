@@ -22,6 +22,7 @@ from .harmonics import (
     as_sphere_point,
     eval_basis_many,
     eval_gradient_many,
+    point_blocks,
     random_sphere_points,
     tangent_frames,
 )
@@ -154,13 +155,21 @@ def image_volume(
         nodes = np.stack([np.cos(t), np.sin(t)], axis=1)
         weights = np.full(n_nodes, 2.0 * math.pi / n_nodes)
 
-    gram = _gram(basis, nodes)
-    det = gram[0, 0] if n == 1 else gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2
-    gram_residual = float(np.max(np.abs(gram - target * np.eye(n)[:, :, None])))
+    # One block of nodes at a time, so the (P, N, n+1) gradients and (P, N)
+    # values of all nodes are never held at once.  Each per-node entry
+    # depends on its node only, and the sums run over the full arrays, so
+    # the report has the bits of a single pass.
+    det, deviation, sq_norm = np.empty((3, nodes.shape[0]))
+    for block in point_blocks(basis, nodes.shape[0]):
+        gram = _gram(basis, nodes[block])
+        det[block] = gram[0, 0] if n == 1 else gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2
+        deviation[block] = np.max(np.abs(gram - target * np.eye(n)[:, :, None]), axis=(0, 1))
+        values = eval_basis_many(basis, nodes[block])
+        sq_norm[block] = np.einsum("pk,pk->p", values, values)
+    gram_residual = float(np.max(deviation))
 
     numeric_integral = float(np.sum(weights * np.sqrt(np.clip(det, 0.0, None))))
-    values = eval_basis_many(basis, nodes)
-    radius = float(math.sqrt(np.mean(np.einsum("pk,pk->p", values, values))))
+    radius = float(math.sqrt(np.mean(sq_norm)))
     predicted = target ** (n / 2.0) * basis.manifold_volume / degree_count
     return EmbeddingReport(
         sphere_dim=n,

@@ -298,13 +298,22 @@ def _contract_rows(grads: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return total
 
 
+def point_blocks(basis: HarmonicBasis, count: int) -> list[slice]:
+    """Slices of at most EVAL_BLOCK // N points that cover ``count`` points in order."""
+    step = max(1, EVAL_BLOCK // basis.dimension)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
 def _evaluate(basis: HarmonicBasis, points: np.ndarray, want_gradient: bool, rows=None):
     """Values and, if asked, tangential gradients on S1 or S2, EVAL_BLOCK // N points at a time.
 
     Without ``rows``: values (P, N) and gradients (P, N, n+1).  With rows of
     shape (r, N): the row functions' values (P, r) and gradients (P, r, n+1).
-    Every entry depends on its own point only, so chunking leaves the bits
-    unchanged.
+    The basis values and gradients, and the row gradients, of a point depend
+    on that point only, so chunking leaves their bits unchanged.  The row
+    values come from one ``vals @ rows.T`` over all P points; at P = 1 BLAS
+    takes its matrix-vector path, so a point alone in its call may get row
+    values that differ in the last bits from those of a larger call.
     """
     pts = _check_points(points, basis.sphere_dim)
     kernel = _eval_s1 if basis.sphere_dim == 1 else _eval_s2
@@ -314,14 +323,13 @@ def _evaluate(basis: HarmonicBasis, points: np.ndarray, want_gradient: bool, row
     if want_gradient:
         width = basis.dimension if rows is None else rows.shape[0]
         grads = np.empty((npts, width, basis.ambient_dim))
-    step = max(1, EVAL_BLOCK // basis.dimension)
-    for lo in range(0, npts, step):
-        v, g = kernel(basis.degree, pts[lo : lo + step], want_gradient)
-        vals[lo : lo + step] = v.T
+    for block in point_blocks(basis, npts):
+        v, g = kernel(basis.degree, pts[block], want_gradient)
+        vals[block] = v.T
         if want_gradient:
             if rows is not None:
                 g = _contract_rows(g, rows)
-            grads[lo : lo + step] = g.transpose(2, 1, 0)
+            grads[block] = g.transpose(2, 1, 0)
     if rows is not None:
         vals = vals @ rows.T
     return vals, grads
@@ -518,9 +526,7 @@ def _max_over_blocks(basis: HarmonicBasis, points: np.ndarray, deviation) -> flo
     bits of one call over all points without holding its (P, N) values or
     (P, N, n+1) gradients.
     """
-    step = max(1, EVAL_BLOCK // basis.dimension)
-    blocks = range(0, len(points), step)
-    return max(float(np.max(deviation(points[lo : lo + step]))) for lo in blocks)
+    return max(float(np.max(deviation(points[b]))) for b in point_blocks(basis, len(points)))
 
 
 def unsold_residual(basis: HarmonicBasis, points: np.ndarray) -> float:

@@ -18,9 +18,10 @@ The S2 solver enumerates Z(u1, u2) = {x : u1(x) = u2(x) = 0} by
    of its own mesh,
 5. deduplicating converged points by geodesic radius, and
 6. cross-checking the count against the pass one depth deeper, over the
-   children of the faces the first pass kept; a disagreement runs a third
-   pass on its own, one depth deeper again, and marks the result
-   DepthEscalated.
+   children of the faces the first pass kept: equal counts within the
+   Bezout ceiling are Complete; otherwise a third pass runs on its own, one
+   depth deeper again, and its zeros are the DepthEscalated result.  The
+   max residual is evaluated once, on the zeros the result reports.
 
 A start takes the same steps whichever starts share its sweep, up to the
 last bits: a start left alone in an iteration takes BLAS's matrix-vector
@@ -366,13 +367,14 @@ def _children_of(faces: np.ndarray, parent_depth: int) -> np.ndarray:
 
 
 def _solve_passes(
-    bases: list[HarmonicBasis],
+    groups: list[tuple[HarmonicBasis, list[int]]],
     rows: np.ndarray,
-    bezout: int,
+    lipschitz: np.ndarray,
+    cap: int,
     depth: int,
     pool: np.ndarray,
     passes: int,
-) -> list[tuple[np.ndarray, float, bool, np.ndarray]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pipeline passes at depths ``depth, ..., depth + passes - 1`` with one Newton sweep.
 
     The first pass searches the faces of ``pool``, and each later pass the
@@ -385,12 +387,10 @@ def _solve_passes(
     passes the filter with the same residual bits; with ``pool`` one half of
     the mesh, the union is the zero set of the whole sphere.
 
-    Returns one (zeros, max_residual, degenerate_flag, surviving_faces) per
-    pass; the children of the last pass's surviving faces are the pool one
-    depth deeper.
+    Returns one (zeros, kept faces) pair per pass.  Dedup stops once a pass
+    has more than ``cap`` zeros, and the children of a pass's kept faces are
+    the pool one depth deeper.
     """
-    groups = _degree_groups(bases)
-    lipschitz = np.array([math.sqrt(b.gradient_sum_constant) for b in bases])
     starts, edges, kept = [], [], []
     for d in range(depth, depth + passes):
         if kept:
@@ -408,30 +408,22 @@ def _solve_passes(
         resid = np.abs(_row_values(groups, rows, points)).max(axis=1)
         ok = resid <= RESIDUAL_FACTOR * lipschitz.max()
         points, owner = points[ok], owner[ok]
-    results = []
-    for k in range(passes):
-        converged = points[owner == k]
-        converged = np.concatenate([converged, -converged])
-        zeros = _dedup_and_sort(converged, DEGENERACY_FACTOR * bezout)
-        degenerate = zeros.shape[0] > DEGENERACY_FACTOR * bezout
-        max_residual = 0.0
-        if zeros.shape[0] and not degenerate:
-            max_residual = float(np.abs(_row_values(groups, rows, zeros)).max())
-        results.append((zeros, max_residual, degenerate, kept[k]))
-    return results
+    found = [points[owner == k] for k in range(passes)]
+    return [(_dedup_and_sort(np.concatenate([p, -p]), cap), f) for p, f in zip(found, kept)]
 
 
 def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     """Enumerate Z(u1, u2) on S2 for the two coefficient rows of ``sample``.
 
-    The base mesh depth is ``default_mesh_depth`` of the larger degree.  The
-    first pass searches the half of that mesh descended from icosahedron
-    faces 0-9 (their antipodes are faces 10-19, and ``_children_of`` keeps
-    every descendant of face i congruent to i mod 20).  Each later pass
-    searches the children of the faces the previous pass kept; the count
-    is Complete once two consecutive passes agree within the Bezout ceiling,
-    and DepthEscalated if that has not happened by the third pass.  The
-    first two passes share one Newton sweep; the third runs alone.
+    The base mesh depth D is ``default_mesh_depth`` of the larger degree.
+    One ``_solve_passes`` call searches depth D on the half of the mesh
+    descended from icosahedron faces 0-9 (their antipodes are faces 10-19,
+    and ``_children_of`` keeps every descendant of face i congruent to i
+    mod 20), and depth D + 1 on the children of the faces it kept.  A pass
+    with more than ``DEGENERACY_FACTOR`` times the Bezout ceiling zeros makes
+    the result Degenerate.  Two equal counts within the ceiling are
+    Complete at D + 1; otherwise one more pass at D + 2, on the children of
+    the faces kept at D + 1, gives the DepthEscalated result.
     """
     bases = list(bases)
     if len(bases) != 2 or any(b.sphere_dim != 2 for b in bases):
@@ -443,33 +435,38 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     for i, b in enumerate(bases):
         if sample.source_degrees[i] != b.degree:
             raise SphereInputError(f"row {i} degree does not match its basis")
+        if sample.rows.shape[1] < b.dimension or np.any(sample.rows[i, b.dimension :]):
+            raise SphereInputError(f"row {i} must hold {b.dimension} coefficients, then only zeros")
     # Unit rows: rescaling a function does not move its zeros, and it turns
     # the gradient-sum identity into an exact Lipschitz constant.
     rows = _unit_rows(sample.rows)
+    groups = _degree_groups(bases)
+    lipschitz = np.array([math.sqrt(b.gradient_sum_constant) for b in bases])
     bezout = 2 * bases[0].degree * bases[1].degree
+    cap = DEGENERACY_FACTOR * bezout
     depth0 = default_mesh_depth(max_degree)
 
+    def result(zeros: np.ndarray, depth: int, escalations: int) -> ZeroFindingResult:
+        if zeros.shape[0] > cap:
+            return ZeroFindingResult.degenerate(bezout, depth, escalations)
+        return ZeroFindingResult(
+            zeros=zeros,
+            status=SolverStatus.DEPTH_ESCALATED if escalations else SolverStatus.COMPLETE,
+            max_residual=float(np.abs(_row_values(groups, rows, zeros)).max(initial=0.0)),
+            bezout_bound=bezout,
+            depth_used=depth,
+            escalations=escalations,
+        )
+
     half = np.flatnonzero(np.arange(20 * 4**depth0) % 20 < 10)
-    results = _solve_passes(bases, rows, bezout, depth0, half, passes=2)
-    count = None
-    for depth in range(depth0, depth0 + 3):
-        escalated = depth == depth0 + 2
-        if escalated:
-            pool = _children_of(kept, depth - 1)
-            results += _solve_passes(bases, rows, bezout, depth, pool, passes=1)
-        zeros, residual, degenerate, kept = results[depth - depth0]
-        if degenerate:
-            return ZeroFindingResult.degenerate(bezout, depth, int(escalated))
-        if escalated or zeros.shape[0] == count <= bezout:
-            return ZeroFindingResult(
-                zeros=zeros,
-                status=SolverStatus.DEPTH_ESCALATED if escalated else SolverStatus.COMPLETE,
-                max_residual=residual,
-                bezout_bound=bezout,
-                depth_used=depth,
-                escalations=int(escalated),
-            )
-        count = zeros.shape[0]
+    (z0, _), (z1, kept) = _solve_passes(groups, rows, lipschitz, cap, depth0, half, passes=2)
+    if z0.shape[0] > cap:
+        return ZeroFindingResult.degenerate(bezout, depth0)
+    if z1.shape[0] > cap or z1.shape[0] == z0.shape[0] <= bezout:
+        return result(z1, depth0 + 1, 0)
+    pool = _children_of(kept, depth0 + 1)
+    [(z2, _)] = _solve_passes(groups, rows, lipschitz, cap, depth0 + 2, pool, passes=1)
+    return result(z2, depth0 + 2, 1)
 
 
 def find_common_zeros_s1(basis: HarmonicBasis, sample: SubspaceSample) -> ZeroFindingResult:

@@ -323,6 +323,17 @@ class TestOutputFormats:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no-parent", "directory"])
+    def test_unwritable_out_exits_2(self, target, tmp_path, capsys):
+        out = tmp_path / target
+        code, stdout, err = run_cli(
+            ["invariants", "--degree", "2", "--points", "5", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write the report to {out}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["count", "--degree", "3", "--degree2", "13"],
         ["average", "--degree", "13", "--trials", "2"],
@@ -485,7 +496,7 @@ class TestArgumentFuzz:
         with pytest.raises(_Evaluated):
             _run_without_evaluation(_argv(command, VALID_ARGVS[command]))
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(corrupted_argvs())
     def test_one_bad_flag_exits_2_with_an_error_line(self, argv):
         code, out, err = _run_without_evaluation(argv)

@@ -13,6 +13,7 @@ from sphere_zeros import (
     covering_degree,
     dilation_check,
     embedding,
+    harmonics,
     image_volume,
 )
 from sphere_zeros.harmonics import (
@@ -169,3 +170,21 @@ class TestImageVolume:
     def test_gram_residual_small(self):
         report = image_volume(build_basis(2, 4), quadrature_depth=3)
         assert report.max_gram_residual <= 1e-6 * report.dilation
+
+    @pytest.mark.parametrize("sphere, m", [(2, 3), (1, 5)])
+    def test_block_size_does_not_change_bits(self, sphere, m, monkeypatch):
+        # The quadrature evaluates EVAL_BLOCK // N nodes at a time; the
+        # report keeps the bits of the default block size.
+        basis = build_basis(sphere, m)
+        whole = image_volume(basis, quadrature_depth=3)
+        grams, values = [], []
+        gram, basis_values = embedding._gram, embedding.eval_basis_many
+        monkeypatch.setattr(embedding, "_gram", lambda b, p: grams.append(len(p)) or gram(b, p))
+        monkeypatch.setattr(
+            embedding, "eval_basis_many", lambda b, p: values.append(len(p)) or basis_values(b, p)
+        )
+        monkeypatch.setattr(harmonics, "EVAL_BLOCK", 7 * basis.dimension)
+        split = image_volume(basis, quadrature_depth=3)
+        assert repr(split) == repr(whole)
+        assert max(grams) == 7 and sum(grams) > 100
+        assert values[-len(grams) :] == grams

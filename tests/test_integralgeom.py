@@ -152,7 +152,7 @@ class TestConjectureMixedAverage:
         report = conjecture_mixed_average([basis, basis], trials=1, seed=0)
         assert report.theory == average_zero_count([basis, basis], trials=1, seed=0).theory == 12.0
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(m1=st.integers(1, 50), m2=st.integers(1, 50))
     def test_mixed_value_is_sqrt_of_eigenvalue_product(self, m1, m2):
         lam1, lam2 = build_basis(2, m1).eigenvalue, build_basis(2, m2).eigenvalue

@@ -1,6 +1,8 @@
 """Zero enumeration on S1/S2, count ceilings, and circle restrictions."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from sphere_zeros.zerofinder import (
 )
 
 NORTH = np.array([0.0, 0.0, 1.0])
+FROZEN_OUTCOMES = Path(__file__).parent / "data" / "solver" / "s2_outcomes.json"
 
 
 def gaussian_sample(degrees, rng):
@@ -107,7 +110,7 @@ class TestInputChecks:
         sample = make_sample([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1, 1])
         assert find_common_zeros_s2([basis, basis], sample).count == 2
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(st.lists(st.one_of(ANY_FLOAT, st.floats(-10.0, 10.0)), min_size=14, max_size=14))
     def test_coefficient_rows_fuzz(self, values):
         basis = build_basis(2, 3)
@@ -214,7 +217,7 @@ class TestSphereZeros:
                 nearest = min(geodesic(-z, w) for w in result.zeros)
                 assert nearest < 1e-6
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(m1=st.integers(1, 4), m2=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_zero_set_is_even_bounded_and_antipodal(self, m1, m2, seed):
         # u(-x) = (-1)^m u(x) for every degree m, so Z(u1, u2) = -Z(u1, u2).
@@ -228,7 +231,7 @@ class TestSphereZeros:
         for z in result.zeros:
             assert min(geodesic(-z, w) for w in result.zeros) < 1e-6
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(m1=st.integers(1, 4), m2=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_count_is_rotation_invariant(self, m1, m2, seed):
         # A rotation carries zeros across the seam between the searched half
@@ -293,6 +296,35 @@ class TestSphereZeros:
         with pytest.raises(Exception):
             find_common_zeros_s2([basis, basis], sample)
 
+    def test_rows_narrower_than_their_basis_rejected(self):
+        basis = build_basis(2, 2)
+        sample = make_sample([[1, 0, 0], [0, 1, 0]], [2, 2])
+        with pytest.raises(SphereInputError, match="5 coefficients"):
+            find_common_zeros_s2([basis, basis], sample)
+
+    @pytest.mark.parametrize("second", [[0, 0, 1, 9, 9], [0, 2, 0, 0, 0]], ids=["tail", "padded"])
+    def test_entries_past_the_basis_rejected(self, second):
+        # The padded case passes the rank check only through the entries past
+        # the basis; read as degree-1 rows, the two functions are parallel.
+        basis = build_basis(2, 1)
+        sample = make_sample([[0, 1, 0, 5, 5], second], [1, 1])
+        with pytest.raises(SphereInputError, match="3 coefficients"):
+            find_common_zeros_s2([basis, basis], sample)
+
+    def test_frozen_outcomes(self):
+        # 84 Gaussian pairs (six per degree pair, drawn by sample_subspace),
+        # 15 tilted zonal pairs and one Degenerate pair (x and xz), with the
+        # (count, status, depth_used, escalations) the solver gave them when
+        # it still checked depths in a loop.
+        cases = json.loads(FROZEN_OUTCOMES.read_text())
+        assert len(cases) == 100
+        outcomes = []
+        for case in cases:
+            bases = [build_basis(2, m) for m in case["degrees"]]
+            r = find_common_zeros_s2(bases, make_sample(case["rows"], case["degrees"]))
+            outcomes.append([r.count, r.status.value, r.depth_used, r.escalations])
+        assert outcomes == [case["outcome"] for case in cases]
+
 
 def _half_mesh(depth):
     """Faces descended from icosahedron faces 0-9."""
@@ -352,17 +384,18 @@ class TestAntipodalHalves:
         faces = np.arange(20 * 4**depth)
         pools = [_half_mesh(depth), faces[faces % 20 >= 10], faces]
         rng = np.random.default_rng([*degrees, 7])
+        cap = zerofinder.DEGENERACY_FACTOR * 2 * degrees[0] * degrees[1]
         for _ in range(samples):
-            rows = zerofinder._unit_rows(gaussian_sample(degrees, rng).rows)
-            bezout = 2 * degrees[0] * degrees[1]
+            _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
             results = [
-                zerofinder._solve_passes(bases, rows, bezout, depth, p, passes=1) for p in pools
+                zerofinder._solve_passes(groups, rows, lipschitz, cap, depth, p, passes=1)
+                for p in pools
             ]
             assert all(len(r) == 1 for r in results)
             half_zeros = results[0][0][0]
             assert half_zeros.shape[0] > 0
-            for [(zeros, _, degenerate, _)] in results:
-                assert not degenerate
+            for [(zeros, _)] in results:
+                assert zeros.shape[0] <= cap
                 assert zeros.shape == half_zeros.shape
                 gap = np.linalg.norm(zeros[:, None, :] - half_zeros[None, :, :], axis=2)
                 assert gap.min(axis=1).max() < 1e-12
@@ -376,27 +409,30 @@ def _points(k):
 
 
 class TestDepthConfirmation:
-    """Every exit of the pass loop, with scripted (zeros, residual, degenerate, kept) passes.
+    """Every exit of the depth check, with scripted (zeros, kept) passes.
 
-    Degree 1 on both rows: base depth 4 and Bezout ceiling 2.  The first
-    two passes come from one ``_solve_passes`` call, the third from another.
+    Degree 1 on both rows: base depth 4, Bezout ceiling 2 and degeneracy cap
+    8.  The first two passes come from one ``_solve_passes`` call, the third
+    from another.
     """
 
     DEPTH0 = 4
     KEPT = [np.array([3, 17, 40]), np.array([5, 90, 700]), np.array([11])]
+    BASIS = build_basis(2, 1)
+    ROWS = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
     def run(self, monkeypatch, outcomes):
         calls = []
 
-        def scripted(bases, rows, bezout, depth, pool, passes):
+        def scripted(groups, rows, lipschitz, cap, depth, pool, passes):
+            assert cap == 8
             done = sum(n for _, _, n in calls)
             calls.append((depth, pool, passes))
-            return [(*outcomes[done + k], self.KEPT[done + k]) for k in range(passes)]
+            return [(outcomes[done + k], self.KEPT[done + k]) for k in range(passes)]
 
         monkeypatch.setattr(zerofinder, "_solve_passes", scripted)
-        basis = build_basis(2, 1)
-        sample = make_sample([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1, 1])
-        result = find_common_zeros_s2([basis, basis], sample)
+        sample = make_sample(self.ROWS, [1, 1])
+        result = find_common_zeros_s2([self.BASIS, self.BASIS], sample)
         assert [(depth, n) for depth, _, n in calls] == [(self.DEPTH0, 2), (self.DEPTH0 + 2, 1)][
             : len(calls)
         ]
@@ -406,35 +442,35 @@ class TestDepthConfirmation:
             assert np.array_equal(calls[1][1], _children_of(self.KEPT[1], self.DEPTH0 + 1))
         return result, sum(n for _, _, n in calls)
 
+    def max_abs_value(self, zeros):
+        """max |u_i| over the points, for the unit rows of ``ROWS``."""
+        return float(np.abs(eval_basis_many(self.BASIS, zeros) @ np.array(self.ROWS).T).max())
+
     def test_complete_at_depth0_plus_1(self, monkeypatch):
         zeros = _points(2)
-        result, passes = self.run(monkeypatch, [(_points(2), 3e-14, False), (zeros, 2e-14, False)])
+        result, passes = self.run(monkeypatch, [_points(2), zeros])
         assert passes == 2
         assert result.status is SolverStatus.COMPLETE
         assert (result.depth_used, result.escalations) == (self.DEPTH0 + 1, 0)
-        assert result.max_residual == 2e-14
+        assert result.max_residual == self.max_abs_value(zeros) > 0.0
         assert np.array_equal(result.zeros, zeros)
 
     @pytest.mark.parametrize("counts", [(0, 2), (4, 4)], ids=["disagree", "above-bezout"])
     def test_depth_escalated_at_depth0_plus_2(self, monkeypatch, counts):
         zeros = _points(2)
-        result, passes = self.run(monkeypatch, [
-            (_points(counts[0]), 0.0, False),
-            (_points(counts[1]), 1e-14, False),
-            (zeros, 4e-14, False),
-        ])
+        result, passes = self.run(monkeypatch, [_points(counts[0]), _points(counts[1]), zeros])
         assert passes == 3
         assert result.status is SolverStatus.DEPTH_ESCALATED
         assert (result.depth_used, result.escalations) == (self.DEPTH0 + 2, 1)
-        assert result.max_residual == 4e-14
+        assert result.max_residual == self.max_abs_value(zeros) > 0.0
         assert np.array_equal(result.zeros, zeros)
 
     @pytest.mark.parametrize("at", [0, 1, 2])
     def test_degenerate_at_each_depth(self, monkeypatch, at):
         # The first two passes disagree, so every pass up to ``at`` is read;
         # the second pass is computed even when the first is Degenerate.
-        disagreeing = [(_points(0), 0.0, False), (_points(2), 1e-14, False)]
-        outcomes = disagreeing[:at] + [(_points(9), 0.0, True)] + disagreeing[at + 1 : 2]
+        disagreeing = [_points(0), _points(2)]
+        outcomes = disagreeing[:at] + [_points(9)] + disagreeing[at + 1 : 2]
         result, passes = self.run(monkeypatch, outcomes)
         assert passes == max(2, at + 1)
         assert result.status is SolverStatus.DEGENERATE
@@ -507,30 +543,34 @@ class TestNewtonSweep:
     @SWEEP_DEGREES
     def test_two_passes_match_two_single_passes(self, degrees, samples):
         depth = zerofinder.default_mesh_depth(max(degrees))
-        bezout = 2 * degrees[0] * degrees[1]
+        cap = zerofinder.DEGENERACY_FACTOR * 2 * degrees[0] * degrees[1]
         rng = np.random.default_rng([*degrees, 17])
         for _ in range(samples):
-            bases, rows, _, _ = _sweep_inputs(degrees, rng)
+            _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
             half = _half_mesh(depth)
-            both = zerofinder._solve_passes(bases, rows, bezout, depth, half, passes=2)
-            first = zerofinder._solve_passes(bases, rows, bezout, depth, half, passes=1)
-            pool = _children_of(first[0][3], depth)
-            second = zerofinder._solve_passes(bases, rows, bezout, depth + 1, pool, passes=1)
+            args = groups, rows, lipschitz, cap
+            both = zerofinder._solve_passes(*args, depth, half, passes=2)
+            first = zerofinder._solve_passes(*args, depth, half, passes=1)
+            pool = _children_of(first[0][1], depth)
+            second = zerofinder._solve_passes(*args, depth + 1, pool, passes=1)
             assert len(both) == 2
-            for (zeros, residual, degenerate, kept), (z1, r1, d1, k1) in zip(both, first + second):
-                assert zeros.shape == z1.shape and zeros.shape[0] > 0
+            for (zeros, kept), (z1, k1) in zip(both, first + second):
+                assert zeros.shape == z1.shape and 0 < zeros.shape[0] <= cap
                 assert np.max(np.abs(zeros - z1)) <= 1e-15
+                residual = np.abs(zerofinder._row_values(groups, rows, zeros)).max()
+                r1 = np.abs(zerofinder._row_values(groups, rows, z1)).max()
                 assert residual == pytest.approx(r1, abs=1e-15)
-                assert degenerate is d1 is False
                 assert np.array_equal(kept, k1)
 
 
 class TestPassSweep:
-    """The real pipeline: which pools each depth searches, and how many Newton sweeps run."""
+    """The real pipeline: which pools each depth searches, how many Newton sweeps run,
+    and how many row-value evaluations."""
 
     def spy(self, monkeypatch):
-        faces, sweeps = [], []
+        faces, sweeps, values = [], [], []
         candidate_faces, newton_refine = zerofinder._candidate_faces, zerofinder._newton_refine
+        row_values = zerofinder._row_values
 
         def candidates(mesh, groups, rows, lipschitz, face_pool):
             starts, kept = candidate_faces(mesh, groups, rows, lipschitz, face_pool)
@@ -541,9 +581,14 @@ class TestPassSweep:
             sweeps.append(starts.shape[0])
             return newton_refine(groups, rows, starts, max_edge)
 
+        def evaluated(groups, rows, pts):
+            values.append(pts)
+            return row_values(groups, rows, pts)
+
         monkeypatch.setattr(zerofinder, "_candidate_faces", candidates)
         monkeypatch.setattr(zerofinder, "_newton_refine", newton)
-        return faces, sweeps
+        monkeypatch.setattr(zerofinder, "_row_values", evaluated)
+        return faces, sweeps, values
 
     def check_pools(self, faces, depth0):
         assert [depth for depth, _, _ in faces] == [depth0 + k for k in range(len(faces))]
@@ -551,25 +596,33 @@ class TestPassSweep:
         for k in range(1, len(faces)):
             assert np.array_equal(faces[k][1], _children_of(faces[k - 1][2], depth0 + k - 1))
 
+    def check_values(self, values, faces, sweeps, result):
+        # One evaluation per searched depth (its centroids), one residual
+        # filter per sweep, and one max residual, on the reported zeros.
+        assert all(kept.size for _, _, kept in faces)
+        assert len(values) == len(faces) + len(sweeps) + 1
+        assert values[-1] is result.zeros
+
     def test_complete_result_makes_one_newton_sweep(self, monkeypatch):
-        faces, sweeps = self.spy(monkeypatch)
+        faces, sweeps, values = self.spy(monkeypatch)
         basis = build_basis(2, 3)
         sample = gaussian_sample([3, 3], np.random.default_rng(17))
         result = find_common_zeros_s2([basis, basis], sample)
         assert result.status is SolverStatus.COMPLETE
         assert len(faces) == 2 and len(sweeps) == 1
         self.check_pools(faces, zerofinder.default_mesh_depth(3))
+        self.check_values(values, faces, sweeps, result)
 
     def test_third_pass_makes_a_second_newton_sweep(self, monkeypatch):
-        faces, sweeps = self.spy(monkeypatch)
+        faces, sweeps, values = self.spy(monkeypatch)
         solve_passes = zerofinder._solve_passes
 
-        def disagreeing(bases, rows, bezout, depth, pool, passes):
+        def disagreeing(groups, rows, lipschitz, cap, depth, pool, passes):
             # The second pass loses a zero, so the two counts disagree.
-            results = solve_passes(bases, rows, bezout, depth, pool, passes)
+            results = solve_passes(groups, rows, lipschitz, cap, depth, pool, passes)
             if passes == 2:
-                zeros, residual, degenerate, kept = results[1]
-                results[1] = (zeros[1:], residual, degenerate, kept)
+                zeros, kept = results[1]
+                results[1] = (zeros[1:], kept)
             return results
 
         monkeypatch.setattr(zerofinder, "_solve_passes", disagreeing)
@@ -580,6 +633,7 @@ class TestPassSweep:
         assert len(faces) == 3 and len(sweeps) == 2
         self.check_pools(faces, zerofinder.default_mesh_depth(3))
         assert sweeps[0] > 0 and sweeps[1] > 0
+        self.check_values(values, faces, sweeps, result)
 
 
 class TestBezout:
@@ -709,7 +763,7 @@ class TestCircleRestriction:
             assert gap[gap < UNIT_CIRCLE_TOL].max(initial=0.0) <= 1e-11
             assert gap[gap >= UNIT_CIRCLE_TOL].min(initial=np.inf) >= 1e-5
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(m=st.integers(1, 24), seed=st.integers(0, 2**32 - 1), turn=st.floats(0.0, 2.0 * math.pi))
     def test_count_is_even_bounded_and_rotation_invariant(self, m, seed, turn):
         basis = build_basis(2, m)
