@@ -40,7 +40,7 @@ from .zerofinder import (
 )
 
 MAX_RESAMPLES_PER_TRIAL = 64
-CIRCLE_CHUNK_POINTS = 8192    # sample points per batch of Crofton circles, 2m + 2 per circle
+CIRCLE_CHUNK_POINTS = 8192    # sample points per batch of Crofton circles, m + 1 per circle
 
 
 def sphere_surface_area(k: int) -> float:
@@ -255,9 +255,10 @@ def crofton_length(basis: HarmonicBasis, coeffs, trials: int, seed: int = 0) -> 
 
     Circle t is drawn from the generator (seed, t, attempt), and only the
     circles on which u vanishes identically are redrawn, with attempt + 1.
-    Each batch of CIRCLE_CHUNK_POINTS // (2m + 2) circles is one call of
-    ``restrict_to_great_circle``, which counts each circle's crossings on
-    its own, so the report does not depend on the batching.
+    Each batch of CIRCLE_CHUNK_POINTS // (m + 1) circles is one call of
+    ``restrict_to_great_circle``, which samples u at m + 1 points of each
+    circle and counts each circle's crossings on its own, so the report
+    does not depend on the batching.
     """
     if basis.sphere_dim != 2:
         raise SphereInputError("length estimation is defined on S2")
@@ -268,7 +269,7 @@ def crofton_length(basis: HarmonicBasis, coeffs, trials: int, seed: int = 0) -> 
         raise SphereInputError("zero function has no zero-level curve")
     counts = np.empty(trials, dtype=np.int64)
     resamples = 0
-    chunk = max(1, CIRCLE_CHUNK_POINTS // (2 * basis.degree + 2))
+    chunk = max(1, CIRCLE_CHUNK_POINTS // (basis.degree + 1))
     for start in range(0, trials, chunk):
         pending = np.arange(start, min(start + chunk, trials))
         for attempt in range(MAX_RESAMPLES_PER_TRIAL):

@@ -35,9 +35,11 @@ reported Degenerate (the common zero set is judged non-finite, e.g. two
 axis-symmetric functions about the same axis).
 
 ``restrict_to_great_circle`` finds the roots of one S2 function on a batch
-of great circles, the crossings that ``crofton_length`` counts: on each
-circle the function is a trigonometric polynomial, and its roots are the
-unit-circle eigenvalues of a companion matrix.
+of great circles, the crossings that ``crofton_length`` counts.  On each
+circle the function is a trigonometric polynomial whose frequencies all have
+the parity of m, so it is a degree-m polynomial in e^{2it}: m + 1 samples
+on half the circle and one FFT give its coefficients, and the unit-circle
+eigenvalues of its m x m companion matrix give the roots in antipodal pairs.
 """
 
 from __future__ import annotations
@@ -251,13 +253,8 @@ def _candidate_faces(
     keep = np.ones(face_pool.size, dtype=bool)
     for basis, idx in groups:
         values = _basis_at_vertices(basis.degree, mesh.depth) @ rows[idx, : basis.dimension].T
-        v0, v1, v2 = values[corner[0]], values[corner[1]], values[corner[2]]
-        vmax = np.maximum(np.maximum(v0, v1), v2)
-        vmin = np.minimum(np.minimum(v0, v1), v2)
-        amin = np.minimum(np.minimum(np.abs(v0), np.abs(v1)), np.abs(v2))
-        sign_change = (vmax >= 0.0) & (vmin <= 0.0)
         clearance = lipschitz[idx][None, :] * cov[:, None]
-        keep &= (sign_change | (amin <= clearance)).all(axis=1)
+        keep &= _may_vanish(*(values[v] for v in corner), clearance)
     cand = face_pool[keep]
     if cand.size == 0:
         return np.empty((0, 3)), cand
@@ -266,6 +263,24 @@ def _candidate_faces(
     vals = _row_values(groups, rows, centroids)
     ok = (np.abs(vals) <= lipschitz[None, :] * reach[:, None]).all(axis=1)
     return centroids[ok], cand[ok]
+
+
+def _may_vanish(
+    v0: np.ndarray, v1: np.ndarray, v2: np.ndarray, clearance: np.ndarray
+) -> np.ndarray:
+    """Mask (F,) of the faces whose (F, n) vertex values leave every u_i room to vanish.
+
+    Face f is kept when, for every i, some vertex value is within
+    ``clearance`` (>= 0) of zero or the values change sign; that is exactly
+    vmin <= c and vmax >= -c.  Forward: a sign change gives vmin <= 0 <= c
+    and vmax >= 0 >= -c, and |v_k| <= c gives vmin <= v_k <= c and
+    vmax >= v_k >= -c.  Back: without a sign change all values are > 0, and
+    then the smallest |v_k| is vmin <= c, or all are < 0, and then it is
+    -vmax <= c.
+    """
+    vmax = np.maximum(np.maximum(v0, v1), v2)
+    vmin = np.minimum(np.minimum(v0, v1), v2)
+    return ((vmin <= clearance) & (vmax >= -clearance)).all(axis=1)
 
 
 def _newton_refine(
@@ -497,48 +512,64 @@ def find_common_zeros_s1(basis: HarmonicBasis, sample: SubspaceSample) -> ZeroFi
     )
 
 
-def _circle_eigenvalues(
+def _circle_polynomials(
     basis: HarmonicBasis, c: np.ndarray, frames: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Companion eigenvalues of u on K great circles at once, for validated inputs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of u as a polynomial P(zeta) on K great circles at once, for validated inputs.
 
     ``frames`` has shape (K, 2, 3).  On the circle of frame (e1, e2),
-    u(cos t e1 + sin t e2) = sum_{j=-m..m} c_j e^{ijt}, so its roots are the
-    angles of the unit-modulus roots of z^m sum_j c_j z^j (Boyd, "Finding
-    the zeros of a univariate equation", SIAM Review 55, 2013).  One basis
-    evaluation at 2m + 2 equispaced angles per circle and one FFT give the
-    c_j; one batched ``eigvals`` of the 2m x 2m companion matrices gives the
-    roots.  Each circle is transformed and solved on its own, so its
-    eigenvalues do not depend on the other circles in the batch.
+    u(cos t e1 + sin t e2) = sum_{j=-m..m} c_j e^{ijt}.  As u(-x) = (-1)^m u(x),
+    u(t + pi) = (-1)^m u(t), so only the c_j with j = m mod 2 are nonzero and
+    e^{imt} u(t) = P(zeta) = sum_{l=0..m} c_{2l-m} zeta^l with zeta = e^{2it}.
+    One basis evaluation at the m + 1 angles t_k = pi k / (m + 1), the twist
+    e^{i m t_k} = (-1)^k e^{-i t_k} and one FFT of length m + 1 per circle
+    give (m + 1) * (c_{-m}, c_{2-m}, ..., c_m).  Each circle is transformed
+    on its own, so its coefficients do not depend on the other circles in
+    the batch.
 
-    Returns the eigenvalues (L, 2m) of the L circles on which u does not
-    vanish identically, their indices, and the mask (K,) of the circles on
-    which it does.
+    Returns the coefficients (K, m + 1) of P in ascending powers and the
+    mask (K,) of the circles on which u vanishes identically.
     """
-    k = frames.shape[0]
     m = basis.degree
-    n_samples = 2 * m + 2
-    t = 2.0 * math.pi * np.arange(n_samples) / n_samples
+    t = math.pi * np.arange(m + 1) / (m + 1)
     e1, e2 = frames[:, 0, :], frames[:, 1, :]
     pts = np.cos(t)[None, :, None] * e1[:, None, :] + np.sin(t)[None, :, None] * e2[:, None, :]
-    vals = (eval_basis_many(basis, pts.reshape(-1, 3)) @ c).reshape(k, n_samples)
+    vals = (eval_basis_many(basis, pts.reshape(-1, 3)) @ c).reshape(-1, m + 1)
     scale = float(np.linalg.norm(c)) * basis.embedding_radius   # sup bound for |u|
     degenerate = np.max(np.abs(vals), axis=1) <= 1e-12 * scale
-
-    live = np.flatnonzero(~degenerate)
-    spec = np.fft.fft(vals[live], axis=1)
-    # n_samples * (c_{-m}, ..., c_m), the coefficients of z^m sum_j c_j z^j in
-    # ascending powers; bin m + 1 holds the absent frequency m + 1.
-    poly = np.concatenate([spec[:, m + 2 :], spec[:, : m + 1]], axis=1)
+    twist = (-1.0) ** np.arange(m + 1) * np.exp(-1j * t)
+    poly = np.fft.fft(vals * twist, axis=1)
     # A leading coefficient below the rounding of the FFT (an even zonal
     # function is constant on its equator) is raised to that level; this
     # only moves roots near 0 and infinity.
     lead = poly[:, -1]
     floor = np.finfo(float).eps * np.max(np.abs(poly), axis=1)
-    lead = np.where(np.abs(lead) < floor, floor, lead)
-    companion = np.zeros((live.size, 2 * m, 2 * m), dtype=complex)
-    companion[:, np.arange(1, 2 * m), np.arange(2 * m - 1)] = 1.0
-    companion[:, :, -1] = -poly[:, :-1] / lead[:, None]
+    poly[:, -1] = np.where(np.abs(lead) < floor, floor, lead)
+    return poly, degenerate
+
+
+def _circle_eigenvalues(
+    basis: HarmonicBasis, c: np.ndarray, frames: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Companion eigenvalues zeta of u on K great circles at once, for validated inputs.
+
+    The roots of u on a circle are the angles t with e^{2it} a unit-modulus
+    root of the degree-m ``_circle_polynomials`` P(zeta), and each such zeta
+    gives the antipodal pair t, t + pi (Boyd, "Finding the zeros of a
+    univariate equation", SIAM Review 55, 2013).  One batched ``eigvals`` of
+    the m x m companion matrices gives the zeta; each matrix is solved on
+    its own, so its eigenvalues do not depend on the other circles.
+
+    Returns the eigenvalues (L, m) of the L circles on which u does not
+    vanish identically, their indices, and the mask (K,) of the circles on
+    which it does.
+    """
+    m = basis.degree
+    poly, degenerate = _circle_polynomials(basis, c, frames)
+    live = np.flatnonzero(~degenerate)
+    companion = np.zeros((live.size, m, m), dtype=complex)
+    companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+    companion[:, :, -1] = -poly[live, :-1] / poly[live, -1:]
     return np.linalg.eigvals(companion), live, degenerate
 
 
@@ -548,10 +579,12 @@ def restrict_to_great_circle(
     """Roots of u on K great circles at once, one per orthonormal 2-frame.
 
     ``frames`` has shape (K, 2, 3) with K >= 1; one circle is ``frame[None]``.
-    A root is a companion eigenvalue z of ``_circle_eigenvalues`` with
-    |log|z|| < UNIT_CIRCLE_TOL, at angle arg z.  A double root (the circle
-    tangent to the zero set) may split into a pair just off the unit circle
-    and then be missed; for random circles this is a measure-zero event.
+    Each companion eigenvalue zeta = z^2 of ``_circle_eigenvalues`` with
+    |log|zeta|| < 2 * UNIT_CIRCLE_TOL (that is, |log|z|| < UNIT_CIRCLE_TOL)
+    gives the two roots arg(zeta) / 2 and arg(zeta) / 2 + pi, mod 2*pi.  A
+    double root (the circle tangent to the zero set) may split into a pair
+    just off the unit circle and then be missed; for random circles this is
+    a measure-zero event.
 
     Returns the root angles of all circles in one array, ordered by circle
     and ascending in [0, 2*pi) within a circle; the root count of each
@@ -568,11 +601,13 @@ def restrict_to_great_circle(
     gram_err = np.max(np.abs(np.einsum("kij,klj->kil", frames, frames) - np.eye(2)))
     if not gram_err <= 1e-10:
         raise SphereInputError(f"circle frames are not orthonormal (residual {gram_err:.2e})")
-    z, live, degenerate = _circle_eigenvalues(basis, c, frames)
-    radius = np.abs(z)
-    on_circle = (radius > math.exp(-UNIT_CIRCLE_TOL)) & (radius < math.exp(UNIT_CIRCLE_TOL))
-    owner = np.broadcast_to(live[:, None], z.shape)[on_circle]
-    angles = np.angle(z[on_circle]) % (2.0 * math.pi)
+    zeta, live, degenerate = _circle_eigenvalues(basis, c, frames)
+    radius, tol = np.abs(zeta), 2.0 * UNIT_CIRCLE_TOL        # |zeta| = |z|^2
+    on_circle = (radius > math.exp(-tol)) & (radius < math.exp(tol))
+    owner = np.broadcast_to(live[:, None], zeta.shape)[on_circle]
+    half = np.angle(zeta[on_circle]) / 2.0
+    angles = np.concatenate([half, half + math.pi]) % (2.0 * math.pi)
     angles[angles == 2.0 * math.pi] = 0.0       # a tiny negative angle rounds up to 2*pi
+    owner = np.concatenate([owner, owner])
     order = np.lexsort((angles, owner))
     return angles[order], np.bincount(owner, minlength=frames.shape[0]), degenerate

@@ -245,7 +245,7 @@ class TestCroftonLength:
             crofton_length(basis, np.zeros(5), trials=10)
 
     def test_batched_counts_match_single_circles(self, monkeypatch):
-        # 150 circles at m = 3 fit one batch of 1024; then 7 circles per batch.
+        # 150 circles at m = 3 fit one batch of 2048; then 7 circles per batch.
         basis = build_basis(2, 3)
         coeffs = np.random.default_rng(19).standard_normal(7)
         seed, trials = 21, 150
@@ -258,7 +258,7 @@ class TestCroftonLength:
         report = crofton_length(basis, coeffs, trials=trials, seed=seed)
         assert report.mean_crossings == sum(single) / trials
         assert report.degenerate_resamples == 0
-        monkeypatch.setattr(integralgeom, "CIRCLE_CHUNK_POINTS", 7 * 8)   # 7 circles per batch
+        monkeypatch.setattr(integralgeom, "CIRCLE_CHUNK_POINTS", 7 * 4)   # 7 circles per batch
         assert crofton_length(basis, coeffs, trials=trials, seed=seed) == report
 
     def test_degenerate_circle_in_a_batch(self):

@@ -35,6 +35,7 @@ from sphere_zeros.zerofinder import (
 
 NORTH = np.array([0.0, 0.0, 1.0])
 FROZEN_OUTCOMES = Path(__file__).parent / "data" / "solver" / "s2_outcomes.json"
+FROZEN_CIRCLE_COUNTS = Path(__file__).parent / "data" / "circles" / "counts.json"
 
 
 def gaussian_sample(degrees, rng):
@@ -402,6 +403,39 @@ class TestAntipodalHalves:
                 assert gap.min(axis=0).max() < 1e-12
 
 
+class TestFaceExclusion:
+    @staticmethod
+    def sign_change_or_near_vertex(v0, v1, v2, clearance):
+        """Reference: every u_i changes sign on the face or comes within clearance at a vertex."""
+        vmax = np.maximum(np.maximum(v0, v1), v2)
+        vmin = np.minimum(np.minimum(v0, v1), v2)
+        amin = np.minimum(np.minimum(np.abs(v0), np.abs(v1)), np.abs(v2))
+        return (((vmax >= 0.0) & (vmin <= 0.0)) | (amin <= clearance)).all(axis=1)
+
+    @settings(max_examples=300)
+    @given(data=st.data(), faces=st.integers(1, 8), n=st.integers(1, 3))
+    def test_may_vanish_matches_sign_change_or_near_vertex(self, data, faces, n):
+        # Signed zeros, exact ties at +-c and its neighbours, and sign-definite triples.
+        clearance = np.array(
+            data.draw(st.lists(st.sampled_from([0.0, 1e-300, 0.5]) | st.floats(0.0, 4.0),
+                               min_size=n, max_size=n))
+        )
+        values = np.empty((3, faces, n))
+        for f in range(faces):
+            for i, c in enumerate(clearance):
+                near = [0.0, -0.0, c, -c, np.nextafter(c, np.inf), -np.nextafter(c, np.inf),
+                        np.nextafter(c, -np.inf), -np.nextafter(c, -np.inf)]
+                sign = data.draw(st.sampled_from([None, 1.0, -1.0]))
+                for k in range(3):
+                    v = data.draw(st.sampled_from(near) | st.floats(-8.0, 8.0))
+                    values[k, f, i] = v if sign is None else math.copysign(v, sign)
+        clearance = np.broadcast_to(clearance, (faces, n))
+        assert np.array_equal(
+            zerofinder._may_vanish(*values, clearance),
+            self.sign_change_or_near_vertex(*values, clearance),
+        )
+
+
 def _points(k):
     """k distinct unit vectors standing in for a pass's zeros."""
     t = np.arange(k) + 0.5
@@ -757,9 +791,9 @@ class TestCircleRestriction:
         rng = np.random.default_rng([m, 31])
         frames = np.stack([random_circle_frame(rng) for _ in range(100)])
         for coeffs in (zonal(basis, NORTH), rng.standard_normal(2 * m + 1)):
-            z, _, degenerate = _circle_eigenvalues(basis, coeffs, frames)
+            zeta, _, degenerate = _circle_eigenvalues(basis, coeffs, frames)
             assert not degenerate.any()
-            gap = np.abs(np.log(np.abs(z)))
+            gap = np.abs(np.log(np.abs(zeta))) / 2.0      # |log|z|| for zeta = z^2
             assert gap[gap < UNIT_CIRCLE_TOL].max(initial=0.0) <= 1e-11
             assert gap[gap >= UNIT_CIRCLE_TOL].min(initial=np.inf) >= 1e-5
 
@@ -775,6 +809,49 @@ class TestCircleRestriction:
         _, counts, _ = restrict_to_great_circle(basis, coeffs, np.stack([[e1, e2], turned]))
         assert counts[0] % 2 == 0 and counts[0] <= 2 * m
         assert counts[1] == counts[0]
+
+    @settings(max_examples=50)
+    @given(m=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    def test_roots_come_in_antipodal_pairs(self, m, seed):
+        # u(t + pi) = (-1)^m u(t): each unit-circle zeta gives the roots t and t + pi.
+        basis = build_basis(2, m)
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(2 * m + 1)
+        frames = np.stack([random_circle_frame(rng) for _ in range(3)])
+        roots, counts, degenerate = restrict_to_great_circle(basis, coeffs, frames)
+        zeta, live, _ = _circle_eigenvalues(basis, coeffs, frames)
+        assert not degenerate.any() and live.tolist() == [0, 1, 2]
+        unit = np.abs(np.log(np.abs(zeta))) < 2.0 * UNIT_CIRCLE_TOL
+        assert counts.tolist() == (2 * unit.sum(axis=1)).tolist()
+        for frame, t in zip(frames, np.split(roots, np.cumsum(counts)[:-1])):
+            first, second = np.split(t, 2)
+            assert np.max(np.abs(second - first - math.pi), initial=0.0) < 1e-12
+            assert np.max(np.abs(values_on_circle(basis, coeffs, frame, t)), initial=0.0) < 1e-10
+
+    def test_frozen_counts(self):
+        # 100 seeded random circles for each m in {1, 2, 3, 5, 8, 12, 16, 24, 50},
+        # with the zonal function about the north pole and with a Gaussian
+        # one; and the zonal functions of degrees 3 and 4 with the equator as
+        # the 101st circle (the odd one vanishes on it, the even one is a
+        # nonzero constant there).  The counts and degenerate circles are
+        # those the full-circle 2m x 2m companion gave them.
+        cases = json.loads(FROZEN_CIRCLE_COUNTS.read_text())
+        assert len(cases) == 20
+        expected, outcomes = [], []
+        for case in cases:
+            basis = build_basis(2, case["degree"])
+            rng = np.random.default_rng(case["seed"])
+            if case["function"] == "zonal":
+                coeffs = zonal(basis, NORTH)
+            else:
+                coeffs = rng.standard_normal(basis.dimension)
+            frames = [random_circle_frame(rng) for _ in range(case["circles"])]
+            if case["equator"]:
+                frames.append(self.EQUATOR)
+            _, counts, degenerate = restrict_to_great_circle(basis, coeffs, np.stack(frames))
+            outcomes.append([counts.tolist(), np.flatnonzero(degenerate).tolist()])
+            expected.append([case["counts"], case["degenerate"]])
+        assert outcomes == expected
 
     def test_rejects_bad_frame(self):
         basis = build_basis(2, 2)
