@@ -192,7 +192,7 @@ def run_average(args) -> tuple[dict, int]:
         fields = ["degree", "degree2"]
         bases = [build_basis(2, args.degree), build_basis(2, args.degree2)]
         estimator = conjecture_mixed_average
-    fields += ["trials", "seed", "depth", "newton_tol", "max_iter", "dedup_radius"]
+    fields += ["trials", "seed", "newton_tol", "max_iter", "dedup_radius"]
     report = _report_skeleton(args.command, _config_echo(args, fields))
     result = estimator(bases, args.trials, args.seed)
     report["theory"] = {"value": result.theory, "formula_id": result.formula_id}
@@ -210,10 +210,7 @@ def run_average(args) -> tuple[dict, int]:
 
 
 def run_count(args) -> tuple[dict, int]:
-    config_fields = [
-        "sphere", "degree", "degree2", "seed", "depth",
-        "newton_tol", "max_iter", "dedup_radius",
-    ]
+    config_fields = ["sphere", "degree", "degree2", "seed", "newton_tol", "max_iter", "dedup_radius"]
     report = _report_skeleton("count", _config_echo(args, config_fields))
     rng = np.random.default_rng([args.seed, 0, 0])
     if args.sphere == 1:
@@ -237,7 +234,7 @@ def run_count(args) -> tuple[dict, int]:
 
 
 def run_zonal(args) -> tuple[dict, int]:
-    config_fields = ["degree", "alpha", "depth", "newton_tol", "max_iter", "dedup_radius"]
+    config_fields = ["degree", "alpha", "newton_tol", "max_iter", "dedup_radius"]
     threshold = zonal_tilt_threshold(args.degree)
     if args.alpha is None:
         args.alpha = threshold / 2.0
@@ -348,10 +345,8 @@ def run_crofton_length(args) -> tuple[dict, int]:
 
 
 def _add_solver_defaults(parser: argparse.ArgumentParser) -> None:
-    # Fixed solver constants, echoed in the report's config; depth None is the automatic mesh.
-    parser.set_defaults(
-        depth=None, newton_tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER, dedup_radius=DEDUP_RADIUS
-    )
+    # Fixed solver constants, echoed in the report's config.
+    parser.set_defaults(newton_tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER, dedup_radius=DEDUP_RADIUS)
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:

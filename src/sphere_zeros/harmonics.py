@@ -27,13 +27,14 @@ The kernel works on blocks of about EVAL_BLOCK basis values, one row per
 basis function, and steps every order mu of the Legendre recurrence at once,
 so a block costs O(m) array operations and its temporaries stay bounded.
 Values-only calls skip the derivative recurrence.  Given coefficient rows,
-``eval_basis_and_gradient_many`` returns the gradients of the row functions
-directly (the Newton step of the S2 zero finder uses this), and never forms
-the (P, N, n+1) gradient tensor.  Every value and gradient is bit-identical
-to the straightforward evaluation: per-order recurrences, the (P, N, n+1)
-tensor projected with ``einsum("pki,pi->pk")`` and contracted with
-``einsum("pkj,rk->prj")``.  The summation orders that make this so are
-pinned by a reference test.
+``eval_basis_many`` and ``eval_basis_and_gradient_many`` return the values
+and gradients of the row functions directly (the S2 zero finder uses this),
+and never form the (P, N, n+1) gradient tensor.  Every value and gradient is
+bit-identical to the straightforward evaluation: per-order recurrences, the
+(P, N, n+1) tensor projected with ``einsum("pki,pi->pk")`` and contracted
+with ``einsum("pkj,rk->prj")``, and row values summed over k in ascending
+order from zero.  The summation orders that make this so are pinned by a
+reference test; none of them depends on the number of points in a call.
 """
 
 from __future__ import annotations
@@ -286,15 +287,16 @@ def _eval_s1(degree: int, pts: np.ndarray, want_gradient: bool):
     return vals, scale * tangent
 
 
-def _contract_rows(grads: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Gradients (n+1, r, P) of the row functions from function-major (n+1, N, P).
+def _contract_rows(parts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row-function parts (c, r, P) from function-major basis parts (c, N, P).
 
-    Adds g_k * rows[:, k] in ascending k starting from zero, the order of
-    ``einsum("pkj,rk->prj")`` on the (P, N, n+1) tensor.
+    Adds parts[:, k] * rows[:, k] in ascending k starting from zero; for
+    gradients this is the order of ``einsum("pkj,rk->prj")`` on the
+    (P, N, n+1) tensor.
     """
-    total = np.zeros((grads.shape[0], rows.shape[0], grads.shape[2]))
+    total = np.zeros((parts.shape[0], rows.shape[0], parts.shape[2]))
     for k in range(rows.shape[1]):
-        total += grads[:, k, None, :] * rows[None, :, k, None]
+        total += parts[:, k, None, :] * rows[None, :, k, None]
     return total
 
 
@@ -308,36 +310,42 @@ def _evaluate(basis: HarmonicBasis, points: np.ndarray, want_gradient: bool, row
     """Values and, if asked, tangential gradients on S1 or S2, EVAL_BLOCK // N points at a time.
 
     Without ``rows``: values (P, N) and gradients (P, N, n+1).  With rows of
-    shape (r, N): the row functions' values (P, r) and gradients (P, r, n+1).
-    The basis values and gradients, and the row gradients, of a point depend
-    on that point only, so chunking leaves their bits unchanged.  The row
-    values come from one ``vals @ rows.T`` over all P points; at P = 1 BLAS
-    takes its matrix-vector path, so a point alone in its call may get row
-    values that differ in the last bits from those of a larger call.
+    shape (r, N): the row functions' values (P, r) and gradients (P, r, n+1),
+    both summed by ``_contract_rows`` in ascending k from zero.  Every entry
+    depends on its own point only, so neither the chunking nor the other
+    points of a call change its bits.
     """
     pts = _check_points(points, basis.sphere_dim)
+    if rows is not None:
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != basis.dimension:
+            raise SphereInputError(
+                f"coefficient rows must have shape (r, {basis.dimension}), got {rows.shape}"
+            )
     kernel = _eval_s1 if basis.sphere_dim == 1 else _eval_s2
     npts = pts.shape[0]
-    vals = np.empty((npts, basis.dimension))
-    grads = None
-    if want_gradient:
-        width = basis.dimension if rows is None else rows.shape[0]
-        grads = np.empty((npts, width, basis.ambient_dim))
+    width = basis.dimension if rows is None else rows.shape[0]
+    vals = np.empty((npts, width))
+    grads = np.empty((npts, width, basis.ambient_dim)) if want_gradient else None
     for block in point_blocks(basis, npts):
         v, g = kernel(basis.degree, pts[block], want_gradient)
+        if rows is not None:
+            # Values and gradient components share one contraction loop.
+            both = _contract_rows(v[None] if g is None else np.concatenate([v[None], g]), rows)
+            v, g = both[0], both[1:]
         vals[block] = v.T
         if want_gradient:
-            if rows is not None:
-                g = _contract_rows(g, rows)
             grads[block] = g.transpose(2, 1, 0)
-    if rows is not None:
-        vals = vals @ rows.T
     return vals, grads
 
 
-def eval_basis_many(basis: HarmonicBasis, points: np.ndarray) -> np.ndarray:
-    """Basis values at many points, shape (P, N)."""
-    return _evaluate(basis, points, want_gradient=False)[0]
+def eval_basis_many(basis: HarmonicBasis, points: np.ndarray, rows=None) -> np.ndarray:
+    """Basis values at many points, shape (P, N).
+
+    With coefficient rows of shape (r, N), returns instead the values (P, r)
+    of the r row functions.
+    """
+    return _evaluate(basis, points, want_gradient=False, rows=rows)[0]
 
 
 def eval_gradient_many(basis: HarmonicBasis, points: np.ndarray) -> np.ndarray:
@@ -354,12 +362,6 @@ def eval_basis_and_gradient_many(
     and gradients (P, r, n+1) of the r row functions, without forming the
     (P, N, n+1) tensor.
     """
-    if rows is not None:
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != basis.dimension:
-            raise SphereInputError(
-                f"coefficient rows must have shape (r, {basis.dimension}), got {rows.shape}"
-            )
     return _evaluate(basis, points, want_gradient=True, rows=rows)
 
 
@@ -368,30 +370,16 @@ def tangent_frames(points: np.ndarray) -> np.ndarray:
 
     On S1 the frame is the unit tangent (-y, x).  On S2 the first vector is
     x crossed with the coordinate axis least aligned with x, normalized; the
-    second is x crossed with the first.  The cross products are written out
-    per component, in the operation order of ``np.cross``.
+    second is x crossed with the first.
     """
     pts = np.asarray(points, dtype=float)
-    frames = np.empty((pts.shape[0], pts.shape[1] - 1, pts.shape[1]))
     if pts.shape[1] == 2:
-        frames[:, 0, 0] = -pts[:, 1]
-        frames[:, 0, 1] = pts[:, 0]
-        return frames
-    x, y, z = pts.T
-    axis = np.argmin(np.abs(pts), axis=1)
-    h0, h1, h2 = (axis == 0) * 1.0, (axis == 1) * 1.0, (axis == 2) * 1.0
-    a = y * h2 - z * h1
-    b = z * h0 - x * h2
-    c = x * h1 - y * h0
-    norm = np.sqrt((a * a + b * b) + c * c)
-    a /= norm
-    b /= norm
-    c /= norm
-    frames[:, 0, 0], frames[:, 0, 1], frames[:, 0, 2] = a, b, c
-    frames[:, 1, 0] = y * c - z * b
-    frames[:, 1, 1] = z * a - x * c
-    frames[:, 1, 2] = x * b - y * a
-    return frames
+        return np.stack([-pts[:, 1], pts[:, 0]], axis=1)[:, None, :]
+    axis = np.zeros_like(pts)
+    axis[np.arange(pts.shape[0]), np.argmin(np.abs(pts), axis=1)] = 1.0
+    e1 = np.cross(pts, axis)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    return np.stack([e1, np.cross(pts, e1)], axis=1)
 
 
 def check_coefficients(basis: HarmonicBasis, coeffs) -> np.ndarray:

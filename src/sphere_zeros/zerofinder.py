@@ -10,12 +10,13 @@ The S2 solver enumerates Z(u1, u2) = {x : u1(x) = u2(x) = 0} by
    zero; the Lipschitz constant comes from the exact pointwise gradient-sum
    identity, so the exclusion is certified, not heuristic),
 3. re-testing survivors at their centroids with the same certified bound,
-4. running a damped Newton iteration in the moving tangent plane from each
-   surviving centroid, reprojecting to the sphere after every step, and
-   adding the antipode of every converged point (u(-x) = (-1)^m u(x), so
-   Z(u1, u2) = -Z(u1, u2) and the other half needs no search); the starts
-   of the first two depths run in one Newton sweep, each with the step caps
-   of its own mesh,
+4. running a damped Newton iteration on the sphere from each surviving
+   centroid, its step the tangent vector s with grad u_i . s = -u_i taken
+   from cross products with no tangent frame, reprojecting to the sphere
+   after every step, and adding the antipode of every converged point
+   (u(-x) = (-1)^m u(x), so Z(u1, u2) = -Z(u1, u2) and the other half needs
+   no search); the starts of the first two depths run in one Newton sweep,
+   each with the step caps of its own mesh,
 5. deduplicating converged points by geodesic radius, and
 6. cross-checking the count against the pass one depth deeper, over the
    children of the faces the first pass kept: equal counts within the
@@ -23,10 +24,9 @@ The S2 solver enumerates Z(u1, u2) = {x : u1(x) = u2(x) = 0} by
    depth deeper again, and its zeros are the DepthEscalated result.  The
    max residual is evaluated once, on the zeros the result reports.
 
-A start takes the same steps whichever starts share its sweep, up to the
-last bits: a start left alone in an iteration takes BLAS's matrix-vector
-path for the kernel's ``vals @ rows.T``, which may round differently from
-the matrix-matrix path.
+Row values and gradients are summed in the same order at any batch size,
+and every Newton operation acts on each start alone, so a start takes the
+same steps, to the bit, whichever starts share its sweep.
 
 Agreement across depths is a strong heuristic completeness certificate, not
 a proof; the Bezout ceiling 2*m1*m2 is checked on every result.  Samples
@@ -57,7 +57,6 @@ from .harmonics import (
     check_coefficients,
     eval_basis_and_gradient_many,
     eval_basis_many,
-    tangent_frames,
 )
 from .icosphere import SphereMesh, icosphere
 
@@ -227,7 +226,7 @@ def _row_values(
     """Values (P, n) of the row functions at the points, one evaluation per degree."""
     vals = np.empty((pts.shape[0], rows.shape[0]))
     for basis, idx in groups:
-        vals[:, idx] = eval_basis_many(basis, pts) @ rows[idx, : basis.dimension].T
+        vals[:, idx] = eval_basis_many(basis, pts, rows=rows[idx, : basis.dimension])
     return vals
 
 
@@ -252,6 +251,7 @@ def _candidate_faces(
     cov = mesh.covering_radius[face_pool]
     keep = np.ones(face_pool.size, dtype=bool)
     for basis, idx in groups:
+        # A BLAS product over the cached vertex block: these values only feed the mask.
         values = _basis_at_vertices(basis.degree, mesh.depth) @ rows[idx, : basis.dimension].T
         clearance = lipschitz[idx][None, :] * cov[:, None]
         keep &= _may_vanish(*(values[v] for v in corner), clearance)
@@ -283,19 +283,41 @@ def _may_vanish(
     return ((vmin <= clearance) & (vmax >= -clearance)).all(axis=1)
 
 
+def _newton_step(
+    pts: np.ndarray, vals: np.ndarray, grad: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps (P, 3) at points x from row values (P, 2) and tangential gradients (P, 2, 3).
+
+    r_i = x x g_i is g_i turned a quarter turn in the tangent plane, and
+    D = r_1 . g_2 = x . (g_1 x g_2) is the determinant of the tangent-plane
+    Jacobian.  s = (u_1 r_2 - u_2 r_1) / D is the unique tangent vector with
+    g_i . s = -u_i: the tangent-plane Newton step, with no frame.  As
+    D^2 = ac - b^2 with a, b, c = g1.g1, g1.g2, g2.g2, it equals the Gram
+    form ((b u2 - c u1) g1 + (b u1 - a u2) g2) / (ac - b^2), but rounds like
+    det J where the Gram form would square its conditioning.  The mask marks
+    the points where D^2 = |det J|^2 is NaN, zero or denormal.
+    """
+    turned = np.cross(pts[:, None, :], grad)
+    det = np.einsum("pj,pj->p", turned[:, 0], grad[:, 1])
+    singular = ~(det * det >= np.finfo(float).tiny)
+    det = np.where(singular, 1.0, det)
+    step = vals[:, :1] * turned[:, 1] - vals[:, 1:] * turned[:, 0]
+    return step / det[:, None], singular
+
+
 def _newton_refine(
     groups: list[tuple[HarmonicBasis, list[int]]],
     rows: np.ndarray,
     starts: np.ndarray,
     max_edge: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton iteration in the moving tangent plane from each start.
+    """Damped Newton iteration on the sphere from each start, by ``_newton_step``.
 
     ``max_edge`` is the edge length of the mesh a start came from, one value
     for all starts or one per start; it sets that start's step, travel and
-    path caps.  Every start runs on its own, so it takes the same steps in
-    any sweep up to the last bits (see the module docstring).  Returns the
-    final points and the mask of the starts that converged.
+    path caps.  Every operation acts on each start alone, so a start takes
+    the same steps, to the bit, in any sweep.  Returns the final points and
+    the mask of the starts that converged.
     """
     pts = starts.copy()
     origin = starts
@@ -315,20 +337,10 @@ def _newton_refine(
             vals[:, idx], grad[:, idx, :] = eval_basis_and_gradient_many(
                 basis, p, rows=rows[idx, : basis.dimension]
             )
-        frames = tangent_frames(p)
-        e1, e2 = frames[:, 0], frames[:, 1]
-        j00 = np.einsum("pj,pj->p", grad[:, 0], e1)
-        j01 = np.einsum("pj,pj->p", grad[:, 0], e2)
-        j10 = np.einsum("pj,pj->p", grad[:, 1], e1)
-        j11 = np.einsum("pj,pj->p", grad[:, 1], e2)
-        det = j00 * j11 - j01 * j10
-        singular = ~np.isfinite(det) | (np.abs(det) < 1e-300)
-        det = np.where(singular, 1.0, det)
-        s1 = (-vals[:, 0] * j11 + vals[:, 1] * j01) / det
-        s2 = (-vals[:, 1] * j00 + vals[:, 0] * j10) / det
-        step = np.hypot(s1, s2)
+        s, singular = _newton_step(p, vals, grad)
+        step = np.linalg.norm(s, axis=1)
         damp = np.minimum(1.0, step_cap[active] / np.maximum(step, 1e-300))
-        moved = p + (s1 * damp)[:, None] * e1 + (s2 * damp)[:, None] * e2
+        moved = p + damp[:, None] * s
         moved /= np.linalg.norm(moved, axis=1, keepdims=True)
         pts[active] = moved
         path[active] += step * damp
@@ -397,10 +409,11 @@ def _solve_passes(
     before any Newton step, so the starts of every pass run through one
     ``_newton_refine`` call, each capped by the edge length of its own mesh,
     and one residual filter; the converged points are then split back by
-    pass.  The points of a pass are joined by their antipodes before dedup.
-    Every kernel operation is sign-symmetric, so the antipode of a point
-    passes the filter with the same residual bits; with ``pool`` one half of
-    the mesh, the union is the zero set of the whole sphere.
+    pass, each with the bits a sweep of its pass alone gives.  The points of
+    a pass are joined by their antipodes before dedup.  Every kernel
+    operation is sign-symmetric, so the antipode of a point passes the
+    filter with the same residual bits; with ``pool`` one half of the mesh,
+    the union is the zero set of the whole sphere.
 
     Returns one (zeros, kept faces) pair per pass.  Dedup stops once a pass
     has more than ``cap`` zeros, and the children of a pass's kept faces are

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, report schema, exit codes, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from sphere_zeros.cli import (
     MAX_POINTS,
     MAX_TRIALS,
     ConfigError,
+    _flatten,
     _validate_common,
     build_parser,
     main,
@@ -247,10 +249,54 @@ GOLDEN_REPORTS = {
 }
 
 
+OUTCOMES = DATA / "reports" / "outcomes.json"
+OUTCOME_FIELDS = (
+    "zero_count", "status", "diagnostics.depth_escalations", "diagnostics.degenerate_resamples",
+)
+OUTCOME_GROUPS = ("histogram", "estimate")      # flattened to histogram.<count>, estimate.<field>
+
+
+def _csv_value(cell: str):
+    if cell == "":
+        return None
+    try:
+        return json.loads(cell)
+    except ValueError:
+        return cell                      # an unquoted string such as a status
+
+
+def report_outcome(text: str, fmt: str) -> dict:
+    """The count-level fields of a report, flattened: what a last-bit re-freeze leaves alone."""
+    if fmt == "csv":
+        header, row = csv.reader(io.StringIO(text))
+        flat = {key: _csv_value(cell) for key, cell in zip(header, row)}
+    else:
+        flat = {}
+        _flatten("", json.loads(text), flat)
+    return {
+        key: value for key, value in flat.items()
+        if key in OUTCOME_FIELDS or key.split(".")[0] in OUTCOME_GROUPS
+    }
+
+
 class TestGoldenReports:
     def test_every_golden_has_a_command(self):
         stems = {p.stem for p in (DATA / "reports").iterdir()}
-        assert stems == set(GOLDEN_REPORTS)
+        assert stems == set(GOLDEN_REPORTS) | {OUTCOMES.stem}
+
+    # Exit code, counts, statuses, histograms, estimates, escalations and
+    # resamples of every golden, frozen from the goldens before the
+    # frame-free Newton step re-froze their zeros in the last bits.
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_outcome_matches_the_oracle(self, name, tmp_path, capsys):
+        argv, _ = GOLDEN_REPORTS[name]
+        fmt = "csv" if "csv" in argv else "json"
+        out = tmp_path / name
+        code = main(argv + ["--out", str(out)])
+        capsys.readouterr()
+        oracle = json.loads(OUTCOMES.read_text())
+        assert set(oracle) == set(GOLDEN_REPORTS)
+        assert {"exit_code": code, **report_outcome(out.read_text(), fmt)} == oracle[name]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
     def test_matches_golden_report(self, name, tmp_path, capsys):

@@ -403,8 +403,8 @@ class TestKernelAndEquivariance:
 
 
 # Reference kernels: verbatim copies of the per-order Legendre recurrence, the
-# S1/S2 evaluation with the (P, N, n+1) gradient tensor, the Newton row
-# contraction over that tensor, and the np.cross tangent frames.  The kernel
+# S1/S2 evaluation with the (P, N, n+1) gradient tensor, the row contraction
+# (ascending-k values, einsum over that tensor), and the np.cross tangent frames.  The kernel
 # in harmonics must reproduce them bit for bit.
 def _ref_legendre_q_block(degree: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = degree
@@ -486,7 +486,12 @@ def _ref_eval_s1(degree: int, pts: np.ndarray, want_gradient: bool):
 
 
 def _ref_newton_rows(v: np.ndarray, g: np.ndarray, c: np.ndarray):
-    return v @ c.T, np.einsum("pkj,rk->prj", g, c)
+    # Row values summed over k in ascending order from zero: an order that
+    # does not depend on the number of points, unlike BLAS's ``v @ c.T``.
+    vals = np.zeros((v.shape[0], c.shape[0]))
+    for k in range(c.shape[1]):
+        vals += v[:, k, None] * c[None, :, k]
+    return vals, np.einsum("pkj,rk->prj", g, c)
 
 
 def _ref_tangent_frames(points: np.ndarray) -> np.ndarray:
@@ -540,6 +545,7 @@ class TestKernelMatchesReference:
             vals, grads = eval_basis_and_gradient_many(basis, pts, rows=rows)
             assert _same_bits(vals, ref_vals), (m, r, count)
             assert _same_bits(grads, ref_grads), (m, r, count)
+            assert _same_bits(eval_basis_many(basis, pts, rows=rows), ref_vals), (m, r, count)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 50])
     def test_circle_kernel(self, m):
@@ -554,6 +560,7 @@ class TestKernelMatchesReference:
         ref = _ref_newton_rows(ref_vals, ref_grads, rows)
         ours = eval_basis_and_gradient_many(basis, pts, rows=rows)
         assert _same_bits(ours[0], ref[0]) and _same_bits(ours[1], ref[1])
+        assert _same_bits(eval_basis_many(basis, pts, rows=rows), ref[0])
 
     @pytest.mark.parametrize("m", [1, 7])
     def test_block_size_does_not_change_bits(self, m, monkeypatch):
@@ -568,8 +575,9 @@ class TestKernelMatchesReference:
 
     def test_rows_of_wrong_width_rejected(self):
         basis = build_basis(2, 3)
-        with pytest.raises(SphereInputError):
-            eval_basis_and_gradient_many(basis, _points_with_poles(5, seed=0), rows=np.ones((2, 6)))
+        for evaluate in (eval_basis_many, eval_basis_and_gradient_many):
+            with pytest.raises(SphereInputError):
+                evaluate(basis, _points_with_poles(5, seed=0), rows=np.ones((2, 6)))
 
     @pytest.mark.parametrize("count", BATCH_SIZES)
     def test_tangent_frames(self, count):

@@ -23,7 +23,13 @@ from sphere_zeros import (
     zonal,
 )
 from sphere_zeros import zerofinder
-from sphere_zeros.harmonics import check_coefficients, random_sphere_points, rotate_coefficients
+from sphere_zeros.harmonics import (
+    check_coefficients,
+    eval_basis_and_gradient_many,
+    random_sphere_points,
+    rotate_coefficients,
+    tangent_frames,
+)
 from sphere_zeros.icosphere import icosphere
 from sphere_zeros.integralgeom import random_circle_frame
 from sphere_zeros.zerofinder import (
@@ -572,7 +578,7 @@ class TestNewtonSweep:
                 alone, alone_ok = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
                 assert conv.sum() == alone_ok.sum() > 0
                 assert np.array_equal(conv, alone_ok)
-                assert np.max(np.abs(pts[conv] - alone[alone_ok])) <= 1e-15
+                assert np.array_equal(pts, alone)
 
     @SWEEP_DEGREES
     def test_two_passes_match_two_single_passes(self, degrees, samples):
@@ -590,11 +596,92 @@ class TestNewtonSweep:
             assert len(both) == 2
             for (zeros, kept), (z1, k1) in zip(both, first + second):
                 assert zeros.shape == z1.shape and 0 < zeros.shape[0] <= cap
-                assert np.max(np.abs(zeros - z1)) <= 1e-15
+                assert np.array_equal(zeros, z1)
                 residual = np.abs(zerofinder._row_values(groups, rows, zeros)).max()
-                r1 = np.abs(zerofinder._row_values(groups, rows, z1)).max()
-                assert residual == pytest.approx(r1, abs=1e-15)
+                assert residual == np.abs(zerofinder._row_values(groups, rows, z1)).max()
                 assert np.array_equal(kept, k1)
+
+
+class TestBatchIndependence:
+    """A start's Newton run and a point's row values do not depend on the rest of its batch."""
+
+    @pytest.mark.parametrize(
+        "degrees", [(1, 1), (2, 3), (3, 3), (5, 5), (8, 8), (1, 4)],
+        ids=["1x1", "2x3", "3x3", "5x5", "8x8", "1x4"],
+    )
+    def test_a_start_alone_matches_its_sweep(self, degrees):
+        depth = zerofinder.default_mesh_depth(max(degrees))
+        mesh = icosphere(depth)
+        rng = np.random.default_rng([*degrees, 19])
+        _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
+        centroids, _ = zerofinder._candidate_faces(mesh, groups, rows, lipschitz, _half_mesh(depth))
+        # Mesh starts, most of which converge, then random ones, most of which fail.
+        starts = np.concatenate([centroids[:30], random_sphere_points(2, 40, rng)])[:40]
+        points, ok = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
+        values = zerofinder._row_values(groups, rows, starts)
+        assert ok.any()
+        for k in range(40):
+            alone, alone_ok = zerofinder._newton_refine(groups, rows, starts[k : k + 1], mesh.max_edge)
+            assert alone_ok[0] == ok[k], k
+            assert np.array_equal(alone[0], points[k]), k
+            assert np.array_equal(zerofinder._row_values(groups, rows, starts[k : k + 1])[0], values[k]), k
+
+
+class TestNewtonStep:
+    """The frame-free step against the solve in an explicit tangent frame."""
+
+    @staticmethod
+    def frame_step(pts, vals, grad):
+        # J s = -u in the tangent frame (e1, e2) at each point, by Cramer's rule.
+        e1, e2 = tangent_frames(pts).transpose(1, 0, 2)
+        j00 = np.einsum("pj,pj->p", grad[:, 0], e1)
+        j01 = np.einsum("pj,pj->p", grad[:, 0], e2)
+        j10 = np.einsum("pj,pj->p", grad[:, 1], e1)
+        j11 = np.einsum("pj,pj->p", grad[:, 1], e2)
+        det = j00 * j11 - j01 * j10
+        s1 = (-vals[:, 0] * j11 + vals[:, 1] * j01) / det
+        s2 = (-vals[:, 1] * j00 + vals[:, 0] * j10) / det
+        return s1[:, None] * e1 + s2[:, None] * e2, np.abs(det)
+
+    @settings(max_examples=40)
+    @given(
+        m1=st.integers(1, 12),
+        m2=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_solves_the_tangent_system(self, m1, m2, seed):
+        rng = np.random.default_rng(seed)
+        bases = [build_basis(2, m1), build_basis(2, m2)]
+        rows = zerofinder._unit_rows(gaussian_sample((m1, m2), rng).rows)
+        pts = random_sphere_points(2, 50, rng)
+        vals = np.empty((50, 2))
+        grad = np.empty((50, 2, 3))
+        for basis, idx in zerofinder._degree_groups(bases):
+            vals[:, idx], grad[:, idx, :] = eval_basis_and_gradient_many(
+                basis, pts, rows=rows[idx, : basis.dimension]
+            )
+        step, singular = zerofinder._newton_step(pts, vals, grad)
+        assert not singular.any()
+        size = np.linalg.norm(step, axis=1)
+        norms = np.linalg.norm(grad, axis=2)
+        # grad u_i . s = -u_i and s . x = 0, relative to the sizes of the terms.
+        residual = np.abs(np.einsum("pij,pj->pi", grad, step) + vals)
+        assert np.all(residual <= 1e-12 * (np.abs(vals) + norms * size[:, None]))
+        assert np.all(np.abs(np.einsum("pj,pj->p", step, pts)) <= 1e-12 * size)
+        # Both solves round like det J: their gap, relative to |s|, stays below
+        # 1e-12 times the condition number |g1| |g2| / |det J|.
+        reference, det = self.frame_step(pts, vals, grad)
+        kappa = norms.prod(axis=1) / det
+        assert np.all(np.linalg.norm(step - reference, axis=1) <= 1e-12 * kappa * size)
+
+    def test_only_exact_or_denormal_degeneracy_is_singular(self):
+        # Parallel gradients, then |det J|^2 of 1e-320 (denormal) and 1e-300.
+        x = np.array([0.6, 0.0, 0.8])
+        e1, e2 = np.array([0.0, 1.0, 0.0]), np.array([0.8, 0.0, -0.6])
+        grad = np.array([[e1, 2.0 * e1], [e1, 1e-160 * e2], [e1, 1e-150 * e2]])
+        step, singular = zerofinder._newton_step(np.tile(x, (3, 1)), np.ones((3, 2)), grad)
+        assert singular.tolist() == [True, True, False]
+        assert np.isfinite(step).all()
 
 
 class TestPassSweep:
