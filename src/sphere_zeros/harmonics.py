@@ -26,14 +26,16 @@ ambient polynomial gradients that are projected to the tangent plane.
 The kernel works on blocks of about EVAL_BLOCK basis values, one row per
 basis function, and steps every order mu of the Legendre recurrence at once,
 so a block costs O(m) array operations and its temporaries stay bounded.
-Values-only calls skip the derivative recurrence.  Given coefficient rows,
-``eval_basis_many`` and ``eval_basis_and_gradient_many`` return the values
-and gradients of the row functions directly (the S2 zero finder uses this),
-and never form the (P, N, n+1) gradient tensor.  Every value and gradient is
-bit-identical to the straightforward evaluation: per-order recurrences, the
-(P, N, n+1) tensor projected with ``einsum("pki,pi->pk")`` and contracted
-with ``einsum("pkj,rk->prj")``, and row values summed over k in ascending
-order from zero.  The summation orders that make this so are pinned by a
+Q and dQ/dz form one stack, so one ufunc call steps both recurrences;
+values-only calls skip dQ.  Values and gradients land in one (1 or n+2,
+N, P) buffer, which the row contraction of ``eval_basis_many`` and
+``eval_basis_and_gradient_many`` reads directly when given coefficient rows
+(the S2 zero finder uses this), so the (P, N, n+1) gradient tensor is
+never formed.  Every value and gradient is bit-identical to the
+straightforward evaluation: per-order recurrences, the (P, N, n+1) tensor
+projected with ``einsum("pki,pi->pk")`` and contracted with
+``einsum("pkj,rk->prj")``, and row values summed over k in ascending order
+from zero.  The summation orders that make this so are pinned by a
 reference test; none of them depends on the number of points in a call.
 """
 
@@ -176,58 +178,56 @@ def _legendre_steps(degree: int):
     return diag, first, steps
 
 
-def _legendre_q_block(degree: int, z: np.ndarray, want_derivative: bool):
-    """Normalized Legendre polynomial parts Q and, if asked, dQ/dz, rows mu = 0..m.
+def _legendre_q_block(degree: int, z: np.ndarray, want_derivative: bool) -> np.ndarray:
+    """Normalized Legendre polynomial parts Q and, if asked, dQ/dz, stacked (1 or 2, m+1, P).
 
     Q[mu] is the degree-(m - mu) polynomial in z with
     Pbar_m^mu(cos t) = sin(t)^mu * Q[mu](cos t), where Pbar is normalized so
     the resulting basis is orthonormal for the unnormalized surface measure.
     Three-term recurrences in the degree keep this stable far beyond m = 50.
     All orders step through the degree together (order mu joins at degree
-    mu + 1), so the cost is O(m) array operations on (mu, P) blocks.
+    mu + 1), so the cost is O(m) array operations on (mu, P) blocks.  One
+    ufunc call steps Q and dQ together; dQ still rounds as z*dQ + Q, then
+    - b*dQ_prev, then * a.  Values-only calls use a stack of depth 1.
     """
     m = degree
     diag, first, steps = _legendre_steps(m)
-    npts = z.shape[0]
-    prev, curr, nxt = np.empty((3, m + 1, npts))
-    dprev, dcurr, dnxt = np.empty((3, m + 1, npts)) if want_derivative else (None,) * 3
+    prev, curr, nxt = np.empty((3, 1 + want_derivative, m + 1, z.shape[0]))
     for ell in range(1, m + 1):
         k = ell - 1                       # orders below k step, order k starts
         if k:
             a, b = steps[ell - 2]
-            np.multiply(z, curr[:k], out=nxt[:k])
-            nxt[:k] -= b * prev[:k]
-            nxt[:k] *= a
+            np.multiply(z, curr[:, :k], out=nxt[:, :k])
             if want_derivative:
-                np.multiply(z, dcurr[:k], out=dnxt[:k])
-                dnxt[:k] += curr[:k]
-                dnxt[:k] -= b * dprev[:k]
-                dnxt[:k] *= a
+                nxt[1, :k] += curr[0, :k]
+            nxt[:, :k] -= b * prev[:, :k]
+            nxt[:, :k] *= a
         prev, curr, nxt = curr, nxt, prev
-        prev[k] = diag[k]
-        np.multiply(first[k] * z, diag[k], out=curr[k])
+        prev[0, k] = diag[k]
+        np.multiply(first[k] * z, diag[k], out=curr[0, k])
         if want_derivative:
-            dprev, dcurr, dnxt = dcurr, dnxt, dprev
-            dprev[k] = 0.0
-            dcurr[k] = first[k] * diag[k]
-    curr[m] = diag[m]
+            prev[1, k] = 0.0
+            curr[1, k] = first[k] * diag[k]
+    curr[0, m] = diag[m]
     if want_derivative:
-        dcurr[m] = 0.0
-    return curr, dcurr
+        curr[1, m] = 0.0
+    return curr
 
 
-def _eval_s2(degree: int, pts: np.ndarray, want_gradient: bool):
-    """Values (N, P) and optionally tangential gradients (3, N, P) on S2.
+def _eval_s2(degree: int, pts: np.ndarray, want_gradient: bool) -> np.ndarray:
+    """Values and optionally tangential gradients on S2, stacked (1 or 4, N, P).
 
-    Function-major: row k is basis function k, and gradient component j of
-    function k is ``grads[j, k]``.  The ambient polynomial gradients are
-    projected to the tangent plane inside the kernel, with the radial part
-    summed from zero as (g0*x + g2*z) + g1*y, the order of
-    ``einsum("pki,pi->pk")`` on the (P, N, 3) tensor.
+    Function-major: ``parts[0, k]`` is basis function k and
+    ``parts[1 + j, k]`` its gradient component j, so the row contraction
+    reads one buffer.  The ambient polynomial gradients are projected to the
+    tangent plane inside the kernel, with the radial part summed from zero
+    as (g0*x + g2*z) + g1*y, the order of ``einsum("pki,pi->pk")`` on the
+    (P, N, 3) tensor.
     """
     m = degree
     x, y, z = coords = np.ascontiguousarray(pts.T)
-    q, dq = _legendre_q_block(m, z, want_gradient)
+    stack = _legendre_q_block(m, z, want_gradient)
+    q, dq = stack[0], stack[-1]
     # cr + i*ci = (x + i*y)^mu, row mu.
     cr, ci = np.empty((2, m + 1, pts.shape[0]))
     cr[0], ci[0] = 1.0, 0.0
@@ -236,14 +236,15 @@ def _eval_s2(degree: int, pts: np.ndarray, want_gradient: bool):
         cr[mu] -= ci[mu - 1] * y
         np.multiply(ci[mu - 1], x, out=ci[mu])
         ci[mu] += cr[mu - 1] * y
-    vals = np.empty((2 * m + 1, pts.shape[0]))
+    parts = np.empty((1 + 3 * want_gradient, 2 * m + 1, pts.shape[0]))
+    vals = parts[0]
     vals[0] = q[0]
     qc = math.sqrt(2.0) * q[1:]
     np.multiply(qc, cr[1:], out=vals[1::2])
     np.multiply(qc, ci[1:], out=vals[2::2])
     if not want_gradient:
-        return vals, None
-    grads = np.empty((3,) + vals.shape)
+        return parts
+    grads = parts[1:]
     grads[:2, 0] = 0.0
     grads[2, 0] = dq[0]
     qc *= np.arange(1.0, m + 1.0)[:, None]
@@ -260,43 +261,46 @@ def _eval_s2(degree: int, pts: np.ndarray, want_gradient: bool):
     radial += grads[1] * y
     for g, coord in zip(grads, coords):
         g -= radial * coord
-    return vals, grads
+    return parts
 
 
-def _eval_s1(degree: int, pts: np.ndarray, want_gradient: bool):
-    """Values (2, P) and tangential gradients (2, 2, P) of [cos(mt), sin(mt)]/sqrt(pi) on S1.
+def _eval_s1(degree: int, pts: np.ndarray, want_gradient: bool) -> np.ndarray:
+    """Values and gradients of [cos(mt), sin(mt)]/sqrt(pi) on S1, stacked (1 or 3, 2, P).
 
-    Function-major like ``_eval_s2``: gradient component j of function k is
-    ``grads[j, k]``.
+    Laid out like ``_eval_s2``: ``parts[1 + j, k]`` is gradient component j
+    of function k.
     """
     m = degree
     # cos(mt), sin(mt) via complex powers of (cos t + i sin t); no arctangents.
     w = (pts[:, 0] + 1j * pts[:, 1]) ** m
     inv_root_pi = 1.0 / math.sqrt(math.pi)
-    vals = np.empty((2, pts.shape[0]))
-    vals[0] = w.real * inv_root_pi
-    vals[1] = w.imag * inv_root_pi
+    parts = np.empty((1 + 2 * want_gradient, 2, pts.shape[0]))
+    parts[0, 0] = w.real * inv_root_pi
+    parts[0, 1] = w.imag * inv_root_pi
     if not want_gradient:
-        return vals, None
+        return parts
     tangent = np.empty((2, 1, pts.shape[0]))
     tangent[0, 0] = -pts[:, 1]
     tangent[1, 0] = pts[:, 0]
     scale = np.empty((2, pts.shape[0]))
     scale[0] = -m * inv_root_pi * w.imag
     scale[1] = m * inv_root_pi * w.real
-    return vals, scale * tangent
+    np.multiply(scale, tangent, out=parts[1:])
+    return parts
 
 
 def _contract_rows(parts: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Row-function parts (c, r, P) from function-major basis parts (c, N, P).
 
-    Adds parts[:, k] * rows[:, k] in ascending k starting from zero; for
-    gradients this is the order of ``einsum("pkj,rk->prj")`` on the
-    (P, N, n+1) tensor.
+    Adds parts[:, k] * rows[:, k] in ascending k starting from zero, each
+    product written into one reused buffer; for gradients this is the order
+    of ``einsum("pkj,rk->prj")`` on the (P, N, n+1) tensor.
     """
     total = np.zeros((parts.shape[0], rows.shape[0], parts.shape[2]))
+    term = np.empty_like(total)
     for k in range(rows.shape[1]):
-        total += parts[:, k, None, :] * rows[None, :, k, None]
+        np.multiply(parts[:, k, None, :], rows[None, :, k, None], out=term)
+        total += term
     return total
 
 
@@ -328,14 +332,12 @@ def _evaluate(basis: HarmonicBasis, points: np.ndarray, want_gradient: bool, row
     vals = np.empty((npts, width))
     grads = np.empty((npts, width, basis.ambient_dim)) if want_gradient else None
     for block in point_blocks(basis, npts):
-        v, g = kernel(basis.degree, pts[block], want_gradient)
+        parts = kernel(basis.degree, pts[block], want_gradient)
         if rows is not None:
-            # Values and gradient components share one contraction loop.
-            both = _contract_rows(v[None] if g is None else np.concatenate([v[None], g]), rows)
-            v, g = both[0], both[1:]
-        vals[block] = v.T
+            parts = _contract_rows(parts, rows)   # values and gradients in one loop
+        vals[block] = parts[0].T
         if want_gradient:
-            grads[block] = g.transpose(2, 1, 0)
+            grads[block] = parts[1:].transpose(2, 1, 0)
     return vals, grads
 
 

@@ -150,3 +150,21 @@ def spherical_face_areas(mesh: SphereMesh) -> np.ndarray:
         + np.einsum("fi,fi->f", v2, v0)
     )
     return 2.0 * np.arctan2(numer, denom)
+
+
+@functools.lru_cache(maxsize=10)
+def half_mesh(depth: int) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Faces of the depth-d icosphere descended from icosahedron faces 0-9, cached read-only.
+
+    Face i descends from icosahedron face i mod 20, and faces 10-19 are the
+    antipodes of faces 0-9, so these faces and their antipodes tile S2.
+    Returns the face indices, their corner vertex indices (one array per
+    corner) and their covering radii.
+    """
+    mesh = icosphere(depth)
+    faces = np.flatnonzero(np.arange(mesh.num_faces) % 20 < 10)
+    corners = [mesh.faces[:, k][faces] for k in range(3)]
+    cov = mesh.covering_radius[faces]
+    for a in (faces, *corners, cov):
+        a.flags.writeable = False
+    return faces, corners, cov

@@ -58,7 +58,7 @@ from .harmonics import (
     eval_basis_and_gradient_many,
     eval_basis_many,
 )
-from .icosphere import SphereMesh, icosphere
+from .icosphere import SphereMesh, half_mesh, icosphere
 
 RESIDUAL_FACTOR = 1e-9        # converged zeros satisfy |u_i| <= factor * scale
 DEGENERACY_FACTOR = 4         # deduped count above factor * bezout => Degenerate
@@ -247,22 +247,34 @@ def _candidate_faces(
     faces 0-9 on the first pass and the children of the parent depth's
     survivors after that.
     """
-    corner = [mesh.faces[:, k][face_pool] for k in range(3)]   # 1-D gathers beat a (F, 3) one
-    cov = mesh.covering_radius[face_pool]
+    corner, cov = _pool_geometry(mesh, face_pool)
     keep = np.ones(face_pool.size, dtype=bool)
     for basis, idx in groups:
-        # A BLAS product over the cached vertex block: these values only feed the mask.
+        # A BLAS product over the cached vertex block: these values only feed the
+        # mask, gathered and tested as (n, F) arrays so every ufunc runs along faces.
         values = _basis_at_vertices(basis.degree, mesh.depth) @ rows[idx, : basis.dimension].T
-        clearance = lipschitz[idx][None, :] * cov[:, None]
-        keep &= _may_vanish(*(values[v] for v in corner), clearance)
+        values = np.ascontiguousarray(values.T)
+        clearance = lipschitz[idx][:, None] * cov
+        keep &= _may_vanish(*(np.take(values, v, axis=1).T for v in corner), clearance.T)
     cand = face_pool[keep]
     if cand.size == 0:
         return np.empty((0, 3)), cand
-    centroids = mesh.centroids[cand]
+    centroids = np.take(mesh.centroids, cand, axis=0)
     reach = mesh.centroid_reach[cand]
     vals = _row_values(groups, rows, centroids)
     ok = (np.abs(vals) <= lipschitz[None, :] * reach[:, None]).all(axis=1)
     return centroids[ok], cand[ok]
+
+
+def _pool_geometry(mesh: SphereMesh, pool: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Corner vertex indices, one array per corner, and covering radii of the faces of ``pool``.
+
+    Only a read-only pool is looked up in ``half_mesh`` (built once per depth),
+    so deeper passes build no half; others are gathered (1-D beats (F, 3)).
+    """
+    if not pool.flags.writeable and pool is (half := half_mesh(mesh.depth))[0]:
+        return half[1], half[2]
+    return [mesh.faces[:, k][pool] for k in range(3)], mesh.covering_radius[pool]
 
 
 def _may_vanish(
@@ -283,6 +295,9 @@ def _may_vanish(
     return ((vmin <= clearance) & (vmax >= -clearance)).all(axis=1)
 
 
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])   # cyclic shifts of (0, 1, 2)
+
+
 def _newton_step(
     pts: np.ndarray, vals: np.ndarray, grad: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -297,7 +312,10 @@ def _newton_step(
     det J where the Gram form would square its conditioning.  The mask marks
     the points where D^2 = |det J|^2 is NaN, zero or denormal.
     """
-    turned = np.cross(pts[:, None, :], grad)
+    # x x g_i as np.cross rounds it (x1 g2 - x2 g1, ...), C-ordered like its output.
+    x = pts[:, None, :]
+    turned = np.multiply(x[..., _NEXT], grad[..., _AFTER], out=np.empty(grad.shape))
+    turned -= x[..., _AFTER] * grad[..., _NEXT]
     det = np.einsum("pj,pj->p", turned[:, 0], grad[:, 1])
     singular = ~(det * det >= np.finfo(float).tiny)
     det = np.where(singular, 1.0, det)
@@ -315,72 +333,81 @@ def _newton_refine(
 
     ``max_edge`` is the edge length of the mesh a start came from, one value
     for all starts or one per start; it sets that start's step, travel and
-    path caps.  Every operation acts on each start alone, so a start takes
-    the same steps, to the bit, in any sweep.  Returns the final points and
-    the mask of the starts that converged.
+    path caps.  The per-start arrays hold the active starts only, and are
+    compacted in the iterations where some start converges or fails.  Every
+    operation acts on each start alone, so a start takes the same steps, to
+    the bit, in any sweep.  Returns the final points and the mask of the
+    starts that converged.
     """
     pts = starts.copy()
-    origin = starts
+    converged = np.zeros(pts.shape[0], dtype=bool)
+    live = np.arange(pts.shape[0])                  # indices of the active starts
+    p = origin = starts
     path = np.zeros(pts.shape[0])
-    state = np.zeros(pts.shape[0], dtype=np.int8)   # 0 active, 1 converged, 2 failed
     step_cap = np.broadcast_to(max_edge, path.shape)
     travel_cap = 3.0 * step_cap                     # ~ the face's 2-ring neighborhood
     path_cap = 4.0 * step_cap                       # kills oscillating non-roots early
     for _ in range(MAX_NEWTON_ITER):
-        active = np.nonzero(state == 0)[0]
-        if active.size == 0:
+        if live.size == 0:
             break
-        p = pts[active]
-        vals = np.empty((active.size, 2))
-        grad = np.empty((active.size, 2, 3))
+        vals = np.empty((live.size, 2))
+        grad = np.empty((live.size, 2, 3))
         for basis, idx in groups:
             vals[:, idx], grad[:, idx, :] = eval_basis_and_gradient_many(
                 basis, p, rows=rows[idx, : basis.dimension]
             )
         s, singular = _newton_step(p, vals, grad)
         step = np.linalg.norm(s, axis=1)
-        damp = np.minimum(1.0, step_cap[active] / np.maximum(step, 1e-300))
-        moved = p + damp[:, None] * s
-        moved /= np.linalg.norm(moved, axis=1, keepdims=True)
-        pts[active] = moved
-        path[active] += step * damp
-        travel = np.arccos(np.clip(np.einsum("pi,pi->p", moved, origin[active]), -1.0, 1.0))
-        failed = singular | (travel > travel_cap[active]) | (path[active] > path_cap[active])
-        converged = (step < NEWTON_TOL) & ~failed
-        state[active[converged]] = 1
-        state[active[failed]] = 2
-    return pts, state == 1
+        damp = np.minimum(1.0, step_cap / np.maximum(step, 1e-300))
+        p = p + damp[:, None] * s
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        path += step * damp
+        travel = np.arccos(np.clip(np.einsum("pi,pi->p", p, origin), -1.0, 1.0))
+        failed = singular | (travel > travel_cap) | (path > path_cap)
+        done = failed | (step < NEWTON_TOL)
+        if done.any():
+            pts[live[done]] = p[done]
+            converged[live[done & ~failed]] = True
+            active = ~done
+            live, p, origin, path, step_cap, travel_cap, path_cap = (
+                a[active] for a in (live, p, origin, path, step_cap, travel_cap, path_cap)
+            )
+    pts[live] = p
+    return pts, converged
 
 
 def _dedup_and_sort(points: np.ndarray, stop_above: int) -> np.ndarray:
     """Greedy geodesic dedup (radius DEDUP_RADIUS) after collapsing near-identical points.
 
-    The representatives come out in lexicographic (x, y, z) order: the
-    collapsed points are lexsorted once, and the representatives are a
-    subsequence of them taken in order.  Stops early (returning the
-    oversized set) once more than ``stop_above`` representatives appear --
-    the caller then declares degeneracy.
+    Points equal to 8 decimals collapse to the first of them in input order,
+    found by one stable lexsort and an adjacent-row compare (as floats, so
+    -0.0 == 0.0).  The representatives come out in lexicographic (x, y, z)
+    order: the collapsed points are lexsorted once, and the representatives
+    are a subsequence of them taken in order, written into one preallocated
+    array.  Stops early (returning the oversized set) once more than
+    ``stop_above`` >= 0 representatives appear -- the caller then declares
+    degeneracy.
     """
     if points.shape[0] == 0:
         return points.reshape(0, 3)
     # Group nearly identical Newton outputs first (they agree to ~NEWTON_TOL,
     # far below the dedup radius); representatives keep full precision.
-    _, first = np.unique(np.round(points, 8), axis=0, return_index=True)
-    collapsed = points[np.sort(first)]
-    order = np.lexsort((collapsed[:, 2], collapsed[:, 1], collapsed[:, 0]))
-    collapsed = collapsed[order]
-    reps: list[np.ndarray] = []
-    rep_arr = np.empty((0, 3))
+    rounded = np.round(points, 8)
+    order = np.lexsort(rounded.T[::-1])             # stable, x first
+    rounded = rounded[order]
+    first = np.concatenate([[True], (rounded[1:] != rounded[:-1]).any(axis=1)])
+    collapsed = points[np.sort(order[first])]
+    collapsed = collapsed[np.lexsort(collapsed.T[::-1])]
+    reps = np.empty((min(collapsed.shape[0], stop_above + 1), 3))
+    count = 0
     for p in collapsed:
-        if rep_arr.shape[0]:
-            dots = rep_arr @ p
-            if np.arccos(np.clip(dots.max(), -1.0, 1.0)) < DEDUP_RADIUS:
-                continue
-        reps.append(p)
-        rep_arr = np.asarray(reps)
-        if len(reps) > stop_above:
+        if count and np.arccos(np.clip((reps[:count] @ p).max(), -1.0, 1.0)) < DEDUP_RADIUS:
+            continue
+        reps[count] = p
+        count += 1
+        if count > stop_above:
             break
-    return rep_arr
+    return reps[:count]
 
 
 def _children_of(faces: np.ndarray, parent_depth: int) -> np.ndarray:
@@ -486,7 +513,7 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
             escalations=escalations,
         )
 
-    half = np.flatnonzero(np.arange(20 * 4**depth0) % 20 < 10)
+    half = half_mesh(depth0)[0]
     (z0, _), (z1, kept) = _solve_passes(groups, rows, lipschitz, cap, depth0, half, passes=2)
     if z0.shape[0] > cap:
         return ZeroFindingResult.degenerate(bezout, depth0)

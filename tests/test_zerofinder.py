@@ -30,7 +30,7 @@ from sphere_zeros.harmonics import (
     rotate_coefficients,
     tangent_frames,
 )
-from sphere_zeros.icosphere import icosphere
+from sphere_zeros.icosphere import half_mesh, icosphere
 from sphere_zeros.integralgeom import random_circle_frame
 from sphere_zeros.zerofinder import (
     UNIT_CIRCLE_TOL,
@@ -368,6 +368,20 @@ class TestAntipodalHalves:
         assert half.size == antipode.size // 2
         assert np.array_equal(_children_of(half, depth), _half_mesh(depth + 1))
 
+    @pytest.mark.parametrize("depth", range(4, 7))
+    def test_cached_half_pool_brings_its_geometry(self, depth):
+        mesh = icosphere(depth)
+        faces, corners, cov = half_mesh(depth)
+        assert half_mesh(depth)[0] is faces
+        assert np.array_equal(faces, _half_mesh(depth))
+        assert not any(a.flags.writeable for a in (faces, *corners, cov))
+        assert zerofinder._pool_geometry(mesh, faces)[1] is cov
+        # The cached pool, a copy of it (gathered) and any other pool agree with the mesh.
+        for pool in (faces, faces.copy(), _half_mesh(depth)[::3]):
+            pool_corners, pool_cov = zerofinder._pool_geometry(mesh, pool)
+            assert all(np.array_equal(c, mesh.faces[pool, k]) for k, c in enumerate(pool_corners))
+            assert np.array_equal(pool_cov, mesh.covering_radius[pool])
+
     @pytest.mark.parametrize("degrees", [(1, 1), (2, 5), (8, 12)])
     def test_row_values_are_sign_symmetric_to_the_bit(self, degrees):
         # So the antipode of a point that passes the residual filter passes it too.
@@ -682,6 +696,168 @@ class TestNewtonStep:
         step, singular = zerofinder._newton_step(np.tile(x, (3, 1)), np.ones((3, 2)), grad)
         assert singular.tolist() == [True, True, False]
         assert np.isfinite(step).all()
+
+
+def _ref_newton_step(pts, vals, grad):
+    """The Newton step in its np.cross form, kept verbatim as the bit reference."""
+    turned = np.cross(pts[:, None, :], grad)
+    det = np.einsum("pj,pj->p", turned[:, 0], grad[:, 1])
+    singular = ~(det * det >= np.finfo(float).tiny)
+    det = np.where(singular, 1.0, det)
+    step = vals[:, :1] * turned[:, 1] - vals[:, 1:] * turned[:, 0]
+    return step / det[:, None], singular
+
+
+def _ref_dedup_and_sort(points, stop_above):
+    """Dedup in its np.unique form with a rebuilt representative array, kept verbatim."""
+    if points.shape[0] == 0:
+        return points.reshape(0, 3)
+    _, first = np.unique(np.round(points, 8), axis=0, return_index=True)
+    collapsed = points[np.sort(first)]
+    order = np.lexsort((collapsed[:, 2], collapsed[:, 1], collapsed[:, 0]))
+    collapsed = collapsed[order]
+    reps = []
+    rep_arr = np.empty((0, 3))
+    for p in collapsed:
+        if rep_arr.shape[0]:
+            dots = rep_arr @ p
+            if np.arccos(np.clip(dots.max(), -1.0, 1.0)) < zerofinder.DEDUP_RADIUS:
+                continue
+        reps.append(p)
+        rep_arr = np.asarray(reps)
+        if len(reps) > stop_above:
+            break
+    return rep_arr
+
+
+def _ref_newton_refine(groups, rows, starts, max_edge):
+    """The Newton sweep in its gather/scatter form over all starts, kept verbatim
+    (with the reference step and the module's iteration cap)."""
+    pts = starts.copy()
+    origin = starts
+    path = np.zeros(pts.shape[0])
+    state = np.zeros(pts.shape[0], dtype=np.int8)   # 0 active, 1 converged, 2 failed
+    step_cap = np.broadcast_to(max_edge, path.shape)
+    travel_cap = 3.0 * step_cap
+    path_cap = 4.0 * step_cap
+    for _ in range(zerofinder.MAX_NEWTON_ITER):
+        active = np.nonzero(state == 0)[0]
+        if active.size == 0:
+            break
+        p = pts[active]
+        vals = np.empty((active.size, 2))
+        grad = np.empty((active.size, 2, 3))
+        for basis, idx in groups:
+            vals[:, idx], grad[:, idx, :] = eval_basis_and_gradient_many(
+                basis, p, rows=rows[idx, : basis.dimension]
+            )
+        s, singular = _ref_newton_step(p, vals, grad)
+        step = np.linalg.norm(s, axis=1)
+        damp = np.minimum(1.0, step_cap[active] / np.maximum(step, 1e-300))
+        moved = p + damp[:, None] * s
+        moved /= np.linalg.norm(moved, axis=1, keepdims=True)
+        pts[active] = moved
+        path[active] += step * damp
+        travel = np.arccos(np.clip(np.einsum("pi,pi->p", moved, origin[active]), -1.0, 1.0))
+        failed = singular | (travel > travel_cap[active]) | (path[active] > path_cap[active])
+        converged = (step < zerofinder.NEWTON_TOL) & ~failed
+        state[active[converged]] = 1
+        state[active[failed]] = 2
+    return pts, state == 1
+
+
+def _same_bits(a, b):
+    same_signs = np.array_equal(np.signbit(a), np.signbit(b))
+    return a.shape == b.shape and np.array_equal(a, b) and same_signs
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1e-160, -1e-160, 5e-324, 1.0, -1.0])
+
+
+class TestMatchesReference:
+    """The step, the dedup and the Newton sweep give the bits of their reference forms."""
+
+    @settings(max_examples=200)
+    @given(data=st.data(), n=st.integers(1, 12), fortran=st.booleans())
+    def test_step(self, data, n, fortran):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pts = random_sphere_points(2, n, rng)
+        grad = rng.standard_normal((n, 2, 3))
+        vals = rng.standard_normal((n, 2))
+        for p in range(n):
+            kind = data.draw(st.sampled_from(["random", "parallel", "denormal", "special"]))
+            if kind == "parallel":      # det J = 0 up to rounding
+                grad[p, 1] = data.draw(st.sampled_from([2.0, -0.5, 0.0, -0.0])) * grad[p, 0]
+            elif kind == "denormal":    # |det J|^2 near or below the smallest normal
+                grad[p, 1] *= data.draw(st.sampled_from([1e-150, 1e-160, 1e-170]))
+            elif kind == "special":     # signed zeros, denormals and units, entry by entry
+                entries = data.draw(st.lists(_SPECIAL, min_size=6, max_size=6))
+                grad[p] = np.array(entries).reshape(2, 3)
+                vals[p] = data.draw(st.lists(_SPECIAL, min_size=2, max_size=2))
+        if fortran:
+            grad = np.asfortranarray(grad)
+        with np.errstate(all="ignore"):
+            ours, ref = zerofinder._newton_step(pts, vals, grad), _ref_newton_step(pts, vals, grad)
+        assert _same_bits(ours[0], ref[0])
+        assert np.array_equal(ours[1], ref[1])
+
+    @settings(max_examples=200)
+    @given(data=st.data(), k=st.integers(0, 12))
+    def test_dedup(self, data, k):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        base = random_sphere_points(2, k, rng)
+        cloud = [base]
+        kinds = st.lists(st.sampled_from(["copy", "near", "radius", "zeros"]), max_size=4)
+        for kind in data.draw(kinds):
+            if k == 0:
+                break
+            pick = base[rng.integers(0, k, size=rng.integers(1, k + 1))].copy()
+            if kind == "near":          # on both sides of the 8-decimal rounding
+                edge = np.round(pick, 8) + 0.5e-8
+                pick = edge + rng.choice([-1.0, 1.0], size=pick.shape) * 1e-13
+            elif kind == "radius":      # inside and outside the geodesic merge radius
+                scale = rng.choice([0.3, 3.0]) * zerofinder.DEDUP_RADIUS
+                pick += scale * rng.standard_normal(pick.shape)
+            elif kind == "zeros":       # signed zeros in random coordinates
+                pick[rng.random(pick.shape) < 0.5] = 0.0
+                pick[rng.random(pick.shape) < 0.5] *= -1.0
+            cloud.append(pick)
+        points = np.concatenate(cloud)
+        points = points[rng.permutation(points.shape[0])]
+        stop_above = data.draw(st.integers(0, points.shape[0] + 2))
+        assert _same_bits(
+            zerofinder._dedup_and_sort(points, stop_above), _ref_dedup_and_sort(points, stop_above)
+        )
+
+    def test_dedup_of_no_points(self):
+        empty = np.empty((0, 3))
+        assert _same_bits(zerofinder._dedup_and_sort(empty, 8), _ref_dedup_and_sort(empty, 8))
+
+    @SWEEP_DEGREES
+    @pytest.mark.parametrize("max_iter", [zerofinder.MAX_NEWTON_ITER, 3])
+    def test_newton_sweep(self, degrees, samples, max_iter, monkeypatch):
+        # Mesh starts, most of which converge; random starts, most of which
+        # fail on the travel cap; the random starts again with 30x the caps,
+        # of which up to a third fail on the path cap alone (none at 1x1);
+        # and with the iteration cap cut to 3, starts still active when it
+        # runs out.
+        monkeypatch.setattr(zerofinder, "MAX_NEWTON_ITER", max_iter)
+        depth = zerofinder.default_mesh_depth(max(degrees))
+        mesh = icosphere(depth)
+        rng = np.random.default_rng([*degrees, 23])
+        for _ in range(samples):
+            _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
+            pool = _half_mesh(depth)
+            centroids, _ = zerofinder._candidate_faces(mesh, groups, rows, lipschitz, pool)
+            random = random_sphere_points(2, 40, rng)
+            starts = np.concatenate([centroids[:40], random, random])
+            caps = np.repeat([mesh.max_edge, 30.0 * mesh.max_edge], [starts.shape[0] - 40, 40])
+            for cap in (caps, mesh.max_edge):
+                points, ok = zerofinder._newton_refine(groups, rows, starts, cap)
+                ref_points, ref_ok = _ref_newton_refine(groups, rows, starts, cap)
+                assert np.array_equal(ok, ref_ok)
+                assert _same_bits(points, ref_points)
+            assert not ok.all() and (ok.any() or max_iter == 3)
 
 
 class TestPassSweep:
