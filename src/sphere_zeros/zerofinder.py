@@ -47,7 +47,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,12 +87,19 @@ class SubspaceSample:
     ``rows`` is an (n, N_max) matrix; row i uses its first 2*m_i + 1 entries
     (trailing entries are zero-padded when degrees are mixed).  Rows of equal
     degree represent functions in the same eigenspace; rows of different
-    degree live in mutually orthogonal eigenspaces, which the rank check
-    accounts for.
+    degree live in mutually orthogonal eigenspaces, so the rank is decided
+    per degree.
+
+    ``frame`` is an orthonormal basis of the span U of the row functions: a
+    degree that occurs once keeps its unit row, and the unit rows of a
+    repeated degree give way to their left singular vectors.  Their singular
+    values decide the rank (s_min <= RANK_TOLERANCE * s_max is deficient),
+    so scaling a row moves neither the decision nor the frame.
     """
 
     rows: np.ndarray
     source_degrees: tuple[int, ...]
+    frame: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
@@ -105,27 +112,20 @@ class SubspaceSample:
             raise SphereInputError("coefficient rows must be finite")
         if not np.any(rows, axis=1).all():
             raise RankDeficientError("sample rows are numerically rank deficient (a zero row)")
-        eigs = np.linalg.eigvalsh(self.function_gram())
-        if eigs[0] <= (RANK_TOLERANCE**2) * eigs[-1]:
-            raise RankDeficientError(
-                "sample rows are numerically rank deficient "
-                f"(singular value ratio {math.sqrt(max(eigs[0], 0.0) / eigs[-1]):.2e})"
-            )
-
-    def function_gram(self) -> np.ndarray:
-        """L2 Gram matrix of the row functions scaled to unit norm.
-
-        Cross-degree products vanish.  Scaling a function moves neither its
-        zeros nor this matrix, so the rank check does not depend on scale.
-        """
-        rows = _unit_rows(self.rows)
-        n = rows.shape[0]
-        gram = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                if self.source_degrees[i] == self.source_degrees[j]:
-                    gram[i, j] = gram[j, i] = float(np.dot(rows[i], rows[j]))
-        return gram
+        frame = _unit_rows(rows)
+        for degree in sorted(set(degrees)):
+            idx = [i for i, d in enumerate(degrees) if d == degree]
+            if len(idx) == 1:
+                continue
+            vectors, singular, _ = np.linalg.svd(frame[idx].T, full_matrices=False)
+            # With more rows than entries, the singular value svd leaves out is 0.
+            ratio = singular[-1] / singular[0] if len(idx) <= rows.shape[1] else 0.0
+            if ratio <= RANK_TOLERANCE:
+                raise RankDeficientError(
+                    f"sample rows are numerically rank deficient (singular value ratio {ratio:.2e})"
+                )
+            frame[idx] = vectors.T
+        object.__setattr__(self, "frame", frame)
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:

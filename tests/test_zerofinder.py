@@ -106,6 +106,106 @@ class TestSubspaceSample:
         assert np.max(np.abs(plain.zeros - scaled.zeros)) < 1e-12
 
 
+def _ref_function_gram(rows, source_degrees):
+    """L2 Gram matrix of the row functions scaled to unit norm.
+
+    The Gram form of the rank check, kept verbatim (``self`` read as its two
+    fields) as the reference for the singular-value rule.
+    """
+    rows = zerofinder._unit_rows(rows)
+    n = rows.shape[0]
+    gram = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            if source_degrees[i] == source_degrees[j]:
+                gram[i, j] = gram[j, i] = float(np.dot(rows[i], rows[j]))
+    return gram
+
+
+def _ref_rank_ratio(rows, source_degrees):
+    """sqrt of the smallest over the largest Gram eigenvalue; the Gram form rejects <= 1e-8."""
+    eigs = np.linalg.eigvalsh(_ref_function_gram(rows, source_degrees))
+    return math.sqrt(max(eigs[0], 0.0) / eigs[-1])
+
+
+def _accepts(rows, degrees) -> bool:
+    try:
+        make_sample(rows, degrees)
+    except RankDeficientError:
+        return False
+    return True
+
+
+def _check_frame(sample):
+    """The frame is orthonormal per repeated degree, spans the unit rows, and keeps lone unit rows."""
+    unit = zerofinder._unit_rows(sample.rows)
+    degrees = sample.source_degrees
+    for degree in set(degrees):
+        idx = [i for i, d in enumerate(degrees) if d == degree]
+        frame = sample.frame[idx]
+        if len(idx) == 1:
+            assert np.array_equal(frame, unit[idx])
+            continue
+        assert np.max(np.abs(frame @ frame.T - np.eye(len(idx)))) <= 1e-14
+        projected = (unit[idx] @ frame.T) @ frame
+        assert np.max(np.abs(projected - unit[idx])) <= 1e-14
+
+
+RANK_DEGREES = [(m, m) for m in range(1, 9)] + [(1, 2), (3, 3, 5), (2, 2, 4, 4), (2, 2, 2), (1, 1, 1)]
+
+
+class TestRankRule:
+    """The singular values of the unit rows against the Gram eigenvalue form they replace."""
+
+    @settings(max_examples=150)
+    @given(
+        degrees=st.sampled_from(RANK_DEGREES),
+        seed=st.integers(0, 2**32 - 1),
+        eps=st.sampled_from([1.0, 1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-12]),
+        scales=st.lists(st.sampled_from([1.0, 1e-170, 1e160]), min_size=4, max_size=4),
+    )
+    def test_decision_matches_the_gram_form(self, degrees, seed, eps, scales):
+        # Each repeated row is the first row of its degree plus eps times a
+        # Gaussian row, so the ratio runs from O(1) down past the tolerance.
+        rng = np.random.default_rng(seed)
+        first = {}
+        rows = []
+        for d in degrees:
+            row = rng.standard_normal(2 * d + 1)
+            rows.append(row if d not in first else first[d] + eps * row)
+            first.setdefault(d, row)
+        sample_rows = np.zeros((len(degrees), 2 * max(degrees) + 1))
+        for i, (row, scale) in enumerate(zip(rows, scales)):
+            sample_rows[i, : row.size] = row * scale
+        accepted = _accepts(sample_rows, degrees)
+        ratio = _ref_rank_ratio(sample_rows, degrees)
+        if ratio >= 1e-6:
+            assert accepted and ratio > zerofinder.RANK_TOLERANCE
+        if eps <= 1e-10 and len(set(degrees)) < len(degrees):
+            assert not accepted
+        if accepted:
+            _check_frame(make_sample(sample_rows, degrees))
+
+    def test_exactly_deficient_rows_are_always_rejected(self):
+        # The Gram form accepts some of these: its smallest eigenvalue is a
+        # rounding error of a squared singular value.  A plain SVD of more
+        # rows than entries would raise ValueError, not RankDeficientError.
+        cases = []
+        for m in range(1, 9):
+            rng = np.random.default_rng([m, 41])
+            for _ in range(200):
+                u = rng.standard_normal(2 * m + 1)
+                c = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+                cases.append(([u, c * u], [m, m]))
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            cases.append((rng.standard_normal((4, 3)), [1] * 4))
+            cases.append((rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5)), [2] * 3))
+        for rows, degrees in cases:
+            with pytest.raises(RankDeficientError):
+                make_sample(rows, degrees)
+
+
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 
@@ -131,7 +231,7 @@ class TestInputChecks:
         except (SphereInputError, RankDeficientError):
             return
         assert np.isfinite(sample.rows).all()
-        assert np.isfinite(sample.function_gram()).all()
+        assert np.isfinite(sample.frame).all()
 
 
 class TestCircleZeros:
