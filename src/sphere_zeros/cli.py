@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .embedding import COVERING_PROBES, image_volume
+from .embedding import COVERING_PROBES, MAX_QUADRATURE_DEPTH, image_volume
 from .harmonics import (
     MAX_DEGREE,
     SphereInputError,
@@ -84,7 +84,6 @@ TOL_DILATION = 1e-6              # relative
 TOL_IMAGE_VOLUME = 5e-3          # relative
 MAX_TRIALS = 10**6
 MAX_POINTS = 10**5               # --points
-MAX_DEPTH = 9
 
 
 class ConfigError(ValueError):
@@ -165,8 +164,8 @@ def _validate_common(args) -> None:
         if value is not None and not 1 <= value <= MAX_DEGREE:
             raise ConfigError(f"degrees must be in [1, {MAX_DEGREE}]")
     qdepth = getattr(args, "quadrature_depth", None)
-    if qdepth is not None and not 1 <= qdepth <= MAX_DEPTH:
-        raise ConfigError(f"quadrature depth must be in [1, {MAX_DEPTH}]")
+    if qdepth is not None and not 1 <= qdepth <= MAX_QUADRATURE_DEPTH:
+        raise ConfigError(f"quadrature depth must be in [1, {MAX_QUADRATURE_DEPTH}]")
 
 
 def _zero_set_report(report: dict, result) -> bool:

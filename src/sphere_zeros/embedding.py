@@ -19,6 +19,7 @@ import numpy as np
 
 from .harmonics import (
     HarmonicBasis,
+    SphereInputError,
     as_sphere_point,
     eval_basis_many,
     eval_gradient_many,
@@ -32,6 +33,7 @@ from .zerofinder import find_common_zeros_s1, make_sample
 COLLISION_FACTOR = 1e-8       # image points closer than factor*R count as equal
 MIN_SEPARATION = 1e-3         # geodesic distance below which pairs are ignored
 COVERING_PROBES = 64          # random points, and random point pairs, per S2 covering check
+MAX_QUADRATURE_DEPTH = 9      # the depth-9 quadrature mesh has 5.2M faces, each level 4x more
 
 
 class UnexpectedFiberError(RuntimeError):
@@ -140,6 +142,9 @@ def image_volume(
     1e-4; the integrand is constant for an exact eigenbasis, so accuracy is
     limited only by the pointwise identity residuals.
     """
+    depths = range(1, MAX_QUADRATURE_DEPTH + 1)
+    if not isinstance(quadrature_depth, (int, np.integer)) or quadrature_depth not in depths:
+        raise SphereInputError(f"quadrature depth must be an integer in [1, {depths[-1]}]")
     rng = np.random.default_rng([seed, basis.sphere_dim, basis.degree])
     degree_count = covering_degree(basis, rng)
     n = basis.sphere_dim

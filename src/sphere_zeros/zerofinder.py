@@ -1,17 +1,18 @@
 """Common zeros of pairs of eigenfunctions on S2 and single eigenfunctions on S1.
 
-The S2 solver enumerates Z(u1, u2) = {x : u1(x) = u2(x) = 0} by
+The S2 solver enumerates Z(u1, u2) = {x : u1(x) = u2(x) = 0}, which depends
+only on their span U, as the zeros of the orthonormal frame f_1, f_2 of U by
 
 1. subdividing an icosahedral geodesic mesh to depth D and keeping the
    half of it that descends from icosahedron faces 0-9 (faces 10-19 are
    their antipodes),
-2. discarding every triangle on which some u_i provably cannot vanish
+2. discarding every triangle on which some f_i provably cannot vanish
    (sign-definite vertex values further than a Lipschitz clearance from
    zero; the Lipschitz constant comes from the exact pointwise gradient-sum
    identity, so the exclusion is certified, not heuristic),
 3. re-testing survivors at their centroids with the same certified bound,
 4. running a damped Newton iteration on the sphere from each surviving
-   centroid, its step the tangent vector s with grad u_i . s = -u_i taken
+   centroid, its step the tangent vector s with grad f_i . s = -f_i taken
    from cross products with no tangent frame, reprojecting to the sphere
    after every step, and adding the antipode of every converged point
    (u(-x) = (-1)^m u(x), so Z(u1, u2) = -Z(u1, u2) and the other half needs
@@ -22,7 +23,8 @@ The S2 solver enumerates Z(u1, u2) = {x : u1(x) = u2(x) = 0} by
    children of the faces the first pass kept: equal counts within the
    Bezout ceiling are Complete; otherwise a third pass runs on its own, one
    depth deeper again, and its zeros are the DepthEscalated result.  The
-   max residual is evaluated once, on the zeros the result reports.
+   max residual, max |u_i| over the caller's unit rows, is evaluated once,
+   on the zeros the result reports.
 
 Row values and gradients are summed in the same order at any batch size,
 and every Newton operation acts on each start alone, so a start takes the
@@ -92,8 +94,8 @@ class SubspaceSample:
 
     ``frame`` is an orthonormal basis of the span U of the row functions: a
     degree that occurs once keeps its unit row, and the unit rows of a
-    repeated degree give way to their left singular vectors.  Their singular
-    values decide the rank (s_min <= RANK_TOLERANCE * s_max is deficient),
+    repeated degree give way to their left singular vectors.  The singular
+    values decide the rank, s_min <= RANK_TOLERANCE * s_max being deficient,
     so scaling a row moves neither the decision nor the frame.
     """
 
@@ -113,17 +115,13 @@ class SubspaceSample:
         if not np.any(rows, axis=1).all():
             raise RankDeficientError("sample rows are numerically rank deficient (a zero row)")
         frame = _unit_rows(rows)
-        for degree in sorted(set(degrees)):
+        for degree in sorted({d for d in degrees if degrees.count(d) > 1}):
             idx = [i for i, d in enumerate(degrees) if d == degree]
-            if len(idx) == 1:
-                continue
             vectors, singular, _ = np.linalg.svd(frame[idx].T, full_matrices=False)
             # With more rows than entries, the singular value svd leaves out is 0.
             ratio = singular[-1] / singular[0] if len(idx) <= rows.shape[1] else 0.0
             if ratio <= RANK_TOLERANCE:
-                raise RankDeficientError(
-                    f"sample rows are numerically rank deficient (singular value ratio {ratio:.2e})"
-                )
+                raise RankDeficientError(f"rank deficient rows (singular value ratio {ratio:.2e})")
             frame[idx] = vectors.T
         object.__setattr__(self, "frame", frame)
 
@@ -478,7 +476,9 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     with more than ``DEGENERACY_FACTOR`` times the Bezout ceiling zeros makes
     the result Degenerate.  Two equal counts within the ceiling are
     Complete at D + 1; otherwise one more pass at D + 2, on the children of
-    the faces kept at D + 1, gives the DepthEscalated result.
+    the faces kept at D + 1, gives the DepthEscalated result.  The passes
+    solve on ``sample.frame``, whose rows have unit norm, so the gradient sum
+    is a Lipschitz bound; ``max_residual`` is max |u_i| over the unit rows.
     """
     bases = list(bases)
     if len(bases) != 2 or any(b.sphere_dim != 2 for b in bases):
@@ -492,14 +492,12 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
             raise SphereInputError(f"row {i} degree does not match its basis")
         if sample.rows.shape[1] < b.dimension or np.any(sample.rows[i, b.dimension :]):
             raise SphereInputError(f"row {i} must hold {b.dimension} coefficients, then only zeros")
-    # Unit rows: rescaling a function does not move its zeros, and it turns
-    # the gradient-sum identity into an exact Lipschitz constant.
-    rows = _unit_rows(sample.rows)
     groups = _degree_groups(bases)
     lipschitz = np.array([math.sqrt(b.gradient_sum_constant) for b in bases])
     bezout = 2 * bases[0].degree * bases[1].degree
     cap = DEGENERACY_FACTOR * bezout
     depth0 = default_mesh_depth(max_degree)
+    unit = _unit_rows(sample.rows)
 
     def result(zeros: np.ndarray, depth: int, escalations: int) -> ZeroFindingResult:
         if zeros.shape[0] > cap:
@@ -507,20 +505,20 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
         return ZeroFindingResult(
             zeros=zeros,
             status=SolverStatus.DEPTH_ESCALATED if escalations else SolverStatus.COMPLETE,
-            max_residual=float(np.abs(_row_values(groups, rows, zeros)).max(initial=0.0)),
+            max_residual=float(np.abs(_row_values(groups, unit, zeros)).max(initial=0.0)),
             bezout_bound=bezout,
             depth_used=depth,
             escalations=escalations,
         )
 
     half = half_mesh(depth0)[0]
-    (z0, _), (z1, kept) = _solve_passes(groups, rows, lipschitz, cap, depth0, half, passes=2)
+    (z0, _), (z1, kept) = _solve_passes(groups, sample.frame, lipschitz, cap, depth0, half, passes=2)
     if z0.shape[0] > cap:
         return ZeroFindingResult.degenerate(bezout, depth0)
     if z1.shape[0] > cap or z1.shape[0] == z0.shape[0] <= bezout:
         return result(z1, depth0 + 1, 0)
     pool = _children_of(kept, depth0 + 1)
-    [(z2, _)] = _solve_passes(groups, rows, lipschitz, cap, depth0 + 2, pool, passes=1)
+    [(z2, _)] = _solve_passes(groups, sample.frame, lipschitz, cap, depth0 + 2, pool, passes=1)
     return result(z2, depth0 + 2, 1)
 
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import sphere_zeros.harmonics
 from sphere_zeros.cli import (
-    MAX_DEPTH,
     MAX_POINTS,
     MAX_TRIALS,
     ConfigError,
@@ -23,6 +22,7 @@ from sphere_zeros.cli import (
     build_parser,
     main,
 )
+from sphere_zeros.embedding import MAX_QUADRATURE_DEPTH
 from sphere_zeros.zerofinder import MAX_SOLVER_DEGREE
 
 
@@ -493,7 +493,7 @@ def _bad_values(command, flag):
         "--trials": _ints_outside(1, MAX_TRIALS),
         "--seed": _ints_outside(0),
         "--points": _ints_outside(1, MAX_POINTS),
-        "--quadrature-depth": _ints_outside(1, MAX_DEPTH),
+        "--quadrature-depth": _ints_outside(1, MAX_QUADRATURE_DEPTH),
         "--alpha": _floats_outside(0.0, math.pi),
         "--format": st.sampled_from(["", "xml", "JSON", "csv2"]),
         "--function": st.sampled_from(["", "Zonal", "gaussian"]),

@@ -22,6 +22,7 @@ from sphere_zeros.harmonics import (
     random_sphere_points,
     unsold_residual,
 )
+from sphere_zeros.icosphere import icosphere
 
 
 class TestRadius:
@@ -166,6 +167,14 @@ class TestImageVolume:
             assert report.numeric_integral == pytest.approx(2.0 * m * math.sqrt(math.pi), rel=1e-10)
             assert report.numeric_image_volume == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-10)
             assert report.antipodal_identified == (m % 2 == 0)
+
+    @pytest.mark.parametrize("depth", [0, 10, 12, -1, 2.5])
+    def test_depth_outside_the_range_is_rejected_before_any_mesh(self, depth):
+        # Depth 12 alone would build a 335M-face mesh.
+        misses = icosphere.cache_info().misses
+        with pytest.raises(SphereInputError, match="quadrature depth"):
+            image_volume(build_basis(2, 2), quadrature_depth=depth)
+        assert icosphere.cache_info().misses == misses
 
     def test_gram_residual_small(self):
         report = image_volume(build_basis(2, 4), quadrature_depth=3)
