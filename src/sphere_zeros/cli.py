@@ -286,9 +286,12 @@ def run_invariants(args) -> tuple[dict, int]:
 
 
 def run_embedding(args) -> tuple[dict, int]:
-    config_fields = ["sphere", "degree", "quadrature_depth", "probes", "seed"]
-    if args.sphere == 1:   # the S1 covering degree uses six base points, not the probes
-        config_fields.remove("probes")
+    # The S1 quadrature and covering degree use neither the depth nor the probes.
+    config_fields = (
+        ["sphere", "degree", "seed"]
+        if args.sphere == 1
+        else ["sphere", "degree", "quadrature_depth", "probes", "seed"]
+    )
     report = _report_skeleton("embedding", _config_echo(args, config_fields))
     basis = build_basis(args.sphere, args.degree)
     emb = image_volume(basis, args.quadrature_depth, seed=args.seed)

@@ -1,10 +1,15 @@
 """Geodesic icosphere meshes: subdivided icosahedra projected to the unit sphere.
 
-Depth d has 20 * 4^d triangles and 10 * 4^d + 2 vertices.  Meshes carry the
-per-face geometry the zero finder's exclusion tests need: geodesic covering
-radii (max distance from any interior point to the nearest vertex) and max
-distances from the centroid, both exact up to the spherical-triangle
-approximations documented below.  Meshes and derived arrays are cached.
+Depth d has 20 * 4^d triangles and 10 * 4^d + 2 vertices.  Faces are
+numbered as a quadtree: the children of face p are faces 4p..4p+3 one depth
+deeper (``children``), so the descendants of icosahedron face j at depth d
+are the block [j * 4^d, (j + 1) * 4^d).  Icosahedron faces 10-19 are the
+antipodes of faces 0-9 and every vertex has its negation among the
+vertices, so at every depth the first half of the faces and its antipodes
+tile S2.  Meshes carry the per-face geometry the zero finder's exclusion
+tests need: geodesic covering radii (max distance from any interior point to
+the nearest vertex) and max distances from the centroid, both exact up to
+the spherical-triangle approximations documented below.  Meshes are cached.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class SphereMesh:
 
     depth: int
     vertices: np.ndarray      # (V, 3) unit vectors
-    faces: np.ndarray         # (F, 3) vertex indices
+    faces: np.ndarray         # (3, F) vertex indices, corner-major
     centroids: np.ndarray     # (F, 3) unit vectors
     covering_radius: np.ndarray   # (F,) geodesic bound: point -> nearest vertex
     centroid_reach: np.ndarray    # (F,) geodesic bound: centroid -> any point
@@ -63,30 +68,29 @@ class SphereMesh:
 
     @property
     def num_faces(self) -> int:
-        return self.faces.shape[0]
+        return self.faces.shape[1]
 
 
 def _subdivide(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint quadrisection of (3, F) faces into faces 4p..4p+3 per face p.
+
+    Child k < 3 keeps corner k of p as its corner 0; child 3 is the centre.
+    """
     nv = vertices.shape[0]
-    nf = faces.shape[0]
-    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    edges.sort(axis=1)
+    edges = np.sort(np.stack([faces.ravel(), faces[[1, 2, 0]].ravel()], axis=1), axis=1)
     unique_edges, inverse = np.unique(edges, axis=0, return_inverse=True)
     midpoints = vertices[unique_edges[:, 0]] + vertices[unique_edges[:, 1]]
     midpoints /= np.linalg.norm(midpoints, axis=1, keepdims=True)
     vertices = np.vstack([vertices, midpoints])
-    m01 = nv + inverse[:nf]
-    m12 = nv + inverse[nf : 2 * nf]
-    m20 = nv + inverse[2 * nf :]
-    faces = np.concatenate(
-        [
-            np.stack([faces[:, 0], m01, m20], axis=1),
-            np.stack([faces[:, 1], m12, m01], axis=1),
-            np.stack([faces[:, 2], m20, m12], axis=1),
-            np.stack([m01, m12, m20], axis=1),
-        ]
-    )
-    return vertices, faces
+    a, b, c = faces
+    ab, bc, ca = (nv + inverse).reshape(3, -1)
+    quads = np.stack([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]], axis=-1)
+    return vertices, quads.reshape(3, -1)
+
+
+def children(faces: np.ndarray) -> np.ndarray:
+    """The faces one depth deeper that subdivide ``faces``; ascending for an ascending input."""
+    return (4 * faces[:, None] + np.arange(4)).ravel()
 
 
 @functools.lru_cache(maxsize=10)
@@ -95,12 +99,12 @@ def icosphere(depth: int) -> SphereMesh:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth == 0:
-        vertices, faces = _ICO_VERTICES.copy(), _ICO_FACES.copy()
+        vertices, faces = _ICO_VERTICES.copy(), _ICO_FACES.T.copy()
     else:
         parent = icosphere(depth - 1)
         vertices, faces = _subdivide(parent.vertices, parent.faces)
 
-    v0, v1, v2 = (vertices[faces[:, k]] for k in range(3))
+    v0, v1, v2 = vertices[faces]
     centroids = v0 + v1 + v2
     centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
 
@@ -139,9 +143,7 @@ def icosphere(depth: int) -> SphereMesh:
 
 def spherical_face_areas(mesh: SphereMesh) -> np.ndarray:
     """Exact spherical areas (solid angles) of all faces; they sum to 4*pi."""
-    v0 = mesh.vertices[mesh.faces[:, 0]]
-    v1 = mesh.vertices[mesh.faces[:, 1]]
-    v2 = mesh.vertices[mesh.faces[:, 2]]
+    v0, v1, v2 = mesh.vertices[mesh.faces]
     numer = np.abs(np.einsum("fi,fi->f", v0, np.cross(v1, v2)))
     denom = (
         1.0
@@ -150,21 +152,3 @@ def spherical_face_areas(mesh: SphereMesh) -> np.ndarray:
         + np.einsum("fi,fi->f", v2, v0)
     )
     return 2.0 * np.arctan2(numer, denom)
-
-
-@functools.lru_cache(maxsize=10)
-def half_mesh(depth: int) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """Faces of the depth-d icosphere descended from icosahedron faces 0-9, cached read-only.
-
-    Face i descends from icosahedron face i mod 20, and faces 10-19 are the
-    antipodes of faces 0-9, so these faces and their antipodes tile S2.
-    Returns the face indices, their corner vertex indices (one array per
-    corner) and their covering radii.
-    """
-    mesh = icosphere(depth)
-    faces = np.flatnonzero(np.arange(mesh.num_faces) % 20 < 10)
-    corners = [mesh.faces[:, k][faces] for k in range(3)]
-    cov = mesh.covering_radius[faces]
-    for a in (faces, *corners, cov):
-        a.flags.writeable = False
-    return faces, corners, cov

@@ -23,6 +23,7 @@ import numpy as np
 from .harmonics import (
     HarmonicBasis,
     SphereInputError,
+    build_basis,
     check_coefficients,
     legendre_roots,
     zonal,
@@ -330,8 +331,6 @@ def zonal_pair_demo(degree: int, alpha: float) -> ZeroFindingResult:
     _check_solver_degree(degree)
     if not 0.0 <= alpha < math.pi:
         raise SphereInputError("tilt angle must lie in [0, pi)")
-    from .harmonics import build_basis
-
     basis = build_basis(2, degree)
     pole = np.array([0.0, 0.0, 1.0])
     tilted = np.array([math.sin(alpha), 0.0, math.cos(alpha)])

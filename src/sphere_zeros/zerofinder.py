@@ -4,8 +4,8 @@ The S2 solver enumerates Z(u1, u2) = {x : u1(x) = u2(x) = 0}, which depends
 only on their span U, as the zeros of the orthonormal frame f_1, f_2 of U by
 
 1. subdividing an icosahedral geodesic mesh to depth D and keeping the
-   half of it that descends from icosahedron faces 0-9 (faces 10-19 are
-   their antipodes),
+   first half of its faces, whose antipodes are the second half (the
+   quadtree numbering of ``icosphere``),
 2. discarding every triangle on which some f_i provably cannot vanish
    (sign-definite vertex values further than a Lipschitz clearance from
    zero; the Lipschitz constant comes from the exact pointwise gradient-sum
@@ -56,11 +56,12 @@ import numpy as np
 from .harmonics import (
     HarmonicBasis,
     SphereInputError,
+    build_basis,
     check_coefficients,
     eval_basis_and_gradient_many,
     eval_basis_many,
 )
-from .icosphere import SphereMesh, half_mesh, icosphere
+from .icosphere import SphereMesh, children, icosphere
 
 RESIDUAL_FACTOR = 1e-9        # converged zeros satisfy |u_i| <= factor * scale
 DEGENERACY_FACTOR = 4         # deduped count above factor * bezout => Degenerate
@@ -204,8 +205,6 @@ def _check_solver_degree(degree: int) -> None:
 @functools.lru_cache(maxsize=24)
 def _basis_at_vertices(degree: int, depth: int) -> np.ndarray:
     """Cached (V, N) basis values on the depth-d mesh vertices."""
-    from .harmonics import build_basis
-
     mesh = icosphere(depth)
     return eval_basis_many(build_basis(2, degree), mesh.vertices)
 
@@ -241,11 +240,11 @@ def _candidate_faces(
     (r the covering radius) and |u_i| <= L_i * reach at the centroid, with
     L_i the exact global gradient bound; faces failing either test for any i
     are excluded rigorously.  Survivors are narrowed further by certified
-    quadrisection.  The pool is the half mesh descended from icosahedron
-    faces 0-9 on the first pass and the children of the parent depth's
-    survivors after that.
+    quadrisection.  The pool is the first half of the mesh's faces on the
+    first pass and the children of the parent depth's survivors after that.
     """
-    corner, cov = _pool_geometry(mesh, face_pool)
+    corners = np.take(mesh.faces, face_pool, axis=1)
+    cov = mesh.covering_radius[face_pool]
     keep = np.ones(face_pool.size, dtype=bool)
     for basis, idx in groups:
         # A BLAS product over the cached vertex block: these values only feed the
@@ -253,7 +252,7 @@ def _candidate_faces(
         values = _basis_at_vertices(basis.degree, mesh.depth) @ rows[idx, : basis.dimension].T
         values = np.ascontiguousarray(values.T)
         clearance = lipschitz[idx][:, None] * cov
-        keep &= _may_vanish(*(np.take(values, v, axis=1).T for v in corner), clearance.T)
+        keep &= _may_vanish(*(np.take(values, v, axis=1).T for v in corners), clearance.T)
     cand = face_pool[keep]
     if cand.size == 0:
         return np.empty((0, 3)), cand
@@ -262,17 +261,6 @@ def _candidate_faces(
     vals = _row_values(groups, rows, centroids)
     ok = (np.abs(vals) <= lipschitz[None, :] * reach[:, None]).all(axis=1)
     return centroids[ok], cand[ok]
-
-
-def _pool_geometry(mesh: SphereMesh, pool: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Corner vertex indices, one array per corner, and covering radii of the faces of ``pool``.
-
-    Only a read-only pool is looked up in ``half_mesh`` (built once per depth),
-    so deeper passes build no half; others are gathered (1-D beats (F, 3)).
-    """
-    if not pool.flags.writeable and pool is (half := half_mesh(mesh.depth))[0]:
-        return half[1], half[2]
-    return [mesh.faces[:, k][pool] for k in range(3)], mesh.covering_radius[pool]
 
 
 def _may_vanish(
@@ -394,7 +382,7 @@ def _dedup_and_sort(points: np.ndarray, stop_above: int) -> np.ndarray:
     order = np.lexsort(rounded.T[::-1])             # stable, x first
     rounded = rounded[order]
     first = np.concatenate([[True], (rounded[1:] != rounded[:-1]).any(axis=1)])
-    collapsed = points[np.sort(order[first])]
+    collapsed = points[order[first]]
     collapsed = collapsed[np.lexsort(collapsed.T[::-1])]
     reps = np.empty((min(collapsed.shape[0], stop_above + 1), 3))
     count = 0
@@ -406,16 +394,6 @@ def _dedup_and_sort(points: np.ndarray, stop_above: int) -> np.ndarray:
         if count > stop_above:
             break
     return reps[:count]
-
-
-def _children_of(faces: np.ndarray, parent_depth: int) -> np.ndarray:
-    """Indices at depth+1 of the four children of each parent face.
-
-    Subdivision emits the three corner blocks then the center block, each in
-    parent order, so the children of parent p are p + k * F_parent.
-    """
-    nf_parent = 20 * 4**parent_depth
-    return np.sort(np.concatenate([faces + k * nf_parent for k in range(4)]))
 
 
 def _solve_passes(
@@ -447,7 +425,7 @@ def _solve_passes(
     starts, edges, kept = [], [], []
     for d in range(depth, depth + passes):
         if kept:
-            pool = _children_of(kept[-1], d - 1)
+            pool = children(kept[-1])
         mesh = icosphere(d)
         centroids, faces = _candidate_faces(mesh, groups, rows, lipschitz, pool)
         starts.append(centroids)
@@ -469,16 +447,16 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     """Enumerate Z(u1, u2) on S2 for the two coefficient rows of ``sample``.
 
     The base mesh depth D is ``default_mesh_depth`` of the larger degree.
-    One ``_solve_passes`` call searches depth D on the half of the mesh
-    descended from icosahedron faces 0-9 (their antipodes are faces 10-19,
-    and ``_children_of`` keeps every descendant of face i congruent to i
-    mod 20), and depth D + 1 on the children of the faces it kept.  A pass
-    with more than ``DEGENERACY_FACTOR`` times the Bezout ceiling zeros makes
-    the result Degenerate.  Two equal counts within the ceiling are
-    Complete at D + 1; otherwise one more pass at D + 2, on the children of
-    the faces kept at D + 1, gives the DepthEscalated result.  The passes
-    solve on ``sample.frame``, whose rows have unit norm, so the gradient sum
-    is a Lipschitz bound; ``max_residual`` is max |u_i| over the unit rows.
+    One ``_solve_passes`` call searches depth D on the first half of the
+    mesh's faces (their antipodes are the second half, and the children of
+    a face in it are in the first half one depth deeper), and depth D + 1 on
+    the children of the faces it kept.  A pass with more than
+    ``DEGENERACY_FACTOR`` times the Bezout ceiling zeros makes the result
+    Degenerate.  Two equal counts within the ceiling are Complete at D + 1;
+    otherwise one more pass at D + 2, on the children of the faces kept at
+    D + 1, gives the DepthEscalated result.  The passes solve on
+    ``sample.frame``, whose rows have unit norm, so the gradient sum is a
+    Lipschitz bound; ``max_residual`` is max |u_i| over the unit rows.
     """
     bases = list(bases)
     if len(bases) != 2 or any(b.sphere_dim != 2 for b in bases):
@@ -511,13 +489,13 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
             escalations=escalations,
         )
 
-    half = half_mesh(depth0)[0]
+    half = np.arange(icosphere(depth0).num_faces // 2)
     (z0, _), (z1, kept) = _solve_passes(groups, sample.frame, lipschitz, cap, depth0, half, passes=2)
     if z0.shape[0] > cap:
         return ZeroFindingResult.degenerate(bezout, depth0)
     if z1.shape[0] > cap or z1.shape[0] == z0.shape[0] <= bezout:
         return result(z1, depth0 + 1, 0)
-    pool = _children_of(kept, depth0 + 1)
+    pool = children(kept)
     [(z2, _)] = _solve_passes(groups, sample.frame, lipschitz, cap, depth0 + 2, pool, passes=1)
     return result(z2, depth0 + 2, 1)
 

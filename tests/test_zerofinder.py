@@ -30,7 +30,7 @@ from sphere_zeros.harmonics import (
     rotate_coefficients,
     tangent_frames,
 )
-from sphere_zeros.icosphere import half_mesh, icosphere
+from sphere_zeros.icosphere import children, icosphere
 from sphere_zeros.integralgeom import (
     random_circle_frame,
     sample_subspace,
@@ -40,7 +40,6 @@ from sphere_zeros.integralgeom import (
 from sphere_zeros.zerofinder import (
     UNIT_CIRCLE_TOL,
     ZeroFindingResult,
-    _children_of,
     _circle_eigenvalues,
 )
 
@@ -479,9 +478,9 @@ class TestCountDependsOnTheSpanAlone:
             assert (result.count, result.status) == (2 * m, SolverStatus.COMPLETE), share
 
 
-def _half_mesh(depth):
-    """Faces descended from icosahedron faces 0-9."""
-    return np.flatnonzero(np.arange(20 * 4**depth) % 20 < 10)
+def _first_half(depth):
+    """The first half of the depth-d faces, the descendants of icosahedron faces 0-9."""
+    return np.arange(10 * 4**depth)
 
 
 def _antipodal_faces(mesh):
@@ -493,7 +492,7 @@ def _antipodal_faces(mesh):
     vertex_of = np.empty(n, dtype=np.int64)
     vertex_of[inverse[:n]] = np.arange(n)
     negated = vertex_of[inverse[n:]]
-    corners = np.sort(np.concatenate([mesh.faces, negated[mesh.faces]]), axis=1)
+    corners = np.sort(np.concatenate([mesh.faces.T, negated[mesh.faces.T]]), axis=1)
     keys, inverse = np.unique(corners, axis=0, return_inverse=True)
     assert keys.shape[0] == mesh.num_faces       # every negated face is a face
     face_of = np.empty(mesh.num_faces, dtype=np.int64)
@@ -502,31 +501,17 @@ def _antipodal_faces(mesh):
 
 
 class TestAntipodalHalves:
-    """The solver searches faces i with i % 20 < 10 and mirrors what it finds."""
+    """The solver searches the first half of the faces and mirrors what it finds."""
 
     @pytest.mark.parametrize("depth", range(7))
     def test_mesh_splits_into_antipodal_halves(self, depth):
         antipode = _antipodal_faces(icosphere(depth))
         faces = np.arange(antipode.size)
-        assert np.array_equal(antipode[antipode], faces)
-        assert np.array_equal(antipode % 20 < 10, faces % 20 >= 10)
-        half = _half_mesh(depth)
+        half = _first_half(depth)
         assert half.size == antipode.size // 2
-        assert np.array_equal(_children_of(half, depth), _half_mesh(depth + 1))
-
-    @pytest.mark.parametrize("depth", range(4, 7))
-    def test_cached_half_pool_brings_its_geometry(self, depth):
-        mesh = icosphere(depth)
-        faces, corners, cov = half_mesh(depth)
-        assert half_mesh(depth)[0] is faces
-        assert np.array_equal(faces, _half_mesh(depth))
-        assert not any(a.flags.writeable for a in (faces, *corners, cov))
-        assert zerofinder._pool_geometry(mesh, faces)[1] is cov
-        # The cached pool, a copy of it (gathered) and any other pool agree with the mesh.
-        for pool in (faces, faces.copy(), _half_mesh(depth)[::3]):
-            pool_corners, pool_cov = zerofinder._pool_geometry(mesh, pool)
-            assert all(np.array_equal(c, mesh.faces[pool, k]) for k, c in enumerate(pool_corners))
-            assert np.array_equal(pool_cov, mesh.covering_radius[pool])
+        assert np.array_equal(antipode[antipode], faces)
+        assert np.array_equal(np.sort(antipode[half]), faces[half.size :])
+        assert np.array_equal(children(half), _first_half(depth + 1))
 
     @pytest.mark.parametrize("degrees", [(1, 1), (2, 5), (8, 12)])
     def test_row_values_are_sign_symmetric_to_the_bit(self, degrees):
@@ -549,7 +534,7 @@ class TestAntipodalHalves:
         bases = [build_basis(2, m) for m in degrees]
         depth = zerofinder.default_mesh_depth(max(degrees))
         faces = np.arange(20 * 4**depth)
-        pools = [_half_mesh(depth), faces[faces % 20 >= 10], faces]
+        pools = [_first_half(depth), faces[faces.size // 2 :], faces]
         rng = np.random.default_rng([*degrees, 7])
         cap = zerofinder.DEGENERACY_FACTOR * 2 * degrees[0] * degrees[1]
         for _ in range(samples):
@@ -636,10 +621,10 @@ class TestDepthConfirmation:
         assert [(depth, n) for depth, _, n in calls] == [(self.DEPTH0, 2), (self.DEPTH0 + 2, 1)][
             : len(calls)
         ]
-        assert np.array_equal(calls[0][1], _half_mesh(self.DEPTH0))
+        assert np.array_equal(calls[0][1], _first_half(self.DEPTH0))
         assert calls[0][1].size == 20 * 4**self.DEPTH0 // 2
         if len(calls) == 2:
-            assert np.array_equal(calls[1][1], _children_of(self.KEPT[1], self.DEPTH0 + 1))
+            assert np.array_equal(calls[1][1], children(self.KEPT[1]))
         return result, sum(n for _, _, n in calls)
 
     def max_abs_value(self, zeros):
@@ -704,7 +689,7 @@ class TestNewtonSweep:
         rng = np.random.default_rng([*degrees, 11])
         for _ in range(samples):
             _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
-            pool = _half_mesh(depth)
+            pool = _first_half(depth)
             starts, _ = zerofinder._candidate_faces(mesh, groups, rows, lipschitz, pool)
             scalar = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
             array = zerofinder._newton_refine(
@@ -722,10 +707,10 @@ class TestNewtonSweep:
         for _ in range(samples):
             _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
             first, kept = zerofinder._candidate_faces(
-                meshes[0], groups, rows, lipschitz, _half_mesh(depth)
+                meshes[0], groups, rows, lipschitz, _first_half(depth)
             )
             second, _ = zerofinder._candidate_faces(
-                meshes[1], groups, rows, lipschitz, _children_of(kept, depth)
+                meshes[1], groups, rows, lipschitz, children(kept)
             )
             caps = np.repeat([meshes[0].max_edge, meshes[1].max_edge], [len(first), len(second)])
             points, ok = zerofinder._newton_refine(
@@ -747,11 +732,11 @@ class TestNewtonSweep:
         rng = np.random.default_rng([*degrees, 17])
         for _ in range(samples):
             _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
-            half = _half_mesh(depth)
+            half = _first_half(depth)
             args = groups, rows, lipschitz, cap
             both = zerofinder._solve_passes(*args, depth, half, passes=2)
             first = zerofinder._solve_passes(*args, depth, half, passes=1)
-            pool = _children_of(first[0][1], depth)
+            pool = children(first[0][1])
             second = zerofinder._solve_passes(*args, depth + 1, pool, passes=1)
             assert len(both) == 2
             for (zeros, kept), (z1, k1) in zip(both, first + second):
@@ -774,7 +759,7 @@ class TestBatchIndependence:
         mesh = icosphere(depth)
         rng = np.random.default_rng([*degrees, 19])
         _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
-        centroids, _ = zerofinder._candidate_faces(mesh, groups, rows, lipschitz, _half_mesh(depth))
+        centroids, _ = zerofinder._candidate_faces(mesh, groups, rows, lipschitz, _first_half(depth))
         # Mesh starts, most of which converge, then random ones, most of which fail.
         starts = np.concatenate([centroids[:30], random_sphere_points(2, 40, rng)])[:40]
         points, ok = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
@@ -993,7 +978,7 @@ class TestMatchesReference:
         rng = np.random.default_rng([*degrees, 23])
         for _ in range(samples):
             _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
-            pool = _half_mesh(depth)
+            pool = _first_half(depth)
             centroids, _ = zerofinder._candidate_faces(mesh, groups, rows, lipschitz, pool)
             random = random_sphere_points(2, 40, rng)
             starts = np.concatenate([centroids[:40], random, random])
@@ -1035,9 +1020,9 @@ class TestPassSweep:
 
     def check_pools(self, faces, depth0):
         assert [depth for depth, _, _ in faces] == [depth0 + k for k in range(len(faces))]
-        assert np.array_equal(faces[0][1], _half_mesh(depth0))
+        assert np.array_equal(faces[0][1], _first_half(depth0))
         for k in range(1, len(faces)):
-            assert np.array_equal(faces[k][1], _children_of(faces[k - 1][2], depth0 + k - 1))
+            assert np.array_equal(faces[k][1], children(faces[k - 1][2]))
 
     def check_values(self, values, faces, sweeps, result):
         # One evaluation per searched depth (its centroids), one residual
