@@ -43,6 +43,7 @@ from .zerofinder import (
     find_common_zeros_s1,
     find_common_zeros_s2,
     make_sample,
+    pencil_count,
     restrict_to_great_circle,
     verify_bezout,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "image_volume",
     "laplacian_residual",
     "make_sample",
+    "pencil_count",
     "restrict_to_great_circle",
     "sample_subspace",
     "sphere_surface_area",

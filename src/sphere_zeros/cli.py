@@ -197,11 +197,11 @@ def run_average(args) -> tuple[dict, int]:
     report["theory"] = {"value": result.theory, "formula_id": result.formula_id}
     report["estimate"] = {"mean": result.mean, "stderr": result.stderr, "trials": result.trials}
     report["experimental"] = result.experimental
-    report["diagnostics"].update(
-        degenerate_resamples=result.degenerate_resamples,
-        depth_escalations=result.depth_escalations,
-        max_residual=result.max_residual,
-    )
+    report["diagnostics"] = {
+        "degenerate_resamples": result.degenerate_resamples,
+        "mesh_fallbacks": result.mesh_fallbacks,
+        "min_off_circle_margin": result.min_off_circle_margin,
+    }
     report["histogram"] = {str(k): v for k, v in sorted(result.histogram.items())}
     report["relative_deviation"] = result.relative_deviation
     report["within_4_stderr"] = result.within_band

@@ -37,6 +37,7 @@ from .zerofinder import (
     find_common_zeros_s2,
     _check_solver_degree,
     make_sample,
+    pencil_count,
     restrict_to_great_circle,
 )
 
@@ -62,8 +63,8 @@ class AverageReport:
     theory: float
     relative_deviation: float
     degenerate_resamples: int
-    depth_escalations: int
-    max_residual: float
+    mesh_fallbacks: int               # S2 trials the pencil declined, solved on the mesh
+    min_off_circle_margin: float | None   # smallest pencil margin off the circle, if any
     seed: int
     experimental: bool
     formula_id: str
@@ -115,17 +116,27 @@ def sample_subspace(bases, rng: np.random.Generator) -> SubspaceSample:
 
 def _count_zeros_once(
     bases: list[HarmonicBasis], seed: int, trial: int
-) -> tuple[ZeroFindingResult, int]:
-    """Run one trial, resampling Degenerate draws; returns (result, resamples)."""
+) -> tuple[int, int, float | None]:
+    """Count one trial's zeros, resampling Degenerate draws; returns (count, resamples, margin).
+
+    An S1 trial is counted in closed form.  An S2 trial is counted by
+    ``pencil_count`` when it can place every root on or off the circle, and
+    ``margin`` is then the pencil's smallest off-circle margin (inf without
+    one).  The trials it declines are solved by ``find_common_zeros_s2``, and their ``margin`` is
+    None, as it is on S1.  Only a mesh solve can be Degenerate, and a
+    Degenerate draw is redrawn from (seed, trial, attempt + 1).
+    """
     for attempt in range(MAX_RESAMPLES_PER_TRIAL):
         rng = np.random.default_rng([seed, trial, attempt])
         sample = sample_subspace(bases, rng)
         if bases[0].sphere_dim == 1:
-            result = find_common_zeros_s1(bases[0], sample)
-        else:
-            result = find_common_zeros_s2(bases, sample)
+            return find_common_zeros_s1(bases[0], sample).count, attempt, None
+        counted = pencil_count(bases, sample)
+        if counted is not None:
+            return counted[0], attempt, counted[1]
+        result = find_common_zeros_s2(bases, sample)
         if result.status is not SolverStatus.DEGENERATE:
-            return result, attempt
+            return result.count, attempt, None
     raise RuntimeError("degenerate samples persisted across resampling")  # pragma: no cover
 
 
@@ -176,15 +187,15 @@ def _monte_carlo_average(
     )
     counts = np.empty(trials, dtype=np.int64)
     resamples = 0
-    escalations = 0
-    max_residual = 0.0
+    fallbacks = 0
+    margin = math.inf
     for t in range(trials):
-        result, extra = _count_zeros_once(bases, seed, t)
-        counts[t] = result.count
+        counts[t], extra, trial_margin = _count_zeros_once(bases, seed, t)
         resamples += extra
-        escalations += result.escalations
-        if np.isfinite(result.max_residual):
-            max_residual = max(max_residual, result.max_residual)
+        if trial_margin is None:
+            fallbacks += bases[0].sphere_dim == 2
+        else:
+            margin = min(margin, trial_margin)
     mean, stderr, histogram = _summaries(counts)
     return AverageReport(
         trials=trials,
@@ -194,8 +205,8 @@ def _monte_carlo_average(
         theory=theory,
         relative_deviation=abs(mean - theory) / theory,
         degenerate_resamples=resamples,
-        depth_escalations=escalations,
-        max_residual=max_residual,
+        mesh_fallbacks=fallbacks,
+        min_off_circle_margin=margin if margin < math.inf else None,
         seed=seed,
         experimental=experimental,
         formula_id=formula_id,

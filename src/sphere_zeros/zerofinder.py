@@ -42,6 +42,17 @@ circle the function is a trigonometric polynomial whose frequencies all have
 the parity of m, so it is a degree-m polynomial in e^{2it}: m + 1 samples
 on half the circle and one FFT give its coefficients, and the unit-circle
 eigenvalues of its m x m companion matrix give the roots in antipodal pairs.
+
+``pencil_count`` counts Z(u1, u2) without finding it, for the Monte Carlo
+averages.  Each antipodal pair of zeros lies on exactly one great circle
+through a center c; on the circle at direction phi the two frame functions
+are the polynomials of ``_circle_polynomials``, and their resultant R(phi)
+vanishes where the circle holds a pair.  R is a trigonometric form of
+degree m1 m2, so its roots are the unit-circle eigenvalues of one
+m1 m2 x m1 m2 companion matrix.  A gap rule on the eigenvalue moduli
+places most roots on or off the circle; the few it leaves in between are
+placed by the sign of R along the real directions, and when even that is
+unclear the caller solves on the mesh.
 """
 
 from __future__ import annotations
@@ -443,6 +454,22 @@ def _solve_passes(
     return [(_dedup_and_sort(np.concatenate([p, -p]), cap), f) for p, f in zip(found, kept)]
 
 
+def _check_s2_pair(bases, sample: SubspaceSample) -> list[HarmonicBasis]:
+    """The two S2 bases of ``sample``'s rows as a list; SphereInputError if they do not fit."""
+    bases = list(bases)
+    if len(bases) != 2 or any(b.sphere_dim != 2 for b in bases):
+        raise SphereInputError("two S2 bases are required, one per sample row")
+    _check_solver_degree(max(b.degree for b in bases))
+    if sample.rows.shape[0] != 2:
+        raise SphereInputError("sample must have exactly two rows on S2")
+    for i, b in enumerate(bases):
+        if sample.source_degrees[i] != b.degree:
+            raise SphereInputError(f"row {i} degree does not match its basis")
+        if sample.rows.shape[1] < b.dimension or np.any(sample.rows[i, b.dimension :]):
+            raise SphereInputError(f"row {i} must hold {b.dimension} coefficients, then only zeros")
+    return bases
+
+
 def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     """Enumerate Z(u1, u2) on S2 for the two coefficient rows of ``sample``.
 
@@ -458,23 +485,12 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     ``sample.frame``, whose rows have unit norm, so the gradient sum is a
     Lipschitz bound; ``max_residual`` is max |u_i| over the unit rows.
     """
-    bases = list(bases)
-    if len(bases) != 2 or any(b.sphere_dim != 2 for b in bases):
-        raise SphereInputError("two S2 bases are required, one per sample row")
-    max_degree = max(b.degree for b in bases)
-    _check_solver_degree(max_degree)
-    if sample.rows.shape[0] != 2:
-        raise SphereInputError("sample must have exactly two rows on S2")
-    for i, b in enumerate(bases):
-        if sample.source_degrees[i] != b.degree:
-            raise SphereInputError(f"row {i} degree does not match its basis")
-        if sample.rows.shape[1] < b.dimension or np.any(sample.rows[i, b.dimension :]):
-            raise SphereInputError(f"row {i} must hold {b.dimension} coefficients, then only zeros")
+    bases = _check_s2_pair(bases, sample)
     groups = _degree_groups(bases)
     lipschitz = np.array([math.sqrt(b.gradient_sum_constant) for b in bases])
     bezout = 2 * bases[0].degree * bases[1].degree
     cap = DEGENERACY_FACTOR * bezout
-    depth0 = default_mesh_depth(max_degree)
+    depth0 = default_mesh_depth(max(b.degree for b in bases))
     unit = _unit_rows(sample.rows)
 
     def result(zeros: np.ndarray, depth: int, escalations: int) -> ZeroFindingResult:
@@ -580,13 +596,204 @@ def _circle_eigenvalues(
     vanish identically, their indices, and the mask (K,) of the circles on
     which it does.
     """
-    m = basis.degree
     poly, degenerate = _circle_polynomials(basis, c, frames)
     live = np.flatnonzero(~degenerate)
-    companion = np.zeros((live.size, m, m), dtype=complex)
-    companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-    companion[:, :, -1] = -poly[live, :-1] / poly[live, -1:]
-    return np.linalg.eigvals(companion), live, degenerate
+    return _companion_roots(poly[live]), live, degenerate
+
+
+def _companion_roots(poly: np.ndarray) -> np.ndarray:
+    """Roots (K, n) of K polynomials of degree n >= 1, ascending coefficients (K, n + 1).
+
+    One batched ``eigvals`` of the n x n companion matrices; each matrix is
+    solved on its own, so its roots do not depend on the other polynomials.
+    """
+    n = poly.shape[1] - 1
+    companion = np.zeros((poly.shape[0], n, n), dtype=complex)
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    companion[:, :, -1] = -poly[:, :-1] / poly[:, -1:]
+    return np.linalg.eigvals(companion)
+
+
+def _fibonacci_hemisphere(n: int) -> np.ndarray:
+    """n unit vectors spread over the upper hemisphere; |u(-c)| = |u(c)| covers the rest."""
+    z = (np.arange(n) + 0.5) / n
+    turn = math.pi * (3.0 - math.sqrt(5.0)) * np.arange(n)
+    r = np.sqrt(1.0 - z * z)
+    return np.stack([r * np.cos(turn), r * np.sin(turn), z], axis=1)
+
+
+PENCIL_CENTERS = _fibonacci_hemisphere(32)    # candidate centers c of the great-circle pencil
+# Orthonormal (a, b) spanning the plane orthogonal to each center: the last
+# two right singular vectors of the center as a 1 x 3 matrix.
+_PENCIL_PLANES = np.linalg.svd(PENCIL_CENTERS[:, None, :])[2][:, 1:]
+PENCIL_ON_CIRCLE = 1e-7       # |log|w|| at or below: a root on the unit circle
+PENCIL_OFF_CIRCLE = 1e-4      # |log|w|| at or above: a root off it; between, the sign of R decides
+PENCIL_FLAT = 1e-10           # max |R| / Hadamard bound at or below: R vanishes identically
+PENCIL_CLUSTER = 1e-3         # in-band roots whose directions lie this close form one cluster
+PENCIL_SIGN_COND = 1e8        # Sylvester condition number up to which det gives the sign of R
+
+
+def _pencil_sylvester(
+    bases: list[HarmonicBasis], frame: np.ndarray, center: int, phi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sylvester matrices of the frame rows on the pencil circles at the directions ``phi``.
+
+    Returns the (K, m1 + m2, m1 + m2) matrices, whose determinants are
+    R(phi); their Hadamard bounds (K,), the products of the row norms; and
+    the mask (K,) of the circles on which a frame function vanishes
+    identically.
+    """
+    m1, m2 = bases[0].degree, bases[1].degree
+    a, b = _PENCIL_PLANES[center]
+    frames = np.empty((phi.size, 2, 3))
+    frames[:, 0] = PENCIL_CENTERS[center]
+    frames[:, 1] = np.cos(phi)[:, None] * a + np.sin(phi)[:, None] * b
+    (p1, flat1), (p2, flat2) = (
+        _circle_polynomials(basis, row[: basis.dimension], frames)
+        for basis, row in zip(bases, frame)
+    )
+    size = m1 + m2
+    sylvester = np.zeros((phi.size, size, size), dtype=complex)
+    shift = np.arange(m2)[:, None]
+    sylvester[:, shift, shift + np.arange(m1 + 1)] = p1[:, None, :]
+    shift = np.arange(m1)[:, None]
+    sylvester[:, m2 + shift, shift + np.arange(m2 + 1)] = p2[:, None, :]
+    hadamard = np.linalg.norm(p1, axis=1) ** m2 * np.linalg.norm(p2, axis=1) ** m1
+    return sylvester, hadamard, flat1 | flat2
+
+
+def _direction_gap(x, y) -> np.ndarray:
+    """Distance between pencil directions, which are angles mod pi."""
+    d = np.abs(np.subtract(x, y)) % math.pi
+    return np.minimum(d, math.pi - d)
+
+
+def _real_in_band(
+    bases: list[HarmonicBasis],
+    frame: np.ndarray,
+    center: int,
+    theta: np.ndarray,
+    near: np.ndarray,
+    band: np.ndarray,
+) -> np.ndarray | None:
+    """Which in-band roots of Q lie on the unit circle, read off the sign of R; None if unclear.
+
+    ``theta`` holds the directions arg(w) / 2 mod pi of all roots, ``near``
+    masks the roots with margin below ``PENCIL_OFF_CIRCLE`` and ``band``
+    indexes the in-band ones.  Each P_i is self-inversive,
+    zeta^m conj(P_i(1 / conj zeta)) = P_i(zeta), because f_i is real; so
+    conj(R) = (-1)^D R, and (-i)^D R(phi) is real for real phi.  It changes
+    sign at each simple root on the circle and at no root off it.  In-band
+    roots closer than ``PENCIL_CLUSTER`` in direction form a cluster, and R
+    is probed at the middle of each cluster and at two flanks, halfway to
+    the nearest other root of ``near``.  One root is on the circle when the
+    flanks differ in sign.  Two roots are on it when the middle differs
+    from the equal flanks, and off it when all three agree (a pair w,
+    1 / conj w of complex common zeros next to the real sphere).  Any other
+    pattern declines, and so does a larger cluster, a flank no further from
+    the middle than the cluster's width plus ``PENCIL_OFF_CIRCLE`` (rounding
+    that moves a root half its margin off the real line moves it about as
+    far along it), or a probe whose Sylvester matrix has condition number
+    above ``PENCIL_SIGN_COND``: below it, LU's determinant is R to a
+    relative error of about (m1 + m2)^2 eps times the condition number, far
+    too little to flip a sign.
+
+    Returns a boolean mask over ``band``.
+    """
+    close = _direction_gap(theta[band][:, None], theta[band][None, :]) <= PENCIL_CLUSTER
+    clusters = sorted({tuple(np.flatnonzero(row)) for row in close})
+    if sum(map(len, clusters)) != band.size or max(map(len, clusters)) > 2:
+        return None
+    probes = []
+    for cluster in clusters:
+        first, last = theta[band[cluster[0]]], theta[band[cluster[-1]]]
+        mid = first + ((last - first + math.pi / 2) % math.pi - math.pi / 2) / 2
+        others = near.copy()
+        others[band[list(cluster)]] = False
+        half = _direction_gap(mid, theta[others]).min(initial=math.pi / 2) / 2
+        if not half > _direction_gap(first, last) + PENCIL_OFF_CIRCLE:
+            return None
+        probes.append([mid - half, mid, mid + half])
+    sylvester, _, flat = _pencil_sylvester(bases, frame, center, np.ravel(probes))
+    if flat.any():
+        return None
+    deg = bases[0].degree * bases[1].degree
+    value = (np.linalg.det(sylvester) * (-1j) ** deg).reshape(-1, 3)
+    trusted = (np.linalg.cond(sylvester).reshape(-1, 3) <= PENCIL_SIGN_COND) & (
+        np.abs(value.imag) < np.abs(value.real)
+    )
+    sign = np.sign(value.real)
+    real = np.zeros(band.size, dtype=bool)
+    for cluster, s, ok in zip(clusters, sign, trusted):
+        if not (ok[0] and ok[2]) or (s[0] == s[2]) != (len(cluster) == 2):
+            return None
+        if len(cluster) == 2:
+            if not ok[1]:
+                return None
+            real[list(cluster)] = s[1] != s[0]
+        else:
+            real[cluster[0]] = True
+    return real
+
+
+def pencil_count(bases, sample: SubspaceSample) -> tuple[int, float] | None:
+    """|Z(u1, u2)| on S2 from the resultant over the great circles through one point.
+
+    Every antipodal pair of Z lies on exactly one great circle through a
+    center c (chosen from ``PENCIL_CENTERS`` where min_i |f_i(c)| / sup|f_i|
+    is largest, so c is no zero), at a direction phi in [0, pi).  On the
+    circle (c, cos phi a + sin phi b) each frame row f_i is the degree-m_i
+    polynomial P_i(zeta) of ``_circle_polynomials``, and R(phi) =
+    Res(P1, P2) vanishes where that circle holds a common pair.  R is a form
+    of degree D = m1 m2 in (cos phi, sin phi) with parity D, so
+    e^{iD phi} R(phi) = Q(w) is a degree-D polynomial in w = e^{2i phi}:
+    R at the D + 1 angles pi k / (D + 1) (one batched ``det`` of the
+    Sylvester matrices) and one FFT give its coefficients, and one D x D
+    companion gives its roots (Nakatsukasa, Noferini and Townsend, Numer.
+    Math. 129, 2015; Boyd, SIAM Review 55, 2013).  Each root on the unit
+    circle is one pair, so the count is even and at most 2 m1 m2.
+
+    A root with margin |log|w|| at most ``PENCIL_ON_CIRCLE`` is on the
+    circle and one with margin at least ``PENCIL_OFF_CIRCLE`` is off it.
+    The roots in between are placed by the sign of R along the real
+    directions (``_real_in_band``).
+
+    Returns (count, smallest margin of a root off the circle, inf without
+    one), or None -- claiming nothing -- when the in-band roots stay
+    unclear, when R vanishes identically, or when some circle of the pencil
+    lies in a zero set.  Raises SphereInputError on the inputs
+    ``find_common_zeros_s2`` rejects.
+    """
+    bases = _check_s2_pair(bases, sample)
+    frame = sample.frame
+    sup = np.array([b.embedding_radius for b in bases])
+    center_vals = _row_values(_degree_groups(bases), frame, PENCIL_CENTERS)
+    best = int(np.argmax(np.min(np.abs(center_vals) / sup, axis=1)))
+    deg = bases[0].degree * bases[1].degree
+    phi = math.pi * np.arange(deg + 1) / (deg + 1)
+    sylvester, hadamard, flat = _pencil_sylvester(bases, frame, best, phi)
+    if flat.any():
+        return None
+    # |det| <= prod of row norms (Hadamard); R ~ 0 against it on every circle is R == 0.
+    resultant = np.linalg.det(sylvester)
+    if not np.max(np.abs(resultant) / hadamard) > PENCIL_FLAT:
+        return None
+    q = np.fft.fft(resultant * np.exp(1j * deg * phi)) / (deg + 1)
+    # Q whose degree drops to rounding has a root at infinity: decline, do not divide by it.
+    if not abs(q[-1]) > np.finfo(float).eps * np.max(np.abs(q)):
+        return None
+    roots = _companion_roots(q[None])[0]
+    with np.errstate(divide="ignore"):       # a root w = 0 has margin inf
+        margin = np.abs(np.log(np.abs(roots)))
+    on = margin <= PENCIL_ON_CIRCLE
+    near = margin < PENCIL_OFF_CIRCLE
+    band = np.flatnonzero(near & ~on)
+    if band.size:
+        real = _real_in_band(bases, frame, best, np.angle(roots) / 2 % math.pi, near, band)
+        if real is None:
+            return None
+        on[band[real]] = True
+    return 2 * int(on.sum()), float(margin[~on].min(initial=math.inf))
 
 
 def restrict_to_great_circle(

@@ -6,7 +6,8 @@ to see them on success).  Criteria:
 1. S2 averages for m = 1..5 match m(m+1) within four standard errors and 5%.
 2. S1 counts are exactly 2m for m = 1..50 with zero variance.
 3. Over 10^4 random S2 samples with degrees <= 5, no finite zero set
-   exceeds the 2*m1*m2 ceiling.
+   exceeds the 2*m1*m2 ceiling, and the great-circle pencil count agrees
+   with every Complete mesh count it accepts.
 4. Pointwise sum-of-squares and gradient-sum identities hold for m <= 10.
 5. Image volumes (3 for m=1, 15 for m=2), dilation residuals, and the
    covering-degree parity law hold.
@@ -30,6 +31,7 @@ from sphere_zeros import (
     crofton_length,
     find_common_zeros_s2,
     image_volume,
+    pencil_count,
     restrict_to_great_circle,
     zonal,
     zonal_pair_demo,
@@ -72,43 +74,48 @@ def test_criterion_2_circle_counts_exact():
 
 def test_criterion_3_count_ceiling_never_exceeded():
     # A first pass covers every degree pair evenly; a second pass tops the
-    # sample count up past 10^4 on the cheap low-degree pairs.
-    pairs = [(m1, m2) for m1 in range(1, 6) for m2 in range(1, 6)]
-    per_pair = 160
-    filler_pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    filler_each = 1500
+    # sample count up past 10^4 on the cheap low-degree pairs.  Every sample
+    # is also counted by the great-circle pencil, and wherever the mesh is
+    # Complete and the pencil's gap rule holds the two counts must agree.
+    draws = [
+        ((m1, m2), [ACCEPTANCE_SEED, m1, m2, t])
+        for m1 in range(1, 6) for m2 in range(1, 6) for t in range(160)
+    ] + [
+        ((m1, m2), [ACCEPTANCE_SEED + 1, m1, m2, t])
+        for m1, m2 in [(1, 1), (1, 2), (2, 1), (2, 2)] for t in range(1500)
+    ]
     worst_excess = -(10**9)
-    degenerate = 0
-    total = 0
-    for m1, m2 in pairs:
+    degenerate = complete = accepted = 0
+    disagreements = []
+    for (m1, m2), seed in draws:
         bases = [build_basis(2, m1), build_basis(2, m2)]
         bound = 2 * m1 * m2
-        for t in range(per_pair):
-            rng = np.random.default_rng([ACCEPTANCE_SEED, m1, m2, t])
-            sample = sample_subspace(bases, rng)
-            result = find_common_zeros_s2(bases, sample)
-            total += 1
-            if result.status is SolverStatus.DEGENERATE:
-                degenerate += 1
-                continue
-            worst_excess = max(worst_excess, result.count - bound)
-            assert result.count <= bound, f"({m1},{m2}) sample {t}: {result.count} > {bound}"
-    for m1, m2 in filler_pairs:
-        bases = [build_basis(2, m1), build_basis(2, m2)]
-        bound = 2 * m1 * m2
-        for t in range(filler_each):
-            rng = np.random.default_rng([ACCEPTANCE_SEED + 1, m1, m2, t])
-            sample = sample_subspace(bases, rng)
-            result = find_common_zeros_s2(bases, sample)
-            total += 1
-            if result.status is SolverStatus.DEGENERATE:
-                degenerate += 1
-                continue
-            assert result.count <= bound, f"({m1},{m2}) filler {t}: {result.count} > {bound}"
+        sample = sample_subspace(bases, np.random.default_rng(seed))
+        result = find_common_zeros_s2(bases, sample)
+        if result.status is SolverStatus.DEGENERATE:
+            degenerate += 1
+            continue
+        worst_excess = max(worst_excess, result.count - bound)
+        assert result.count <= bound, f"({m1},{m2}) seed {seed}: {result.count} > {bound}"
+        if result.status is not SolverStatus.COMPLETE:
+            continue
+        complete += 1
+        counted = pencil_count(bases, sample)
+        if counted is None:
+            continue
+        accepted += 1
+        if counted[0] != result.count:
+            disagreements.append((seed, result.count, counted[0]))
     record(
         "criterion 3",
-        total >= 10_000,
-        f"{total} samples, worst count-minus-bound={worst_excess}, degenerate={degenerate}",
+        len(draws) >= 10_000,
+        f"{len(draws)} samples, worst count-minus-bound={worst_excess}, degenerate={degenerate}",
+    )
+    record(
+        "criterion 3",
+        not disagreements,
+        f"pencil accepted {accepted} of {complete} Complete samples "
+        f"({accepted / complete:.2%}), disagreements {disagreements}",
     )
 
 

@@ -37,6 +37,9 @@ OPS = (
     ["crofton-length", "--degree", "2", "--trials", "2"],
     ["embedding", "--sphere", "2", "--degree", "2", "--quadrature-depth", "1"],
     ["invariants", "--degree", "2", "--points", "10"],
+    # Averages count zeros with the great-circle pencil; the mesh solver and
+    # its icosphere run here, as in the traced zonal ops of mc_high.
+    ["zonal", "--degree", "2"],
 )
 
 

@@ -22,7 +22,7 @@ from sphere_zeros import (
     zonal_pair_demo,
     zonal_tilt_threshold,
 )
-from sphere_zeros import integralgeom
+from sphere_zeros import integralgeom, zerofinder
 from sphere_zeros.harmonics import rotate_coefficients
 from sphere_zeros.integralgeom import (
     random_circle_frame,
@@ -144,6 +144,29 @@ class TestAverageZeroCount:
         r1 = average_zero_count([basis, basis], trials=30, seed=8)
         r2 = average_zero_count([basis, basis], trials=30, seed=8)
         assert r1 == r2
+
+    def test_declined_trials_are_counted_by_the_mesh(self, monkeypatch):
+        # With an empty on-circle band, an unreachable off-circle one and no
+        # sign of R trusted, every margin falls in the gap and stays there, so
+        # the pencil declines every trial.
+        bases = [build_basis(2, 2), build_basis(2, 3)]
+        pencil = conjecture_mixed_average(bases, trials=12, seed=6)
+        assert pencil.mesh_fallbacks == 0 and pencil.min_off_circle_margin > 0.0
+        solves = []
+        solve = integralgeom.find_common_zeros_s2
+        monkeypatch.setattr(
+            integralgeom, "find_common_zeros_s2", lambda *a: solves.append(1) or solve(*a)
+        )
+        monkeypatch.setattr(zerofinder, "PENCIL_ON_CIRCLE", -1.0)
+        monkeypatch.setattr(zerofinder, "PENCIL_OFF_CIRCLE", math.inf)
+        monkeypatch.setattr(zerofinder, "PENCIL_SIGN_COND", 0.0)
+        mesh = conjecture_mixed_average(bases, trials=12, seed=6)
+        assert (mesh.mesh_fallbacks, len(solves), mesh.min_off_circle_margin) == (12, 12, None)
+        assert mesh.histogram == pencil.histogram and mesh.stderr == pencil.stderr
+
+    def test_circle_trials_report_no_fallback_and_no_margin(self):
+        report = average_zero_count([build_basis(1, 3)], trials=5, seed=1)
+        assert (report.mesh_fallbacks, report.min_off_circle_margin) == (0, None)
 
 
 class TestConjectureMixedAverage:

@@ -1257,3 +1257,140 @@ class TestCircleRestriction:
         ):
             with pytest.raises(SphereInputError):
                 restrict_to_great_circle(basis, np.ones(5), frames)
+
+
+class TestPencilCount:
+    """The resultant count over the great circles through one point."""
+
+    @staticmethod
+    def rows_of(bases, sample):
+        return [row[: b.dimension] for b, row in zip(bases, sample.rows)]
+
+    def test_agrees_with_every_frozen_complete_count(self, capsys):
+        # The frozen outcomes are the mesh's (count, status, ...) of each case.
+        cases = json.loads(FROZEN_OUTCOMES.read_text())
+        complete = accepted = 0
+        disagreements = []
+        for k, case in enumerate(cases):
+            if case["outcome"][1] != "Complete":
+                continue
+            complete += 1
+            bases = [build_basis(2, m) for m in case["degrees"]]
+            counted = zerofinder.pencil_count(bases, make_sample(case["rows"], case["degrees"]))
+            if counted is None:
+                continue
+            accepted += 1
+            if counted[0] != case["outcome"][0]:
+                disagreements.append((k, case["outcome"][0], counted[0]))
+        with capsys.disabled():
+            print(f"\npencil accepted {accepted} of {complete} frozen Complete cases")
+        assert disagreements == []
+        assert accepted >= 0.9 * complete
+
+    @settings(max_examples=40)
+    @given(m1=st.integers(1, 5), m2=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_count_is_even_bounded_and_invariant(self, m1, m2, seed):
+        # Under a rotation, a swap of the rows and a change of basis of the
+        # span, every count the gap rule accepts is the same.
+        bases = [build_basis(2, m1), build_basis(2, m2)]
+        rng = np.random.default_rng(seed)
+        sample = gaussian_sample([m1, m2], rng)
+        rows = self.rows_of(bases, sample)
+        rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        rotated = make_sample(
+            [rotate_coefficients(b, r, rotation) for b, r in zip(bases, rows)], [m1, m2]
+        )
+        swapped = make_sample(rows[::-1], [m2, m1])
+        variants = [
+            zerofinder.pencil_count(bases, sample),
+            zerofinder.pencil_count(bases, rotated),
+            zerofinder.pencil_count(bases[::-1], swapped),
+        ]
+        if m1 == m2:
+            mixed = (rng.standard_normal((2, 2)) + 2.0 * np.eye(2)) @ np.stack(rows)
+            variants.append(zerofinder.pencil_count(bases, make_sample(mixed, [m1, m2])))
+        counts = {c[0] for c in variants if c is not None}
+        assert len(counts) <= 1
+        for count in counts:
+            assert count % 2 == 0 and count <= 2 * m1 * m2
+
+    @pytest.mark.parametrize("m1, m2", [(1, 1), (2, 3), (4, 4), (6, 6), (8, 8)])
+    def test_matches_the_mesh_and_reports_its_margin(self, m1, m2):
+        bases = [build_basis(2, m1), build_basis(2, m2)]
+        for i in range(3):
+            sample = sample_subspace(bases, np.random.default_rng([m1, m2, i, 8]))
+            count, margin = zerofinder.pencil_count(bases, sample)
+            assert count == find_common_zeros_s2(bases, sample).count
+            assert margin >= zerofinder.PENCIL_OFF_CIRCLE
+
+    def test_rotating_the_pencil_center_keeps_the_count(self, monkeypatch):
+        # Each center of the fixed set sees the same zeros from another side.
+        bases = [build_basis(2, 3), build_basis(2, 4)]
+        sample = sample_subspace(bases, np.random.default_rng(41))
+        base = zerofinder.pencil_count(bases, sample)[0]
+        for center in range(0, 32, 4):
+            def only(groups, rows, pts, _k=center):
+                vals = np.zeros((pts.shape[0], 2))
+                vals[_k] = 1.0
+                return vals
+            monkeypatch.setattr(zerofinder, "_row_values", only)
+            counted = zerofinder.pencil_count(bases, sample)
+            assert counted is None or counted[0] == base, center
+
+    def test_a_common_nodal_circle_is_declined(self):
+        # x and xz share the great circle x = 0; so do the odd zonal functions
+        # about one axis, which share the equator.  R vanishes identically.
+        b1, b2 = build_basis(2, 1), build_basis(2, 2)
+        shared = make_sample([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]], [1, 2])
+        assert zerofinder.pencil_count([b1, b2], shared) is None
+        for m1, m2 in [(1, 3), (3, 5)]:
+            bases = [build_basis(2, m1), build_basis(2, m2)]
+            coaxial = make_sample([zonal(b, NORTH) for b in bases], [m1, m2])
+            assert zerofinder.pencil_count(bases, coaxial) is None
+
+    def test_a_margin_inside_the_gap_is_declined(self, monkeypatch):
+        bases = [build_basis(2, 2), build_basis(2, 3)]
+        sample = sample_subspace(bases, np.random.default_rng(5))
+        count, margin = zerofinder.pencil_count(bases, sample)
+        assert count < 12 and math.isfinite(margin)       # some root lies off the circle
+        monkeypatch.setattr(zerofinder, "PENCIL_OFF_CIRCLE", 2.0 * margin)
+        monkeypatch.setattr(zerofinder, "PENCIL_SIGN_COND", 0.0)
+        assert zerofinder.pencil_count(bases, sample) is None
+
+    @pytest.mark.parametrize("m, seed", [(2, 486652553), (3, 1100282271), (4, 1132403347)])
+    def test_a_near_tangent_pair_in_the_gap_is_placed_off_the_circle(self, m, seed, monkeypatch):
+        # Draws of the Monte Carlo stream whose zero curves nearly touch: Q
+        # has a root pair w, 1/conj(w) with margin inside the gap, and R keeps
+        # its sign across their direction.
+        bases = [build_basis(2, m), build_basis(2, m)]
+        sample = sample_subspace(bases, np.random.default_rng([seed, 0, 0]))
+        count, margin = zerofinder.pencil_count(bases, sample)
+        assert zerofinder.PENCIL_ON_CIRCLE < margin < zerofinder.PENCIL_OFF_CIRCLE
+        assert count == find_common_zeros_s2(bases, sample).count
+        monkeypatch.setattr(zerofinder, "PENCIL_SIGN_COND", 0.0)
+        assert zerofinder.pencil_count(bases, sample) is None
+
+    def test_circle_roots_moved_into_the_gap_are_placed_on_it(self, monkeypatch):
+        # With no root counted on the circle outright, the six circle roots of
+        # this draw all enter the gap.  Four are lone roots across which R
+        # changes sign; the closest two (0.014 apart, 0.32 from the rest) form
+        # one cluster inside which R takes the other sign.
+        bases = [build_basis(2, 2), build_basis(2, 3)]
+        sample = sample_subspace(bases, np.random.default_rng(4))
+        assert zerofinder.pencil_count(bases, sample) == (12, math.inf)
+        monkeypatch.setattr(zerofinder, "PENCIL_ON_CIRCLE", -1.0)
+        assert zerofinder.pencil_count(bases, sample) == (12, math.inf)
+        monkeypatch.setattr(zerofinder, "PENCIL_CLUSTER", 0.1)
+        assert zerofinder.pencil_count(bases, sample) == (12, math.inf)
+        monkeypatch.setattr(zerofinder, "PENCIL_CLUSTER", 1.0)       # more than two a cluster
+        assert zerofinder.pencil_count(bases, sample) is None
+
+    def test_rejects_what_the_mesh_solver_rejects(self):
+        basis = build_basis(2, 2)
+        narrow = make_sample([[1, 0, 0], [0, 1, 0]], [2, 2])
+        with pytest.raises(SphereInputError, match="5 coefficients"):
+            zerofinder.pencil_count([basis, basis], narrow)
+        high = build_basis(2, 13)
+        rows = np.random.default_rng(3).standard_normal((2, high.dimension))
+        with pytest.raises(SphereInputError, match="degrees up to 12"):
+            zerofinder.pencil_count([high, high], make_sample(rows, [13, 13]))
