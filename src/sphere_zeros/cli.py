@@ -191,7 +191,7 @@ def run_average(args) -> tuple[dict, int]:
         fields = ["degree", "degree2"]
         bases = [build_basis(2, args.degree), build_basis(2, args.degree2)]
         estimator = conjecture_mixed_average
-    fields += ["trials", "seed", "newton_tol", "max_iter", "dedup_radius"]
+    fields += ["trials", "seed"]
     report = _report_skeleton(args.command, _config_echo(args, fields))
     result = estimator(bases, args.trials, args.seed)
     report["theory"] = {"value": result.theory, "formula_id": result.formula_id}
@@ -199,7 +199,6 @@ def run_average(args) -> tuple[dict, int]:
     report["experimental"] = result.experimental
     report["diagnostics"] = {
         "degenerate_resamples": result.degenerate_resamples,
-        "mesh_fallbacks": result.mesh_fallbacks,
         "min_off_circle_margin": result.min_off_circle_margin,
     }
     report["histogram"] = {str(k): v for k, v in sorted(result.histogram.items())}
@@ -371,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--trials", type=int, default=400)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_solver_defaults(p)
     _add_output_flags(p)
     p.set_defaults(func=run_average)
 
@@ -379,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", type=int, nargs=2, required=True, metavar=("M1", "M2"))
     p.add_argument("--trials", type=int, default=400)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_solver_defaults(p)
     _add_output_flags(p)
     p.set_defaults(func=run_average)
 

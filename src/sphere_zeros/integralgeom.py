@@ -8,9 +8,10 @@ Monte Carlo average matches the closed-form average being tested without
 ever materializing an N x N rotation.
 
 Every trial draws its own generator from (seed, trial_index, resample),
-making runs reproducible and independent of any execution order.  Trials
-whose zero set is judged non-finite (Degenerate) are resampled -- they form
-a measure-zero set -- and the number of resamples is reported.
+making runs reproducible and independent of any execution order.  S2 trials
+whose zeros no pencil center can count (a common zero curve makes the
+resultant vanish) are resampled -- they form a measure-zero set -- and the
+number of resamples is reported.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .harmonics import (
 )
 from .zerofinder import (
     RankDeficientError,
-    SolverStatus,
     SubspaceSample,
     ZeroFindingResult,
     find_common_zeros_s1,
@@ -63,7 +63,6 @@ class AverageReport:
     theory: float
     relative_deviation: float
     degenerate_resamples: int
-    mesh_fallbacks: int               # S2 trials the pencil declined, solved on the mesh
     min_off_circle_margin: float | None   # smallest pencil margin off the circle, if any
     seed: int
     experimental: bool
@@ -116,27 +115,22 @@ def sample_subspace(bases, rng: np.random.Generator) -> SubspaceSample:
 
 def _count_zeros_once(
     bases: list[HarmonicBasis], seed: int, trial: int
-) -> tuple[int, int, float | None]:
-    """Count one trial's zeros, resampling Degenerate draws; returns (count, resamples, margin).
+) -> tuple[int, int, float]:
+    """Count one trial's zeros, resampling declined draws; returns (count, resamples, margin).
 
-    An S1 trial is counted in closed form.  An S2 trial is counted by
-    ``pencil_count`` when it can place every root on or off the circle, and
-    ``margin`` is then the pencil's smallest off-circle margin (inf without
-    one).  The trials it declines are solved by ``find_common_zeros_s2``, and their ``margin`` is
-    None, as it is on S1.  Only a mesh solve can be Degenerate, and a
-    Degenerate draw is redrawn from (seed, trial, attempt + 1).
+    An S1 trial is counted in closed form, with margin inf.  An S2 trial is
+    counted by ``pencil_count``, and ``margin`` is its smallest off-circle
+    margin (inf without one).  A draw that every pencil center declines is
+    redrawn from (seed, trial, attempt + 1).
     """
     for attempt in range(MAX_RESAMPLES_PER_TRIAL):
         rng = np.random.default_rng([seed, trial, attempt])
         sample = sample_subspace(bases, rng)
         if bases[0].sphere_dim == 1:
-            return find_common_zeros_s1(bases[0], sample).count, attempt, None
+            return find_common_zeros_s1(bases[0], sample).count, attempt, math.inf
         counted = pencil_count(bases, sample)
         if counted is not None:
             return counted[0], attempt, counted[1]
-        result = find_common_zeros_s2(bases, sample)
-        if result.status is not SolverStatus.DEGENERATE:
-            return result.count, attempt, None
     raise RuntimeError("degenerate samples persisted across resampling")  # pragma: no cover
 
 
@@ -187,15 +181,11 @@ def _monte_carlo_average(
     )
     counts = np.empty(trials, dtype=np.int64)
     resamples = 0
-    fallbacks = 0
     margin = math.inf
     for t in range(trials):
         counts[t], extra, trial_margin = _count_zeros_once(bases, seed, t)
         resamples += extra
-        if trial_margin is None:
-            fallbacks += bases[0].sphere_dim == 2
-        else:
-            margin = min(margin, trial_margin)
+        margin = min(margin, trial_margin)
     mean, stderr, histogram = _summaries(counts)
     return AverageReport(
         trials=trials,
@@ -205,7 +195,6 @@ def _monte_carlo_average(
         theory=theory,
         relative_deviation=abs(mean - theory) / theory,
         degenerate_resamples=resamples,
-        mesh_fallbacks=fallbacks,
         min_off_circle_margin=margin if margin < math.inf else None,
         seed=seed,
         experimental=experimental,

@@ -50,9 +50,8 @@ are the polynomials of ``_circle_polynomials``, and their resultant R(phi)
 vanishes where the circle holds a pair.  R is a trigonometric form of
 degree m1 m2, so its roots are the unit-circle eigenvalues of one
 m1 m2 x m1 m2 companion matrix.  A gap rule on the eigenvalue moduli
-places most roots on or off the circle; the few it leaves in between are
-placed by the sign of R along the real directions, and when even that is
-unclear the caller solves on the mesh.
+places every root on or off the circle; where it leaves one in between,
+the count is taken again from the next center.
 """
 
 from __future__ import annotations
@@ -545,38 +544,42 @@ def find_common_zeros_s1(basis: HarmonicBasis, sample: SubspaceSample) -> ZeroFi
 
 
 def _circle_polynomials(
-    basis: HarmonicBasis, c: np.ndarray, frames: np.ndarray
+    basis: HarmonicBasis, rows: np.ndarray, frames: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of u as a polynomial P(zeta) on K great circles at once, for validated inputs.
+    """Coefficients of r functions u as polynomials P(zeta) on K great circles, for validated inputs.
 
-    ``frames`` has shape (K, 2, 3).  On the circle of frame (e1, e2),
-    u(cos t e1 + sin t e2) = sum_{j=-m..m} c_j e^{ijt}.  As u(-x) = (-1)^m u(x),
-    u(t + pi) = (-1)^m u(t), so only the c_j with j = m mod 2 are nonzero and
-    e^{imt} u(t) = P(zeta) = sum_{l=0..m} c_{2l-m} zeta^l with zeta = e^{2it}.
-    One basis evaluation at the m + 1 angles t_k = pi k / (m + 1), the twist
+    ``rows`` has shape (r, N) and ``frames`` shape (K, 2, 3).  On the circle
+    of frame (e1, e2), u(cos t e1 + sin t e2) = sum_{j=-m..m} c_j e^{ijt}.
+    As u(-x) = (-1)^m u(x), u(t + pi) = (-1)^m u(t), so only the c_j with
+    j = m mod 2 are nonzero and e^{imt} u(t) = P(zeta) =
+    sum_{l=0..m} c_{2l-m} zeta^l with zeta = e^{2it}.  One basis evaluation
+    at the m + 1 angles t_k = pi k / (m + 1), shared by the rows, the twist
     e^{i m t_k} = (-1)^k e^{-i t_k} and one FFT of length m + 1 per circle
-    give (m + 1) * (c_{-m}, c_{2-m}, ..., c_m).  Each circle is transformed
-    on its own, so its coefficients do not depend on the other circles in
-    the batch.
+    and row give (m + 1) * (c_{-m}, c_{2-m}, ..., c_m).  Each row is
+    contracted with the basis values on its own, and each circle is
+    transformed on its own, so the coefficients of a row on a circle do not
+    depend on the other rows or circles in the batch.
 
-    Returns the coefficients (K, m + 1) of P in ascending powers and the
-    mask (K,) of the circles on which u vanishes identically.
+    Returns the coefficients (r, K, m + 1) of P in ascending powers and the
+    mask (r, K) of the circles on which each u vanishes identically.
     """
     m = basis.degree
     t = math.pi * np.arange(m + 1) / (m + 1)
     e1, e2 = frames[:, 0, :], frames[:, 1, :]
     pts = np.cos(t)[None, :, None] * e1[:, None, :] + np.sin(t)[None, :, None] * e2[:, None, :]
-    vals = (eval_basis_many(basis, pts.reshape(-1, 3)) @ c).reshape(-1, m + 1)
-    scale = float(np.linalg.norm(c)) * basis.embedding_radius   # sup bound for |u|
-    degenerate = np.max(np.abs(vals), axis=1) <= 1e-12 * scale
+    at_points = eval_basis_many(basis, pts.reshape(-1, 3))
+    vals = np.stack([(at_points @ row).reshape(-1, m + 1) for row in rows])
+    # sup bound for |u|, one per row
+    scale = np.array([np.linalg.norm(row) for row in rows]) * basis.embedding_radius
+    degenerate = np.max(np.abs(vals), axis=2) <= 1e-12 * scale[:, None]
     twist = (-1.0) ** np.arange(m + 1) * np.exp(-1j * t)
-    poly = np.fft.fft(vals * twist, axis=1)
+    poly = np.fft.fft(vals * twist, axis=2)
     # A leading coefficient below the rounding of the FFT (an even zonal
     # function is constant on its equator) is raised to that level; this
     # only moves roots near 0 and infinity.
-    lead = poly[:, -1]
-    floor = np.finfo(float).eps * np.max(np.abs(poly), axis=1)
-    poly[:, -1] = np.where(np.abs(lead) < floor, floor, lead)
+    lead = poly[..., -1]
+    floor = np.finfo(float).eps * np.max(np.abs(poly), axis=2)
+    poly[..., -1] = np.where(np.abs(lead) < floor, floor, lead)
     return poly, degenerate
 
 
@@ -596,7 +599,7 @@ def _circle_eigenvalues(
     vanish identically, their indices, and the mask (K,) of the circles on
     which it does.
     """
-    poly, degenerate = _circle_polynomials(basis, c, frames)
+    (poly,), (degenerate,) = _circle_polynomials(basis, c[None], frames)
     live = np.flatnonzero(~degenerate)
     return _companion_roots(poly[live]), live, degenerate
 
@@ -627,10 +630,8 @@ PENCIL_CENTERS = _fibonacci_hemisphere(32)    # candidate centers c of the great
 # two right singular vectors of the center as a 1 x 3 matrix.
 _PENCIL_PLANES = np.linalg.svd(PENCIL_CENTERS[:, None, :])[2][:, 1:]
 PENCIL_ON_CIRCLE = 1e-7       # |log|w|| at or below: a root on the unit circle
-PENCIL_OFF_CIRCLE = 1e-4      # |log|w|| at or above: a root off it; between, the sign of R decides
+PENCIL_OFF_CIRCLE = 1e-4      # |log|w|| at or above: a root off it; between, try the next center
 PENCIL_FLAT = 1e-10           # max |R| / Hadamard bound at or below: R vanishes identically
-PENCIL_CLUSTER = 1e-3         # in-band roots whose directions lie this close form one cluster
-PENCIL_SIGN_COND = 1e8        # Sylvester condition number up to which det gives the sign of R
 
 
 def _pencil_sylvester(
@@ -648,10 +649,11 @@ def _pencil_sylvester(
     frames = np.empty((phi.size, 2, 3))
     frames[:, 0] = PENCIL_CENTERS[center]
     frames[:, 1] = np.cos(phi)[:, None] * a + np.sin(phi)[:, None] * b
-    (p1, flat1), (p2, flat2) = (
-        _circle_polynomials(basis, row[: basis.dimension], frames)
-        for basis, row in zip(bases, frame)
-    )
+    polys = {}
+    for basis, idx in _degree_groups(bases):
+        poly, flat = _circle_polynomials(basis, frame[idx, : basis.dimension], frames)
+        polys.update(zip(idx, zip(poly, flat)))
+    (p1, flat1), (p2, flat2) = polys[0], polys[1]
     size = m1 + m2
     sylvester = np.zeros((phi.size, size, size), dtype=complex)
     shift = np.arange(m2)[:, None]
@@ -662,87 +664,12 @@ def _pencil_sylvester(
     return sylvester, hadamard, flat1 | flat2
 
 
-def _direction_gap(x, y) -> np.ndarray:
-    """Distance between pencil directions, which are angles mod pi."""
-    d = np.abs(np.subtract(x, y)) % math.pi
-    return np.minimum(d, math.pi - d)
-
-
-def _real_in_band(
-    bases: list[HarmonicBasis],
-    frame: np.ndarray,
-    center: int,
-    theta: np.ndarray,
-    near: np.ndarray,
-    band: np.ndarray,
-) -> np.ndarray | None:
-    """Which in-band roots of Q lie on the unit circle, read off the sign of R; None if unclear.
-
-    ``theta`` holds the directions arg(w) / 2 mod pi of all roots, ``near``
-    masks the roots with margin below ``PENCIL_OFF_CIRCLE`` and ``band``
-    indexes the in-band ones.  Each P_i is self-inversive,
-    zeta^m conj(P_i(1 / conj zeta)) = P_i(zeta), because f_i is real; so
-    conj(R) = (-1)^D R, and (-i)^D R(phi) is real for real phi.  It changes
-    sign at each simple root on the circle and at no root off it.  In-band
-    roots closer than ``PENCIL_CLUSTER`` in direction form a cluster, and R
-    is probed at the middle of each cluster and at two flanks, halfway to
-    the nearest other root of ``near``.  One root is on the circle when the
-    flanks differ in sign.  Two roots are on it when the middle differs
-    from the equal flanks, and off it when all three agree (a pair w,
-    1 / conj w of complex common zeros next to the real sphere).  Any other
-    pattern declines, and so does a larger cluster, a flank no further from
-    the middle than the cluster's width plus ``PENCIL_OFF_CIRCLE`` (rounding
-    that moves a root half its margin off the real line moves it about as
-    far along it), or a probe whose Sylvester matrix has condition number
-    above ``PENCIL_SIGN_COND``: below it, LU's determinant is R to a
-    relative error of about (m1 + m2)^2 eps times the condition number, far
-    too little to flip a sign.
-
-    Returns a boolean mask over ``band``.
-    """
-    close = _direction_gap(theta[band][:, None], theta[band][None, :]) <= PENCIL_CLUSTER
-    clusters = sorted({tuple(np.flatnonzero(row)) for row in close})
-    if sum(map(len, clusters)) != band.size or max(map(len, clusters)) > 2:
-        return None
-    probes = []
-    for cluster in clusters:
-        first, last = theta[band[cluster[0]]], theta[band[cluster[-1]]]
-        mid = first + ((last - first + math.pi / 2) % math.pi - math.pi / 2) / 2
-        others = near.copy()
-        others[band[list(cluster)]] = False
-        half = _direction_gap(mid, theta[others]).min(initial=math.pi / 2) / 2
-        if not half > _direction_gap(first, last) + PENCIL_OFF_CIRCLE:
-            return None
-        probes.append([mid - half, mid, mid + half])
-    sylvester, _, flat = _pencil_sylvester(bases, frame, center, np.ravel(probes))
-    if flat.any():
-        return None
-    deg = bases[0].degree * bases[1].degree
-    value = (np.linalg.det(sylvester) * (-1j) ** deg).reshape(-1, 3)
-    trusted = (np.linalg.cond(sylvester).reshape(-1, 3) <= PENCIL_SIGN_COND) & (
-        np.abs(value.imag) < np.abs(value.real)
-    )
-    sign = np.sign(value.real)
-    real = np.zeros(band.size, dtype=bool)
-    for cluster, s, ok in zip(clusters, sign, trusted):
-        if not (ok[0] and ok[2]) or (s[0] == s[2]) != (len(cluster) == 2):
-            return None
-        if len(cluster) == 2:
-            if not ok[1]:
-                return None
-            real[list(cluster)] = s[1] != s[0]
-        else:
-            real[cluster[0]] = True
-    return real
-
-
 def pencil_count(bases, sample: SubspaceSample) -> tuple[int, float] | None:
     """|Z(u1, u2)| on S2 from the resultant over the great circles through one point.
 
     Every antipodal pair of Z lies on exactly one great circle through a
-    center c (chosen from ``PENCIL_CENTERS`` where min_i |f_i(c)| / sup|f_i|
-    is largest, so c is no zero), at a direction phi in [0, pi).  On the
-    circle (c, cos phi a + sin phi b) each frame row f_i is the degree-m_i
+    center c, at a direction phi in [0, pi).  On the circle
+    (c, cos phi a + sin phi b) each frame row f_i is the degree-m_i
     polynomial P_i(zeta) of ``_circle_polynomials``, and R(phi) =
     Res(P1, P2) vanishes where that circle holds a common pair.  R is a form
     of degree D = m1 m2 in (cos phi, sin phi) with parity D, so
@@ -753,47 +680,45 @@ def pencil_count(bases, sample: SubspaceSample) -> tuple[int, float] | None:
     Math. 129, 2015; Boyd, SIAM Review 55, 2013).  Each root on the unit
     circle is one pair, so the count is even and at most 2 m1 m2.
 
-    A root with margin |log|w|| at most ``PENCIL_ON_CIRCLE`` is on the
-    circle and one with margin at least ``PENCIL_OFF_CIRCLE`` is off it.
-    The roots in between are placed by the sign of R along the real
-    directions (``_real_in_band``).
+    A center's count holds when every root has margin |log|w|| at most
+    ``PENCIL_ON_CIRCLE`` (on the circle) or at least ``PENCIL_OFF_CIRCLE``
+    (off it).  The centers of ``PENCIL_CENTERS`` are tried in descending
+    order of min_i |f_i(c)| / sup|f_i|, ties in index order, and the first
+    count that holds is returned.  A root inside the gap (near-tangent zero
+    curves seen edge-on, or rounding) or a pencil circle on which a frame
+    function vanishes identically moves the count on to the next center.
 
     Returns (count, smallest margin of a root off the circle, inf without
-    one), or None -- claiming nothing -- when the in-band roots stay
-    unclear, when R vanishes identically, or when some circle of the pencil
-    lies in a zero set.  Raises SphereInputError on the inputs
-    ``find_common_zeros_s2`` rejects.
+    one), or None -- claiming nothing -- when every center declines, as
+    when R vanishes identically (a common zero curve).  Raises
+    SphereInputError on the inputs ``find_common_zeros_s2`` rejects.
     """
     bases = _check_s2_pair(bases, sample)
     frame = sample.frame
     sup = np.array([b.embedding_radius for b in bases])
     center_vals = _row_values(_degree_groups(bases), frame, PENCIL_CENTERS)
-    best = int(np.argmax(np.min(np.abs(center_vals) / sup, axis=1)))
+    score = np.min(np.abs(center_vals) / sup, axis=1)
     deg = bases[0].degree * bases[1].degree
     phi = math.pi * np.arange(deg + 1) / (deg + 1)
-    sylvester, hadamard, flat = _pencil_sylvester(bases, frame, best, phi)
-    if flat.any():
-        return None
-    # |det| <= prod of row norms (Hadamard); R ~ 0 against it on every circle is R == 0.
-    resultant = np.linalg.det(sylvester)
-    if not np.max(np.abs(resultant) / hadamard) > PENCIL_FLAT:
-        return None
-    q = np.fft.fft(resultant * np.exp(1j * deg * phi)) / (deg + 1)
-    # Q whose degree drops to rounding has a root at infinity: decline, do not divide by it.
-    if not abs(q[-1]) > np.finfo(float).eps * np.max(np.abs(q)):
-        return None
-    roots = _companion_roots(q[None])[0]
-    with np.errstate(divide="ignore"):       # a root w = 0 has margin inf
-        margin = np.abs(np.log(np.abs(roots)))
-    on = margin <= PENCIL_ON_CIRCLE
-    near = margin < PENCIL_OFF_CIRCLE
-    band = np.flatnonzero(near & ~on)
-    if band.size:
-        real = _real_in_band(bases, frame, best, np.angle(roots) / 2 % math.pi, near, band)
-        if real is None:
-            return None
-        on[band[real]] = True
-    return 2 * int(on.sum()), float(margin[~on].min(initial=math.inf))
+    for center in np.argsort(-score, kind="stable"):
+        sylvester, hadamard, flat = _pencil_sylvester(bases, frame, center, phi)
+        if flat.any():
+            continue
+        # |det| <= prod of row norms (Hadamard); R ~ 0 against it on every circle is R == 0.
+        resultant = np.linalg.det(sylvester)
+        if not np.max(np.abs(resultant) / hadamard) > PENCIL_FLAT:
+            continue
+        q = np.fft.fft(resultant * np.exp(1j * deg * phi)) / (deg + 1)
+        # Q whose degree drops to rounding has a root at infinity: decline, do not divide by it.
+        if not abs(q[-1]) > np.finfo(float).eps * np.max(np.abs(q)):
+            continue
+        roots = _companion_roots(q[None])[0]
+        with np.errstate(divide="ignore"):       # a root w = 0 has margin inf
+            margin = np.abs(np.log(np.abs(roots)))
+        on = margin <= PENCIL_ON_CIRCLE
+        if (on | (margin >= PENCIL_OFF_CIRCLE)).all():
+            return 2 * int(on.sum()), float(margin[~on].min(initial=math.inf))
+    return None
 
 
 def restrict_to_great_circle(

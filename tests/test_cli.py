@@ -252,7 +252,6 @@ GOLDEN_REPORTS = {
 OUTCOMES = DATA / "reports" / "outcomes.json"
 OUTCOME_FIELDS = (
     "zero_count", "status", "diagnostics.depth_escalations", "diagnostics.degenerate_resamples",
-    "diagnostics.mesh_fallbacks",
 )
 OUTCOME_GROUPS = ("histogram", "estimate")      # flattened to histogram.<count>, estimate.<field>
 

@@ -1,6 +1,7 @@
 """Monte Carlo averages, subspace sampling, and the circle-crossing length estimator."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -145,28 +146,52 @@ class TestAverageZeroCount:
         r2 = average_zero_count([basis, basis], trials=30, seed=8)
         assert r1 == r2
 
-    def test_declined_trials_are_counted_by_the_mesh(self, monkeypatch):
-        # With an empty on-circle band, an unreachable off-circle one and no
-        # sign of R trusted, every margin falls in the gap and stays there, so
-        # the pencil declines every trial.
+    def test_declined_draws_are_redrawn_and_counted_as_resamples(self, monkeypatch):
+        # A pencil that declines the first draw of every trial: each trial is
+        # counted from its draw (seed, trial, 1) and reports one resample.
         bases = [build_basis(2, 2), build_basis(2, 3)]
-        pencil = conjecture_mixed_average(bases, trials=12, seed=6)
-        assert pencil.mesh_fallbacks == 0 and pencil.min_off_circle_margin > 0.0
-        solves = []
-        solve = integralgeom.find_common_zeros_s2
+        seed, trials = 6, 5
+        first = {
+            sample_subspace(bases, np.random.default_rng([seed, t, 0])).rows.tobytes()
+            for t in range(trials)
+        }
+        pencil = integralgeom.pencil_count
+        redrawn = [
+            pencil(bases, sample_subspace(bases, np.random.default_rng([seed, t, 1])))
+            for t in range(trials)
+        ]
         monkeypatch.setattr(
-            integralgeom, "find_common_zeros_s2", lambda *a: solves.append(1) or solve(*a)
+            integralgeom,
+            "pencil_count",
+            lambda b, sample: None if sample.rows.tobytes() in first else pencil(b, sample),
         )
-        monkeypatch.setattr(zerofinder, "PENCIL_ON_CIRCLE", -1.0)
-        monkeypatch.setattr(zerofinder, "PENCIL_OFF_CIRCLE", math.inf)
-        monkeypatch.setattr(zerofinder, "PENCIL_SIGN_COND", 0.0)
-        mesh = conjecture_mixed_average(bases, trials=12, seed=6)
-        assert (mesh.mesh_fallbacks, len(solves), mesh.min_off_circle_margin) == (12, 12, None)
-        assert mesh.histogram == pencil.histogram and mesh.stderr == pencil.stderr
+        report = conjecture_mixed_average(bases, trials=trials, seed=seed)
+        assert report.degenerate_resamples == trials
+        assert report.histogram == Counter(c for c, _ in redrawn)
+        assert report.min_off_circle_margin == min(m for _, m in redrawn)
 
-    def test_circle_trials_report_no_fallback_and_no_margin(self):
+    @pytest.mark.parametrize("m, seed", [(2, 486652553), (3, 1100282271), (4, 1132403347)])
+    def test_averages_never_run_the_mesh(self, m, seed, monkeypatch):
+        # Trial 0 of these seeds is a draw whose best pencil center declines
+        # (see tests/test_zerofinder.py); it is counted at a later center.
+        def no_mesh(*args):
+            raise AssertionError("an average ran the mesh solver")
+
+        centers = []
+        sylvester = zerofinder._pencil_sylvester
+        monkeypatch.setattr(integralgeom, "find_common_zeros_s2", no_mesh)
+        monkeypatch.setattr(
+            zerofinder, "_pencil_sylvester", lambda *a: centers.append(a[2]) or sylvester(*a)
+        )
+        basis = build_basis(2, m)
+        for estimator in (average_zero_count, conjecture_mixed_average):
+            centers.clear()
+            report = estimator([basis, basis], trials=2, seed=seed)
+            assert report.degenerate_resamples == 0 and len(centers) > report.trials
+
+    def test_circle_trials_report_no_margin(self):
         report = average_zero_count([build_basis(1, 3)], trials=5, seed=1)
-        assert (report.mesh_fallbacks, report.min_off_circle_margin) == (0, None)
+        assert report.min_off_circle_margin is None
 
 
 class TestConjectureMixedAverage:

@@ -1349,41 +1349,44 @@ class TestPencilCount:
             assert zerofinder.pencil_count(bases, coaxial) is None
 
     def test_a_margin_inside_the_gap_is_declined(self, monkeypatch):
+        # The count is the same from every center, so each center sees the
+        # off-circle roots of this draw; with no upper end to the gap they
+        # all fall inside it, and every center declines.
         bases = [build_basis(2, 2), build_basis(2, 3)]
         sample = sample_subspace(bases, np.random.default_rng(5))
         count, margin = zerofinder.pencil_count(bases, sample)
         assert count < 12 and math.isfinite(margin)       # some root lies off the circle
-        monkeypatch.setattr(zerofinder, "PENCIL_OFF_CIRCLE", 2.0 * margin)
-        monkeypatch.setattr(zerofinder, "PENCIL_SIGN_COND", 0.0)
+        monkeypatch.setattr(zerofinder, "PENCIL_OFF_CIRCLE", math.inf)
         assert zerofinder.pencil_count(bases, sample) is None
 
     @pytest.mark.parametrize("m, seed", [(2, 486652553), (3, 1100282271), (4, 1132403347)])
     def test_a_near_tangent_pair_in_the_gap_is_placed_off_the_circle(self, m, seed, monkeypatch):
-        # Draws of the Monte Carlo stream whose zero curves nearly touch: Q
-        # has a root pair w, 1/conj(w) with margin inside the gap, and R keeps
-        # its sign across their direction.
+        # Draws of the Monte Carlo stream whose zero curves nearly touch, as
+        # seen from the best center: there Q has a root pair w, 1/conj(w)
+        # with margin inside the gap.  A later center sees the pair clear of
+        # the circle and gives the mesh's count.
         bases = [build_basis(2, m), build_basis(2, m)]
         sample = sample_subspace(bases, np.random.default_rng([seed, 0, 0]))
         count, margin = zerofinder.pencil_count(bases, sample)
-        assert zerofinder.PENCIL_ON_CIRCLE < margin < zerofinder.PENCIL_OFF_CIRCLE
         assert count == find_common_zeros_s2(bases, sample).count
-        monkeypatch.setattr(zerofinder, "PENCIL_SIGN_COND", 0.0)
-        assert zerofinder.pencil_count(bases, sample) is None
+        assert margin >= zerofinder.PENCIL_OFF_CIRCLE
+        # With no gap the best center's own count is returned, margin and all.
+        gap = (zerofinder.PENCIL_ON_CIRCLE, zerofinder.PENCIL_OFF_CIRCLE)
+        monkeypatch.setattr(zerofinder, "PENCIL_OFF_CIRCLE", zerofinder.PENCIL_ON_CIRCLE)
+        _, best_margin = zerofinder.pencil_count(bases, sample)
+        assert gap[0] < best_margin < gap[1]
 
-    def test_circle_roots_moved_into_the_gap_are_placed_on_it(self, monkeypatch):
-        # With no root counted on the circle outright, the six circle roots of
-        # this draw all enter the gap.  Four are lone roots across which R
-        # changes sign; the closest two (0.014 apart, 0.32 from the rest) form
-        # one cluster inside which R takes the other sign.
-        bases = [build_basis(2, 2), build_basis(2, 3)]
-        sample = sample_subspace(bases, np.random.default_rng(4))
-        assert zerofinder.pencil_count(bases, sample) == (12, math.inf)
-        monkeypatch.setattr(zerofinder, "PENCIL_ON_CIRCLE", -1.0)
-        assert zerofinder.pencil_count(bases, sample) == (12, math.inf)
-        monkeypatch.setattr(zerofinder, "PENCIL_CLUSTER", 0.1)
-        assert zerofinder.pencil_count(bases, sample) == (12, math.inf)
-        monkeypatch.setattr(zerofinder, "PENCIL_CLUSTER", 1.0)       # more than two a cluster
-        assert zerofinder.pencil_count(bases, sample) is None
+    def test_a_draw_the_best_center_miscounts_is_counted_at_the_next(self, monkeypatch):
+        # At the best center of this (8, 8) draw some roots fall inside the
+        # gap, and counting there anyway gives 56.  A later center and the
+        # mesh count 68.
+        bases = [build_basis(2, 8), build_basis(2, 8)]
+        sample = sample_subspace(bases, np.random.default_rng([2024, 6198, 0]))
+        mesh = find_common_zeros_s2(bases, sample)
+        assert (mesh.count, mesh.status) == (68, SolverStatus.COMPLETE)
+        assert zerofinder.pencil_count(bases, sample)[0] == 68
+        monkeypatch.setattr(zerofinder, "PENCIL_OFF_CIRCLE", zerofinder.PENCIL_ON_CIRCLE)
+        assert zerofinder.pencil_count(bases, sample)[0] == 56
 
     def test_rejects_what_the_mesh_solver_rejects(self):
         basis = build_basis(2, 2)
