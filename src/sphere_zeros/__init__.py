@@ -44,6 +44,7 @@ from .zerofinder import (
     find_common_zeros_s2,
     make_sample,
     pencil_count,
+    pencil_counts,
     restrict_to_great_circle,
     verify_bezout,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "laplacian_residual",
     "make_sample",
     "pencil_count",
+    "pencil_counts",
     "restrict_to_great_circle",
     "sample_subspace",
     "sphere_surface_area",

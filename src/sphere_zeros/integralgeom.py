@@ -8,10 +8,12 @@ Monte Carlo average matches the closed-form average being tested without
 ever materializing an N x N rotation.
 
 Every trial draws its own generator from (seed, trial_index, resample),
-making runs reproducible and independent of any execution order.  S2 trials
-whose zeros no pencil center can count (a common zero curve makes the
-resultant vanish) are resampled -- they form a measure-zero set -- and the
-number of resamples is reported.
+making runs reproducible and independent of any execution order.  The S2
+trials of one attempt are counted together by ``zerofinder.pencil_counts``,
+one batched pencil pass per round of centers, with the same bits as one at
+a time.  S2 trials whose zeros the pencil declines to count (a common zero
+curve makes the resultant vanish) are resampled -- they form a measure-zero
+set -- and the number of resamples is reported.
 """
 
 from __future__ import annotations
@@ -37,12 +39,13 @@ from .zerofinder import (
     find_common_zeros_s2,
     _check_solver_degree,
     make_sample,
-    pencil_count,
+    pencil_counts,
     restrict_to_great_circle,
 )
 
 MAX_RESAMPLES_PER_TRIAL = 64
 CIRCLE_CHUNK_POINTS = 8192    # sample points per batch of Crofton circles, m + 1 per circle
+AVERAGE_CHUNK_TRIALS = 1024   # Monte Carlo trials drawn and counted per batch
 
 
 def sphere_surface_area(k: int) -> float:
@@ -113,25 +116,18 @@ def sample_subspace(bases, rng: np.random.Generator) -> SubspaceSample:
     raise RuntimeError("could not draw a full-rank sample")  # pragma: no cover
 
 
-def _count_zeros_once(
-    bases: list[HarmonicBasis], seed: int, trial: int
-) -> tuple[int, int, float]:
-    """Count one trial's zeros, resampling declined draws; returns (count, resamples, margin).
+def _count_draws(
+    bases: list[HarmonicBasis], samples: list[SubspaceSample]
+) -> list[tuple[int, float] | None]:
+    """(count, margin) of each draw, or None where the draw is declined.
 
-    An S1 trial is counted in closed form, with margin inf.  An S2 trial is
-    counted by ``pencil_count``, and ``margin`` is its smallest off-circle
-    margin (inf without one).  A draw that every pencil center declines is
-    redrawn from (seed, trial, attempt + 1).
+    An S1 draw is counted in closed form, with margin inf.  The S2 draws are
+    counted together by ``pencil_counts``, and ``margin`` is the smallest
+    off-circle margin (inf without one).
     """
-    for attempt in range(MAX_RESAMPLES_PER_TRIAL):
-        rng = np.random.default_rng([seed, trial, attempt])
-        sample = sample_subspace(bases, rng)
-        if bases[0].sphere_dim == 1:
-            return find_common_zeros_s1(bases[0], sample).count, attempt, math.inf
-        counted = pencil_count(bases, sample)
-        if counted is not None:
-            return counted[0], attempt, counted[1]
-    raise RuntimeError("degenerate samples persisted across resampling")  # pragma: no cover
+    if bases[0].sphere_dim == 1:
+        return [(find_common_zeros_s1(bases[0], s).count, math.inf) for s in samples]
+    return pencil_counts(bases, samples)
 
 
 def theoretical_average(sphere_dim: int, eigenvalues, volume: float) -> float:
@@ -171,7 +167,15 @@ def _monte_carlo_average(
     experimental: bool,
     formula_id: str,
 ) -> AverageReport:
-    """Average |Z(U)| over ``trials`` random samples, against ``theoretical_average``."""
+    """Average |Z(U)| over ``trials`` random samples, against ``theoretical_average``.
+
+    Trial t is drawn from the generator (seed, t, attempt).  The pending
+    trials of an attempt, at most AVERAGE_CHUNK_TRIALS at a time, are counted
+    in one ``_count_draws`` call, and only the declined ones are redrawn,
+    with attempt + 1, each adding one to ``degenerate_resamples``.  Every
+    draw is counted on its own, so the report does not depend on the
+    batching.
+    """
     if trials < 1:
         raise SphereInputError("trials must be >= 1")
     if not bases or len(bases) != bases[0].sphere_dim or len({b.sphere_dim for b in bases}) != 1:
@@ -182,10 +186,25 @@ def _monte_carlo_average(
     counts = np.empty(trials, dtype=np.int64)
     resamples = 0
     margin = math.inf
-    for t in range(trials):
-        counts[t], extra, trial_margin = _count_zeros_once(bases, seed, t)
-        resamples += extra
-        margin = min(margin, trial_margin)
+    for start in range(0, trials, AVERAGE_CHUNK_TRIALS):
+        pending = range(start, min(start + AVERAGE_CHUNK_TRIALS, trials))
+        for attempt in range(MAX_RESAMPLES_PER_TRIAL):
+            samples = [
+                sample_subspace(bases, np.random.default_rng([seed, t, attempt])) for t in pending
+            ]
+            declined = []
+            for t, counted in zip(pending, _count_draws(bases, samples)):
+                if counted is None:
+                    declined.append(t)
+                    continue
+                counts[t] = counted[0]
+                margin = min(margin, counted[1])
+                resamples += attempt
+            pending = declined
+            if not pending:
+                break
+        else:  # pragma: no cover
+            raise RuntimeError("degenerate samples persisted across resampling")
     mean, stderr, histogram = _summaries(counts)
     return AverageReport(
         trials=trials,

@@ -51,7 +51,13 @@ vanishes where the circle holds a pair.  R is a trigonometric form of
 degree m1 m2, so its roots are the unit-circle eigenvalues of one
 m1 m2 x m1 m2 companion matrix.  A gap rule on the eigenvalue moduli
 places every root on or off the circle; where it leaves one in between,
-the count is taken again from the next center.
+the count is taken again from the next center.  An R that vanishes
+identically at a center off both zero sets means a common zero curve, and
+the sample is declined at once.  The basis values at the centers and on
+the pencil circles do not depend on the sample and are cached, and
+``pencil_counts`` counts a batch of samples in rounds by center rank, one
+batched ``det`` and ``eigvals`` per round, with the bits of one sample at a
+time.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ import numpy as np
 from .harmonics import (
     HarmonicBasis,
     SphereInputError,
+    _contract_rows,
     build_basis,
     check_coefficients,
     eval_basis_and_gradient_many,
@@ -543,6 +550,19 @@ def find_common_zeros_s1(basis: HarmonicBasis, sample: SubspaceSample) -> ZeroFi
     )
 
 
+def _circle_points(m: int, frames: np.ndarray) -> np.ndarray:
+    """The points cos t_k e1 + sin t_k e2, t_k = pi k / (m + 1), of K circles, as (K (m + 1), 3)."""
+    t = math.pi * np.arange(m + 1) / (m + 1)
+    e1, e2 = frames[:, 0, :], frames[:, 1, :]
+    pts = np.cos(t)[None, :, None] * e1[:, None, :] + np.sin(t)[None, :, None] * e2[:, None, :]
+    return pts.reshape(-1, 3)
+
+
+def _sup_bounds(basis: HarmonicBasis, rows) -> np.ndarray:
+    """The sup bound |row| sqrt(N / 4 pi) of |u| for each of the rows (r, N)."""
+    return np.array([np.linalg.norm(row) for row in rows]) * basis.embedding_radius
+
+
 def _circle_polynomials(
     basis: HarmonicBasis, rows: np.ndarray, frames: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -553,32 +573,43 @@ def _circle_polynomials(
     As u(-x) = (-1)^m u(x), u(t + pi) = (-1)^m u(t), so only the c_j with
     j = m mod 2 are nonzero and e^{imt} u(t) = P(zeta) =
     sum_{l=0..m} c_{2l-m} zeta^l with zeta = e^{2it}.  One basis evaluation
-    at the m + 1 angles t_k = pi k / (m + 1), shared by the rows, the twist
-    e^{i m t_k} = (-1)^k e^{-i t_k} and one FFT of length m + 1 per circle
-    and row give (m + 1) * (c_{-m}, c_{2-m}, ..., c_m).  Each row is
-    contracted with the basis values on its own, and each circle is
-    transformed on its own, so the coefficients of a row on a circle do not
-    depend on the other rows or circles in the batch.
+    at the m + 1 angles t_k = pi k / (m + 1) of ``_circle_points``, shared
+    by the rows, gives the values; ``_polynomials_from_values`` does the
+    rest.  Each row is contracted with the basis values on its own, as
+    ``at_points @ row``.
 
     Returns the coefficients (r, K, m + 1) of P in ascending powers and the
     mask (r, K) of the circles on which each u vanishes identically.
     """
+    at_points = eval_basis_many(basis, _circle_points(basis.degree, frames))
+    vals = np.stack([at_points @ row for row in rows])
+    return _polynomials_from_values(basis, vals, _sup_bounds(basis, rows))
+
+
+def _polynomials_from_values(
+    basis: HarmonicBasis, vals: np.ndarray, scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_circle_polynomials`` from the values (..., K (m + 1)) of functions with sup bounds (...).
+
+    The twist e^{i m t_k} = (-1)^k e^{-i t_k} and one FFT of length m + 1 per
+    circle and function give (m + 1) * (c_{-m}, c_{2-m}, ..., c_m).  Each
+    circle is transformed on its own, so the coefficients of a function on a
+    circle do not depend on the other functions or circles in the batch.
+
+    Returns the coefficients (..., K, m + 1) and the mask (..., K) of the
+    circles on which the function vanishes identically.
+    """
     m = basis.degree
+    vals = vals.reshape(*vals.shape[:-1], -1, m + 1)
+    degenerate = np.max(np.abs(vals), axis=-1) <= 1e-12 * scale[..., None]
     t = math.pi * np.arange(m + 1) / (m + 1)
-    e1, e2 = frames[:, 0, :], frames[:, 1, :]
-    pts = np.cos(t)[None, :, None] * e1[:, None, :] + np.sin(t)[None, :, None] * e2[:, None, :]
-    at_points = eval_basis_many(basis, pts.reshape(-1, 3))
-    vals = np.stack([(at_points @ row).reshape(-1, m + 1) for row in rows])
-    # sup bound for |u|, one per row
-    scale = np.array([np.linalg.norm(row) for row in rows]) * basis.embedding_radius
-    degenerate = np.max(np.abs(vals), axis=2) <= 1e-12 * scale[:, None]
     twist = (-1.0) ** np.arange(m + 1) * np.exp(-1j * t)
-    poly = np.fft.fft(vals * twist, axis=2)
+    poly = np.fft.fft(vals * twist, axis=-1)
     # A leading coefficient below the rounding of the FFT (an even zonal
     # function is constant on its equator) is raised to that level; this
     # only moves roots near 0 and infinity.
     lead = poly[..., -1]
-    floor = np.finfo(float).eps * np.max(np.abs(poly), axis=2)
+    floor = np.finfo(float).eps * np.max(np.abs(poly), axis=-1)
     poly[..., -1] = np.where(np.abs(lead) < floor, floor, lead)
     return poly, degenerate
 
@@ -632,36 +663,61 @@ _PENCIL_PLANES = np.linalg.svd(PENCIL_CENTERS[:, None, :])[2][:, 1:]
 PENCIL_ON_CIRCLE = 1e-7       # |log|w|| at or below: a root on the unit circle
 PENCIL_OFF_CIRCLE = 1e-4      # |log|w|| at or above: a root off it; between, try the next center
 PENCIL_FLAT = 1e-10           # max |R| / Hadamard bound at or below: R vanishes identically
+PENCIL_CIRCLE_CACHE = 512     # cached (degree, D, center) blocks of pencil-circle basis values
+PENCIL_BATCH = 1 << 20        # Sylvester entries of the samples counted together, at most
 
 
-def _pencil_sylvester(
-    bases: list[HarmonicBasis], frame: np.ndarray, center: int, phi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sylvester matrices of the frame rows on the pencil circles at the directions ``phi``.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Returns the (K, m1 + m2, m1 + m2) matrices, whose determinants are
-    R(phi); their Hadamard bounds (K,), the products of the row norms; and
-    the mask (K,) of the circles on which a frame function vanishes
-    identically.
+
+@functools.lru_cache(maxsize=MAX_SOLVER_DEGREE)
+def _center_basis(degree: int) -> np.ndarray:
+    """Read-only basis values (32, N) at ``PENCIL_CENTERS``."""
+    return _read_only(eval_basis_many(build_basis(2, degree), PENCIL_CENTERS))
+
+
+@functools.lru_cache(maxsize=PENCIL_CIRCLE_CACHE)
+def _pencil_circle_basis(degree: int, pencil_degree: int, center: int) -> np.ndarray:
+    """Read-only basis values ((D + 1)(m + 1), N) on the D + 1 pencil circles through one center.
+
+    Circle k has the frame (c, cos phi_k a + sin phi_k b) with
+    phi_k = pi k / (D + 1), and holds the m + 1 points of ``_circle_points``.
     """
-    m1, m2 = bases[0].degree, bases[1].degree
+    phi = math.pi * np.arange(pencil_degree + 1) / (pencil_degree + 1)
     a, b = _PENCIL_PLANES[center]
     frames = np.empty((phi.size, 2, 3))
     frames[:, 0] = PENCIL_CENTERS[center]
     frames[:, 1] = np.cos(phi)[:, None] * a + np.sin(phi)[:, None] * b
-    polys = {}
-    for basis, idx in _degree_groups(bases):
-        poly, flat = _circle_polynomials(basis, frame[idx, : basis.dimension], frames)
-        polys.update(zip(idx, zip(poly, flat)))
-    (p1, flat1), (p2, flat2) = polys[0], polys[1]
-    size = m1 + m2
-    sylvester = np.zeros((phi.size, size, size), dtype=complex)
+    return _read_only(eval_basis_many(build_basis(2, degree), _circle_points(degree, frames)))
+
+
+def _center_scores(bases: list[HarmonicBasis], rows: list[np.ndarray]) -> np.ndarray:
+    """min_i |f_i(c)| / sup|f_i| (S, 32) at the centers c, for the frame rows (S, N_i) of S samples.
+
+    Each f_i(c) is summed from the cached basis values in ascending k from
+    zero by ``_contract_rows``, the bits of ``eval_basis_many`` with rows.
+    """
+    return np.minimum(*(
+        np.abs(_contract_rows(_center_basis(b.degree).T[None], r)[0]) / b.embedding_radius
+        for b, r in zip(bases, rows)
+    ))
+
+
+def _pencil_sylvester(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Sylvester matrices (..., m1 + m2, m1 + m2) of polynomial pairs, ascending coefficients.
+
+    ``p1`` has shape (..., m1 + 1) and ``p2`` shape (..., m2 + 1); each
+    determinant is the resultant of one pair.
+    """
+    m1, m2 = p1.shape[-1] - 1, p2.shape[-1] - 1
+    sylvester = np.zeros((*p1.shape[:-1], m1 + m2, m1 + m2), dtype=complex)
     shift = np.arange(m2)[:, None]
-    sylvester[:, shift, shift + np.arange(m1 + 1)] = p1[:, None, :]
+    sylvester[..., shift, shift + np.arange(m1 + 1)] = p1[..., None, :]
     shift = np.arange(m1)[:, None]
-    sylvester[:, m2 + shift, shift + np.arange(m2 + 1)] = p2[:, None, :]
-    hadamard = np.linalg.norm(p1, axis=1) ** m2 * np.linalg.norm(p2, axis=1) ** m1
-    return sylvester, hadamard, flat1 | flat2
+    sylvester[..., m2 + shift, shift + np.arange(m2 + 1)] = p2[..., None, :]
+    return sylvester
 
 
 def pencil_count(bases, sample: SubspaceSample) -> tuple[int, float] | None:
@@ -687,38 +743,94 @@ def pencil_count(bases, sample: SubspaceSample) -> tuple[int, float] | None:
     count that holds is returned.  A root inside the gap (near-tangent zero
     curves seen edge-on, or rounding) or a pencil circle on which a frame
     function vanishes identically moves the count on to the next center.
+    So does an R that vanishes identically at a center with score 0, since
+    a common zero at c puts a common pair on every circle.  At a center
+    with a positive score, c is off both zero sets, so R = 0 there means a
+    common zero curve, and the sample is declined at once.
 
     Returns (count, smallest margin of a root off the circle, inf without
-    one), or None -- claiming nothing -- when every center declines, as
-    when R vanishes identically (a common zero curve).  Raises
-    SphereInputError on the inputs ``find_common_zeros_s2`` rejects.
+    one), or None -- claiming nothing -- when the sample is declined: R
+    vanishes identically at a center off both zero sets, or every center
+    declines.  Raises SphereInputError on the inputs ``find_common_zeros_s2``
+    rejects.  This is the one-sample call of ``pencil_counts``.
     """
-    bases = _check_s2_pair(bases, sample)
-    frame = sample.frame
-    sup = np.array([b.embedding_radius for b in bases])
-    center_vals = _row_values(_degree_groups(bases), frame, PENCIL_CENTERS)
-    score = np.min(np.abs(center_vals) / sup, axis=1)
-    deg = bases[0].degree * bases[1].degree
+    return pencil_counts(bases, [sample])[0]
+
+
+def pencil_counts(bases, samples) -> list[tuple[int, float] | None]:
+    """``pencil_count`` of each of the samples, counted together in rounds by center rank.
+
+    The centers of all samples are ranked at once.  Round k counts every
+    sample still pending at its k-th center: one Sylvester build, one
+    batched ``det``, one FFT and one batched ``eigvals`` for them all.  A
+    sample whose count holds leaves, and so does one declined for good; one
+    whose center declines goes on to its next center in the next round.  The
+    basis values at the centers and on the pencil circles are cached, and
+    every step acts on each sample alone, so a sample's count and margin
+    are the same bits in any batch and at any position.  A batch holds at
+    most ``PENCIL_BATCH`` Sylvester entries; more samples are counted in
+    several batches.
+    """
+    samples = list(samples)
+    for sample in samples:
+        bases = _check_s2_pair(bases, sample)
+    if not samples:
+        return []
+    m1, m2 = bases[0].degree, bases[1].degree
+    size = max(1, PENCIL_BATCH // ((m1 * m2 + 1) * (m1 + m2) ** 2))
+    batches = (samples[lo : lo + size] for lo in range(0, len(samples), size))
+    return [c for batch in batches for c in _pencil_rounds(bases, batch)]
+
+
+def _pencil_rounds(
+    bases: list[HarmonicBasis], samples: list[SubspaceSample]
+) -> list[tuple[int, float] | None]:
+    """``pencil_counts`` of one batch of validated samples."""
+    m1, m2 = bases[0].degree, bases[1].degree
+    deg = m1 * m2
+    rows = [np.stack([s.frame[i, : b.dimension] for s in samples]) for i, b in enumerate(bases)]
+    sup = [_sup_bounds(b, r) for b, r in zip(bases, rows)]
+    score = _center_scores(bases, rows)
+    order = np.argsort(-score, axis=1, kind="stable")
     phi = math.pi * np.arange(deg + 1) / (deg + 1)
-    for center in np.argsort(-score, kind="stable"):
-        sylvester, hadamard, flat = _pencil_sylvester(bases, frame, center, phi)
-        if flat.any():
-            continue
+    counted: list[tuple[int, float] | None] = [None] * len(samples)
+    done = np.zeros(len(samples), dtype=bool)
+    pending = np.arange(len(samples))
+    for rank in range(order.shape[1]):
+        if not pending.size:
+            break
+        center = order[pending, rank]
+        at = list(zip(pending.tolist(), center.tolist()))
+        polys, flat = [], np.zeros(pending.size, dtype=bool)
+        for b, r, bound in zip(bases, rows, sup):
+            vals = np.stack([_pencil_circle_basis(b.degree, deg, c) @ r[k] for k, c in at])
+            poly, degenerate = _polynomials_from_values(b, vals, bound[pending])
+            polys.append(poly)
+            flat |= degenerate.any(axis=1)
+        p1, p2 = polys[0][~flat], polys[1][~flat]
+        idx, center = pending[~flat], center[~flat]
+        hadamard = np.linalg.norm(p1, axis=2) ** m2 * np.linalg.norm(p2, axis=2) ** m1
+        resultant = np.linalg.det(_pencil_sylvester(p1, p2))
         # |det| <= prod of row norms (Hadamard); R ~ 0 against it on every circle is R == 0.
-        resultant = np.linalg.det(sylvester)
-        if not np.max(np.abs(resultant) / hadamard) > PENCIL_FLAT:
-            continue
-        q = np.fft.fft(resultant * np.exp(1j * deg * phi)) / (deg + 1)
+        live = np.max(np.abs(resultant) / hadamard, axis=1) > PENCIL_FLAT
+        # R == 0 at a center off both zero sets is a common zero curve: no count exists.
+        declined = idx[~live & (score[idx, center] > 0)]
+        idx, resultant = idx[live], resultant[live]
+        q = np.fft.fft(resultant * np.exp(1j * deg * phi), axis=1) / (deg + 1)
         # Q whose degree drops to rounding has a root at infinity: decline, do not divide by it.
-        if not abs(q[-1]) > np.finfo(float).eps * np.max(np.abs(q)):
-            continue
-        roots = _companion_roots(q[None])[0]
+        live = np.abs(q[:, -1]) > np.finfo(float).eps * np.max(np.abs(q), axis=1)
+        idx = idx[live]
+        roots = _companion_roots(q[live])
         with np.errstate(divide="ignore"):       # a root w = 0 has margin inf
             margin = np.abs(np.log(np.abs(roots)))
         on = margin <= PENCIL_ON_CIRCLE
-        if (on | (margin >= PENCIL_OFF_CIRCLE)).all():
-            return 2 * int(on.sum()), float(margin[~on].min(initial=math.inf))
-    return None
+        holds = (on | (margin >= PENCIL_OFF_CIRCLE)).all(axis=1)
+        off = np.where(on, math.inf, margin).min(axis=1)
+        for k, pairs, low in zip(idx[holds], on.sum(axis=1)[holds], off[holds]):
+            counted[k] = (2 * int(pairs), float(low))
+        done[idx[holds]] = done[declined] = True
+        pending = pending[~done[pending]]
+    return counted
 
 
 def restrict_to_great_circle(

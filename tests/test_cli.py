@@ -6,6 +6,7 @@ import io
 import json
 import math
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -513,11 +514,22 @@ class _Evaluated(Exception):
     pass
 
 
+def _clear_package_caches():
+    """Empty every ``lru_cache`` of the package, so that a run evaluates the basis afresh."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("sphere_zeros."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
 def _run_without_evaluation(argv):
     """(exit code, stdout, stderr) of main(argv); raises _Evaluated at the first basis evaluation."""
     def no_evaluation(*args, **kwargs):
         raise _Evaluated(argv)
 
+    # With warm basis caches a run could pass every check and never evaluate.
+    _clear_package_caches()
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sphere_zeros.harmonics, "_evaluate", no_evaluation)

@@ -155,16 +155,16 @@ class TestAverageZeroCount:
             sample_subspace(bases, np.random.default_rng([seed, t, 0])).rows.tobytes()
             for t in range(trials)
         }
-        pencil = integralgeom.pencil_count
-        redrawn = [
-            pencil(bases, sample_subspace(bases, np.random.default_rng([seed, t, 1])))
-            for t in range(trials)
-        ]
-        monkeypatch.setattr(
-            integralgeom,
-            "pencil_count",
-            lambda b, sample: None if sample.rows.tobytes() in first else pencil(b, sample),
+        pencil = integralgeom.pencil_counts
+        redrawn = pencil(
+            bases, [sample_subspace(bases, np.random.default_rng([seed, t, 1])) for t in range(trials)]
         )
+
+        def declining(b, samples):
+            counted = pencil(b, samples)
+            return [None if s.rows.tobytes() in first else c for s, c in zip(samples, counted)]
+
+        monkeypatch.setattr(integralgeom, "pencil_counts", declining)
         report = conjecture_mixed_average(bases, trials=trials, seed=seed)
         assert report.degenerate_resamples == trials
         assert report.histogram == Counter(c for c, _ in redrawn)
@@ -177,11 +177,15 @@ class TestAverageZeroCount:
         def no_mesh(*args):
             raise AssertionError("an average ran the mesh solver")
 
+        # One Sylvester build serves one round of centers for all pending
+        # trials; it is recorded once per trial it serves.
         centers = []
         sylvester = zerofinder._pencil_sylvester
         monkeypatch.setattr(integralgeom, "find_common_zeros_s2", no_mesh)
         monkeypatch.setattr(
-            zerofinder, "_pencil_sylvester", lambda *a: centers.append(a[2]) or sylvester(*a)
+            zerofinder,
+            "_pencil_sylvester",
+            lambda p1, p2: centers.extend([None] * p1.shape[0]) or sylvester(p1, p2),
         )
         basis = build_basis(2, m)
         for estimator in (average_zero_count, conjecture_mixed_average):

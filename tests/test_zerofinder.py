@@ -1328,13 +1328,20 @@ class TestPencilCount:
         bases = [build_basis(2, 3), build_basis(2, 4)]
         sample = sample_subspace(bases, np.random.default_rng(41))
         base = zerofinder.pencil_count(bases, sample)[0]
+        circles = zerofinder._pencil_circle_basis
         for center in range(0, 32, 4):
-            def only(groups, rows, pts, _k=center):
-                vals = np.zeros((pts.shape[0], 2))
-                vals[_k] = 1.0
-                return vals
-            monkeypatch.setattr(zerofinder, "_row_values", only)
+            def only(bases, rows, _k=center):
+                # Every center scores 0 but this one, so it is tried first.
+                score = np.zeros((rows[0].shape[0], 32))
+                score[:, _k] = 1.0
+                return score
+            tried = []
+            monkeypatch.setattr(zerofinder, "_center_scores", only)
+            monkeypatch.setattr(
+                zerofinder, "_pencil_circle_basis", lambda *a: tried.append(a[2]) or circles(*a)
+            )
             counted = zerofinder.pencil_count(bases, sample)
+            assert tried[0] == center
             assert counted is None or counted[0] == base, center
 
     def test_a_common_nodal_circle_is_declined(self):
@@ -1347,6 +1354,93 @@ class TestPencilCount:
             bases = [build_basis(2, m1), build_basis(2, m2)]
             coaxial = make_sample([zonal(b, NORTH) for b in bases], [m1, m2])
             assert zerofinder.pencil_count(bases, coaxial) is None
+
+    @pytest.mark.parametrize("m1, m2", [(1, 3), (3, 5), (5, 7)])
+    def test_a_flat_resultant_is_declined_at_the_first_center(self, m1, m2, monkeypatch):
+        # The best center is off both zero sets, and R vanishes on every
+        # circle through it: the shared equator, not a zero at the center.
+        bases = [build_basis(2, m1), build_basis(2, m2)]
+        coaxial = make_sample([zonal(b, NORTH) for b in bases], [m1, m2])
+        built = []
+        sylvester = zerofinder._pencil_sylvester
+        monkeypatch.setattr(
+            zerofinder,
+            "_pencil_sylvester",
+            lambda p1, p2: built.append(p1.shape[0]) or sylvester(p1, p2),
+        )
+        assert zerofinder.pencil_count(bases, coaxial) is None
+        assert built == [1]
+        # With every score 0 a common zero at the center could explain R = 0,
+        # so each center is tried in turn.
+        built.clear()
+        monkeypatch.setattr(zerofinder, "_center_scores", lambda b, rows: np.zeros((1, 32)))
+        assert zerofinder.pencil_count(bases, coaxial) is None
+        assert built == [1] * 32
+
+    @settings(max_examples=25)
+    @given(
+        m1=st.integers(1, 5), m2=st.integers(1, 5),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    )
+    def test_batched_counts_are_the_one_at_a_time_bits(self, m1, m2, seeds):
+        bases = [build_basis(2, m1), build_basis(2, m2)]
+        samples = [gaussian_sample([m1, m2], np.random.default_rng(seed)) for seed in seeds]
+        alone = [zerofinder.pencil_count(bases, s) for s in samples]
+        assert zerofinder.pencil_counts(bases, samples) == alone
+        assert zerofinder.pencil_counts(bases, samples[::-1]) == alone[::-1]
+
+    @pytest.mark.parametrize(
+        "m, key",
+        [
+            (2, [486652553, 0, 0]),
+            (3, [1100282271, 0, 0]),
+            (4, [1132403347, 0, 0]),
+            (8, [2024, 6198, 0]),
+        ],
+    )
+    def test_hard_draws_keep_their_bits_in_a_mixed_batch(self, m, key, monkeypatch):
+        # Each hard draw needs a later center than its best one; in a batch
+        # it goes on alone while the ordinary draws around it are counted.
+        bases = [build_basis(2, m), build_basis(2, m)]
+        hard = sample_subspace(bases, np.random.default_rng(key))
+        ordinary = [sample_subspace(bases, np.random.default_rng([i, 0, 0])) for i in range(4)]
+        alone = {id(s): zerofinder.pencil_count(bases, s) for s in [hard, *ordinary]}
+        for batch in ([hard, *ordinary], [*ordinary[:2], hard, *ordinary[2:]], [*ordinary, hard]):
+            assert zerofinder.pencil_counts(bases, batch) == [alone[id(s)] for s in batch]
+        # Split into batches of one sample each, the counts are the same.
+        monkeypatch.setattr(zerofinder, "PENCIL_BATCH", 1)
+        batch = [*ordinary, hard]
+        assert zerofinder.pencil_counts(bases, batch) == [alone[id(s)] for s in batch]
+
+    @pytest.mark.parametrize("m1, m2", [(1, 4), (3, 3), (5, 2)])
+    def test_cached_basis_values_are_fresh_bits_and_read_only(self, m1, m2):
+        deg = m1 * m2
+        phi = math.pi * np.arange(deg + 1) / (deg + 1)
+        cos, sin = np.cos(phi), np.sin(phi)
+        for m in (m1, m2):
+            basis = build_basis(2, m)
+            cached = zerofinder._center_basis(m)
+            assert np.array_equal(cached, eval_basis_many(basis, zerofinder.PENCIL_CENTERS))
+            assert not cached.flags.writeable
+            for center in (0, 17, 31):
+                a, b = zerofinder._PENCIL_PLANES[center]
+                frames = np.stack([
+                    np.stack([zerofinder.PENCIL_CENTERS[center], c * a + s * b])
+                    for c, s in zip(cos, sin)
+                ])
+                t = math.pi * np.arange(m + 1) / (m + 1)
+                pts = np.concatenate(
+                    [np.outer(np.cos(t), e1) + np.outer(np.sin(t), e2) for e1, e2 in frames]
+                )
+                cached = zerofinder._pencil_circle_basis(m, deg, center)
+                assert np.array_equal(cached, eval_basis_many(basis, pts))
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0, 0] = 0.0
+
+    def test_an_empty_batch_has_no_counts(self):
+        basis = build_basis(2, 2)
+        assert zerofinder.pencil_counts([basis, basis], []) == []
 
     def test_a_margin_inside_the_gap_is_declined(self, monkeypatch):
         # The count is the same from every center, so each center sees the
