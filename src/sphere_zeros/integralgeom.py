@@ -7,13 +7,16 @@ is exactly the uniform (Haar) distribution on the Grassmannian -- so the
 Monte Carlo average matches the closed-form average being tested without
 ever materializing an N x N rotation.
 
-Every trial draws its own generator from (seed, trial_index, resample),
-making runs reproducible and independent of any execution order.  The S2
-trials of one attempt are counted together by ``zerofinder.pencil_counts``,
-one batched pencil pass per round of centers, with the same bits as one at
-a time.  S2 trials whose zeros the pencil declines to count (a common zero
-curve makes the resultant vanish) are resampled -- they form a measure-zero
-set -- and the number of resamples is reported.
+One driver, ``_draw_and_count``, runs the trials of the averages and of
+Crofton.  Every trial draws from its own generator (seed, trial_index,
+resample), making runs reproducible and independent of any execution
+order.  The pending trials of one attempt are counted in one batch, each on
+its own, and only the declined draws are redrawn -- they form a
+measure-zero set -- and the number of resamples is reported.  An S2 average
+counts its batch with ``zerofinder.pencil_counts``, which declines a draw
+when a common zero curve makes the resultant vanish.  Crofton turns its
+batch of Gaussian pairs into circle frames with one batched QR
+(``circle_frames``) and declines a circle on which u vanishes identically.
 """
 
 from __future__ import annotations
@@ -116,18 +119,35 @@ def sample_subspace(bases, rng: np.random.Generator) -> SubspaceSample:
     raise RuntimeError("could not draw a full-rank sample")  # pragma: no cover
 
 
-def _count_draws(
-    bases: list[HarmonicBasis], samples: list[SubspaceSample]
-) -> list[tuple[int, float] | None]:
-    """(count, margin) of each draw, or None where the draw is declined.
+def _draw_and_count(trials: int, seed: int, chunk: int, draw, count) -> tuple[list, int]:
+    """The result of each of ``trials`` draws, and the number of redraws.
 
-    An S1 draw is counted in closed form, with margin inf.  The S2 draws are
-    counted together by ``pencil_counts``, and ``margin`` is the smallest
-    off-circle margin (inf without one).
+    Trial t draws ``draw(rng)`` from the generator (seed, t, attempt).  The
+    pending trials of an attempt, at most ``chunk`` at a time, are counted
+    in one ``count(draws)``, one result per draw or None where it declines
+    one; only those are redrawn, with attempt + 1, for at most
+    MAX_RESAMPLES_PER_TRIAL attempts.  ``count`` counts each draw on its
+    own, so the results do not depend on the batching.
     """
-    if bases[0].sphere_dim == 1:
-        return [(find_common_zeros_s1(bases[0], s).count, math.inf) for s in samples]
-    return pencil_counts(bases, samples)
+    results: list = [None] * trials
+    resamples = 0
+    for start in range(0, trials, chunk):
+        pending = list(range(start, min(start + chunk, trials)))
+        for attempt in range(MAX_RESAMPLES_PER_TRIAL):
+            draws = [draw(np.random.default_rng([seed, t, attempt])) for t in pending]
+            declined = []
+            for t, counted in zip(pending, count(draws)):
+                if counted is None:
+                    declined.append(t)
+                    continue
+                results[t] = counted
+                resamples += attempt
+            pending = declined
+            if not pending:
+                break
+        else:  # pragma: no cover
+            raise RuntimeError("declined draws persisted across resampling")
+    return results, resamples
 
 
 def theoretical_average(sphere_dim: int, eigenvalues, volume: float) -> float:
@@ -169,12 +189,11 @@ def _monte_carlo_average(
 ) -> AverageReport:
     """Average |Z(U)| over ``trials`` random samples, against ``theoretical_average``.
 
-    Trial t is drawn from the generator (seed, t, attempt).  The pending
-    trials of an attempt, at most AVERAGE_CHUNK_TRIALS at a time, are counted
-    in one ``_count_draws`` call, and only the declined ones are redrawn,
-    with attempt + 1, each adding one to ``degenerate_resamples``.  Every
-    draw is counted on its own, so the report does not depend on the
-    batching.
+    A draw is one ``sample_subspace``.  ``_draw_and_count`` counts the draws
+    AVERAGE_CHUNK_TRIALS at a time as (count, margin): an S1 draw in closed
+    form, with margin inf, and the S2 draws together by ``pencil_counts``,
+    whose margin is the smallest off-circle one (inf without one) and which
+    declines the draws it cannot count.
     """
     if trials < 1:
         raise SphereInputError("trials must be >= 1")
@@ -183,28 +202,17 @@ def _monte_carlo_average(
     theory = theoretical_average(
         bases[0].sphere_dim, [b.eigenvalue for b in bases], bases[0].manifold_volume
     )
-    counts = np.empty(trials, dtype=np.int64)
-    resamples = 0
-    margin = math.inf
-    for start in range(0, trials, AVERAGE_CHUNK_TRIALS):
-        pending = range(start, min(start + AVERAGE_CHUNK_TRIALS, trials))
-        for attempt in range(MAX_RESAMPLES_PER_TRIAL):
-            samples = [
-                sample_subspace(bases, np.random.default_rng([seed, t, attempt])) for t in pending
-            ]
-            declined = []
-            for t, counted in zip(pending, _count_draws(bases, samples)):
-                if counted is None:
-                    declined.append(t)
-                    continue
-                counts[t] = counted[0]
-                margin = min(margin, counted[1])
-                resamples += attempt
-            pending = declined
-            if not pending:
-                break
-        else:  # pragma: no cover
-            raise RuntimeError("degenerate samples persisted across resampling")
+
+    def count(samples: list[SubspaceSample]) -> list[tuple[int, float] | None]:
+        if bases[0].sphere_dim == 2:
+            return pencil_counts(bases, samples)
+        return [(find_common_zeros_s1(bases[0], s).count, math.inf) for s in samples]
+
+    counted, resamples = _draw_and_count(
+        trials, seed, AVERAGE_CHUNK_TRIALS, lambda rng: sample_subspace(bases, rng), count
+    )
+    counts = np.array([n for n, _ in counted], dtype=np.int64)
+    margin = min(low for _, low in counted)
     mean, stderr, histogram = _summaries(counts)
     return AverageReport(
         trials=trials,
@@ -247,23 +255,15 @@ def conjecture_mixed_average(bases, trials: int, seed: int = 0) -> AverageReport
     )
 
 
-def random_circle_frame(rng: np.random.Generator) -> np.ndarray:
-    """Orthonormal 2-frame from Gram-Schmidt on two Gaussian vectors.
+def circle_frames(gaussians: np.ndarray) -> np.ndarray:
+    """Orthonormal 2-frames (K, 2, 3) of the planes of K pairs of Gaussian 3-vectors (K, 2, 3).
 
-    Rotation invariance of the Gaussian makes the spanned great circle
-    uniform over all great circles.
+    One batched QR of the (K, 3, 2) transposes; each frame spans the plane
+    of its two vectors, and rotation invariance of the Gaussian makes its
+    great circle uniform over all great circles.
     """
-    while True:
-        raw = rng.standard_normal((2, 3))
-        e1_norm = np.linalg.norm(raw[0])
-        if e1_norm < 1e-12:
-            continue
-        e1 = raw[0] / e1_norm
-        v2 = raw[1] - np.dot(raw[1], e1) * e1
-        v2_norm = np.linalg.norm(v2)
-        if v2_norm < 1e-12:
-            continue
-        return np.stack([e1, v2 / v2_norm])
+    q, _ = np.linalg.qr(np.swapaxes(gaussians, 1, 2))
+    return np.swapaxes(q, 1, 2)
 
 
 def crofton_length(basis: HarmonicBasis, coeffs, trials: int, seed: int = 0) -> LengthReport:
@@ -273,12 +273,12 @@ def crofton_length(basis: HarmonicBasis, coeffs, trials: int, seed: int = 0) -> 
     random great circle is length / pi, so pi times the mean crossing count
     estimates the length.
 
-    Circle t is drawn from the generator (seed, t, attempt), and only the
-    circles on which u vanishes identically are redrawn, with attempt + 1.
-    Each batch of CIRCLE_CHUNK_POINTS // (m + 1) circles is one call of
-    ``restrict_to_great_circle``, which samples u at m + 1 points of each
-    circle and counts each circle's crossings on its own, so the report
-    does not depend on the batching.
+    A draw is two Gaussian 3-vectors, whose plane is the circle.
+    ``_draw_and_count`` redraws the circles on which u vanishes identically.
+    Each batch of CIRCLE_CHUNK_POINTS // (m + 1) circles is one
+    ``circle_frames`` and one call of ``restrict_to_great_circle``, which
+    samples u at m + 1 points of each circle and counts each circle's
+    crossings on its own, so the report does not depend on the batching.
     """
     if basis.sphere_dim != 2:
         raise SphereInputError("length estimation is defined on S2")
@@ -287,25 +287,17 @@ def crofton_length(basis: HarmonicBasis, coeffs, trials: int, seed: int = 0) -> 
     c = check_coefficients(basis, coeffs)
     if not np.any(c):
         raise SphereInputError("zero function has no zero-level curve")
-    counts = np.empty(trials, dtype=np.int64)
-    resamples = 0
+
+    def crossings(gaussians: list[np.ndarray]) -> list[int | None]:
+        frames = circle_frames(np.stack(gaussians))
+        _, found, degenerate = restrict_to_great_circle(basis, c, frames)
+        return [None if flat else n for n, flat in zip(found.tolist(), degenerate.tolist())]
+
     chunk = max(1, CIRCLE_CHUNK_POINTS // (basis.degree + 1))
-    for start in range(0, trials, chunk):
-        pending = np.arange(start, min(start + chunk, trials))
-        for attempt in range(MAX_RESAMPLES_PER_TRIAL):
-            frames = np.stack(
-                [random_circle_frame(np.random.default_rng([seed, t, attempt])) for t in pending]
-            )
-            _, found, degenerate = restrict_to_great_circle(basis, c, frames)
-            done = ~degenerate
-            counts[pending[done]] = found[done]
-            resamples += attempt * int(np.count_nonzero(done))
-            pending = pending[degenerate]
-            if not pending.size:
-                break
-        else:  # pragma: no cover
-            raise RuntimeError("degenerate circles persisted across resampling")
-    mean, stderr, _ = _summaries(counts)
+    counted, resamples = _draw_and_count(
+        trials, seed, chunk, lambda rng: rng.standard_normal((2, 3)), crossings
+    )
+    mean, stderr, _ = _summaries(np.array(counted, dtype=np.int64))
     return LengthReport(
         trials=trials,
         mean_crossings=mean,

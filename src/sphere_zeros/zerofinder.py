@@ -46,8 +46,8 @@ eigenvalues of its m x m companion matrix give the roots in antipodal pairs.
 ``pencil_count`` counts Z(u1, u2) without finding it, for the Monte Carlo
 averages.  Each antipodal pair of zeros lies on exactly one great circle
 through a center c; on the circle at direction phi the two frame functions
-are the polynomials of ``_circle_polynomials``, and their resultant R(phi)
-vanishes where the circle holds a pair.  R is a trigonometric form of
+are the polynomials P(zeta) of ``_circle_eigenvalues``, and their resultant
+R(phi) vanishes where the circle holds a pair.  R is a trigonometric form of
 degree m1 m2, so its roots are the unit-circle eigenvalues of one
 m1 m2 x m1 m2 companion matrix.  A gap rule on the eigenvalue moduli
 places every root on or off the circle; where it leaves one in between,
@@ -144,16 +144,20 @@ class SubspaceSample:
         object.__setattr__(self, "frame", frame)
 
 
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Nonzero finite rows divided by their Euclidean norms.
+def _binary_scaled(rows: np.ndarray) -> np.ndarray:
+    """Finite rows (..., N), each times the power of two bringing its largest entry into [0.5, 1).
 
-    Each row is first scaled by the power of two that brings its largest
-    entry into [0.5, 1).  That scaling is exact, so normal-range rows get
-    the same bits as from a plain division, and the squared norms of tiny
-    or huge rows neither underflow nor overflow.
+    The scaling is exact, so what is computed from the rows up to scale
+    keeps every bit, and the squared norms of tiny or huge rows neither
+    underflow nor overflow.
     """
-    _, exponent = np.frexp(np.max(np.abs(rows), axis=1, keepdims=True))
-    rows = np.ldexp(rows, -exponent)
+    _, exponent = np.frexp(np.max(np.abs(rows), axis=-1, keepdims=True))
+    return np.ldexp(rows, -exponent)
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Nonzero finite rows divided by their Euclidean norms, after the exact ``_binary_scaled``."""
+    rows = _binary_scaled(rows)
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
@@ -563,33 +567,10 @@ def _sup_bounds(basis: HarmonicBasis, rows) -> np.ndarray:
     return np.array([np.linalg.norm(row) for row in rows]) * basis.embedding_radius
 
 
-def _circle_polynomials(
-    basis: HarmonicBasis, rows: np.ndarray, frames: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of r functions u as polynomials P(zeta) on K great circles, for validated inputs.
-
-    ``rows`` has shape (r, N) and ``frames`` shape (K, 2, 3).  On the circle
-    of frame (e1, e2), u(cos t e1 + sin t e2) = sum_{j=-m..m} c_j e^{ijt}.
-    As u(-x) = (-1)^m u(x), u(t + pi) = (-1)^m u(t), so only the c_j with
-    j = m mod 2 are nonzero and e^{imt} u(t) = P(zeta) =
-    sum_{l=0..m} c_{2l-m} zeta^l with zeta = e^{2it}.  One basis evaluation
-    at the m + 1 angles t_k = pi k / (m + 1) of ``_circle_points``, shared
-    by the rows, gives the values; ``_polynomials_from_values`` does the
-    rest.  Each row is contracted with the basis values on its own, as
-    ``at_points @ row``.
-
-    Returns the coefficients (r, K, m + 1) of P in ascending powers and the
-    mask (r, K) of the circles on which each u vanishes identically.
-    """
-    at_points = eval_basis_many(basis, _circle_points(basis.degree, frames))
-    vals = np.stack([at_points @ row for row in rows])
-    return _polynomials_from_values(basis, vals, _sup_bounds(basis, rows))
-
-
 def _polynomials_from_values(
     basis: HarmonicBasis, vals: np.ndarray, scale: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_circle_polynomials`` from the values (..., K (m + 1)) of functions with sup bounds (...).
+    """P(zeta) of ``_circle_eigenvalues`` from values (..., K (m + 1)) with sup bounds (...).
 
     The twist e^{i m t_k} = (-1)^k e^{-i t_k} and one FFT of length m + 1 per
     circle and function give (m + 1) * (c_{-m}, c_{2-m}, ..., c_m).  Each
@@ -619,18 +600,26 @@ def _circle_eigenvalues(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Companion eigenvalues zeta of u on K great circles at once, for validated inputs.
 
-    The roots of u on a circle are the angles t with e^{2it} a unit-modulus
-    root of the degree-m ``_circle_polynomials`` P(zeta), and each such zeta
-    gives the antipodal pair t, t + pi (Boyd, "Finding the zeros of a
-    univariate equation", SIAM Review 55, 2013).  One batched ``eigvals`` of
-    the m x m companion matrices gives the zeta; each matrix is solved on
-    its own, so its eigenvalues do not depend on the other circles.
+    On the circle of frame (e1, e2), u(cos t e1 + sin t e2) =
+    sum_{j=-m..m} c_j e^{ijt}.  As u(-x) = (-1)^m u(x), u(t + pi) =
+    (-1)^m u(t), so only the c_j with j = m mod 2 are nonzero and
+    e^{imt} u(t) = P(zeta) = sum_{l=0..m} c_{2l-m} zeta^l with
+    zeta = e^{2it}.  One basis evaluation at the m + 1 angles
+    t_k = pi k / (m + 1) of ``_circle_points``, contracted as
+    ``at_points @ c``, gives the values, and ``_polynomials_from_values``
+    the coefficients of P.  The roots of u on a circle are the angles t with
+    e^{2it} a unit-modulus root of P, and each such zeta gives the antipodal
+    pair t, t + pi (Boyd, "Finding the zeros of a univariate equation", SIAM
+    Review 55, 2013).  One batched ``eigvals`` of the m x m companion
+    matrices gives the zeta; each matrix is solved on its own, so its
+    eigenvalues do not depend on the other circles.
 
     Returns the eigenvalues (L, m) of the L circles on which u does not
     vanish identically, their indices, and the mask (K,) of the circles on
     which it does.
     """
-    (poly,), (degenerate,) = _circle_polynomials(basis, c[None], frames)
+    vals = eval_basis_many(basis, _circle_points(basis.degree, frames)) @ c
+    poly, degenerate = _polynomials_from_values(basis, vals, _sup_bounds(basis, c[None])[0])
     live = np.flatnonzero(~degenerate)
     return _companion_roots(poly[live]), live, degenerate
 
@@ -726,7 +715,7 @@ def pencil_count(bases, sample: SubspaceSample) -> tuple[int, float] | None:
     Every antipodal pair of Z lies on exactly one great circle through a
     center c, at a direction phi in [0, pi).  On the circle
     (c, cos phi a + sin phi b) each frame row f_i is the degree-m_i
-    polynomial P_i(zeta) of ``_circle_polynomials``, and R(phi) =
+    polynomial P_i(zeta) of ``_circle_eigenvalues``, and R(phi) =
     Res(P1, P2) vanishes where that circle holds a common pair.  R is a form
     of degree D = m1 m2 in (cos phi, sin phi) with parity D, so
     e^{iD phi} R(phi) = Q(w) is a degree-D polynomial in w = e^{2i phi}:
@@ -854,7 +843,7 @@ def restrict_to_great_circle(
     """
     if basis.sphere_dim != 2:
         raise SphereInputError("circle restriction is defined on S2")
-    c = check_coefficients(basis, coeffs)
+    c = _binary_scaled(check_coefficients(basis, coeffs))    # |c| cannot overflow; same roots
     frames = np.asarray(frames, dtype=float)
     if frames.ndim != 3 or frames.shape[1:] != (2, 3) or frames.shape[0] == 0:
         raise SphereInputError(f"frames must have shape (K, 2, 3) with K >= 1, got {frames.shape}")

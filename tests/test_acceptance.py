@@ -38,7 +38,7 @@ from sphere_zeros import (
     zonal_tilt_threshold,
 )
 from sphere_zeros.cli import main
-from sphere_zeros.integralgeom import random_circle_frame, sample_subspace, zonal_nodal_length
+from sphere_zeros.integralgeom import circle_frames, sample_subspace, zonal_nodal_length
 
 ACCEPTANCE_SEED = 20_108
 
@@ -222,8 +222,8 @@ def test_criterion_8_mixed_degree_conjecture():
         for t in range(counts.size):
             rng = np.random.default_rng([ACCEPTANCE_SEED, 8, m2, t])
             coeffs = rng.standard_normal(bases[1].dimension)
-            frame = random_circle_frame(rng)
-            counts[t] = restrict_to_great_circle(bases[1], coeffs, frame[None])[1][0]
+            frames = circle_frames(rng.standard_normal((1, 2, 3)))
+            counts[t] = restrict_to_great_circle(bases[1], coeffs, frames)[1][0]
         cross_mean = counts.mean()
         cross_stderr = counts.std(ddof=1) / math.sqrt(counts.size)
         combined = math.hypot(report.stderr, cross_stderr)

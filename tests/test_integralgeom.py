@@ -26,7 +26,7 @@ from sphere_zeros import (
 from sphere_zeros import integralgeom, zerofinder
 from sphere_zeros.harmonics import rotate_coefficients
 from sphere_zeros.integralgeom import (
-    random_circle_frame,
+    circle_frames,
     theoretical_average,
     zonal_nodal_colatitudes,
     zonal_nodal_length,
@@ -170,6 +170,32 @@ class TestAverageZeroCount:
         assert report.histogram == Counter(c for c, _ in redrawn)
         assert report.min_off_circle_margin == min(m for _, m in redrawn)
 
+    def test_chunks_and_redraws_leave_the_report_unchanged(self, monkeypatch):
+        # A pencil that declines the first draws of trials 1, 4, 5 and 9.  In
+        # chunks of 3 each chunk redraws its own declined trials before the
+        # next chunk is drawn; the report is the one of a single chunk.
+        bases = [build_basis(2, 2), build_basis(2, 3)]
+        seed, trials = 6, 10
+        first = {
+            sample_subspace(bases, np.random.default_rng([seed, t, 0])).rows.tobytes()
+            for t in (1, 4, 5, 9)
+        }
+        pencil = integralgeom.pencil_counts
+        sizes = []
+
+        def declining(b, samples):
+            sizes.append(len(samples))
+            counted = pencil(b, samples)
+            return [None if s.rows.tobytes() in first else c for s, c in zip(samples, counted)]
+
+        monkeypatch.setattr(integralgeom, "pencil_counts", declining)
+        whole = conjecture_mixed_average(bases, trials=trials, seed=seed)
+        assert sizes == [10, 4] and whole.degenerate_resamples == 4
+        sizes.clear()
+        monkeypatch.setattr(integralgeom, "AVERAGE_CHUNK_TRIALS", 3)
+        assert conjecture_mixed_average(bases, trials=trials, seed=seed) == whole
+        assert sizes == [3, 1, 3, 2, 3, 1, 1]
+
     @pytest.mark.parametrize("m, seed", [(2, 486652553), (3, 1100282271), (4, 1132403347)])
     def test_averages_never_run_the_mesh(self, m, seed, monkeypatch):
         # Trial 0 of these seeds is a draw whose best pencil center declines
@@ -291,6 +317,14 @@ class TestCroftonLength:
         mean_ratio = float(np.mean(ratios))
         assert 1.0 / math.sqrt(2.0) - 0.15 <= mean_ratio <= 1.0 / math.sqrt(2.0) + 0.15
 
+    def test_huge_coefficients_give_the_same_report(self):
+        # |c| overflows above about 1e154; the estimate must not see it.
+        basis = build_basis(2, 4)
+        coeffs = np.random.default_rng(20).standard_normal(9)
+        report = crofton_length(basis, coeffs, trials=40, seed=3)
+        assert report.degenerate_resamples == 0
+        assert crofton_length(basis, 1e200 * coeffs, trials=40, seed=3) == report
+
     def test_zero_function_rejected(self):
         basis = build_basis(2, 2)
         with pytest.raises(SphereInputError):
@@ -301,12 +335,9 @@ class TestCroftonLength:
         basis = build_basis(2, 3)
         coeffs = np.random.default_rng(19).standard_normal(7)
         seed, trials = 21, 150
-        single = [
-            restrict_to_great_circle(
-                basis, coeffs, random_circle_frame(np.random.default_rng([seed, t, 0]))[None]
-            )[1][0]
-            for t in range(trials)
-        ]
+        rngs = [np.random.default_rng([seed, t, 0]) for t in range(trials)]
+        frames = [circle_frames(rng.standard_normal((1, 2, 3))) for rng in rngs]
+        single = [restrict_to_great_circle(basis, coeffs, f)[1][0] for f in frames]
         report = crofton_length(basis, coeffs, trials=trials, seed=seed)
         assert report.mean_crossings == sum(single) / trials
         assert report.degenerate_resamples == 0
@@ -319,7 +350,7 @@ class TestCroftonLength:
         basis = build_basis(2, 1)
         coeffs = zonal(basis, np.array([0.0, 0.0, 1.0]))
         rng = np.random.default_rng(22)
-        frames = np.stack([random_circle_frame(rng) for _ in range(9)])
+        frames = circle_frames(rng.standard_normal((9, 2, 3)))
         frames[4] = EQUATOR
         roots, counts, degenerate = restrict_to_great_circle(basis, coeffs, frames)
         assert degenerate.tolist() == [k == 4 for k in range(9)]
@@ -333,30 +364,41 @@ class TestCroftonLength:
     def test_degenerate_circles_are_redrawn(self, monkeypatch):
         # The odd zonal function of degree 3 vanishes on the equator.  The
         # ten circles form one batch, drawn in trial order, so draws 2, 5
-        # and 7 are the first draws of trials 2, 5 and 7.
+        # and 7 of the first call are the first draws of trials 2, 5 and 7.
         basis = build_basis(2, 3)
         coeffs = zonal(basis, np.array([0.0, 0.0, 1.0]))
         draws = []
 
-        def frame_or_equator(rng):
-            draws.append(rng)
-            return EQUATOR if len(draws) - 1 in (2, 5, 7) else random_circle_frame(rng)
+        def frames_or_equator(gaussians):
+            frames = circle_frames(gaussians)
+            if not draws:
+                frames[[2, 5, 7]] = EQUATOR
+            draws.extend(gaussians)
+            return frames
 
-        monkeypatch.setattr(integralgeom, "random_circle_frame", frame_or_equator)
+        monkeypatch.setattr(integralgeom, "circle_frames", frames_or_equator)
         report = crofton_length(basis, coeffs, trials=10, seed=23)
         assert len(draws) == 13
         assert report.degenerate_resamples == 3
         rngs = [np.random.default_rng([23, t, int(t in (2, 5, 7))]) for t in range(10)]
-        frames = np.stack([random_circle_frame(rng) for rng in rngs])
+        frames = circle_frames(np.stack([rng.standard_normal((2, 3)) for rng in rngs]))
         _, counts, degenerate = restrict_to_great_circle(basis, coeffs, frames)
         assert not degenerate.any()
         assert report.mean_crossings == counts.sum() / 10
 
-    def test_random_frames_are_orthonormal(self):
-        rng = np.random.default_rng(18)
-        for _ in range(50):
-            frame = random_circle_frame(rng)
-            assert np.max(np.abs(frame @ frame.T - np.eye(2))) < 1e-12
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40))
+    def test_random_frames_are_orthonormal(self, seed, k):
+        # Each frame is orthonormal and spans the plane of its two Gaussian
+        # rows: each row equals its projection onto the frame.
+        gaussians = np.random.default_rng(seed).standard_normal((k, 2, 3))
+        frames = circle_frames(gaussians)
+        assert frames.shape == (k, 2, 3)
+        gram = np.einsum("kij,klj->kil", frames, frames)
+        assert np.max(np.abs(gram - np.eye(2))) < 1e-12
+        projected = np.einsum("kij,klj,klm->kim", gaussians, frames, frames)
+        scale = np.max(np.abs(gaussians), axis=(1, 2))
+        assert np.all(np.max(np.abs(projected - gaussians), axis=(1, 2)) <= 1e-12 * scale)
 
 
 class TestZonalPairDemo:

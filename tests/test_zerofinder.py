@@ -32,7 +32,7 @@ from sphere_zeros.harmonics import (
 )
 from sphere_zeros.icosphere import children, icosphere
 from sphere_zeros.integralgeom import (
-    random_circle_frame,
+    circle_frames,
     sample_subspace,
     zonal_pair_demo,
     zonal_tilt_threshold,
@@ -1171,7 +1171,7 @@ class TestCircleRestriction:
         # together than one step of a 64-point sign scan, which saw 2 roots;
         # a 200000-point scan sees 6.
         basis = build_basis(2, 3)
-        frame = random_circle_frame(np.random.default_rng([2, 224, 0]))
+        frame = circle_frames(np.random.default_rng([2, 224, 0]).standard_normal((1, 2, 3)))[0]
         coeffs = zonal(basis, NORTH)
         roots = circle_roots(basis, coeffs, frame)
         assert roots.size == 6
@@ -1183,7 +1183,7 @@ class TestCircleRestriction:
         # the rest far outside it, for zonal and random functions.
         basis = build_basis(2, m)
         rng = np.random.default_rng([m, 31])
-        frames = np.stack([random_circle_frame(rng) for _ in range(100)])
+        frames = circle_frames(rng.standard_normal((100, 2, 3)))
         for coeffs in (zonal(basis, NORTH), rng.standard_normal(2 * m + 1)):
             zeta, _, degenerate = _circle_eigenvalues(basis, coeffs, frames)
             assert not degenerate.any()
@@ -1197,7 +1197,7 @@ class TestCircleRestriction:
         basis = build_basis(2, m)
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal(2 * m + 1)
-        e1, e2 = random_circle_frame(rng)
+        e1, e2 = circle_frames(rng.standard_normal((1, 2, 3)))[0]
         turned = np.stack([math.cos(turn) * e1 + math.sin(turn) * e2,
                            math.cos(turn) * e2 - math.sin(turn) * e1])
         _, counts, _ = restrict_to_great_circle(basis, coeffs, np.stack([[e1, e2], turned]))
@@ -1211,7 +1211,7 @@ class TestCircleRestriction:
         basis = build_basis(2, m)
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal(2 * m + 1)
-        frames = np.stack([random_circle_frame(rng) for _ in range(3)])
+        frames = circle_frames(rng.standard_normal((3, 2, 3)))
         roots, counts, degenerate = restrict_to_great_circle(basis, coeffs, frames)
         zeta, live, _ = _circle_eigenvalues(basis, coeffs, frames)
         assert not degenerate.any() and live.tolist() == [0, 1, 2]
@@ -1239,13 +1239,26 @@ class TestCircleRestriction:
                 coeffs = zonal(basis, NORTH)
             else:
                 coeffs = rng.standard_normal(basis.dimension)
-            frames = [random_circle_frame(rng) for _ in range(case["circles"])]
+            frames = circle_frames(rng.standard_normal((case["circles"], 2, 3)))
             if case["equator"]:
-                frames.append(self.EQUATOR)
-            _, counts, degenerate = restrict_to_great_circle(basis, coeffs, np.stack(frames))
+                frames = np.concatenate([frames, self.EQUATOR[None]])
+            _, counts, degenerate = restrict_to_great_circle(basis, coeffs, frames)
             outcomes.append([counts.tolist(), np.flatnonzero(degenerate).tolist()])
             expected.append([case["counts"], case["degenerate"]])
         assert outcomes == expected
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600, 8.0])
+    def test_power_of_two_scaling_keeps_every_bit(self, scale):
+        # |c| of 2^600 c overflows; a zero function of any scale is the same
+        # zero set, and a power-of-two scale keeps the roots to the bit.
+        rng = np.random.default_rng(41)
+        frames = np.concatenate([circle_frames(rng.standard_normal((6, 2, 3))), self.EQUATOR[None]])
+        for m, coeffs in ((3, zonal(build_basis(2, 3), NORTH)), (5, rng.standard_normal(11))):
+            basis = build_basis(2, m)
+            plain = restrict_to_great_circle(basis, coeffs, frames)
+            scaled = restrict_to_great_circle(basis, scale * coeffs, frames)
+            assert all(np.array_equal(a, b) for a, b in zip(plain, scaled))
+            assert plain[2].tolist() == [False] * 6 + [m == 3]
 
     def test_rejects_bad_frame(self):
         basis = build_basis(2, 2)
