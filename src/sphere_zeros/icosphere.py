@@ -10,6 +10,10 @@ tile S2.  Meshes carry the per-face geometry the zero finder's exclusion
 tests need: geodesic covering radii (max distance from any interior point to
 the nearest vertex) and max distances from the centroid, both exact up to
 the spherical-triangle approximations documented below.  Meshes are cached.
+
+``icosphere`` builds each depth with ``edge_midpoints``, ``quadrisect`` and
+``face_geometry``, so these give the children of any faces the bits of the
+mesh one depth deeper without building it, and ``longest_edge`` its edge.
 """
 
 from __future__ import annotations
@@ -71,26 +75,70 @@ class SphereMesh:
         return self.faces.shape[1]
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def edge_midpoints(corners: np.ndarray) -> np.ndarray:
+    """Unit midpoints (3, F, 3) of the edges ab, bc, ca of faces with corners a, b, c (3, F, 3)."""
+    return _unit(corners + corners[[1, 2, 0]])
+
+
+def quadrisect(a, b, c, ab, bc, ca, axis: int = 0) -> np.ndarray:
+    """Data (3, ...) at the corners of the children of F faces, from the data at their corners
+    and edge midpoints, arrays with the faces along ``axis``.  The children of face p are
+    4p..4p+3; child k < 3 keeps corner k of p as its corner 0, and child 3 is the centre."""
+    quads = np.stack([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]], axis=axis % a.ndim + 2)
+    shape = list(a.shape)
+    shape[axis] *= 4
+    return quads.reshape(3, *shape)
+
+
 def _subdivide(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint quadrisection of (3, F) faces into faces 4p..4p+3 per face p.
 
-    Child k < 3 keeps corner k of p as its corner 0; child 3 is the centre.
+    Edges are keyed ``low * V + high``, so the new vertices come in the
+    lexicographic order of their edges' vertex pairs.
     """
     nv = vertices.shape[0]
     edges = np.sort(np.stack([faces.ravel(), faces[[1, 2, 0]].ravel()], axis=1), axis=1)
-    unique_edges, inverse = np.unique(edges, axis=0, return_inverse=True)
-    midpoints = vertices[unique_edges[:, 0]] + vertices[unique_edges[:, 1]]
-    midpoints /= np.linalg.norm(midpoints, axis=1, keepdims=True)
-    vertices = np.vstack([vertices, midpoints])
-    a, b, c = faces
-    ab, bc, ca = (nv + inverse).reshape(3, -1)
-    quads = np.stack([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]], axis=-1)
-    return vertices, quads.reshape(3, -1)
+    keys, inverse = np.unique(edges[:, 0] * nv + edges[:, 1], return_inverse=True)
+    midpoints = _unit(vertices[keys // nv] + vertices[keys % nv])
+    return np.vstack([vertices, midpoints]), quadrisect(*faces, *(nv + inverse).reshape(3, -1))
 
 
 def children(faces: np.ndarray) -> np.ndarray:
     """The faces one depth deeper that subdivide ``faces``; ascending for an ascending input."""
     return (4 * faces[:, None] + np.arange(4)).ravel()
+
+
+def face_geometry(v0, v1, v2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit centroids (F, 3), covering radii (F,) and centroid reaches (F,) of corners (F, 3)."""
+    centroids = _unit(v0 + v1 + v2)
+
+    # Covering radius: every point of a (small, nearly equilateral) spherical
+    # triangle is within the circumradius of its nearest vertex.  The
+    # spherical circumcenter is the unit normal of the plane through the
+    # three vertices, oriented toward the centroid.
+    normal = _unit(np.cross(v1 - v0, v2 - v0))
+    flip = np.einsum("fi,fi->f", normal, centroids) < 0.0
+    normal[flip] *= -1.0
+    circumradius = _geodesic(np.einsum("fi,fi->f", normal, v0))
+
+    reach = np.maximum(
+        _geodesic(np.einsum("fi,fi->f", centroids, v0)),
+        np.maximum(
+            _geodesic(np.einsum("fi,fi->f", centroids, v1)),
+            _geodesic(np.einsum("fi,fi->f", centroids, v2)),
+        ),
+    )
+    return centroids, circumradius, reach
+
+
+def _max_edge(v0, v1, v2) -> float:
+    """The longest geodesic edge of faces with corners (F, 3), F >= 1."""
+    edges = ((v0, v1), (v1, v2), (v2, v0))
+    return max(float(_geodesic(np.einsum("fi,fi->f", a, b)).max()) for a, b in edges)
 
 
 @functools.lru_cache(maxsize=10)
@@ -103,33 +151,8 @@ def icosphere(depth: int) -> SphereMesh:
     else:
         parent = icosphere(depth - 1)
         vertices, faces = _subdivide(parent.vertices, parent.faces)
-
-    v0, v1, v2 = vertices[faces]
-    centroids = v0 + v1 + v2
-    centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
-
-    # Covering radius: every point of a (small, nearly equilateral) spherical
-    # triangle is within the circumradius of its nearest vertex.  The
-    # spherical circumcenter is the unit normal of the plane through the
-    # three vertices, oriented toward the centroid.
-    normal = np.cross(v1 - v0, v2 - v0)
-    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-    flip = np.einsum("fi,fi->f", normal, centroids) < 0.0
-    normal[flip] *= -1.0
-    circumradius = _geodesic(np.einsum("fi,fi->f", normal, v0))
-
-    reach = np.maximum(
-        _geodesic(np.einsum("fi,fi->f", centroids, v0)),
-        np.maximum(
-            _geodesic(np.einsum("fi,fi->f", centroids, v1)),
-            _geodesic(np.einsum("fi,fi->f", centroids, v2)),
-        ),
-    )
-
-    max_edge = 0.0
-    for a, b in ((v0, v1), (v1, v2), (v2, v0)):
-        max_edge = max(max_edge, float(_geodesic(np.einsum("fi,fi->f", a, b)).max()))
-
+    corners = vertices[faces]
+    centroids, circumradius, reach = face_geometry(*corners)
     return SphereMesh(
         depth=depth,
         vertices=vertices,
@@ -137,8 +160,23 @@ def icosphere(depth: int) -> SphereMesh:
         centroids=centroids,
         covering_radius=circumradius,
         centroid_reach=reach,
-        max_edge=max_edge,
+        max_edge=_max_edge(*corners),
     )
+
+
+@functools.lru_cache(maxsize=None)
+def longest_edge(depth: int) -> float:
+    """``icosphere(depth).max_edge`` to the bit, without building that mesh: the faces of a
+    mesh up to six depths shallower are refined 16 at a time, at most 4^8 faces at once."""
+    top = icosphere(max(0, depth - 6))
+    corners = top.vertices[top.faces]
+    edge = 0.0
+    for lo in range(0, top.num_faces, 16):
+        chunk = corners[:, lo : lo + 16]
+        for _ in range(depth - top.depth):
+            chunk = quadrisect(*chunk, *edge_midpoints(chunk))
+        edge = max(edge, _max_edge(*chunk))
+    return edge
 
 
 def spherical_face_areas(mesh: SphereMesh) -> np.ndarray:

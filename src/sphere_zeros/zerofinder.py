@@ -5,9 +5,10 @@ only on their span U, as the zeros of the orthonormal frame f_1, f_2 of U by
 
 1. subdividing an icosahedral geodesic mesh to depth D and keeping the
    first half of its faces, whose antipodes are the second half (the
-   quadtree numbering of ``icosphere``),
+   quadtree numbering of ``icosphere``); deeper passes refine only the
+   faces the pass above kept, and build no mesh,
 2. discarding every triangle on which some f_i provably cannot vanish
-   (sign-definite vertex values further than a Lipschitz clearance from
+   (sign-definite corner values further than a Lipschitz clearance from
    zero; the Lipschitz constant comes from the exact pointwise gradient-sum
    identity, so the exclusion is certified, not heuristic),
 3. re-testing survivors at their centroids with the same certified bound,
@@ -17,14 +18,16 @@ only on their span U, as the zeros of the orthonormal frame f_1, f_2 of U by
    after every step, and adding the antipode of every converged point
    (u(-x) = (-1)^m u(x), so Z(u1, u2) = -Z(u1, u2) and the other half needs
    no search); the starts of the first two depths run in one Newton sweep,
-   each with the step caps of its own mesh,
+   each with the step caps of its own depth,
 5. deduplicating converged points by geodesic radius, and
 6. cross-checking the count against the pass one depth deeper, over the
    children of the faces the first pass kept: equal counts within the
    Bezout ceiling are Complete; otherwise a third pass runs on its own, one
-   depth deeper again, and its zeros are the DepthEscalated result.  The
-   max residual, max |u_i| over the caller's unit rows, is evaluated once,
-   on the zeros the result reports.
+   depth deeper again, and its zeros are the DepthEscalated result.  Two
+   functions of odd degree are odd maps S2 -> R2, so by Borsuk-Ulam they
+   share a zero, and a pair of odd degrees with none found is Degenerate.
+   The max residual, max |u_i| over the caller's unit rows, is evaluated
+   once, on the zeros the result reports.
 
 Row values and gradients are summed in the same order at any batch size,
 and every Newton operation acts on each start alone, so a start takes the
@@ -78,12 +81,12 @@ from .harmonics import (
     eval_basis_and_gradient_many,
     eval_basis_many,
 )
-from .icosphere import SphereMesh, children, icosphere
+from .icosphere import children, edge_midpoints, face_geometry, icosphere, longest_edge, quadrisect
 
 RESIDUAL_FACTOR = 1e-9        # converged zeros satisfy |u_i| <= factor * scale
 DEGENERACY_FACTOR = 4         # deduped count above factor * bezout => Degenerate
 RANK_TOLERANCE = 1e-8         # smallest/largest singular value ratio
-MAX_SOLVER_DEGREE = 12        # keeps the deepest confirmation mesh at depth 9
+MAX_SOLVER_DEGREE = 12        # keeps the deepest confirmation pass at depth 9
 UNIT_CIRCLE_TOL = 1e-8        # companion eigenvalues with |log|z|| below this are circle roots
 NEWTON_TOL = 1e-12            # Newton stops when the step norm drops below this
 MAX_NEWTON_ITER = 30
@@ -215,7 +218,7 @@ def default_mesh_depth(max_degree: int) -> int:
 
 
 def _check_solver_degree(degree: int) -> None:
-    """Raise SphereInputError past MAX_SOLVER_DEGREE, where the deepest mesh would pass depth 9."""
+    """Raise SphereInputError past MAX_SOLVER_DEGREE, where the deepest pass would pass depth 9."""
     if degree > MAX_SOLVER_DEGREE:
         raise SphereInputError(
             f"S2 zero finding supports degrees up to {MAX_SOLVER_DEGREE} "
@@ -223,9 +226,10 @@ def _check_solver_degree(degree: int) -> None:
         )
 
 
-@functools.lru_cache(maxsize=24)
+@functools.lru_cache(maxsize=MAX_SOLVER_DEGREE)
 def _basis_at_vertices(degree: int, depth: int) -> np.ndarray:
-    """Cached (V, N) basis values on the depth-d mesh vertices."""
+    """Cached (V, N) basis values on the vertices of a base mesh, one entry per degree for
+    pairs of equal degree (a mixed pair adds the lower degree at the higher's depth)."""
     mesh = icosphere(depth)
     return eval_basis_many(build_basis(2, degree), mesh.vertices)
 
@@ -249,39 +253,49 @@ def _row_values(
 
 
 def _candidate_faces(
-    mesh: SphereMesh,
     groups: list[tuple[HarmonicBasis, list[int]]],
     rows: np.ndarray,
     lipschitz: np.ndarray,
-    face_pool: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Newton starting points and the faces of ``face_pool`` that may contain a common zero.
+    depth: int,
+    pool,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Newton starts and the kept faces (ids, corners (3, F, 3), values (3, n, F)) of a pool.
 
-    A zero of u_i inside a face forces |u_i| <= L_i * r at any face vertex
+    A zero of u_i inside a face forces |u_i| <= L_i * r at any face corner
     (r the covering radius) and |u_i| <= L_i * reach at the centroid, with
     L_i the exact global gradient bound; faces failing either test for any i
-    are excluded rigorously.  Survivors are narrowed further by certified
-    quadrisection.  The pool is the first half of the mesh's faces on the
-    first pass and the children of the parent depth's survivors after that.
+    are excluded rigorously, and the kept faces' centroids are the starts.
+    Face ids of ``icosphere(depth)`` take the geometry from the mesh's
+    arrays and the corner values from one BLAS product per degree over the
+    cached vertex block.  The kept faces of a pass one depth up give their
+    children, with the row functions evaluated only at the edge midpoints.
     """
-    corners = np.take(mesh.faces, face_pool, axis=1)
-    cov = mesh.covering_radius[face_pool]
-    keep = np.ones(face_pool.size, dtype=bool)
-    for basis, idx in groups:
-        # A BLAS product over the cached vertex block: these values only feed the
-        # mask, gathered and tested as (n, F) arrays so every ufunc runs along faces.
-        values = _basis_at_vertices(basis.degree, mesh.depth) @ rows[idx, : basis.dimension].T
-        values = np.ascontiguousarray(values.T)
-        clearance = lipschitz[idx][:, None] * cov
-        keep &= _may_vanish(*(np.take(values, v, axis=1).T for v in corners), clearance.T)
-    cand = face_pool[keep]
-    if cand.size == 0:
-        return np.empty((0, 3)), cand
-    centroids = np.take(mesh.centroids, cand, axis=0)
-    reach = mesh.centroid_reach[cand]
-    vals = _row_values(groups, rows, centroids)
-    ok = (np.abs(vals) <= lipschitz[None, :] * reach[:, None]).all(axis=1)
-    return centroids[ok], cand[ok]
+    if isinstance(pool, np.ndarray):
+        mesh = icosphere(depth)
+        ids, vertex_ids = pool, np.take(mesh.faces, pool, axis=1)
+        values = np.empty((3, len(rows), ids.size))
+        for basis, idx in groups:
+            block = _basis_at_vertices(basis.degree, depth) @ rows[idx, : basis.dimension].T
+            values[:, idx] = np.take(block.T, vertex_ids, axis=1).swapaxes(0, 1)
+        cov = mesh.covering_radius[ids]
+
+        def gather(f):
+            corners = np.take(mesh.vertices, vertex_ids[:, f], axis=0)
+            return np.take(mesh.centroids, ids[f], axis=0), mesh.centroid_reach[ids[f]], corners
+    else:
+        parents, corners, values = pool
+        midpoints = edge_midpoints(corners)
+        at_midpoints = _row_values(groups, rows, midpoints.reshape(-1, 3)).reshape(3, -1, len(rows))
+        ids, kids = children(parents), quadrisect(*corners, *midpoints)
+        values = quadrisect(*values, *at_midpoints.transpose(0, 2, 1), axis=-1)
+        centroids, cov, reach = face_geometry(*kids)
+
+        def gather(f):
+            return centroids[f], reach[f], kids[:, f]
+    cand = np.flatnonzero(_may_vanish(*(v.T for v in values), (lipschitz[:, None] * cov).T))
+    centroids, reach, corners = gather(cand)
+    ok = (np.abs(_row_values(groups, rows, centroids)) <= lipschitz * reach[:, None]).all(axis=1)
+    return centroids[ok], (ids[cand[ok]], corners[:, ok], values[..., cand[ok]])
 
 
 def _may_vanish(
@@ -338,7 +352,7 @@ def _newton_refine(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton iteration on the sphere from each start, by ``_newton_step``.
 
-    ``max_edge`` is the edge length of the mesh a start came from, one value
+    ``max_edge`` is the longest mesh edge of the depth a start came from, one value
     for all starts or one per start; it sets that start's step, travel and
     path caps.  The per-start arrays hold the active starts only, and are
     compacted in the iterations where some start converges or fails.  Every
@@ -423,34 +437,31 @@ def _solve_passes(
     lipschitz: np.ndarray,
     cap: int,
     depth: int,
-    pool: np.ndarray,
+    pool,
     passes: int,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Pipeline passes at depths ``depth, ..., depth + passes - 1`` with one Newton sweep.
 
-    The first pass searches the faces of ``pool``, and each later pass the
-    children of the faces the pass before it kept.  Those pools are known
-    before any Newton step, so the starts of every pass run through one
-    ``_newton_refine`` call, each capped by the edge length of its own mesh,
-    and one residual filter; the converged points are then split back by
-    pass, each with the bits a sweep of its pass alone gives.  The points of
-    a pass are joined by their antipodes before dedup.  Every kernel
-    operation is sign-symmetric, so the antipode of a point passes the
-    filter with the same residual bits; with ``pool`` one half of the mesh,
-    the union is the zero set of the whole sphere.
+    The first pass searches the faces of ``pool`` (see ``_candidate_faces``),
+    and each later pass the children of the faces the pass before it kept.
+    Those pools are known before any Newton step, so the starts of every
+    pass run through one ``_newton_refine`` call, each capped by the longest
+    edge of its own depth, and one residual filter; the converged points are
+    then split back by pass, each with the bits a sweep of its pass alone
+    gives.  The points of a pass are joined by their antipodes before
+    dedup.  Every kernel operation is sign-symmetric, so the antipode of a
+    point passes the filter with the same residual bits; with ``pool`` one
+    half of the mesh, the union is the zero set of the whole sphere.
 
-    Returns one (zeros, kept faces) pair per pass.  Dedup stops once a pass
-    has more than ``cap`` zeros, and the children of a pass's kept faces are
-    the pool one depth deeper.
+    Returns one (zeros, kept faces) pair per pass, the kept faces as
+    (ids, corners, values), a pool for the pass one depth deeper.  Dedup
+    stops once a pass has more than ``cap`` zeros.
     """
     starts, edges, kept = [], [], []
     for d in range(depth, depth + passes):
-        if kept:
-            pool = children(kept[-1])
-        mesh = icosphere(d)
-        centroids, faces = _candidate_faces(mesh, groups, rows, lipschitz, pool)
+        centroids, faces = _candidate_faces(groups, rows, lipschitz, d, kept[-1] if kept else pool)
         starts.append(centroids)
-        edges.append(mesh.max_edge)
+        edges.append(longest_edge(d))
         kept.append(faces)
     sizes = [s.shape[0] for s in starts]
     owner = np.repeat(np.arange(passes), sizes)
@@ -491,7 +502,9 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     ``DEGENERACY_FACTOR`` times the Bezout ceiling zeros makes the result
     Degenerate.  Two equal counts within the ceiling are Complete at D + 1;
     otherwise one more pass at D + 2, on the children of the faces kept at
-    D + 1, gives the DepthEscalated result.  The passes solve on
+    D + 1, gives the DepthEscalated result.  Two functions of odd degree
+    are odd maps S2 -> R2, which share a zero by Borsuk-Ulam, so for them a
+    result with no zeros is Degenerate too.  The passes solve on
     ``sample.frame``, whose rows have unit norm, so the gradient sum is a
     Lipschitz bound; ``max_residual`` is max |u_i| over the unit rows.
     """
@@ -502,9 +515,10 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     cap = DEGENERACY_FACTOR * bezout
     depth0 = default_mesh_depth(max(b.degree for b in bases))
     unit = _unit_rows(sample.rows)
+    odd = bases[0].degree % 2 == bases[1].degree % 2 == 1
 
     def result(zeros: np.ndarray, depth: int, escalations: int) -> ZeroFindingResult:
-        if zeros.shape[0] > cap:
+        if zeros.shape[0] > cap or (odd and zeros.shape[0] == 0):
             return ZeroFindingResult.degenerate(bezout, depth, escalations)
         return ZeroFindingResult(
             zeros=zeros,
@@ -521,8 +535,7 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
         return ZeroFindingResult.degenerate(bezout, depth0)
     if z1.shape[0] > cap or z1.shape[0] == z0.shape[0] <= bezout:
         return result(z1, depth0 + 1, 0)
-    pool = children(kept)
-    [(z2, _)] = _solve_passes(groups, sample.frame, lipschitz, cap, depth0 + 2, pool, passes=1)
+    [(z2, _)] = _solve_passes(groups, sample.frame, lipschitz, cap, depth0 + 2, kept, passes=1)
     return result(z2, depth0 + 2, 1)
 
 

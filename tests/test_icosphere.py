@@ -1,9 +1,19 @@
-"""The quadtree numbering of icosphere faces."""
+"""The quadtree numbering of icosphere faces, and the refinement of some of them."""
 
 import numpy as np
 import pytest
 
-from sphere_zeros.icosphere import children, icosphere
+from sphere_zeros.icosphere import (
+    _ICO_FACES,
+    _ICO_VERTICES,
+    _geodesic,
+    children,
+    edge_midpoints,
+    face_geometry,
+    icosphere,
+    longest_edge,
+    quadrisect,
+)
 
 
 def _inside(mesh, faces, points):
@@ -48,3 +58,82 @@ class TestQuadtreeNumbering:
         assert np.array_equal(kids, np.sort(kids))
         assert np.array_equal(kids // 4, np.repeat(pool, 4))
         assert children(np.array([], dtype=np.int64)).shape == (0,)
+
+
+def _same_bits(a, b):
+    same_signs = np.array_equal(np.signbit(a), np.signbit(b))
+    return a.shape == b.shape and np.array_equal(a, b) and same_signs
+
+
+def _ref_subdivide(vertices, faces):
+    """Midpoint quadrisection with np.unique over edge rows (axis=0), kept verbatim."""
+    nv = vertices.shape[0]
+    edges = np.sort(np.stack([faces.ravel(), faces[[1, 2, 0]].ravel()], axis=1), axis=1)
+    unique_edges, inverse = np.unique(edges, axis=0, return_inverse=True)
+    midpoints = vertices[unique_edges[:, 0]] + vertices[unique_edges[:, 1]]
+    midpoints /= np.linalg.norm(midpoints, axis=1, keepdims=True)
+    vertices = np.vstack([vertices, midpoints])
+    a, b, c = faces
+    ab, bc, ca = (nv + inverse).reshape(3, -1)
+    quads = np.stack([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]], axis=-1)
+    return vertices, quads.reshape(3, -1)
+
+
+def _ref_geometry(vertices, faces):
+    """Centroids, covering radii, centroid reaches and longest edge, kept verbatim."""
+    v0, v1, v2 = vertices[faces]
+    centroids = v0 + v1 + v2
+    centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+    normal = np.cross(v1 - v0, v2 - v0)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    flip = np.einsum("fi,fi->f", normal, centroids) < 0.0
+    normal[flip] *= -1.0
+    circumradius = _geodesic(np.einsum("fi,fi->f", normal, v0))
+    reach = np.maximum(
+        _geodesic(np.einsum("fi,fi->f", centroids, v0)),
+        np.maximum(
+            _geodesic(np.einsum("fi,fi->f", centroids, v1)),
+            _geodesic(np.einsum("fi,fi->f", centroids, v2)),
+        ),
+    )
+    max_edge = 0.0
+    for a, b in ((v0, v1), (v1, v2), (v2, v0)):
+        max_edge = max(max_edge, float(_geodesic(np.einsum("fi,fi->f", a, b)).max()))
+    return centroids, circumradius, reach, max_edge
+
+
+class TestMeshBits:
+    def test_meshes_match_the_edge_row_construction(self):
+        vertices, faces = _ICO_VERTICES.copy(), _ICO_FACES.T.copy()
+        for depth in range(7):
+            if depth:
+                vertices, faces = _ref_subdivide(vertices, faces)
+            mesh = icosphere(depth)
+            assert np.array_equal(mesh.faces, faces)
+            assert _same_bits(mesh.vertices, vertices)
+            centroids, radius, reach, max_edge = _ref_geometry(vertices, faces)
+            assert _same_bits(mesh.centroids, centroids)
+            assert _same_bits(mesh.covering_radius, radius)
+            assert _same_bits(mesh.centroid_reach, reach)
+            assert mesh.max_edge == max_edge
+
+    @pytest.mark.parametrize("depth", range(7))
+    def test_children_of_any_faces_have_the_bits_of_the_deeper_mesh(self, depth):
+        parent, child = icosphere(depth), icosphere(depth + 1)
+        rng = np.random.default_rng(depth)
+        some = np.sort(rng.choice(parent.num_faces, size=min(37, parent.num_faces), replace=False))
+        for faces in (np.arange(parent.num_faces), some):
+            corners = parent.vertices[parent.faces[:, faces]]
+            kids = quadrisect(*corners, *edge_midpoints(corners))
+            ids = children(faces)
+            assert _same_bits(kids, child.vertices[child.faces[:, ids]])
+            centroids, radius, reach = face_geometry(*kids)
+            assert _same_bits(centroids, child.centroids[ids])
+            assert _same_bits(radius, child.covering_radius[ids])
+            assert _same_bits(reach, child.centroid_reach[ids])
+
+    @pytest.mark.parametrize("depth", range(9))
+    def test_longest_edge_is_the_mesh_max_edge(self, depth):
+        # Depth 8 is built without entering the mesh cache, which keeps the test process small.
+        mesh = icosphere(depth) if depth < 8 else icosphere.__wrapped__(depth)
+        assert longest_edge(depth) == mesh.max_edge

@@ -1,5 +1,7 @@
 """Zero enumeration on S1/S2, count ceilings, and circle restrictions."""
 
+import functools
+import importlib
 import json
 import math
 from pathlib import Path
@@ -23,6 +25,7 @@ from sphere_zeros import (
     zonal,
 )
 from sphere_zeros import zerofinder
+from sphere_zeros.cli import main
 from sphere_zeros.harmonics import (
     check_coefficients,
     eval_basis_and_gradient_many,
@@ -30,7 +33,7 @@ from sphere_zeros.harmonics import (
     rotate_coefficients,
     tangent_frames,
 )
-from sphere_zeros.icosphere import children, icosphere
+from sphere_zeros.icosphere import children, icosphere, longest_edge
 from sphere_zeros.integralgeom import (
     circle_frames,
     sample_subspace,
@@ -398,6 +401,19 @@ class TestSphereZeros:
         assert result.status is SolverStatus.DEGENERATE
         assert math.isnan(result.max_residual)
 
+    @pytest.mark.parametrize("m1, m2", [(1, 3), (3, 5), (1, 5)])
+    def test_coaxial_odd_zonal_pair_is_degenerate(self, m1, m2):
+        # Odd zonal functions about one axis share the equator, where Newton's
+        # Jacobian is singular, so no start converges and both depths find no
+        # zero.  Two odd degrees always share a zero (Borsuk-Ulam), so no
+        # zero found is Degenerate, not Complete.
+        bases = [build_basis(2, m1), build_basis(2, m2)]
+        sample = make_sample([zonal(b, NORTH) for b in bases], [m1, m2])
+        result = find_common_zeros_s2(bases, sample)
+        assert result.status is SolverStatus.DEGENERATE
+        assert (result.depth_used, result.escalations) == (zerofinder.default_mesh_depth(m2) + 1, 0)
+        assert math.isnan(result.max_residual)
+
     def test_mismatched_degrees_rejected(self):
         basis = build_basis(2, 2)
         sample = make_sample([[1, 0, 0], [0, 1, 0]], [1, 1])
@@ -598,7 +614,8 @@ class TestDepthConfirmation:
 
     Degree 1 on both rows: base depth 4, Bezout ceiling 2 and degeneracy cap
     8.  The first two passes come from one ``_solve_passes`` call, the third
-    from another.
+    from another, whose pool is the kept faces of the second pass: it
+    searches their children.
     """
 
     DEPTH0 = 4
@@ -624,7 +641,7 @@ class TestDepthConfirmation:
         assert np.array_equal(calls[0][1], _first_half(self.DEPTH0))
         assert calls[0][1].size == 20 * 4**self.DEPTH0 // 2
         if len(calls) == 2:
-            assert np.array_equal(calls[1][1], children(self.KEPT[1]))
+            assert calls[1][1] is self.KEPT[1]
         return result, sum(n for _, _, n in calls)
 
     def max_abs_value(self, zeros):
@@ -690,7 +707,7 @@ class TestNewtonSweep:
         for _ in range(samples):
             _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
             pool = _first_half(depth)
-            starts, _ = zerofinder._candidate_faces(mesh, groups, rows, lipschitz, pool)
+            starts, _ = zerofinder._candidate_faces(groups, rows, lipschitz, depth, pool)
             scalar = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
             array = zerofinder._newton_refine(
                 groups, rows, starts, np.full(starts.shape[0], mesh.max_edge)
@@ -702,25 +719,22 @@ class TestNewtonSweep:
     @SWEEP_DEGREES
     def test_one_sweep_over_both_depths_matches_two_sweeps(self, degrees, samples):
         depth = zerofinder.default_mesh_depth(max(degrees))
-        meshes = [icosphere(depth), icosphere(depth + 1)]
+        edges = [longest_edge(depth), longest_edge(depth + 1)]
         rng = np.random.default_rng([*degrees, 13])
         for _ in range(samples):
             _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
-            first, kept = zerofinder._candidate_faces(
-                meshes[0], groups, rows, lipschitz, _first_half(depth)
-            )
-            second, _ = zerofinder._candidate_faces(
-                meshes[1], groups, rows, lipschitz, children(kept)
-            )
-            caps = np.repeat([meshes[0].max_edge, meshes[1].max_edge], [len(first), len(second)])
+            pool = _first_half(depth)
+            first, kept = zerofinder._candidate_faces(groups, rows, lipschitz, depth, pool)
+            second, _ = zerofinder._candidate_faces(groups, rows, lipschitz, depth + 1, kept)
+            caps = np.repeat(edges, [len(first), len(second)])
             points, ok = zerofinder._newton_refine(
                 groups, rows, np.concatenate([first, second]), caps
             )
             split = np.cumsum([len(first)])
-            for starts, mesh, pts, conv in zip(
-                (first, second), meshes, np.split(points, split), np.split(ok, split)
+            for starts, edge, pts, conv in zip(
+                (first, second), edges, np.split(points, split), np.split(ok, split)
             ):
-                alone, alone_ok = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
+                alone, alone_ok = zerofinder._newton_refine(groups, rows, starts, edge)
                 assert conv.sum() == alone_ok.sum() > 0
                 assert np.array_equal(conv, alone_ok)
                 assert np.array_equal(pts, alone)
@@ -736,15 +750,14 @@ class TestNewtonSweep:
             args = groups, rows, lipschitz, cap
             both = zerofinder._solve_passes(*args, depth, half, passes=2)
             first = zerofinder._solve_passes(*args, depth, half, passes=1)
-            pool = children(first[0][1])
-            second = zerofinder._solve_passes(*args, depth + 1, pool, passes=1)
+            second = zerofinder._solve_passes(*args, depth + 1, first[0][1], passes=1)
             assert len(both) == 2
             for (zeros, kept), (z1, k1) in zip(both, first + second):
                 assert zeros.shape == z1.shape and 0 < zeros.shape[0] <= cap
                 assert np.array_equal(zeros, z1)
                 residual = np.abs(zerofinder._row_values(groups, rows, zeros)).max()
                 assert residual == np.abs(zerofinder._row_values(groups, rows, z1)).max()
-                assert np.array_equal(kept, k1)
+                assert all(_same_bits(a, b) for a, b in zip(kept, k1))
 
 
 class TestBatchIndependence:
@@ -759,7 +772,8 @@ class TestBatchIndependence:
         mesh = icosphere(depth)
         rng = np.random.default_rng([*degrees, 19])
         _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
-        centroids, _ = zerofinder._candidate_faces(mesh, groups, rows, lipschitz, _first_half(depth))
+        pool = _first_half(depth)
+        centroids, _ = zerofinder._candidate_faces(groups, rows, lipschitz, depth, pool)
         # Mesh starts, most of which converge, then random ones, most of which fail.
         starts = np.concatenate([centroids[:30], random_sphere_points(2, 40, rng)])[:40]
         points, ok = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
@@ -897,6 +911,31 @@ def _ref_newton_refine(groups, rows, starts, max_edge):
     return pts, state == 1
 
 
+@functools.cache
+def _ref_vertex_block(degree, depth):
+    return eval_basis_many(build_basis(2, degree), icosphere(depth).vertices)
+
+
+def _ref_candidate_faces(mesh, groups, rows, lipschitz, face_pool):
+    """The exclusion pass over a whole mesh's vertex block, at every depth, kept verbatim."""
+    corners = np.take(mesh.faces, face_pool, axis=1)
+    cov = mesh.covering_radius[face_pool]
+    keep = np.ones(face_pool.size, dtype=bool)
+    for basis, idx in groups:
+        values = _ref_vertex_block(basis.degree, mesh.depth) @ rows[idx, : basis.dimension].T
+        values = np.ascontiguousarray(values.T)
+        clearance = lipschitz[idx][:, None] * cov
+        keep &= zerofinder._may_vanish(*(np.take(values, v, axis=1).T for v in corners), clearance.T)
+    cand = face_pool[keep]
+    if cand.size == 0:
+        return np.empty((0, 3)), cand
+    centroids = np.take(mesh.centroids, cand, axis=0)
+    reach = mesh.centroid_reach[cand]
+    vals = zerofinder._row_values(groups, rows, centroids)
+    ok = (np.abs(vals) <= lipschitz[None, :] * reach[:, None]).all(axis=1)
+    return centroids[ok], cand[ok]
+
+
 def _same_bits(a, b):
     same_signs = np.array_equal(np.signbit(a), np.signbit(b))
     return a.shape == b.shape and np.array_equal(a, b) and same_signs
@@ -906,7 +945,8 @@ _SPECIAL = st.sampled_from([0.0, -0.0, 1e-160, -1e-160, 5e-324, 1.0, -1.0])
 
 
 class TestMatchesReference:
-    """The step, the dedup and the Newton sweep give the bits of their reference forms."""
+    """The step, the dedup, the Newton sweep and the refined exclusion passes give the bits
+    of their reference forms."""
 
     @settings(max_examples=200)
     @given(data=st.data(), n=st.integers(1, 12), fortran=st.booleans())
@@ -979,7 +1019,7 @@ class TestMatchesReference:
         for _ in range(samples):
             _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
             pool = _first_half(depth)
-            centroids, _ = zerofinder._candidate_faces(mesh, groups, rows, lipschitz, pool)
+            centroids, _ = zerofinder._candidate_faces(groups, rows, lipschitz, depth, pool)
             random = random_sphere_points(2, 40, rng)
             starts = np.concatenate([centroids[:40], random, random])
             caps = np.repeat([mesh.max_edge, 30.0 * mesh.max_edge], [starts.shape[0] - 40, 40])
@@ -989,6 +1029,25 @@ class TestMatchesReference:
                 assert np.array_equal(ok, ref_ok)
                 assert _same_bits(points, ref_points)
             assert not ok.all() and (ok.any() or max_iter == 3)
+
+    def test_refined_passes_keep_the_faces_of_the_full_meshes(self):
+        # The frozen solver cases, over their base depth and the next two, up
+        # to depth 7: the same kept faces, corners and Newton starts.
+        for case in json.loads(FROZEN_OUTCOMES.read_text()):
+            bases = [build_basis(2, m) for m in case["degrees"]]
+            rows = make_sample(case["rows"], case["degrees"]).frame
+            groups = zerofinder._degree_groups(bases)
+            lipschitz = np.array([math.sqrt(b.gradient_sum_constant) for b in bases])
+            depth = zerofinder.default_mesh_depth(max(case["degrees"]))
+            pool = ref_pool = _first_half(depth)
+            for d in range(depth, min(depth + 3, 8)):
+                mesh = icosphere(d)
+                starts, pool = zerofinder._candidate_faces(groups, rows, lipschitz, d, pool)
+                ref_starts, ref_kept = _ref_candidate_faces(mesh, groups, rows, lipschitz, ref_pool)
+                assert _same_bits(starts, ref_starts)
+                assert np.array_equal(pool[0], ref_kept)
+                assert _same_bits(pool[1], mesh.vertices[mesh.faces[:, ref_kept]])
+                ref_pool = children(ref_kept)
 
 
 class TestPassSweep:
@@ -1000,9 +1059,9 @@ class TestPassSweep:
         candidate_faces, newton_refine = zerofinder._candidate_faces, zerofinder._newton_refine
         row_values = zerofinder._row_values
 
-        def candidates(mesh, groups, rows, lipschitz, face_pool):
-            starts, kept = candidate_faces(mesh, groups, rows, lipschitz, face_pool)
-            faces.append((mesh.depth, face_pool, kept))
+        def candidates(groups, rows, lipschitz, depth, pool):
+            starts, kept = candidate_faces(groups, rows, lipschitz, depth, pool)
+            faces.append((depth, pool, kept))
             return starts, kept
 
         def newton(groups, rows, starts, max_edge):
@@ -1019,16 +1078,24 @@ class TestPassSweep:
         return faces, sweeps, values
 
     def check_pools(self, faces, depth0):
+        # The first pool is the first half of the base mesh; each later pool is
+        # the kept faces one depth up, and the faces kept from it are among
+        # their children.
         assert [depth for depth, _, _ in faces] == [depth0 + k for k in range(len(faces))]
         assert np.array_equal(faces[0][1], _first_half(depth0))
         for k in range(1, len(faces)):
-            assert np.array_equal(faces[k][1], children(faces[k - 1][2]))
+            assert faces[k][1] is faces[k - 1][2]
+            assert np.isin(faces[k][2][0], children(faces[k - 1][2][0])).all()
 
-    def check_values(self, values, faces, sweeps, result):
-        # One evaluation per searched depth (its centroids), one residual
-        # filter per sweep, and one max residual, on the reported zeros.
-        assert all(kept.size for _, _, kept in faces)
-        assert len(values) == len(faces) + len(sweeps) + 1
+    def check_values(self, values, faces, sweeps, result, midpoints):
+        # One evaluation per searched depth (its centroids), one per deeper
+        # depth (the edge midpoints of the faces kept one depth up, at the
+        # positions ``midpoints``), one residual filter per sweep, and one max
+        # residual, on the reported zeros.
+        assert all(kept[0].size for _, _, kept in faces)
+        assert len(values) == 2 * len(faces) - 1 + len(sweeps) + 1
+        for k, at in enumerate(midpoints):
+            assert values[at].shape[0] == 3 * faces[k][2][0].size
         assert values[-1] is result.zeros
 
     def test_complete_result_makes_one_newton_sweep(self, monkeypatch):
@@ -1039,7 +1106,8 @@ class TestPassSweep:
         assert result.status is SolverStatus.COMPLETE
         assert len(faces) == 2 and len(sweeps) == 1
         self.check_pools(faces, zerofinder.default_mesh_depth(3))
-        self.check_values(values, faces, sweeps, result)
+        # centroids D, midpoints and centroids D + 1, residual filter, max residual.
+        self.check_values(values, faces, sweeps, result, midpoints=[1])
 
     def test_third_pass_makes_a_second_newton_sweep(self, monkeypatch):
         faces, sweeps, values = self.spy(monkeypatch)
@@ -1061,7 +1129,50 @@ class TestPassSweep:
         assert len(faces) == 3 and len(sweeps) == 2
         self.check_pools(faces, zerofinder.default_mesh_depth(3))
         assert sweeps[0] > 0 and sweeps[1] > 0
-        self.check_values(values, faces, sweeps, result)
+        # As above, then midpoints and centroids D + 2 and a second residual filter.
+        self.check_values(values, faces, sweeps, result, midpoints=[1, 4])
+
+    def test_a_pass_below_no_kept_faces_searches_none(self):
+        _, rows, groups, lipschitz = _sweep_inputs((2, 3), np.random.default_rng(3))
+        nothing = (np.empty(0, dtype=np.int64), np.empty((3, 0, 3)), np.empty((3, 2, 0)))
+        starts, kept = zerofinder._candidate_faces(groups, rows, lipschitz, 6, nothing)
+        assert starts.shape == (0, 3)
+        assert [a.shape for a in kept] == [(0,), (3, 0, 3), (3, 2, 0)]
+
+    @pytest.mark.parametrize(
+        "argv, depth0",
+        [(["zonal", "--degree", "8"], 6), (["count", "--degree", "12", "--seed", "1"], 7)],
+        ids=["zonal-8", "count-12"],
+    )
+    def test_deeper_passes_build_no_mesh(self, monkeypatch, capsys, argv, depth0):
+        # Only the base depth is a mesh with a vertex block; the passes below
+        # it refine the kept faces.
+        meshes, blocks, passes = [], [], []
+        module = importlib.import_module("sphere_zeros.icosphere")
+        mesh, block = module.icosphere, zerofinder._basis_at_vertices
+        candidate_faces = zerofinder._candidate_faces
+
+        def built(depth):
+            meshes.append(depth)
+            return mesh(depth)
+
+        def vertex_block(degree, depth):
+            blocks.append(depth)
+            return block(degree, depth)
+
+        def searched(groups, rows, lipschitz, depth, pool):
+            passes.append(depth)
+            return candidate_faces(groups, rows, lipschitz, depth, pool)
+
+        monkeypatch.setattr(module, "icosphere", built)
+        monkeypatch.setattr(zerofinder, "icosphere", built)
+        monkeypatch.setattr(zerofinder, "_basis_at_vertices", vertex_block)
+        monkeypatch.setattr(zerofinder, "_candidate_faces", searched)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "Complete"
+        assert passes == [depth0, depth0 + 1]
+        assert max(meshes) == depth0
+        assert set(blocks) == {depth0}
 
 
 class TestBezout:
