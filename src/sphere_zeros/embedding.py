@@ -6,8 +6,10 @@ Gram matrix C*I in any orthonormal tangent frame), and covers its image
 with some finite degree d.  This module measures all of these numerically:
 R and C from pointwise identities, d by counting collisions f(x) = f(x0),
 and the image volume by integrating sqrt(det Gram) over a geodesic mesh and
-dividing by the multiplicity d.  On S1 the collisions are found in closed
-form: each is a zero of the degree-m eigenfunction x -> <f(x), df(x0)>.
+dividing by the multiplicity d.  The integrand is even, so the S2
+quadrature visits only the half of the mesh whose antipodes cover the rest.
+On S1 the collisions are found in closed form: each is a zero of the
+degree-m eigenfunction x -> <f(x), df(x0)>.
 """
 
 from __future__ import annotations
@@ -141,9 +143,20 @@ def image_volume(
     default depth reproduces the degree-1 reference value 3 to well below
     1e-4; the integrand is constant for an exact eigenbasis, so accuracy is
     limited only by the pointwise identity residuals.
+
+    On S2 the nodes are the centroids of the first half of the faces only.
+    Since f(-x) = (-1)^m f(x), the differential rows at -x are those at x
+    up to signs, so sqrt(det Gram), the Gram residual and |f|^2 are even.
+    The half's faces and their antipodes tile S2, so the doubled half sum is
+    the full mesh sum, and the radius and the Gram residual read off the
+    half are those of the whole mesh, up to rounding.
     """
     depths = range(1, MAX_QUADRATURE_DEPTH + 1)
-    if not isinstance(quadrature_depth, (int, np.integer)) or quadrature_depth not in depths:
+    if (
+        isinstance(quadrature_depth, bool)
+        or not isinstance(quadrature_depth, (int, np.integer))
+        or quadrature_depth not in depths
+    ):
         raise SphereInputError(f"quadrature depth must be an integer in [1, {depths[-1]}]")
     rng = np.random.default_rng([seed, basis.sphere_dim, basis.degree])
     degree_count = covering_degree(basis, rng)
@@ -151,9 +164,12 @@ def image_volume(
     target = basis.dilation_constant
 
     if n == 2:
+        # The integrand is even and the first half of the faces with their
+        # antipodes tiles S2, so that half with doubled areas gives the whole sum.
         mesh = icosphere(quadrature_depth)
-        nodes = mesh.centroids
-        weights = spherical_face_areas(mesh)
+        half = mesh.num_faces // 2
+        nodes = mesh.centroids[:half]
+        weights = 2.0 * spherical_face_areas(*mesh.vertices[mesh.faces[:, :half]])
     else:
         n_nodes = max(512, 64 * basis.degree)
         t = 2.0 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes

@@ -37,6 +37,11 @@ projected with ``einsum("pki,pi->pk")`` and contracted with
 ``einsum("pkj,rk->prj")``, and row values summed over k in ascending order
 from zero.  The summation orders that make this so are pinned by a
 reference test; none of them depends on the number of points in a call.
+
+The orthonormality grid has only m + 1 distinct latitudes, so its values
+run the Legendre recurrence once per latitude and hand each block's
+columns to the same kernel; the recurrence is elementwise in z, so these
+values keep the bits of ``eval_basis_many`` on the grid points.
 """
 
 from __future__ import annotations
@@ -106,9 +111,9 @@ def build_basis(sphere_dim: int, degree: int) -> HarmonicBasis:
     Rejects sphere_dim outside {1, 2} and degree < 1 (the constant
     eigenfunction with eigenvalue 0 is excluded).
     """
-    if sphere_dim not in (1, 2):
+    if isinstance(sphere_dim, (bool, np.bool_)) or sphere_dim not in (1, 2):
         raise SphereInputError(f"sphere_dim must be 1 or 2, got {sphere_dim}")
-    if not isinstance(degree, (int, np.integer)) or degree < 1:
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 1:
         raise SphereInputError(f"degree must be an integer >= 1, got {degree}")
     if degree > MAX_DEGREE:
         raise SphereInputError(f"degree {degree} exceeds supported maximum {MAX_DEGREE}")
@@ -214,7 +219,7 @@ def _legendre_q_block(degree: int, z: np.ndarray, want_derivative: bool) -> np.n
     return curr
 
 
-def _eval_s2(degree: int, pts: np.ndarray, want_gradient: bool) -> np.ndarray:
+def _eval_s2(degree: int, pts: np.ndarray, want_gradient: bool, stack=None) -> np.ndarray:
     """Values and optionally tangential gradients on S2, stacked (1 or 4, N, P).
 
     Function-major: ``parts[0, k]`` is basis function k and
@@ -222,11 +227,13 @@ def _eval_s2(degree: int, pts: np.ndarray, want_gradient: bool) -> np.ndarray:
     reads one buffer.  The ambient polynomial gradients are projected to the
     tangent plane inside the kernel, with the radial part summed from zero
     as (g0*x + g2*z) + g1*y, the order of ``einsum("pki,pi->pk")`` on the
-    (P, N, 3) tensor.
+    (P, N, 3) tensor.  ``stack``, if given, is ``_legendre_q_block`` of the
+    points' z coordinates, computed by the caller.
     """
     m = degree
     x, y, z = coords = np.ascontiguousarray(pts.T)
-    stack = _legendre_q_block(m, z, want_gradient)
+    if stack is None:
+        stack = _legendre_q_block(m, z, want_gradient)
     q, dq = stack[0], stack[-1]
     # cr + i*ci = (x + i*y)^mu, row mu.
     cr, ci = np.empty((2, m + 1, pts.shape[0]))
@@ -462,8 +469,7 @@ def rotation_coefficient_matrix(basis: HarmonicBasis, rotation: np.ndarray) -> n
         raise SphereInputError(f"rotation must be {d}x{d}, got {rot.shape}")
     if not np.max(np.abs(rot @ rot.T - np.eye(d))) <= 1e-10:
         raise SphereInputError("rotation matrix is not orthogonal")
-    pts, wts = orthonormality_quadrature(basis)
-    values = eval_basis_many(basis, pts)
+    pts, wts, values = _quadrature_values(basis)
     rotated_values = eval_basis_many(basis, pts @ rot)  # columns f_j(R^T x_p)
     # A_kj = <f_j(R^T .), f_k> turns coefficients by u(R^T x) = sum (A c)_k f_k.
     return (values * wts[:, None]).T @ rotated_values
@@ -501,10 +507,30 @@ def orthonormality_quadrature(basis: HarmonicBasis) -> tuple[np.ndarray, np.ndar
     return pts, wts
 
 
+def _quadrature_values(basis: HarmonicBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points and weights of ``orthonormality_quadrature`` and the basis values (P, N) there.
+
+    The S2 grid is latitude-major, m + 1 latitudes of equally many points,
+    so the Legendre recurrence runs once on the m + 1 latitudes and every
+    point takes its latitude's column; the recurrence is elementwise in z,
+    so the values have the bits of ``eval_basis_many`` on the same points.
+    """
+    pts, wts = orthonormality_quadrature(basis)
+    if basis.sphere_dim == 1:
+        return pts, wts, eval_basis_many(basis, pts)
+    m = basis.degree
+    n_phi = len(pts) // (m + 1)
+    stack = _legendre_q_block(m, pts[::n_phi, 2], want_derivative=False)
+    latitude = np.arange(len(pts)) // n_phi
+    values = np.empty((len(pts), basis.dimension))
+    for block in point_blocks(basis, len(pts)):
+        values[block] = _eval_s2(m, pts[block], False, stack[:, :, latitude[block]])[0].T
+    return pts, wts, values
+
+
 def orthonormality_residual(basis: HarmonicBasis) -> float:
     """Max |Gram_ij - delta_ij| of the basis under exact-degree quadrature."""
-    pts, wts = orthonormality_quadrature(basis)
-    values = eval_basis_many(basis, pts)
+    _, wts, values = _quadrature_values(basis)
     gram = (values * wts[:, None]).T @ values
     return float(np.max(np.abs(gram - np.eye(basis.dimension))))
 

@@ -13,7 +13,8 @@ the spherical-triangle approximations documented below.  Meshes are cached.
 
 ``icosphere`` builds each depth with ``edge_midpoints``, ``quadrisect`` and
 ``face_geometry``, so these give the children of any faces the bits of the
-mesh one depth deeper without building it, and ``longest_edge`` its edge.
+mesh one depth deeper without building it; ``longest_edge`` looks its
+longest edge up in a table.
 """
 
 from __future__ import annotations
@@ -164,24 +165,35 @@ def icosphere(depth: int) -> SphereMesh:
     )
 
 
-@functools.lru_cache(maxsize=None)
+# icosphere(d).max_edge for d = 0..9, the depths the zero finder caps Newton
+# steps with; tests/test_icosphere.py checks each against its mesh or a walk
+# over the refined faces.
+_LONGEST_EDGES = (
+    1.1071487177940904,
+    0.6283185307179587,
+    0.32636622180660874,
+    0.16483370321401697,
+    0.08262746962887337,
+    0.04134019969865334,
+    0.020673412288513455,
+    0.01033712033464692,
+    0.005168611945358479,
+    0.0025843124450704927,
+)
+
+
 def longest_edge(depth: int) -> float:
-    """``icosphere(depth).max_edge`` to the bit, without building that mesh: the faces of a
-    mesh up to six depths shallower are refined 16 at a time, at most 4^8 faces at once."""
-    top = icosphere(max(0, depth - 6))
-    corners = top.vertices[top.faces]
-    edge = 0.0
-    for lo in range(0, top.num_faces, 16):
-        chunk = corners[:, lo : lo + 16]
-        for _ in range(depth - top.depth):
-            chunk = quadrisect(*chunk, *edge_midpoints(chunk))
-        edge = max(edge, _max_edge(*chunk))
-    return edge
+    """``icosphere(depth).max_edge`` to the bit, for depths 0-9, without building that mesh."""
+    if depth not in range(len(_LONGEST_EDGES)):
+        raise ValueError(f"longest_edge has depths 0-{len(_LONGEST_EDGES) - 1}, got {depth}")
+    return _LONGEST_EDGES[depth]
 
 
-def spherical_face_areas(mesh: SphereMesh) -> np.ndarray:
-    """Exact spherical areas (solid angles) of all faces; they sum to 4*pi."""
-    v0, v1, v2 = mesh.vertices[mesh.faces]
+def spherical_face_areas(v0, v1, v2) -> np.ndarray:
+    """Exact spherical areas (solid angles) of faces with corners (F, 3).
+
+    The areas of all faces of a mesh sum to 4*pi.
+    """
     numer = np.abs(np.einsum("fi,fi->f", v0, np.cross(v1, v2)))
     denom = (
         1.0

@@ -19,6 +19,7 @@ from sphere_zeros import (
 from sphere_zeros.harmonics import (
     eval_basis_many,
     eval_gradient_many,
+    point_blocks,
     random_sphere_points,
     unsold_residual,
 )
@@ -197,3 +198,68 @@ class TestImageVolume:
         assert repr(split) == repr(whole)
         assert max(grams) == 7 and sum(grams) > 100
         assert values[-len(grams) :] == grams
+
+
+def _full_mesh_quadrature(basis, depth):
+    """(numeric_integral, radius, max_gram_residual) of the S2 quadrature over every face of
+    icosphere(depth), with the exact face areas; kept verbatim as the half mesh's reference."""
+    mesh = icosphere(depth)
+    nodes = mesh.centroids
+    v0, v1, v2 = mesh.vertices[mesh.faces]
+    numer = np.abs(np.einsum("fi,fi->f", v0, np.cross(v1, v2)))
+    denom = (
+        1.0
+        + np.einsum("fi,fi->f", v0, v1)
+        + np.einsum("fi,fi->f", v1, v2)
+        + np.einsum("fi,fi->f", v2, v0)
+    )
+    weights = 2.0 * np.arctan2(numer, denom)
+    n = 2
+    target = basis.dilation_constant
+    det, deviation, sq_norm = np.empty((3, nodes.shape[0]))
+    for block in point_blocks(basis, nodes.shape[0]):
+        gram = embedding._gram(basis, nodes[block])
+        det[block] = gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2
+        deviation[block] = np.max(np.abs(gram - target * np.eye(n)[:, :, None]), axis=(0, 1))
+        values = eval_basis_many(basis, nodes[block])
+        sq_norm[block] = np.einsum("pk,pk->p", values, values)
+    gram_residual = float(np.max(deviation))
+    numeric_integral = float(np.sum(weights * np.sqrt(np.clip(det, 0.0, None))))
+    radius = float(math.sqrt(np.mean(sq_norm)))
+    return numeric_integral, radius, gram_residual
+
+
+class TestHalfMeshQuadrature:
+    @pytest.mark.parametrize("depth", range(1, 6))
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 12, 24, 50])
+    def test_half_mesh_matches_the_full_mesh(self, m, depth):
+        basis = build_basis(2, m)
+        report = image_volume(basis, quadrature_depth=depth)
+        integral, radius, residual = _full_mesh_quadrature(basis, depth)
+        assert abs(report.numeric_integral - integral) <= 1e-14 * integral
+        assert abs(report.radius - radius) <= 1e-14 * radius
+        assert abs(report.max_gram_residual - residual) <= 1e-14 * report.dilation
+
+    def test_quadrature_visits_the_first_half_of_the_faces(self, monkeypatch):
+        nodes = []
+        gram = embedding._gram
+        monkeypatch.setattr(embedding, "_gram", lambda b, p: nodes.append(p) or gram(b, p))
+        image_volume(build_basis(2, 3), quadrature_depth=2)
+        mesh = icosphere(2)
+        assert np.array_equal(np.concatenate(nodes), mesh.centroids[: mesh.num_faces // 2])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_basis(True, 3),
+        lambda: build_basis(np.True_, 3),
+        lambda: build_basis(2, True),
+        lambda: image_volume(build_basis(2, 2), quadrature_depth=True),
+    ],
+    ids=["sphere_dim", "numpy_sphere_dim", "degree", "quadrature_depth"],
+)
+def test_bools_are_rejected(call):
+    # True == 1, so a bool would otherwise pass as S1, degree 1 or depth 1.
+    with pytest.raises(SphereInputError):
+        call()

@@ -20,6 +20,7 @@ from sphere_zeros.harmonics import (
     eval_basis_and_gradient_many,
     gradient_sum_residual,
     legendre_roots,
+    orthonormality_quadrature,
     orthonormality_residual,
     random_sphere_points,
     rotate_coefficients,
@@ -592,3 +593,49 @@ class TestKernelMatchesReference:
         t = np.random.default_rng(count).uniform(0.0, 2.0 * math.pi, count)
         circle = np.stack([np.cos(t), np.sin(t)], axis=1)
         assert _same_bits(tangent_frames(circle), _ref_tangent_frames(circle))
+
+
+def _ref_orthonormality_residual(basis):
+    """``orthonormality_residual`` with the values from ``eval_basis_many``, kept verbatim."""
+    pts, wts = orthonormality_quadrature(basis)
+    values = eval_basis_many(basis, pts)
+    gram = (values * wts[:, None]).T @ values
+    return float(np.max(np.abs(gram - np.eye(basis.dimension))))
+
+
+def _ref_rotation_coefficient_matrix(basis, rot):
+    """``rotation_coefficient_matrix`` with the values from ``eval_basis_many``, kept verbatim."""
+    pts, wts = orthonormality_quadrature(basis)
+    values = eval_basis_many(basis, pts)
+    rotated_values = eval_basis_many(basis, pts @ rot)
+    return (values * wts[:, None]).T @ rotated_values
+
+
+class TestQuadratureGrid:
+    @pytest.mark.parametrize("sphere_dim, m", [(2, m) for m in [*range(1, 13), 16, 24, 50]] + [(1, 3)])
+    def test_once_per_latitude_values_have_the_bits_of_eval_basis_many(self, sphere_dim, m):
+        basis = build_basis(sphere_dim, m)
+        pts, wts, values = harmonics._quadrature_values(basis)
+        ref_pts, ref_wts = orthonormality_quadrature(basis)
+        assert _same_bits(pts, ref_pts) and _same_bits(wts, ref_wts)
+        assert _same_bits(values, eval_basis_many(basis, pts))
+
+    @pytest.mark.parametrize("sphere_dim, m", [(2, 1), (2, 2), (2, 5), (2, 12), (2, 50), (1, 3)])
+    def test_residual_and_rotation_matrix_keep_their_bits(self, sphere_dim, m):
+        basis = build_basis(sphere_dim, m)
+        assert orthonormality_residual(basis) == _ref_orthonormality_residual(basis)
+        rng = np.random.default_rng(m)
+        rot = np.linalg.qr(rng.standard_normal((sphere_dim + 1, sphere_dim + 1)))[0]
+        ref = _ref_rotation_coefficient_matrix(basis, rot)
+        assert _same_bits(rotation_coefficient_matrix(basis, rot), ref)
+
+    def test_recurrence_runs_once_on_the_latitudes(self, monkeypatch):
+        sizes = []
+        legendre = harmonics._legendre_q_block
+        def counted(degree, z, want_derivative):
+            sizes.append(len(z))
+            return legendre(degree, z, want_derivative)
+
+        monkeypatch.setattr(harmonics, "_legendre_q_block", counted)
+        orthonormality_residual(build_basis(2, 50))
+        assert sizes == [51]

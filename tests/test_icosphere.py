@@ -1,4 +1,4 @@
-"""The quadtree numbering of icosphere faces, and the refinement of some of them."""
+"""Quadtree numbering of icosphere faces, the refinement of some of them, and their antipodes."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,14 @@ from sphere_zeros.icosphere import (
     _ICO_FACES,
     _ICO_VERTICES,
     _geodesic,
+    _max_edge,
     children,
     edge_midpoints,
     face_geometry,
     icosphere,
     longest_edge,
     quadrisect,
+    spherical_face_areas,
 )
 
 
@@ -137,3 +139,62 @@ class TestMeshBits:
         # Depth 8 is built without entering the mesh cache, which keeps the test process small.
         mesh = icosphere(depth) if depth < 8 else icosphere.__wrapped__(depth)
         assert longest_edge(depth) == mesh.max_edge
+
+    def test_longest_edge_at_depth_9_is_the_refined_faces_max_edge(self):
+        # The depth-9 mesh has 5.2M faces; the walk refines 16 faces at a time.
+        assert longest_edge(9) == _walk_longest_edge(9)
+
+    @pytest.mark.parametrize("depth", [-1, 10])
+    def test_longest_edge_outside_the_table_is_rejected(self, depth):
+        with pytest.raises(ValueError, match="depths 0-9"):
+            longest_edge(depth)
+
+
+def _walk_longest_edge(depth):
+    """The longest edge of the depth-d mesh, by refining the faces of a mesh up to six depths
+    shallower 16 at a time, at most 4^8 faces at once; kept verbatim as the table's reference."""
+    top = icosphere(max(0, depth - 6))
+    corners = top.vertices[top.faces]
+    edge = 0.0
+    for lo in range(0, top.num_faces, 16):
+        chunk = corners[:, lo : lo + 16]
+        for _ in range(depth - top.depth):
+            chunk = quadrisect(*chunk, *edge_midpoints(chunk))
+        edge = max(edge, _max_edge(*chunk))
+    return edge
+
+
+def _antipodal_faces(mesh):
+    """For each face p, the face whose corners are the negated corners of p."""
+    vertices, nv = mesh.vertices, mesh.vertices.shape[0]
+    # Midpoints of negated vertices are the negated midpoints, to the bit, so
+    # sorting the vertices and their negations pairs them exactly.
+    antipode = np.empty(nv, dtype=np.int64)
+    antipode[np.lexsort((-vertices).T)] = np.lexsort(vertices.T)
+    assert np.array_equal(vertices[antipode], -vertices)
+
+    def keys(faces):
+        a, b, c = np.sort(faces, axis=0)
+        return (a * nv + b) * nv + c
+
+    own = keys(mesh.faces)
+    order = np.argsort(own)
+    found = order[np.searchsorted(own, keys(antipode[mesh.faces]), sorter=order)]
+    assert np.array_equal(own[found], keys(antipode[mesh.faces]))
+    return found
+
+
+class TestAntipodalHalf:
+    @pytest.mark.parametrize("depth", range(7))
+    def test_first_half_and_its_antipodes_tile_the_sphere(self, depth):
+        # The S2 embedding quadrature integrates over faces [0, F/2) only.
+        mesh = icosphere(depth)
+        half = mesh.num_faces // 2
+        antipodes = _antipodal_faces(mesh)
+        assert np.array_equal(np.sort(antipodes[:half]), np.arange(half, mesh.num_faces))
+        assert np.array_equal(antipodes[antipodes], np.arange(mesh.num_faces))
+        # The negated centroids of the second half are the first half's centroids.
+        assert np.max(np.abs(-mesh.centroids[antipodes[:half]] - mesh.centroids[:half])) <= 1e-15
+        areas = spherical_face_areas(*mesh.vertices[mesh.faces])
+        assert np.max(np.abs(areas[antipodes[:half]] - areas[:half])) <= 1e-15
+        assert abs(2.0 * np.sum(areas[:half]) - 4.0 * np.pi) <= 1e-12
