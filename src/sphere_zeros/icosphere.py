@@ -2,19 +2,14 @@
 
 Depth d has 20 * 4^d triangles and 10 * 4^d + 2 vertices.  Faces are
 numbered as a quadtree: the children of face p are faces 4p..4p+3 one depth
-deeper (``children``), so the descendants of icosahedron face j at depth d
-are the block [j * 4^d, (j + 1) * 4^d).  Icosahedron faces 10-19 are the
-antipodes of faces 0-9 and every vertex has its negation among the
-vertices, so at every depth the first half of the faces and its antipodes
-tile S2.  Meshes carry the per-face geometry the zero finder's exclusion
-tests need: geodesic covering radii (max distance from any interior point to
-the nearest vertex) and max distances from the centroid, both exact up to
-the spherical-triangle approximations documented below.  Meshes are cached.
-
-``icosphere`` builds each depth with ``edge_midpoints``, ``quadrisect`` and
-``face_geometry``, so these give the children of any faces the bits of the
-mesh one depth deeper without building it; ``longest_edge`` looks its
-longest edge up in a table.
+deeper, so the descendants of icosahedron face j at depth d are the block
+[j * 4^d, (j + 1) * 4^d).  Icosahedron faces 10-19 are the antipodes of
+faces 0-9 and every vertex has its negation among the vertices, so at every
+depth the first half of the faces and its antipodes tile S2.  Meshes carry
+the per-face geometry the zero finder's exclusion tests need: geodesic
+covering radii (max distance from any interior point to the nearest vertex)
+and max distances from the centroid, both exact up to the spherical-triangle
+approximations documented below.  Meshes are cached.
 """
 
 from __future__ import annotations
@@ -80,19 +75,11 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def edge_midpoints(corners: np.ndarray) -> np.ndarray:
-    """Unit midpoints (3, F, 3) of the edges ab, bc, ca of faces with corners a, b, c (3, F, 3)."""
-    return _unit(corners + corners[[1, 2, 0]])
-
-
-def quadrisect(a, b, c, ab, bc, ca, axis: int = 0) -> np.ndarray:
-    """Data (3, ...) at the corners of the children of F faces, from the data at their corners
-    and edge midpoints, arrays with the faces along ``axis``.  The children of face p are
-    4p..4p+3; child k < 3 keeps corner k of p as its corner 0, and child 3 is the centre."""
-    quads = np.stack([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]], axis=axis % a.ndim + 2)
-    shape = list(a.shape)
-    shape[axis] *= 4
-    return quads.reshape(3, *shape)
+def quadrisect(a, b, c, ab, bc, ca) -> np.ndarray:
+    """Data (3, 4F) at the corners of the children of F faces, from the data (F,) at their
+    corners and edge midpoints.  The children of face p are 4p..4p+3; child k < 3 keeps
+    corner k of p as its corner 0, and child 3 is the centre."""
+    return np.stack([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]], axis=2).reshape(3, -1)
 
 
 def _subdivide(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,11 +93,6 @@ def _subdivide(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.
     keys, inverse = np.unique(edges[:, 0] * nv + edges[:, 1], return_inverse=True)
     midpoints = _unit(vertices[keys // nv] + vertices[keys % nv])
     return np.vstack([vertices, midpoints]), quadrisect(*faces, *(nv + inverse).reshape(3, -1))
-
-
-def children(faces: np.ndarray) -> np.ndarray:
-    """The faces one depth deeper that subdivide ``faces``; ascending for an ascending input."""
-    return (4 * faces[:, None] + np.arange(4)).ravel()
 
 
 def face_geometry(v0, v1, v2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,30 +145,6 @@ def icosphere(depth: int) -> SphereMesh:
         centroid_reach=reach,
         max_edge=_max_edge(*corners),
     )
-
-
-# icosphere(d).max_edge for d = 0..9, the depths the zero finder caps Newton
-# steps with; tests/test_icosphere.py checks each against its mesh or a walk
-# over the refined faces.
-_LONGEST_EDGES = (
-    1.1071487177940904,
-    0.6283185307179587,
-    0.32636622180660874,
-    0.16483370321401697,
-    0.08262746962887337,
-    0.04134019969865334,
-    0.020673412288513455,
-    0.01033712033464692,
-    0.005168611945358479,
-    0.0025843124450704927,
-)
-
-
-def longest_edge(depth: int) -> float:
-    """``icosphere(depth).max_edge`` to the bit, for depths 0-9, without building that mesh."""
-    if depth not in range(len(_LONGEST_EDGES)):
-        raise ValueError(f"longest_edge has depths 0-{len(_LONGEST_EDGES) - 1}, got {depth}")
-    return _LONGEST_EDGES[depth]
 
 
 def spherical_face_areas(v0, v1, v2) -> np.ndarray:

@@ -1,43 +1,39 @@
 """Common zeros of pairs of eigenfunctions on S2 and single eigenfunctions on S1.
 
 The S2 solver enumerates Z(u1, u2) = {x : u1(x) = u2(x) = 0}, which depends
-only on their span U, as the zeros of the orthonormal frame f_1, f_2 of U by
+only on their span U, as the zeros of the orthonormal frame f_1, f_2 of U,
+and confirms their number with a second, independent counter.  It
 
-1. subdividing an icosahedral geodesic mesh to depth D and keeping the
-   first half of its faces, whose antipodes are the second half (the
-   quadtree numbering of ``icosphere``); deeper passes refine only the
-   faces the pass above kept, and build no mesh,
-2. discarding every triangle on which some f_i provably cannot vanish
+1. counts Z with ``pencil_count`` (below); a sample the pencil declines
+   (a common zero curve, or every center declined) is Degenerate, and the
+   mesh does not run,
+2. takes the first half of the faces of the icosahedral geodesic mesh of
+   depth D, whose antipodes are the second half (the quadtree numbering of
+   ``icosphere``),
+3. discards every triangle on which some f_i provably cannot vanish
    (sign-definite corner values further than a Lipschitz clearance from
    zero; the Lipschitz constant comes from the exact pointwise gradient-sum
-   identity, so the exclusion is certified, not heuristic),
-3. re-testing survivors at their centroids with the same certified bound,
-4. running a damped Newton iteration on the sphere from each surviving
+   identity, so the exclusion is certified, not heuristic), and re-tests
+   the survivors at their centroids with the same certified bound,
+4. runs a damped Newton iteration on the sphere from each surviving
    centroid, its step the tangent vector s with grad f_i . s = -f_i taken
    from cross products with no tangent frame, reprojecting to the sphere
-   after every step, and adding the antipode of every converged point
+   after every step, and adds the antipode of every converged point
    (u(-x) = (-1)^m u(x), so Z(u1, u2) = -Z(u1, u2) and the other half needs
-   no search); the starts of the first two depths run in one Newton sweep,
-   each with the step caps of its own depth,
-5. deduplicating converged points by geodesic radius, and
-6. cross-checking the count against the pass one depth deeper, over the
-   children of the faces the first pass kept: equal counts within the
-   Bezout ceiling are Complete; otherwise a third pass runs on its own, one
-   depth deeper again, and its zeros are the DepthEscalated result.  Two
-   functions of odd degree are odd maps S2 -> R2, so by Borsuk-Ulam they
-   share a zero, and a pair of odd degrees with none found is Degenerate.
-   The max residual, max |u_i| over the caller's unit rows, is evaluated
-   once, on the zeros the result reports.
+   no search),
+5. deduplicates converged points by geodesic radius, and
+6. reports the zeros Complete when their number equals the pencil count,
+   and Unconfirmed otherwise.  The max residual, max |u_i| over the
+   caller's unit rows, is evaluated on the zeros the result reports.
 
 Row values and gradients are summed in the same order at any batch size,
 and every Newton operation acts on each start alone, so a start takes the
 same steps, to the bit, whichever starts share its sweep.
 
-Agreement across depths is a strong heuristic completeness certificate, not
-a proof; the Bezout ceiling 2*m1*m2 is checked on every result.  Samples
-whose deduplicated candidate set exceeds four times the Bezout ceiling are
-reported Degenerate (the common zero set is judged non-finite, e.g. two
-axis-symmetric functions about the same axis).
+The two counters share no step past the frame: the mesh finds the zeros as
+points, the pencil counts the unit-circle roots of one resultant.  Their
+agreement is a strong completeness check, not a proof; the Bezout ceiling
+2*m1*m2 is checked on every result.
 
 ``restrict_to_great_circle`` finds the roots of one S2 function on a batch
 of great circles, the crossings that ``crofton_length`` counts.  On each
@@ -81,12 +77,11 @@ from .harmonics import (
     eval_basis_and_gradient_many,
     eval_basis_many,
 )
-from .icosphere import children, edge_midpoints, face_geometry, icosphere, longest_edge, quadrisect
+from .icosphere import SphereMesh, icosphere
 
 RESIDUAL_FACTOR = 1e-9        # converged zeros satisfy |u_i| <= factor * scale
-DEGENERACY_FACTOR = 4         # deduped count above factor * bezout => Degenerate
 RANK_TOLERANCE = 1e-8         # smallest/largest singular value ratio
-MAX_SOLVER_DEGREE = 12        # keeps the deepest confirmation pass at depth 9
+MAX_SOLVER_DEGREE = 12        # the pencil's reach: its gap rule declines more draws past it
 UNIT_CIRCLE_TOL = 1e-8        # companion eigenvalues with |log|z|| below this are circle roots
 NEWTON_TOL = 1e-12            # Newton stops when the step norm drops below this
 MAX_NEWTON_ITER = 30
@@ -99,7 +94,7 @@ class RankDeficientError(ValueError):
 
 class SolverStatus(str, enum.Enum):
     COMPLETE = "Complete"
-    DEPTH_ESCALATED = "DepthEscalated"
+    UNCONFIRMED = "Unconfirmed"
     DEGENERATE = "Degenerate"
 
 
@@ -183,13 +178,11 @@ class ZeroFindingResult:
     status: SolverStatus
     max_residual: float               # largest |u_i| over reported zeros
     bezout_bound: int                 # 2 * m_1 * ... * m_n
-    depth_used: int = 0
-    escalations: int = 0
+    depth_used: int = 0               # mesh depth of an S2 result
+    escalations: int = 0              # always 0; read by the benchmark's traced run
 
     @classmethod
-    def degenerate(
-        cls, bezout_bound: int, depth_used: int = 0, escalations: int = 0
-    ) -> ZeroFindingResult:
+    def degenerate(cls, bezout_bound: int, depth_used: int = 0) -> ZeroFindingResult:
         """A Degenerate result: no zeros are reported and the residual is NaN."""
         return cls(
             zeros=np.empty((0, 3)),
@@ -197,7 +190,6 @@ class ZeroFindingResult:
             max_residual=math.nan,
             bezout_bound=bezout_bound,
             depth_used=depth_used,
-            escalations=escalations,
         )
 
     @property
@@ -218,11 +210,11 @@ def default_mesh_depth(max_degree: int) -> int:
 
 
 def _check_solver_degree(degree: int) -> None:
-    """Raise SphereInputError past MAX_SOLVER_DEGREE, where the deepest pass would pass depth 9."""
+    """Raise SphereInputError past MAX_SOLVER_DEGREE, the reach of the pencil count."""
     if degree > MAX_SOLVER_DEGREE:
         raise SphereInputError(
             f"S2 zero finding supports degrees up to {MAX_SOLVER_DEGREE} "
-            "(mesh confirmation depth would exceed the supported maximum)"
+            "(the reach validated for the great-circle pencil count)"
         )
 
 
@@ -256,46 +248,27 @@ def _candidate_faces(
     groups: list[tuple[HarmonicBasis, list[int]]],
     rows: np.ndarray,
     lipschitz: np.ndarray,
-    depth: int,
-    pool,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Newton starts and the kept faces (ids, corners (3, F, 3), values (3, n, F)) of a pool.
+    mesh: SphereMesh,
+) -> np.ndarray:
+    """Newton starts (P, 3): the centroids of the kept faces of the first half of ``mesh``.
 
     A zero of u_i inside a face forces |u_i| <= L_i * r at any face corner
     (r the covering radius) and |u_i| <= L_i * reach at the centroid, with
     L_i the exact global gradient bound; faces failing either test for any i
-    are excluded rigorously, and the kept faces' centroids are the starts.
-    Face ids of ``icosphere(depth)`` take the geometry from the mesh's
-    arrays and the corner values from one BLAS product per degree over the
-    cached vertex block.  The kept faces of a pass one depth up give their
-    children, with the row functions evaluated only at the edge midpoints.
+    are excluded rigorously.  The corner values come from one BLAS product
+    per degree over the cached vertex block.
     """
-    if isinstance(pool, np.ndarray):
-        mesh = icosphere(depth)
-        ids, vertex_ids = pool, np.take(mesh.faces, pool, axis=1)
-        values = np.empty((3, len(rows), ids.size))
-        for basis, idx in groups:
-            block = _basis_at_vertices(basis.degree, depth) @ rows[idx, : basis.dimension].T
-            values[:, idx] = np.take(block.T, vertex_ids, axis=1).swapaxes(0, 1)
-        cov = mesh.covering_radius[ids]
-
-        def gather(f):
-            corners = np.take(mesh.vertices, vertex_ids[:, f], axis=0)
-            return np.take(mesh.centroids, ids[f], axis=0), mesh.centroid_reach[ids[f]], corners
-    else:
-        parents, corners, values = pool
-        midpoints = edge_midpoints(corners)
-        at_midpoints = _row_values(groups, rows, midpoints.reshape(-1, 3)).reshape(3, -1, len(rows))
-        ids, kids = children(parents), quadrisect(*corners, *midpoints)
-        values = quadrisect(*values, *at_midpoints.transpose(0, 2, 1), axis=-1)
-        centroids, cov, reach = face_geometry(*kids)
-
-        def gather(f):
-            return centroids[f], reach[f], kids[:, f]
+    vertex_ids = mesh.faces[:, : mesh.num_faces // 2]
+    values = np.empty((3, len(rows), vertex_ids.shape[1]))
+    for basis, idx in groups:
+        block = _basis_at_vertices(basis.degree, mesh.depth) @ rows[idx, : basis.dimension].T
+        values[:, idx] = np.take(block.T, vertex_ids, axis=1).swapaxes(0, 1)
+    cov = mesh.covering_radius[: vertex_ids.shape[1]]
     cand = np.flatnonzero(_may_vanish(*(v.T for v in values), (lipschitz[:, None] * cov).T))
-    centroids, reach, corners = gather(cand)
+    centroids = np.take(mesh.centroids, cand, axis=0)
+    reach = mesh.centroid_reach[cand]
     ok = (np.abs(_row_values(groups, rows, centroids)) <= lipschitz * reach[:, None]).all(axis=1)
-    return centroids[ok], (ids[cand[ok]], corners[:, ok], values[..., cand[ok]])
+    return centroids[ok]
 
 
 def _may_vanish(
@@ -348,26 +321,24 @@ def _newton_refine(
     groups: list[tuple[HarmonicBasis, list[int]]],
     rows: np.ndarray,
     starts: np.ndarray,
-    max_edge: float | np.ndarray,
+    max_edge: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton iteration on the sphere from each start, by ``_newton_step``.
 
-    ``max_edge`` is the longest mesh edge of the depth a start came from, one value
-    for all starts or one per start; it sets that start's step, travel and
-    path caps.  The per-start arrays hold the active starts only, and are
-    compacted in the iterations where some start converges or fails.  Every
-    operation acts on each start alone, so a start takes the same steps, to
-    the bit, in any sweep.  Returns the final points and the mask of the
-    starts that converged.
+    ``max_edge``, the longest edge of the mesh the starts came from, sets
+    the step, travel and path caps.  The per-start arrays hold the active
+    starts only, and are compacted in the iterations where some start
+    converges or fails.  Every operation acts on each start alone, so a
+    start takes the same steps, to the bit, in any sweep.  Returns the final
+    points and the mask of the starts that converged.
     """
     pts = starts.copy()
     converged = np.zeros(pts.shape[0], dtype=bool)
     live = np.arange(pts.shape[0])                  # indices of the active starts
     p = origin = starts
     path = np.zeros(pts.shape[0])
-    step_cap = np.broadcast_to(max_edge, path.shape)
-    travel_cap = 3.0 * step_cap                     # ~ the face's 2-ring neighborhood
-    path_cap = 4.0 * step_cap                       # kills oscillating non-roots early
+    travel_cap = 3.0 * max_edge                     # ~ the face's 2-ring neighborhood
+    path_cap = 4.0 * max_edge                       # kills oscillating non-roots early
     for _ in range(MAX_NEWTON_ITER):
         if live.size == 0:
             break
@@ -379,7 +350,7 @@ def _newton_refine(
             )
         s, singular = _newton_step(p, vals, grad)
         step = np.linalg.norm(s, axis=1)
-        damp = np.minimum(1.0, step_cap / np.maximum(step, 1e-300))
+        damp = np.minimum(1.0, max_edge / np.maximum(step, 1e-300))
         p = p + damp[:, None] * s
         p /= np.linalg.norm(p, axis=1, keepdims=True)
         path += step * damp
@@ -390,9 +361,7 @@ def _newton_refine(
             pts[live[done]] = p[done]
             converged[live[done & ~failed]] = True
             active = ~done
-            live, p, origin, path, step_cap, travel_cap, path_cap = (
-                a[active] for a in (live, p, origin, path, step_cap, travel_cap, path_cap)
-            )
+            live, p, origin, path = live[active], p[active], origin[active], path[active]
     pts[live] = p
     return pts, converged
 
@@ -401,13 +370,12 @@ def _dedup_and_sort(points: np.ndarray, stop_above: int) -> np.ndarray:
     """Greedy geodesic dedup (radius DEDUP_RADIUS) after collapsing near-identical points.
 
     Points equal to 8 decimals collapse to the first of them in input order,
-    found by one stable lexsort and an adjacent-row compare (as floats, so
-    -0.0 == 0.0).  The representatives come out in lexicographic (x, y, z)
-    order: the collapsed points are lexsorted once, and the representatives
-    are a subsequence of them taken in order, written into one preallocated
-    array.  Stops early (returning the oversized set) once more than
-    ``stop_above`` >= 0 representatives appear -- the caller then declares
-    degeneracy.
+    found by one stable lexsort of the rounded points and an adjacent-row
+    compare (as floats, so -0.0 == 0.0).  The representatives come out in
+    lexicographic order of their rounded (x, y, z), so a change in the last
+    bits of a point, such as the sign of a zero coordinate, does not move it
+    in the order.  Stops early (returning the oversized set) once more than
+    ``stop_above`` >= 0 representatives appear.
     """
     if points.shape[0] == 0:
         return points.reshape(0, 3)
@@ -418,7 +386,6 @@ def _dedup_and_sort(points: np.ndarray, stop_above: int) -> np.ndarray:
     rounded = rounded[order]
     first = np.concatenate([[True], (rounded[1:] != rounded[:-1]).any(axis=1)])
     collapsed = points[order[first]]
-    collapsed = collapsed[np.lexsort(collapsed.T[::-1])]
     reps = np.empty((min(collapsed.shape[0], stop_above + 1), 3))
     count = 0
     for p in collapsed:
@@ -431,48 +398,31 @@ def _dedup_and_sort(points: np.ndarray, stop_above: int) -> np.ndarray:
     return reps[:count]
 
 
-def _solve_passes(
+def _mesh_zeros(
     groups: list[tuple[HarmonicBasis, list[int]]],
     rows: np.ndarray,
     lipschitz: np.ndarray,
+    mesh: SphereMesh,
     cap: int,
-    depth: int,
-    pool,
-    passes: int,
-) -> list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Pipeline passes at depths ``depth, ..., depth + passes - 1`` with one Newton sweep.
+) -> np.ndarray:
+    """The zeros of the unit rows found from the first half of ``mesh``, with their antipodes.
 
-    The first pass searches the faces of ``pool`` (see ``_candidate_faces``),
-    and each later pass the children of the faces the pass before it kept.
-    Those pools are known before any Newton step, so the starts of every
-    pass run through one ``_newton_refine`` call, each capped by the longest
-    edge of its own depth, and one residual filter; the converged points are
-    then split back by pass, each with the bits a sweep of its pass alone
-    gives.  The points of a pass are joined by their antipodes before
-    dedup.  Every kernel operation is sign-symmetric, so the antipode of a
-    point passes the filter with the same residual bits; with ``pool`` one
-    half of the mesh, the union is the zero set of the whole sphere.
-
-    Returns one (zeros, kept faces) pair per pass, the kept faces as
-    (ids, corners, values), a pool for the pass one depth deeper.  Dedup
-    stops once a pass has more than ``cap`` zeros.
+    The starts of ``_candidate_faces`` run through one ``_newton_refine``
+    call capped by the mesh's longest edge, and the converged points through
+    one residual filter.  They are joined by their antipodes before dedup:
+    every kernel operation is sign-symmetric, so the antipode of a point
+    passes the filter with the same residual bits, and the union is the
+    zero set of the whole sphere.  Dedup stops once there are more than
+    ``cap`` zeros.
     """
-    starts, edges, kept = [], [], []
-    for d in range(depth, depth + passes):
-        centroids, faces = _candidate_faces(groups, rows, lipschitz, d, kept[-1] if kept else pool)
-        starts.append(centroids)
-        edges.append(longest_edge(d))
-        kept.append(faces)
-    sizes = [s.shape[0] for s in starts]
-    owner = np.repeat(np.arange(passes), sizes)
-    points, ok = _newton_refine(groups, rows, np.concatenate(starts), np.repeat(edges, sizes))
-    points, owner = points[ok], owner[ok]
+    points, ok = _newton_refine(
+        groups, rows, _candidate_faces(groups, rows, lipschitz, mesh), mesh.max_edge
+    )
+    points = points[ok]
     if points.shape[0]:
         resid = np.abs(_row_values(groups, rows, points)).max(axis=1)
-        ok = resid <= RESIDUAL_FACTOR * lipschitz.max()
-        points, owner = points[ok], owner[ok]
-    found = [points[owner == k] for k in range(passes)]
-    return [(_dedup_and_sort(np.concatenate([p, -p]), cap), f) for p, f in zip(found, kept)]
+        points = points[resid <= RESIDUAL_FACTOR * lipschitz.max()]
+    return _dedup_and_sort(np.concatenate([points, -points]), cap)
 
 
 def _check_s2_pair(bases, sample: SubspaceSample) -> list[HarmonicBasis]:
@@ -494,49 +444,33 @@ def _check_s2_pair(bases, sample: SubspaceSample) -> list[HarmonicBasis]:
 def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     """Enumerate Z(u1, u2) on S2 for the two coefficient rows of ``sample``.
 
-    The base mesh depth D is ``default_mesh_depth`` of the larger degree.
-    One ``_solve_passes`` call searches depth D on the first half of the
-    mesh's faces (their antipodes are the second half, and the children of
-    a face in it are in the first half one depth deeper), and depth D + 1 on
-    the children of the faces it kept.  A pass with more than
-    ``DEGENERACY_FACTOR`` times the Bezout ceiling zeros makes the result
-    Degenerate.  Two equal counts within the ceiling are Complete at D + 1;
-    otherwise one more pass at D + 2, on the children of the faces kept at
-    D + 1, gives the DepthEscalated result.  Two functions of odd degree
-    are odd maps S2 -> R2, which share a zero by Borsuk-Ulam, so for them a
-    result with no zeros is Degenerate too.  The passes solve on
+    ``pencil_count`` counts Z first; when it declines the sample, the
+    result is Degenerate and the mesh does not run.  Otherwise
+    ``_mesh_zeros`` finds the zeros on the mesh of depth D =
+    ``default_mesh_depth`` of the larger degree, solving on
     ``sample.frame``, whose rows have unit norm, so the gradient sum is a
-    Lipschitz bound; ``max_residual`` is max |u_i| over the unit rows.
+    Lipschitz bound.  The result is Complete when the two counts agree and
+    Unconfirmed, with the mesh's zeros, when they do not.  ``max_residual``
+    is max |u_i| over the unit rows.
     """
     bases = _check_s2_pair(bases, sample)
+    bezout = 2 * bases[0].degree * bases[1].degree
+    depth = default_mesh_depth(max(b.degree for b in bases))
+    counted = pencil_count(bases, sample)
+    if counted is None:
+        return ZeroFindingResult.degenerate(bezout, depth)
     groups = _degree_groups(bases)
     lipschitz = np.array([math.sqrt(b.gradient_sum_constant) for b in bases])
-    bezout = 2 * bases[0].degree * bases[1].degree
-    cap = DEGENERACY_FACTOR * bezout
-    depth0 = default_mesh_depth(max(b.degree for b in bases))
-    unit = _unit_rows(sample.rows)
-    odd = bases[0].degree % 2 == bases[1].degree % 2 == 1
-
-    def result(zeros: np.ndarray, depth: int, escalations: int) -> ZeroFindingResult:
-        if zeros.shape[0] > cap or (odd and zeros.shape[0] == 0):
-            return ZeroFindingResult.degenerate(bezout, depth, escalations)
-        return ZeroFindingResult(
-            zeros=zeros,
-            status=SolverStatus.DEPTH_ESCALATED if escalations else SolverStatus.COMPLETE,
-            max_residual=float(np.abs(_row_values(groups, unit, zeros)).max(initial=0.0)),
-            bezout_bound=bezout,
-            depth_used=depth,
-            escalations=escalations,
-        )
-
-    half = np.arange(icosphere(depth0).num_faces // 2)
-    (z0, _), (z1, kept) = _solve_passes(groups, sample.frame, lipschitz, cap, depth0, half, passes=2)
-    if z0.shape[0] > cap:
-        return ZeroFindingResult.degenerate(bezout, depth0)
-    if z1.shape[0] > cap or z1.shape[0] == z0.shape[0] <= bezout:
-        return result(z1, depth0 + 1, 0)
-    [(z2, _)] = _solve_passes(groups, sample.frame, lipschitz, cap, depth0 + 2, kept, passes=1)
-    return result(z2, depth0 + 2, 1)
+    zeros = _mesh_zeros(groups, sample.frame, lipschitz, icosphere(depth), bezout)
+    confirmed = zeros.shape[0] == counted[0]
+    residual = np.abs(_row_values(groups, _unit_rows(sample.rows), zeros)).max(initial=0.0)
+    return ZeroFindingResult(
+        zeros=zeros,
+        status=SolverStatus.COMPLETE if confirmed else SolverStatus.UNCONFIRMED,
+        max_residual=float(residual),
+        bezout_bound=bezout,
+        depth_used=depth,
+    )
 
 
 def find_common_zeros_s1(basis: HarmonicBasis, sample: SubspaceSample) -> ZeroFindingResult:

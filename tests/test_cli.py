@@ -109,7 +109,7 @@ class TestCountCommand:
             ["count", "--sphere", "2", "--degree", "3", "--seed", "5"], capsys
         )
         assert code == 0
-        assert report["status"] in ("Complete", "DepthEscalated")
+        assert report["status"] == "Complete"
         assert report["zero_count"] == len(report["zeros"])
         assert report["zero_count"] <= 18
         assert report["theory"]["formula_id"] == "THM_4_1"

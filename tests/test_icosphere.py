@@ -1,4 +1,4 @@
-"""Quadtree numbering of icosphere faces, the refinement of some of them, and their antipodes."""
+"""Quadtree numbering of icosphere faces, the bits of each mesh, and their antipodes."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,14 @@ from sphere_zeros.icosphere import (
     _ICO_FACES,
     _ICO_VERTICES,
     _geodesic,
-    _max_edge,
-    children,
-    edge_midpoints,
-    face_geometry,
     icosphere,
-    longest_edge,
-    quadrisect,
     spherical_face_areas,
 )
+
+
+def _children(faces):
+    """The faces 4p..4p+3 one depth deeper, per face p."""
+    return (4 * faces[:, None] + np.arange(4)).ravel()
 
 
 def _inside(mesh, faces, points):
@@ -32,8 +31,7 @@ class TestQuadtreeNumbering:
     def test_children_of_face_p_are_4p_to_4p_plus_3(self, depth):
         parent, child = icosphere(depth), icosphere(depth + 1)
         faces = np.arange(parent.num_faces)
-        kids = children(faces).reshape(-1, 4)
-        assert np.array_equal(kids, 4 * faces[:, None] + np.arange(4))
+        kids = _children(faces).reshape(-1, 4)
         assert child.num_faces == kids.size
         # The centroid of child 4p + k lies inside face p.
         assert _inside(parent, np.repeat(faces, 4), child.centroids[kids.ravel()]).all()
@@ -48,18 +46,11 @@ class TestQuadtreeNumbering:
         for j in range(20):
             faces = np.array([j])
             for _ in range(depth):
-                faces = children(faces)
+                faces = _children(faces)
             assert np.array_equal(faces, np.arange(j * block, (j + 1) * block))
         mesh = icosphere(depth)
         assert mesh.num_faces == 20 * block
         assert _inside(icosphere(0), np.arange(mesh.num_faces) // block, mesh.centroids).all()
-
-    def test_children_of_a_sorted_pool_are_sorted(self):
-        pool = np.array([3, 17, 40, 41])
-        kids = children(pool)
-        assert np.array_equal(kids, np.sort(kids))
-        assert np.array_equal(kids // 4, np.repeat(pool, 4))
-        assert children(np.array([], dtype=np.int64)).shape == (0,)
 
 
 def _same_bits(a, b):
@@ -118,50 +109,6 @@ class TestMeshBits:
             assert _same_bits(mesh.covering_radius, radius)
             assert _same_bits(mesh.centroid_reach, reach)
             assert mesh.max_edge == max_edge
-
-    @pytest.mark.parametrize("depth", range(7))
-    def test_children_of_any_faces_have_the_bits_of_the_deeper_mesh(self, depth):
-        parent, child = icosphere(depth), icosphere(depth + 1)
-        rng = np.random.default_rng(depth)
-        some = np.sort(rng.choice(parent.num_faces, size=min(37, parent.num_faces), replace=False))
-        for faces in (np.arange(parent.num_faces), some):
-            corners = parent.vertices[parent.faces[:, faces]]
-            kids = quadrisect(*corners, *edge_midpoints(corners))
-            ids = children(faces)
-            assert _same_bits(kids, child.vertices[child.faces[:, ids]])
-            centroids, radius, reach = face_geometry(*kids)
-            assert _same_bits(centroids, child.centroids[ids])
-            assert _same_bits(radius, child.covering_radius[ids])
-            assert _same_bits(reach, child.centroid_reach[ids])
-
-    @pytest.mark.parametrize("depth", range(9))
-    def test_longest_edge_is_the_mesh_max_edge(self, depth):
-        # Depth 8 is built without entering the mesh cache, which keeps the test process small.
-        mesh = icosphere(depth) if depth < 8 else icosphere.__wrapped__(depth)
-        assert longest_edge(depth) == mesh.max_edge
-
-    def test_longest_edge_at_depth_9_is_the_refined_faces_max_edge(self):
-        # The depth-9 mesh has 5.2M faces; the walk refines 16 faces at a time.
-        assert longest_edge(9) == _walk_longest_edge(9)
-
-    @pytest.mark.parametrize("depth", [-1, 10])
-    def test_longest_edge_outside_the_table_is_rejected(self, depth):
-        with pytest.raises(ValueError, match="depths 0-9"):
-            longest_edge(depth)
-
-
-def _walk_longest_edge(depth):
-    """The longest edge of the depth-d mesh, by refining the faces of a mesh up to six depths
-    shallower 16 at a time, at most 4^8 faces at once; kept verbatim as the table's reference."""
-    top = icosphere(max(0, depth - 6))
-    corners = top.vertices[top.faces]
-    edge = 0.0
-    for lo in range(0, top.num_faces, 16):
-        chunk = corners[:, lo : lo + 16]
-        for _ in range(depth - top.depth):
-            chunk = quadrisect(*chunk, *edge_midpoints(chunk))
-        edge = max(edge, _max_edge(*chunk))
-    return edge
 
 
 def _antipodal_faces(mesh):

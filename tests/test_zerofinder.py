@@ -33,7 +33,7 @@ from sphere_zeros.harmonics import (
     rotate_coefficients,
     tangent_frames,
 )
-from sphere_zeros.icosphere import children, icosphere, longest_edge
+from sphere_zeros.icosphere import icosphere
 from sphere_zeros.integralgeom import (
     circle_frames,
     sample_subspace,
@@ -402,17 +402,37 @@ class TestSphereZeros:
         assert math.isnan(result.max_residual)
 
     @pytest.mark.parametrize("m1, m2", [(1, 3), (3, 5), (1, 5)])
-    def test_coaxial_odd_zonal_pair_is_degenerate(self, m1, m2):
+    def test_coaxial_odd_zonal_pair_is_degenerate(self, m1, m2, monkeypatch):
         # Odd zonal functions about one axis share the equator, where Newton's
-        # Jacobian is singular, so no start converges and both depths find no
-        # zero.  Two odd degrees always share a zero (Borsuk-Ulam), so no
-        # zero found is Degenerate, not Complete.
+        # Jacobian is singular, so the mesh would find no zero.  The pencil's
+        # resultant vanishes identically at its first center, so the pair is
+        # declined and the mesh does not run.
         bases = [build_basis(2, m1), build_basis(2, m2)]
         sample = make_sample([zonal(b, NORTH) for b in bases], [m1, m2])
+        monkeypatch.setattr(zerofinder, "_mesh_zeros", None)
         result = find_common_zeros_s2(bases, sample)
         assert result.status is SolverStatus.DEGENERATE
-        assert (result.depth_used, result.escalations) == (zerofinder.default_mesh_depth(m2) + 1, 0)
+        assert (result.depth_used, result.escalations) == (zerofinder.default_mesh_depth(m2), 0)
         assert math.isnan(result.max_residual)
+
+    def test_non_transverse_zeros_are_not_complete(self):
+        # xz and x^2 - y^2 meet at the poles, where both gradients are
+        # parallel (multiplicity 2 each), and at four points of the equator.
+        # The pencil counts 8 with multiplicity; Newton cannot converge at
+        # the poles, so the mesh finds the four transverse zeros only.
+        basis = build_basis(2, 2)
+        pts = random_sphere_points(2, 10, np.random.default_rng(4))
+        x, y, z = pts.T
+        values = eval_basis_many(basis, pts)
+        for index, profile in [(1, x * z), (3, x * x - y * y)]:
+            ratio = values[:, index] / profile
+            assert np.max(np.abs(ratio - ratio[0])) < 1e-12
+        sample = make_sample(np.eye(5)[[1, 3]], [2, 2])
+        assert zerofinder.pencil_count([basis, basis], sample)[0] == 8
+        result = find_common_zeros_s2([basis, basis], sample)
+        assert result.status is not SolverStatus.COMPLETE
+        assert (result.count, result.status) == (4, SolverStatus.UNCONFIRMED)
+        assert np.allclose(np.abs(result.zeros), [math.sqrt(0.5), math.sqrt(0.5), 0.0])
 
     def test_mismatched_degrees_rejected(self):
         basis = build_basis(2, 2)
@@ -439,7 +459,8 @@ class TestSphereZeros:
         # 84 Gaussian pairs (six per degree pair, drawn by sample_subspace),
         # 15 tilted zonal pairs and one Degenerate pair (x and xz), with the
         # (count, status, depth_used, escalations) the solver gave them when
-        # it still checked depths in a loop.
+        # it still checked depths in a loop; depth_used is now the one mesh
+        # depth D, where it was D + 1 while a deeper pass confirmed D.
         cases = json.loads(FROZEN_OUTCOMES.read_text())
         assert len(cases) == 100
         outcomes = []
@@ -493,6 +514,15 @@ class TestCountDependsOnTheSpanAlone:
             result = zonal_pair_demo(m, share * zonal_tilt_threshold(m))
             assert (result.count, result.status) == (2 * m, SolverStatus.COMPLETE), share
 
+    def test_a_tilted_m7_pair_the_pencil_miscounts_is_unconfirmed(self):
+        # 0.62 of the tilt threshold: the mesh finds the 14 zeros the theory
+        # gives, but the pencil's accepted center counts 8, so the two
+        # counters disagree and the result is not Complete.
+        result = zonal_pair_demo(7, 0.049627861392012654)
+        assert result.status is not SolverStatus.COMPLETE
+        assert (result.count, result.status) == (14, SolverStatus.UNCONFIRMED)
+        assert verify_bezout(result)
+
 
 def _first_half(depth):
     """The first half of the depth-d faces, the descendants of icosahedron faces 0-9."""
@@ -527,7 +557,6 @@ class TestAntipodalHalves:
         assert half.size == antipode.size // 2
         assert np.array_equal(antipode[antipode], faces)
         assert np.array_equal(np.sort(antipode[half]), faces[half.size :])
-        assert np.array_equal(children(half), _first_half(depth + 1))
 
     @pytest.mark.parametrize("degrees", [(1, 1), (2, 5), (8, 12)])
     def test_row_values_are_sign_symmetric_to_the_bit(self, degrees):
@@ -544,30 +573,28 @@ class TestAntipodalHalves:
         [((1, 1), 4), ((2, 5), 3), ((3, 3), 4), ((5, 5), 2), ((8, 8), 1)],
         ids=["1x1", "2x5", "3x3", "5x5", "8x8"],
     )
-    def test_either_half_or_the_whole_mesh_gives_the_same_zeros(self, degrees, samples):
-        # With every face in the pool, Newton runs from every start of the
-        # full-mesh search; the mirror then only adds duplicates.
-        bases = [build_basis(2, m) for m in degrees]
+    def test_the_mirrored_half_gives_the_zeros_of_the_whole_mesh(self, degrees, samples):
+        # Newton from the kept faces of the whole mesh, with no mirror, finds
+        # the zeros that the first half and their antipodes give.
         depth = zerofinder.default_mesh_depth(max(degrees))
-        faces = np.arange(20 * 4**depth)
-        pools = [_first_half(depth), faces[faces.size // 2 :], faces]
+        mesh = icosphere(depth)
+        bezout = 2 * degrees[0] * degrees[1]
         rng = np.random.default_rng([*degrees, 7])
-        cap = zerofinder.DEGENERACY_FACTOR * 2 * degrees[0] * degrees[1]
         for _ in range(samples):
             _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
-            results = [
-                zerofinder._solve_passes(groups, rows, lipschitz, cap, depth, p, passes=1)
-                for p in pools
-            ]
-            assert all(len(r) == 1 for r in results)
-            half_zeros = results[0][0][0]
-            assert half_zeros.shape[0] > 0
-            for [(zeros, _)] in results:
-                assert zeros.shape[0] <= cap
-                assert zeros.shape == half_zeros.shape
-                gap = np.linalg.norm(zeros[:, None, :] - half_zeros[None, :, :], axis=2)
-                assert gap.min(axis=1).max() < 1e-12
-                assert gap.min(axis=0).max() < 1e-12
+            half = zerofinder._mesh_zeros(groups, rows, lipschitz, mesh, bezout)
+            faces = np.arange(mesh.num_faces)
+            starts, _ = _ref_candidate_faces(mesh, groups, rows, lipschitz, faces)
+            points, ok = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
+            points = points[ok]
+            resid = np.abs(zerofinder._row_values(groups, rows, points)).max(axis=1)
+            points = points[resid <= zerofinder.RESIDUAL_FACTOR * lipschitz.max()]
+            whole = zerofinder._dedup_and_sort(points, bezout)
+            assert 0 < half.shape[0] <= bezout
+            assert whole.shape == half.shape
+            gap = np.linalg.norm(whole[:, None, :] - half[None, :, :], axis=2)
+            assert gap.min(axis=1).max() < 1e-12
+            assert gap.min(axis=0).max() < 1e-12
 
 
 class TestFaceExclusion:
@@ -604,79 +631,67 @@ class TestFaceExclusion:
 
 
 def _points(k):
-    """k distinct unit vectors standing in for a pass's zeros."""
+    """k distinct unit vectors standing in for the mesh's zeros."""
     t = np.arange(k) + 0.5
     return np.stack([np.cos(t), np.sin(t), np.zeros(k)], axis=1)
 
 
-class TestDepthConfirmation:
-    """Every exit of the depth check, with scripted (zeros, kept) passes.
+class TestConfirmation:
+    """Every exit of the count check, with a scripted pencil count and mesh zeros.
 
-    Degree 1 on both rows: base depth 4, Bezout ceiling 2 and degeneracy cap
-    8.  The first two passes come from one ``_solve_passes`` call, the third
-    from another, whose pool is the kept faces of the second pass: it
-    searches their children.
+    Degree 1 on both rows: mesh depth 4 and Bezout ceiling 2.
     """
 
-    DEPTH0 = 4
-    KEPT = [np.array([3, 17, 40]), np.array([5, 90, 700]), np.array([11])]
+    DEPTH = 4
     BASIS = build_basis(2, 1)
     ROWS = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
-    def run(self, monkeypatch, outcomes):
+    def run(self, monkeypatch, counted, zeros):
         calls = []
 
-        def scripted(groups, rows, lipschitz, cap, depth, pool, passes):
-            assert cap == 8
-            done = sum(n for _, _, n in calls)
-            calls.append((depth, pool, passes))
-            return [(outcomes[done + k], self.KEPT[done + k]) for k in range(passes)]
+        def pencil(bases, sample):
+            calls.append("pencil")
+            return counted
 
-        monkeypatch.setattr(zerofinder, "_solve_passes", scripted)
+        def mesh_zeros(groups, rows, lipschitz, mesh, cap):
+            calls.append((mesh.depth, cap))
+            return zeros
+
+        monkeypatch.setattr(zerofinder, "pencil_count", pencil)
+        monkeypatch.setattr(zerofinder, "_mesh_zeros", mesh_zeros)
         sample = make_sample(self.ROWS, [1, 1])
-        result = find_common_zeros_s2([self.BASIS, self.BASIS], sample)
-        assert [(depth, n) for depth, _, n in calls] == [(self.DEPTH0, 2), (self.DEPTH0 + 2, 1)][
-            : len(calls)
-        ]
-        assert np.array_equal(calls[0][1], _first_half(self.DEPTH0))
-        assert calls[0][1].size == 20 * 4**self.DEPTH0 // 2
-        if len(calls) == 2:
-            assert calls[1][1] is self.KEPT[1]
-        return result, sum(n for _, _, n in calls)
+        return find_common_zeros_s2([self.BASIS, self.BASIS], sample), calls
 
     def max_abs_value(self, zeros):
         """max |u_i| over the points, for the unit rows of ``ROWS``."""
         return float(np.abs(eval_basis_many(self.BASIS, zeros) @ np.array(self.ROWS).T).max())
 
-    def test_complete_at_depth0_plus_1(self, monkeypatch):
+    def test_equal_counts_are_complete(self, monkeypatch):
         zeros = _points(2)
-        result, passes = self.run(monkeypatch, [_points(2), zeros])
-        assert passes == 2
+        result, calls = self.run(monkeypatch, (2, math.inf), zeros)
+        assert calls == ["pencil", (self.DEPTH, 2)]
         assert result.status is SolverStatus.COMPLETE
-        assert (result.depth_used, result.escalations) == (self.DEPTH0 + 1, 0)
+        assert (result.depth_used, result.escalations) == (self.DEPTH, 0)
         assert result.max_residual == self.max_abs_value(zeros) > 0.0
         assert np.array_equal(result.zeros, zeros)
 
-    @pytest.mark.parametrize("counts", [(0, 2), (4, 4)], ids=["disagree", "above-bezout"])
-    def test_depth_escalated_at_depth0_plus_2(self, monkeypatch, counts):
-        zeros = _points(2)
-        result, passes = self.run(monkeypatch, [_points(counts[0]), _points(counts[1]), zeros])
-        assert passes == 3
-        assert result.status is SolverStatus.DEPTH_ESCALATED
-        assert (result.depth_used, result.escalations) == (self.DEPTH0 + 2, 1)
-        assert result.max_residual == self.max_abs_value(zeros) > 0.0
+    @pytest.mark.parametrize("found", [0, 1, 3], ids=["none", "fewer", "above-bezout"])
+    def test_other_counts_are_unconfirmed(self, monkeypatch, found):
+        # The mesh's zeros are reported; past the ceiling the Bezout check fails.
+        zeros = _points(found)
+        result, calls = self.run(monkeypatch, (2, 0.5), zeros)
+        assert calls == ["pencil", (self.DEPTH, 2)]
+        assert result.status is SolverStatus.UNCONFIRMED
+        assert (result.depth_used, result.escalations) == (self.DEPTH, 0)
+        assert result.max_residual == (self.max_abs_value(zeros) if found else 0.0)
         assert np.array_equal(result.zeros, zeros)
+        assert verify_bezout(result) is (found <= 2)
 
-    @pytest.mark.parametrize("at", [0, 1, 2])
-    def test_degenerate_at_each_depth(self, monkeypatch, at):
-        # The first two passes disagree, so every pass up to ``at`` is read;
-        # the second pass is computed even when the first is Degenerate.
-        disagreeing = [_points(0), _points(2)]
-        outcomes = disagreeing[:at] + [_points(9)] + disagreeing[at + 1 : 2]
-        result, passes = self.run(monkeypatch, outcomes)
-        assert passes == max(2, at + 1)
+    def test_a_declined_sample_is_degenerate_and_runs_no_mesh(self, monkeypatch):
+        result, calls = self.run(monkeypatch, None, _points(2))
+        assert calls == ["pencil"]
         assert result.status is SolverStatus.DEGENERATE
-        assert (result.depth_used, result.escalations) == (self.DEPTH0 + at, int(at == 2))
+        assert (result.depth_used, result.escalations) == (self.DEPTH, 0)
         assert math.isnan(result.max_residual)
         assert result.zeros.shape == (0, 3)
 
@@ -696,70 +711,6 @@ SWEEP_DEGREES = pytest.mark.parametrize(
 )
 
 
-class TestNewtonSweep:
-    """One Newton sweep serves the first two depths; each start keeps its own caps."""
-
-    @SWEEP_DEGREES
-    def test_cap_array_of_one_value_matches_the_scalar_cap(self, degrees, samples):
-        depth = zerofinder.default_mesh_depth(max(degrees))
-        mesh = icosphere(depth)
-        rng = np.random.default_rng([*degrees, 11])
-        for _ in range(samples):
-            _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
-            pool = _first_half(depth)
-            starts, _ = zerofinder._candidate_faces(groups, rows, lipschitz, depth, pool)
-            scalar = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
-            array = zerofinder._newton_refine(
-                groups, rows, starts, np.full(starts.shape[0], mesh.max_edge)
-            )
-            assert scalar[1].any()
-            assert np.array_equal(scalar[0], array[0])
-            assert np.array_equal(scalar[1], array[1])
-
-    @SWEEP_DEGREES
-    def test_one_sweep_over_both_depths_matches_two_sweeps(self, degrees, samples):
-        depth = zerofinder.default_mesh_depth(max(degrees))
-        edges = [longest_edge(depth), longest_edge(depth + 1)]
-        rng = np.random.default_rng([*degrees, 13])
-        for _ in range(samples):
-            _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
-            pool = _first_half(depth)
-            first, kept = zerofinder._candidate_faces(groups, rows, lipschitz, depth, pool)
-            second, _ = zerofinder._candidate_faces(groups, rows, lipschitz, depth + 1, kept)
-            caps = np.repeat(edges, [len(first), len(second)])
-            points, ok = zerofinder._newton_refine(
-                groups, rows, np.concatenate([first, second]), caps
-            )
-            split = np.cumsum([len(first)])
-            for starts, edge, pts, conv in zip(
-                (first, second), edges, np.split(points, split), np.split(ok, split)
-            ):
-                alone, alone_ok = zerofinder._newton_refine(groups, rows, starts, edge)
-                assert conv.sum() == alone_ok.sum() > 0
-                assert np.array_equal(conv, alone_ok)
-                assert np.array_equal(pts, alone)
-
-    @SWEEP_DEGREES
-    def test_two_passes_match_two_single_passes(self, degrees, samples):
-        depth = zerofinder.default_mesh_depth(max(degrees))
-        cap = zerofinder.DEGENERACY_FACTOR * 2 * degrees[0] * degrees[1]
-        rng = np.random.default_rng([*degrees, 17])
-        for _ in range(samples):
-            _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
-            half = _first_half(depth)
-            args = groups, rows, lipschitz, cap
-            both = zerofinder._solve_passes(*args, depth, half, passes=2)
-            first = zerofinder._solve_passes(*args, depth, half, passes=1)
-            second = zerofinder._solve_passes(*args, depth + 1, first[0][1], passes=1)
-            assert len(both) == 2
-            for (zeros, kept), (z1, k1) in zip(both, first + second):
-                assert zeros.shape == z1.shape and 0 < zeros.shape[0] <= cap
-                assert np.array_equal(zeros, z1)
-                residual = np.abs(zerofinder._row_values(groups, rows, zeros)).max()
-                assert residual == np.abs(zerofinder._row_values(groups, rows, z1)).max()
-                assert all(_same_bits(a, b) for a, b in zip(kept, k1))
-
-
 class TestBatchIndependence:
     """A start's Newton run and a point's row values do not depend on the rest of its batch."""
 
@@ -772,8 +723,7 @@ class TestBatchIndependence:
         mesh = icosphere(depth)
         rng = np.random.default_rng([*degrees, 19])
         _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
-        pool = _first_half(depth)
-        centroids, _ = zerofinder._candidate_faces(groups, rows, lipschitz, depth, pool)
+        centroids = zerofinder._candidate_faces(groups, rows, lipschitz, mesh)
         # Mesh starts, most of which converge, then random ones, most of which fail.
         starts = np.concatenate([centroids[:30], random_sphere_points(2, 40, rng)])[:40]
         points, ok = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
@@ -854,12 +804,14 @@ def _ref_newton_step(pts, vals, grad):
 
 
 def _ref_dedup_and_sort(points, stop_above):
-    """Dedup in its np.unique form with a rebuilt representative array, kept verbatim."""
+    """Dedup in its np.unique form with a rebuilt representative array, kept verbatim but
+    for the order of the representatives, by their rounded coordinates."""
     if points.shape[0] == 0:
         return points.reshape(0, 3)
     _, first = np.unique(np.round(points, 8), axis=0, return_index=True)
     collapsed = points[np.sort(first)]
-    order = np.lexsort((collapsed[:, 2], collapsed[:, 1], collapsed[:, 0]))
+    rounded = np.round(collapsed, 8)
+    order = np.lexsort((rounded[:, 2], rounded[:, 1], rounded[:, 0]))
     collapsed = collapsed[order]
     reps = []
     rep_arr = np.empty((0, 3))
@@ -945,8 +897,8 @@ _SPECIAL = st.sampled_from([0.0, -0.0, 1e-160, -1e-160, 5e-324, 1.0, -1.0])
 
 
 class TestMatchesReference:
-    """The step, the dedup, the Newton sweep and the refined exclusion passes give the bits
-    of their reference forms."""
+    """The step, the dedup, the Newton sweep and the exclusion pass give the bits of their
+    reference forms."""
 
     @settings(max_examples=200)
     @given(data=st.data(), n=st.integers(1, 12), fortran=st.booleans())
@@ -1004,68 +956,81 @@ class TestMatchesReference:
         empty = np.empty((0, 3))
         assert _same_bits(zerofinder._dedup_and_sort(empty, 8), _ref_dedup_and_sort(empty, 8))
 
+    def test_dedup_order_survives_last_bit_changes(self):
+        # Mirror pairs whose coordinates are moved by an ulp, and whose zero
+        # coordinates change sign or become +-1e-17: the rounded keys stay,
+        # so the order of the representatives stays.  Sorted by the raw
+        # coordinates, x = 1e-17 and x = -1e-17 would swap such a pair.
+        rng = np.random.default_rng(29)
+        base = random_sphere_points(2, 12, rng)
+        base[:4, 0] = 0.0
+        base[4:8, 2] = 0.0
+        base /= np.linalg.norm(base, axis=1, keepdims=True)
+        points = np.concatenate([base, -base])
+        reference = zerofinder._dedup_and_sort(points, 24)
+        assert reference.shape == (24, 3)
+        for trial in range(20):
+            moved = np.nextafter(points, rng.choice([-np.inf, np.inf], size=points.shape))
+            zero = points == 0.0
+            moved[zero] = rng.choice([0.0, -0.0, 1e-17, -1e-17], size=zero.sum())
+            moved = moved[rng.permutation(moved.shape[0])]
+            reps = zerofinder._dedup_and_sort(moved, 24)
+            assert reps.shape == reference.shape
+            assert np.max(np.abs(reps - reference)) <= 1e-15, trial
+
     @SWEEP_DEGREES
     @pytest.mark.parametrize("max_iter", [zerofinder.MAX_NEWTON_ITER, 3])
     def test_newton_sweep(self, degrees, samples, max_iter, monkeypatch):
         # Mesh starts, most of which converge; random starts, most of which
-        # fail on the travel cap; the random starts again with 30x the caps,
-        # of which up to a third fail on the path cap alone (none at 1x1);
-        # and with the iteration cap cut to 3, starts still active when it
-        # runs out.
+        # fail on the travel cap; the same starts with 30x the cap, where up
+        # to a third of the random ones fail on the path cap alone (none at
+        # 1x1); and with the iteration cap cut to 3, starts still active when
+        # it runs out.
         monkeypatch.setattr(zerofinder, "MAX_NEWTON_ITER", max_iter)
         depth = zerofinder.default_mesh_depth(max(degrees))
         mesh = icosphere(depth)
         rng = np.random.default_rng([*degrees, 23])
         for _ in range(samples):
             _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
-            pool = _first_half(depth)
-            centroids, _ = zerofinder._candidate_faces(groups, rows, lipschitz, depth, pool)
-            random = random_sphere_points(2, 40, rng)
-            starts = np.concatenate([centroids[:40], random, random])
-            caps = np.repeat([mesh.max_edge, 30.0 * mesh.max_edge], [starts.shape[0] - 40, 40])
-            for cap in (caps, mesh.max_edge):
+            centroids = zerofinder._candidate_faces(groups, rows, lipschitz, mesh)
+            starts = np.concatenate([centroids[:40], random_sphere_points(2, 40, rng)])
+            for cap in (30.0 * mesh.max_edge, mesh.max_edge):
                 points, ok = zerofinder._newton_refine(groups, rows, starts, cap)
                 ref_points, ref_ok = _ref_newton_refine(groups, rows, starts, cap)
                 assert np.array_equal(ok, ref_ok)
                 assert _same_bits(points, ref_points)
             assert not ok.all() and (ok.any() or max_iter == 3)
 
-    def test_refined_passes_keep_the_faces_of_the_full_meshes(self):
-        # The frozen solver cases, over their base depth and the next two, up
-        # to depth 7: the same kept faces, corners and Newton starts.
+    def test_exclusion_pass_keeps_the_faces_of_the_reference(self):
+        # The frozen solver cases at their mesh depth: the same Newton starts
+        # as the exclusion over the whole vertex block, on the first half.
         for case in json.loads(FROZEN_OUTCOMES.read_text()):
             bases = [build_basis(2, m) for m in case["degrees"]]
             rows = make_sample(case["rows"], case["degrees"]).frame
             groups = zerofinder._degree_groups(bases)
             lipschitz = np.array([math.sqrt(b.gradient_sum_constant) for b in bases])
             depth = zerofinder.default_mesh_depth(max(case["degrees"]))
-            pool = ref_pool = _first_half(depth)
-            for d in range(depth, min(depth + 3, 8)):
-                mesh = icosphere(d)
-                starts, pool = zerofinder._candidate_faces(groups, rows, lipschitz, d, pool)
-                ref_starts, ref_kept = _ref_candidate_faces(mesh, groups, rows, lipschitz, ref_pool)
-                assert _same_bits(starts, ref_starts)
-                assert np.array_equal(pool[0], ref_kept)
-                assert _same_bits(pool[1], mesh.vertices[mesh.faces[:, ref_kept]])
-                ref_pool = children(ref_kept)
+            mesh = icosphere(depth)
+            starts = zerofinder._candidate_faces(groups, rows, lipschitz, mesh)
+            ref_starts, _ = _ref_candidate_faces(mesh, groups, rows, lipschitz, _first_half(depth))
+            assert _same_bits(starts, ref_starts)
 
 
 class TestPassSweep:
-    """The real pipeline: which pools each depth searches, how many Newton sweeps run,
-    and how many row-value evaluations."""
+    """The real pipeline: one exclusion pass over the base mesh, one Newton sweep and
+    three row-value evaluations."""
 
-    def spy(self, monkeypatch):
+    def test_a_solve_makes_one_pass_and_one_newton_sweep(self, monkeypatch):
         faces, sweeps, values = [], [], []
         candidate_faces, newton_refine = zerofinder._candidate_faces, zerofinder._newton_refine
         row_values = zerofinder._row_values
 
-        def candidates(groups, rows, lipschitz, depth, pool):
-            starts, kept = candidate_faces(groups, rows, lipschitz, depth, pool)
-            faces.append((depth, pool, kept))
-            return starts, kept
+        def candidates(groups, rows, lipschitz, mesh):
+            faces.append(mesh.depth)
+            return candidate_faces(groups, rows, lipschitz, mesh)
 
         def newton(groups, rows, starts, max_edge):
-            sweeps.append(starts.shape[0])
+            sweeps.append(max_edge)
             return newton_refine(groups, rows, starts, max_edge)
 
         def evaluated(groups, rows, pts):
@@ -1075,78 +1040,23 @@ class TestPassSweep:
         monkeypatch.setattr(zerofinder, "_candidate_faces", candidates)
         monkeypatch.setattr(zerofinder, "_newton_refine", newton)
         monkeypatch.setattr(zerofinder, "_row_values", evaluated)
-        return faces, sweeps, values
-
-    def check_pools(self, faces, depth0):
-        # The first pool is the first half of the base mesh; each later pool is
-        # the kept faces one depth up, and the faces kept from it are among
-        # their children.
-        assert [depth for depth, _, _ in faces] == [depth0 + k for k in range(len(faces))]
-        assert np.array_equal(faces[0][1], _first_half(depth0))
-        for k in range(1, len(faces)):
-            assert faces[k][1] is faces[k - 1][2]
-            assert np.isin(faces[k][2][0], children(faces[k - 1][2][0])).all()
-
-    def check_values(self, values, faces, sweeps, result, midpoints):
-        # One evaluation per searched depth (its centroids), one per deeper
-        # depth (the edge midpoints of the faces kept one depth up, at the
-        # positions ``midpoints``), one residual filter per sweep, and one max
-        # residual, on the reported zeros.
-        assert all(kept[0].size for _, _, kept in faces)
-        assert len(values) == 2 * len(faces) - 1 + len(sweeps) + 1
-        for k, at in enumerate(midpoints):
-            assert values[at].shape[0] == 3 * faces[k][2][0].size
-        assert values[-1] is result.zeros
-
-    def test_complete_result_makes_one_newton_sweep(self, monkeypatch):
-        faces, sweeps, values = self.spy(monkeypatch)
         basis = build_basis(2, 3)
         sample = gaussian_sample([3, 3], np.random.default_rng(17))
         result = find_common_zeros_s2([basis, basis], sample)
         assert result.status is SolverStatus.COMPLETE
-        assert len(faces) == 2 and len(sweeps) == 1
-        self.check_pools(faces, zerofinder.default_mesh_depth(3))
-        # centroids D, midpoints and centroids D + 1, residual filter, max residual.
-        self.check_values(values, faces, sweeps, result, midpoints=[1])
-
-    def test_third_pass_makes_a_second_newton_sweep(self, monkeypatch):
-        faces, sweeps, values = self.spy(monkeypatch)
-        solve_passes = zerofinder._solve_passes
-
-        def disagreeing(groups, rows, lipschitz, cap, depth, pool, passes):
-            # The second pass loses a zero, so the two counts disagree.
-            results = solve_passes(groups, rows, lipschitz, cap, depth, pool, passes)
-            if passes == 2:
-                zeros, kept = results[1]
-                results[1] = (zeros[1:], kept)
-            return results
-
-        monkeypatch.setattr(zerofinder, "_solve_passes", disagreeing)
-        basis = build_basis(2, 3)
-        sample = gaussian_sample([3, 3], np.random.default_rng(17))
-        result = find_common_zeros_s2([basis, basis], sample)
-        assert result.status is SolverStatus.DEPTH_ESCALATED
-        assert len(faces) == 3 and len(sweeps) == 2
-        self.check_pools(faces, zerofinder.default_mesh_depth(3))
-        assert sweeps[0] > 0 and sweeps[1] > 0
-        # As above, then midpoints and centroids D + 2 and a second residual filter.
-        self.check_values(values, faces, sweeps, result, midpoints=[1, 4])
-
-    def test_a_pass_below_no_kept_faces_searches_none(self):
-        _, rows, groups, lipschitz = _sweep_inputs((2, 3), np.random.default_rng(3))
-        nothing = (np.empty(0, dtype=np.int64), np.empty((3, 0, 3)), np.empty((3, 2, 0)))
-        starts, kept = zerofinder._candidate_faces(groups, rows, lipschitz, 6, nothing)
-        assert starts.shape == (0, 3)
-        assert [a.shape for a in kept] == [(0,), (3, 0, 3), (3, 2, 0)]
+        depth = zerofinder.default_mesh_depth(3)
+        assert faces == [depth]
+        assert sweeps == [icosphere(depth).max_edge]
+        # The centroids, the residual filter, and the max residual on the reported zeros.
+        assert len(values) == 3
+        assert values[-1] is result.zeros
 
     @pytest.mark.parametrize(
         "argv, depth0",
         [(["zonal", "--degree", "8"], 6), (["count", "--degree", "12", "--seed", "1"], 7)],
         ids=["zonal-8", "count-12"],
     )
-    def test_deeper_passes_build_no_mesh(self, monkeypatch, capsys, argv, depth0):
-        # Only the base depth is a mesh with a vertex block; the passes below
-        # it refine the kept faces.
+    def test_only_the_base_mesh_is_built(self, monkeypatch, capsys, argv, depth0):
         meshes, blocks, passes = [], [], []
         module = importlib.import_module("sphere_zeros.icosphere")
         mesh, block = module.icosphere, zerofinder._basis_at_vertices
@@ -1160,9 +1070,9 @@ class TestPassSweep:
             blocks.append(depth)
             return block(degree, depth)
 
-        def searched(groups, rows, lipschitz, depth, pool):
-            passes.append(depth)
-            return candidate_faces(groups, rows, lipschitz, depth, pool)
+        def searched(groups, rows, lipschitz, mesh):
+            passes.append(mesh.depth)
+            return candidate_faces(groups, rows, lipschitz, mesh)
 
         monkeypatch.setattr(module, "icosphere", built)
         monkeypatch.setattr(zerofinder, "icosphere", built)
@@ -1170,7 +1080,7 @@ class TestPassSweep:
         monkeypatch.setattr(zerofinder, "_candidate_faces", searched)
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "Complete"
-        assert passes == [depth0, depth0 + 1]
+        assert passes == [depth0]
         assert max(meshes) == depth0
         assert set(blocks) == {depth0}
 
@@ -1605,6 +1515,23 @@ class TestPencilCount:
         assert zerofinder.pencil_count(bases, sample)[0] == 68
         monkeypatch.setattr(zerofinder, "PENCIL_OFF_CIRCLE", zerofinder.PENCIL_ON_CIRCLE)
         assert zerofinder.pencil_count(bases, sample)[0] == 56
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the gap rule accepts a center whose off-circle roots are not mirror pairs",
+    )
+    def test_the_tilted_m7_pair_is_counted_right_or_declined(self):
+        # The mesh and the theory give 14 zeros.  The centers near the zonal
+        # equator count 8, 10 or 12, with off-circle margins of 1e-3 to 1e-2
+        # that clear the gap rule; the best-scored center counts 14 but is
+        # declined by the degree-drop rule.  A certifier of the count (one
+        # that checks the self-inversive pairing w, 1/conj(w) of the roots)
+        # must count 14 here or decline.
+        basis = build_basis(2, 7)
+        axes = [NORTH, [math.sin(0.049627861392012654), 0.0, math.cos(0.049627861392012654)]]
+        sample = make_sample([zonal(basis, np.array(a)) for a in axes], [7, 7])
+        counted = zerofinder.pencil_count([basis, basis], sample)
+        assert counted is None or counted[0] == 14
 
     def test_rejects_what_the_mesh_solver_rejects(self):
         basis = build_basis(2, 2)
