@@ -7,7 +7,10 @@ from sphere_zeros.icosphere import (
     _ICO_FACES,
     _ICO_VERTICES,
     _geodesic,
+    _unit,
+    face_geometry,
     icosphere,
+    quadrisect,
     spherical_face_areas,
 )
 
@@ -109,6 +112,67 @@ class TestMeshBits:
             assert _same_bits(mesh.covering_radius, radius)
             assert _same_bits(mesh.centroid_reach, reach)
             assert mesh.max_edge == max_edge
+
+    @pytest.mark.parametrize("depth", range(7))
+    def test_children_of_any_faces_have_the_bits_of_the_deeper_mesh(self, depth):
+        # Per-face data is computed face by face: any subset of faces, split
+        # by ``quadrisect`` one coordinate at a time, gives its children's
+        # corners and geometry with the bits of the whole deeper mesh.
+        parent, child = icosphere(depth), icosphere(depth + 1)
+        rng = np.random.default_rng(depth)
+        some = np.sort(rng.choice(parent.num_faces, size=min(37, parent.num_faces), replace=False))
+        for faces in (np.arange(parent.num_faces), some):
+            a, b, c = parent.vertices[parent.faces[:, faces]]
+            mids = _unit(a + b), _unit(b + c), _unit(c + a)
+            kids = np.stack(
+                [quadrisect(*(v[:, j] for v in (a, b, c, *mids))) for j in range(3)], axis=-1
+            )
+            ids = _children(faces)
+            assert _same_bits(kids, child.vertices[child.faces[:, ids]])
+            centroids, radius, reach = face_geometry(*kids)
+            assert _same_bits(centroids, child.centroids[ids])
+            assert _same_bits(radius, child.covering_radius[ids])
+            assert _same_bits(reach, child.centroid_reach[ids])
+
+    @pytest.mark.parametrize("depth", [-1, -2])
+    def test_negative_depth_is_rejected(self, depth):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            icosphere(depth)
+
+
+def _arc(a, b):
+    """Geodesic distances between rows of unit vectors, accurate near zero."""
+    return 2.0 * np.arcsin(np.minimum(np.linalg.norm(a - b, axis=-1), 2.0) / 2.0)
+
+
+class TestFaceBounds:
+    """The per-face radii that the zero finder's exclusion tests and Newton caps rely on."""
+
+    @pytest.mark.parametrize("depth", range(8))
+    def test_every_point_of_a_face_is_within_its_bounds(self, depth):
+        # Random points of up to 4000 faces, their edge midpoints and
+        # centroids, and their circumcenters, the covering radius's worst case.
+        mesh = icosphere(depth)
+        rng = np.random.default_rng([depth, 3])
+        faces = np.sort(rng.choice(mesh.num_faces, size=min(mesh.num_faces, 4000), replace=False))
+        v0, v1, v2 = mesh.vertices[mesh.faces[:, faces]]
+        weights = np.vstack([
+            rng.dirichlet([1.0, 1.0, 1.0], size=64),
+            [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
+        ])
+        pts = _unit(np.einsum("wk,kfi->wfi", weights, np.stack([v0, v1, v2])))
+        normal = _unit(np.cross(v1 - v0, v2 - v0))
+        normal *= np.sign(np.einsum("fi,fi->f", normal, mesh.centroids[faces]))[:, None]
+        pts = np.concatenate([pts, normal[None]])
+        nearest = np.minimum(np.minimum(_arc(pts, v0), _arc(pts, v1)), _arc(pts, v2))
+        # The circumcenter is at the covering radius, up to the rounding of its cross product.
+        assert np.max(nearest - mesh.covering_radius[faces]) <= 1e-12
+        assert np.all(_arc(pts, mesh.centroids[faces]) <= mesh.centroid_reach[faces])
+        # A zero in a kept face is within one longest edge of its Newton start.
+        assert mesh.centroid_reach.max() < mesh.max_edge
+        # max_edge takes arccos of dot products, which rounds to ~eps / edge.
+        edges = np.concatenate([_arc(v0, v1), _arc(v1, v2), _arc(v2, v0)])
+        assert np.max(edges) <= mesh.max_edge + 1e-12
 
 
 def _antipodal_faces(mesh):

@@ -415,6 +415,37 @@ class TestSphereZeros:
         assert (result.depth_used, result.escalations) == (zerofinder.default_mesh_depth(m2), 0)
         assert math.isnan(result.max_residual)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_rotated_shared_nodal_circle_is_degenerate(self, seed, monkeypatch):
+        # x and x*z share the great circle x = 0 in any position; the pencil
+        # declines the pair wherever the circle lies, and the mesh does not run.
+        bases = [build_basis(2, 1), build_basis(2, 2)]
+        rotation = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0]
+        rows = [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]]
+        sample = make_sample(
+            [rotate_coefficients(b, row, rotation) for b, row in zip(bases, rows)], [1, 2]
+        )
+        monkeypatch.setattr(zerofinder, "_mesh_zeros", None)
+        result = find_common_zeros_s2(bases, sample)
+        assert result.status is SolverStatus.DEGENERATE
+        assert result.zeros.shape == (0, 3)
+
+    @pytest.mark.parametrize("m", range(6, 13))
+    def test_gaussian_pairs_up_to_the_degree_cap_are_complete(self, m):
+        # Criterion 3 draws degrees <= 5; past them the mesh at its one depth
+        # still finds every zero the pencil counts.
+        basis = build_basis(2, m)
+        for seed in range(2):
+            sample = gaussian_sample([m, m], np.random.default_rng([m, seed]))
+            result = find_common_zeros_s2([basis, basis], sample)
+            assert result.status is SolverStatus.COMPLETE
+            assert result.depth_used == zerofinder.default_mesh_depth(m)
+            assert result.count == zerofinder.pencil_count([basis, basis], sample)[0]
+            assert 0 < result.count <= 2 * m * m and result.count % 2 == 0
+            assert result.max_residual <= 1e-9
+            gap = np.linalg.norm(result.zeros[:, None, :] + result.zeros[None, :, :], axis=2)
+            assert gap.min(axis=1).max() < 1e-12
+
     def test_non_transverse_zeros_are_not_complete(self):
         # xz and x^2 - y^2 meet at the poles, where both gradients are
         # parallel (multiplicity 2 each), and at four points of the equator.
@@ -734,6 +765,48 @@ class TestBatchIndependence:
             assert alone_ok[0] == ok[k], k
             assert np.array_equal(alone[0], points[k]), k
             assert np.array_equal(zerofinder._row_values(groups, rows, starts[k : k + 1])[0], values[k]), k
+
+
+class TestNewtonSweep:
+    """What one Newton sweep from the kept faces' centroids returns."""
+
+    @SWEEP_DEGREES
+    def test_converged_points_pass_the_residual_filter_within_the_travel_cap(
+        self, degrees, samples
+    ):
+        depth = zerofinder.default_mesh_depth(max(degrees))
+        mesh = icosphere(depth)
+        rng = np.random.default_rng([*degrees, 23])
+        for _ in range(samples):
+            _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
+            starts = zerofinder._candidate_faces(groups, rows, lipschitz, mesh)
+            points, ok = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
+            assert ok.any()
+            points, starts = points[ok], starts[ok]
+            assert np.allclose(np.linalg.norm(points, axis=1), 1.0, rtol=0.0, atol=1e-15)
+            travel = np.arccos(np.clip(np.einsum("pi,pi->p", points, starts), -1.0, 1.0))
+            assert np.all(travel <= 3.0 * mesh.max_edge)
+            resid = np.abs(zerofinder._row_values(groups, rows, points)).max(axis=1)
+            assert np.all(resid <= zerofinder.RESIDUAL_FACTOR * lipschitz.max())
+
+    @SWEEP_DEGREES
+    def test_a_start_near_a_zero_returns_to_it(self, degrees, samples):
+        # Each zero, moved a thousandth of an edge along the sphere, is a
+        # start inside its basin: Newton brings it back to the last bits.
+        depth = zerofinder.default_mesh_depth(max(degrees))
+        mesh = icosphere(depth)
+        bezout = 2 * degrees[0] * degrees[1]
+        rng = np.random.default_rng([*degrees, 29])
+        for _ in range(samples):
+            _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
+            zeros = zerofinder._mesh_zeros(groups, rows, lipschitz, mesh, bezout)
+            assert zeros.shape[0] > 0
+            kick = np.cross(zeros, random_sphere_points(2, zeros.shape[0], rng))
+            starts = zeros + 1e-3 * mesh.max_edge * kick
+            starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+            points, ok = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
+            assert ok.all()
+            assert np.max(np.abs(points - zeros)) < 1e-14
 
 
 class TestNewtonStep:
