@@ -15,8 +15,8 @@ stdout or ``--out``.  Reports embed the full configuration, the package
 version, and the closed-form reference value with a stable formula
 identifier, and are byte-identical for identical configuration and seed.
 
-Exit codes: 0 success, 2 invalid configuration or input or an ``--out``
-path that cannot be written, 3 a verified identity or count bound failed
+Exit codes: 0 success, 2 invalid configuration or input or an unwritable
+report (``--out`` or stdout), 3 a verified identity or count bound failed
 (the report names it), 4 a degenerate zero set on a single-run subcommand.
 """
 
@@ -26,6 +26,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -142,14 +143,18 @@ def render_report(report: dict, fmt: str) -> str:
 
 def write_report(report: dict, fmt: str, out_path: str | None) -> None:
     text = render_report(report, fmt)
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if out_path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write the report to {out_path}: {exc.strerror}") from exc
+    except OSError as exc:
+        if out_path is None:    # the flush at exit would fail again: let it go to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        target = "stdout" if out_path is None else out_path
+        raise ConfigError(f"cannot write the report to {target}: {exc.strerror}") from exc
 
 
 def _validate_common(args) -> None:

@@ -29,7 +29,7 @@ from .harmonics import (
     random_sphere_points,
     tangent_frames,
 )
-from .icosphere import icosphere, spherical_face_areas
+from .icosphere import icosphere
 from .zerofinder import find_common_zeros_s1, make_sample
 
 COLLISION_FACTOR = 1e-8       # image points closer than factor*R count as equal
@@ -144,7 +144,8 @@ def image_volume(
     1e-4; the integrand is constant for an exact eigenbasis, so accuracy is
     limited only by the pointwise identity residuals.
 
-    On S2 the nodes are the centroids of the first half of the faces only.
+    On S2 the nodes are the centroids of the faces [0, F/2) that
+    ``icosphere`` gives geometry for, weighted by twice their exact areas.
     Since f(-x) = (-1)^m f(x), the differential rows at -x are those at x
     up to signs, so sqrt(det Gram), the Gram residual and |f|^2 are even.
     The half's faces and their antipodes tile S2, so the doubled half sum is
@@ -164,12 +165,10 @@ def image_volume(
     target = basis.dilation_constant
 
     if n == 2:
-        # The integrand is even and the first half of the faces with their
-        # antipodes tiles S2, so that half with doubled areas gives the whole sum.
+        # The integrand is even and the mesh's half with its antipodes tiles
+        # S2, so that half with doubled areas gives the whole sum.
         mesh = icosphere(quadrature_depth)
-        half = mesh.num_faces // 2
-        nodes = mesh.centroids[:half]
-        weights = 2.0 * spherical_face_areas(*mesh.vertices[mesh.faces[:, :half]])
+        nodes, weights = mesh.centroids, 2.0 * mesh.areas
     else:
         n_nodes = max(512, 64 * basis.degree)
         t = 2.0 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes

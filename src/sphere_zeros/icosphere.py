@@ -5,11 +5,12 @@ numbered as a quadtree: the children of face p are faces 4p..4p+3 one depth
 deeper, so the descendants of icosahedron face j at depth d are the block
 [j * 4^d, (j + 1) * 4^d).  Icosahedron faces 10-19 are the antipodes of
 faces 0-9 and every vertex has its negation among the vertices, so at every
-depth the first half of the faces and its antipodes tile S2.  Meshes carry
-the per-face geometry the zero finder's exclusion tests need: geodesic
-covering radii (max distance from any interior point to the nearest vertex)
-and max distances from the centroid, both exact up to the spherical-triangle
-approximations documented below.  Meshes are cached.
+depth the first half of the faces, [0, F/2), and its antipodes tile S2.
+Meshes carry the geometry of that half only, which is all the zero finder's
+exclusion test and the S2 image volume read: unit centroids, the max
+geodesic distance from each centroid to its face's corners, exact spherical
+areas, and the longest edge, which the antipodes share to the bit.  Meshes
+are cached.
 """
 
 from __future__ import annotations
@@ -56,14 +57,14 @@ def _geodesic(dots: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SphereMesh:
-    """A triangulation of S2 with precomputed per-face geometry."""
+    """A triangulation of S2 with the geometry of faces [0, F/2), whose antipodes are the rest."""
 
     depth: int
     vertices: np.ndarray      # (V, 3) unit vectors
-    faces: np.ndarray         # (3, F) vertex indices, corner-major
-    centroids: np.ndarray     # (F, 3) unit vectors
-    covering_radius: np.ndarray   # (F,) geodesic bound: point -> nearest vertex
-    centroid_reach: np.ndarray    # (F,) geodesic bound: centroid -> any point
+    faces: np.ndarray         # (3, F) vertex indices, corner-major, all faces
+    centroids: np.ndarray     # (F/2, 3) unit vectors, faces [0, F/2)
+    centroid_reach: np.ndarray    # (F/2,) geodesic bound: centroid -> any point of the face
+    areas: np.ndarray         # (F/2,) exact spherical areas
     max_edge: float           # largest geodesic edge length in the mesh
 
     @property
@@ -95,27 +96,11 @@ def _subdivide(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.
     return np.vstack([vertices, midpoints]), quadrisect(*faces, *(nv + inverse).reshape(3, -1))
 
 
-def face_geometry(v0, v1, v2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit centroids (F, 3), covering radii (F,) and centroid reaches (F,) of corners (F, 3)."""
+def face_geometry(v0, v1, v2) -> tuple[np.ndarray, np.ndarray]:
+    """Unit centroids (F, 3) and centroid reaches (F,) of faces with corners (F, 3)."""
     centroids = _unit(v0 + v1 + v2)
-
-    # Covering radius: every point of a (small, nearly equilateral) spherical
-    # triangle is within the circumradius of its nearest vertex.  The
-    # spherical circumcenter is the unit normal of the plane through the
-    # three vertices, oriented toward the centroid.
-    normal = _unit(np.cross(v1 - v0, v2 - v0))
-    flip = np.einsum("fi,fi->f", normal, centroids) < 0.0
-    normal[flip] *= -1.0
-    circumradius = _geodesic(np.einsum("fi,fi->f", normal, v0))
-
-    reach = np.maximum(
-        _geodesic(np.einsum("fi,fi->f", centroids, v0)),
-        np.maximum(
-            _geodesic(np.einsum("fi,fi->f", centroids, v1)),
-            _geodesic(np.einsum("fi,fi->f", centroids, v2)),
-        ),
-    )
-    return centroids, circumradius, reach
+    reach = np.max([_geodesic(np.einsum("fi,fi->f", centroids, v)) for v in (v0, v1, v2)], axis=0)
+    return centroids, reach
 
 
 def _max_edge(v0, v1, v2) -> float:
@@ -126,7 +111,7 @@ def _max_edge(v0, v1, v2) -> float:
 
 @functools.lru_cache(maxsize=10)
 def icosphere(depth: int) -> SphereMesh:
-    """The depth-d geodesic icosphere with cached per-face geometry."""
+    """The depth-d geodesic icosphere with the cached geometry of faces [0, F/2)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth == 0:
@@ -134,15 +119,15 @@ def icosphere(depth: int) -> SphereMesh:
     else:
         parent = icosphere(depth - 1)
         vertices, faces = _subdivide(parent.vertices, parent.faces)
-    corners = vertices[faces]
-    centroids, circumradius, reach = face_geometry(*corners)
+    corners = vertices[faces[:, : faces.shape[1] // 2]]
+    centroids, reach = face_geometry(*corners)
     return SphereMesh(
         depth=depth,
         vertices=vertices,
         faces=faces,
         centroids=centroids,
-        covering_radius=circumradius,
         centroid_reach=reach,
+        areas=spherical_face_areas(*corners),
         max_edge=_max_edge(*corners),
     )
 

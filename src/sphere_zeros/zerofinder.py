@@ -7,14 +7,14 @@ and confirms their number with a second, independent counter.  It
 1. counts Z with ``pencil_count`` (below); a sample the pencil declines
    (a common zero curve, or every center declined) is Degenerate, and the
    mesh does not run,
-2. takes the first half of the faces of the icosahedral geodesic mesh of
-   depth D, whose antipodes are the second half (the quadtree numbering of
-   ``icosphere``),
-3. discards every triangle on which some f_i provably cannot vanish
-   (sign-definite corner values further than a Lipschitz clearance from
-   zero; the Lipschitz constant comes from the exact pointwise gradient-sum
-   identity, so the exclusion is certified, not heuristic), and re-tests
-   the survivors at their centroids with the same certified bound,
+2. takes the faces [0, F/2) of the icosahedral geodesic mesh of depth D,
+   the half whose antipodes are the rest and whose geometry ``icosphere``
+   provides,
+3. discards every triangle on which some f_i provably cannot vanish: a
+   centroid value further from zero than the Lipschitz constant times the
+   centroid's reach to the face (the constant comes from the exact
+   pointwise gradient-sum identity, so the exclusion is certified, not
+   heuristic),
 4. runs a damped Newton iteration on the sphere from each surviving
    centroid, its step the tangent vector s with grad f_i . s = -f_i taken
    from cross products with no tangent frame, reprojecting to the sphere
@@ -76,6 +76,7 @@ from .harmonics import (
     check_coefficients,
     eval_basis_and_gradient_many,
     eval_basis_many,
+    point_blocks,
 )
 from .icosphere import SphereMesh, icosphere
 
@@ -218,12 +219,20 @@ def _check_solver_degree(degree: int) -> None:
         )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @functools.lru_cache(maxsize=MAX_SOLVER_DEGREE)
-def _basis_at_vertices(degree: int, depth: int) -> np.ndarray:
-    """Cached (V, N) basis values on the vertices of a base mesh, one entry per degree for
-    pairs of equal degree (a mixed pair adds the lower degree at the higher's depth)."""
-    mesh = icosphere(depth)
-    return eval_basis_many(build_basis(2, degree), mesh.vertices)
+def _basis_at_centroids(degree: int, depth: int) -> np.ndarray:
+    """Cached read-only basis values (N, F/2) at the centroids of a mesh's searched half, one
+    entry per degree for equal degrees (a mixed pair adds the lower degree at the higher's depth)."""
+    basis, pts = build_basis(2, degree), icosphere(depth).centroids
+    values = np.empty((basis.dimension, pts.shape[0]))
+    for part in point_blocks(basis, pts.shape[0]):      # no (F/2, N) transient
+        values[:, part] = eval_basis_many(basis, pts[part]).T
+    return _read_only(values)
 
 
 def _degree_groups(bases: list[HarmonicBasis]) -> list[tuple[HarmonicBasis, list[int]]]:
@@ -250,43 +259,20 @@ def _candidate_faces(
     lipschitz: np.ndarray,
     mesh: SphereMesh,
 ) -> np.ndarray:
-    """Newton starts (P, 3): the centroids of the kept faces of the first half of ``mesh``.
+    """Newton starts (P, 3): the centroids of the kept faces of the searched half of ``mesh``.
 
-    A zero of u_i inside a face forces |u_i| <= L_i * r at any face corner
-    (r the covering radius) and |u_i| <= L_i * reach at the centroid, with
-    L_i the exact global gradient bound; faces failing either test for any i
-    are excluded rigorously.  The corner values come from one BLAS product
-    per degree over the cached vertex block.
+    A zero of u_i inside a face forces |u_i| <= L_i * reach at its centroid,
+    with L_i the exact global gradient bound and reach the largest distance
+    from the centroid to a point of the face; faces failing this for any i
+    are excluded rigorously.  The centroid values are summed from the cached basis block
+    by ``_contract_rows``, the bits of ``_row_values`` at the centroids.
     """
-    vertex_ids = mesh.faces[:, : mesh.num_faces // 2]
-    values = np.empty((3, len(rows), vertex_ids.shape[1]))
+    keep = np.ones(mesh.centroids.shape[0], dtype=bool)
     for basis, idx in groups:
-        block = _basis_at_vertices(basis.degree, mesh.depth) @ rows[idx, : basis.dimension].T
-        values[:, idx] = np.take(block.T, vertex_ids, axis=1).swapaxes(0, 1)
-    cov = mesh.covering_radius[: vertex_ids.shape[1]]
-    cand = np.flatnonzero(_may_vanish(*(v.T for v in values), (lipschitz[:, None] * cov).T))
-    centroids = np.take(mesh.centroids, cand, axis=0)
-    reach = mesh.centroid_reach[cand]
-    ok = (np.abs(_row_values(groups, rows, centroids)) <= lipschitz * reach[:, None]).all(axis=1)
-    return centroids[ok]
-
-
-def _may_vanish(
-    v0: np.ndarray, v1: np.ndarray, v2: np.ndarray, clearance: np.ndarray
-) -> np.ndarray:
-    """Mask (F,) of the faces whose (F, n) vertex values leave every u_i room to vanish.
-
-    Face f is kept when, for every i, some vertex value is within
-    ``clearance`` (>= 0) of zero or the values change sign; that is exactly
-    vmin <= c and vmax >= -c.  Forward: a sign change gives vmin <= 0 <= c
-    and vmax >= 0 >= -c, and |v_k| <= c gives vmin <= v_k <= c and
-    vmax >= v_k >= -c.  Back: without a sign change all values are > 0, and
-    then the smallest |v_k| is vmin <= c, or all are < 0, and then it is
-    -vmax <= c.
-    """
-    vmax = np.maximum(np.maximum(v0, v1), v2)
-    vmin = np.minimum(np.minimum(v0, v1), v2)
-    return ((vmin <= clearance) & (vmax >= -clearance)).all(axis=1)
+        block = _basis_at_centroids(basis.degree, mesh.depth)[None]
+        values = _contract_rows(block, rows[idx, : basis.dimension])[0]
+        keep &= (np.abs(values) <= lipschitz[idx, None] * mesh.centroid_reach).all(axis=0)
+    return mesh.centroids[keep]
 
 
 _NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])   # cyclic shifts of (0, 1, 2)
@@ -601,11 +587,6 @@ PENCIL_OFF_CIRCLE = 1e-4      # |log|w|| at or above: a root off it; between, tr
 PENCIL_FLAT = 1e-10           # max |R| / Hadamard bound at or below: R vanishes identically
 PENCIL_CIRCLE_CACHE = 512     # cached (degree, D, center) blocks of pencil-circle basis values
 PENCIL_BATCH = 1 << 20        # Sylvester entries of the samples counted together, at most
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @functools.lru_cache(maxsize=MAX_SOLVER_DEGREE)

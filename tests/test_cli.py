@@ -2,10 +2,13 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -381,6 +384,7 @@ class TestOutputFormats:
         assert err.startswith(f"error: cannot write the report to {out}: ")
         assert err.count("\n") == 1
 
+
     @pytest.mark.parametrize("argv", [
         ["count", "--degree", "3", "--degree2", "13"],
         ["average", "--degree", "13", "--trials", "2"],
@@ -447,6 +451,42 @@ class TestOutputFormats:
         assert code == 3
         assert report["violated"] == "orthonormality"
         assert "invariant violation" in err
+
+
+def _run_module(argv, stdout):
+    """``python -m sphere_zeros`` with ``argv`` in a fresh interpreter writing to ``stdout``."""
+    paths = [str(Path(sphere_zeros.harmonics.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "sphere_zeros", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+    )
+
+
+class TestUnwritableStdout:
+    """A report that cannot reach stdout exits 2 with one error line, and no traceback or
+    "Exception ignored" line from the flush at interpreter exit."""
+
+    ARGV = ["zonal", "--degree", "2"]
+
+    def check(self, proc, code):
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: cannot write the report to stdout: {os.strerror(code)}\n"
+
+    def test_closed_pipe_exits_2(self):
+        read, write = os.pipe()
+        os.close(read)              # no reader: every write fails with EPIPE
+        try:
+            proc = _run_module(self.ARGV, write)
+        finally:
+            os.close(write)
+        self.check(proc, errno.EPIPE)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_2(self):
+        with open("/dev/full", "w") as full:
+            proc = _run_module(self.ARGV, full)
+        self.check(proc, errno.ENOSPC)
 
 
 # Valid argv per subcommand as (flag, value) pairs; the fuzz test corrupts one.

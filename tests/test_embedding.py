@@ -204,8 +204,9 @@ def _full_mesh_quadrature(basis, depth):
     """(numeric_integral, radius, max_gram_residual) of the S2 quadrature over every face of
     icosphere(depth), with the exact face areas; kept verbatim as the half mesh's reference."""
     mesh = icosphere(depth)
-    nodes = mesh.centroids
     v0, v1, v2 = mesh.vertices[mesh.faces]
+    nodes = v0 + v1 + v2
+    nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
     numer = np.abs(np.einsum("fi,fi->f", v0, np.cross(v1, v2)))
     denom = (
         1.0
@@ -246,7 +247,9 @@ class TestHalfMeshQuadrature:
         monkeypatch.setattr(embedding, "_gram", lambda b, p: nodes.append(p) or gram(b, p))
         image_volume(build_basis(2, 3), quadrature_depth=2)
         mesh = icosphere(2)
-        assert np.array_equal(np.concatenate(nodes), mesh.centroids[: mesh.num_faces // 2])
+        v0, v1, v2 = mesh.vertices[mesh.faces[:, : mesh.num_faces // 2]]
+        centroids = (v0 + v1 + v2) / np.linalg.norm(v0 + v1 + v2, axis=1, keepdims=True)
+        assert np.array_equal(np.concatenate(nodes), centroids)
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,11 @@ def _children(faces):
     return (4 * faces[:, None] + np.arange(4)).ravel()
 
 
+def _all_centroids(mesh):
+    """Unit centroids of every face of the mesh, both halves, from its corners."""
+    return face_geometry(*mesh.vertices[mesh.faces])[0]
+
+
 def _inside(mesh, faces, points):
     """Mask of the points strictly inside the spherical triangle of their face."""
     v0, v1, v2 = mesh.vertices[mesh.faces[:, faces]]
@@ -37,7 +42,8 @@ class TestQuadtreeNumbering:
         kids = _children(faces).reshape(-1, 4)
         assert child.num_faces == kids.size
         # The centroid of child 4p + k lies inside face p.
-        assert _inside(parent, np.repeat(faces, 4), child.centroids[kids.ravel()]).all()
+        centroids = _all_centroids(child)[kids.ravel()]
+        assert _inside(parent, np.repeat(faces, 4), centroids).all()
         # Child k < 3 keeps corner k of p; the centre child has midpoints only.
         for k in range(3):
             assert (child.faces[:, kids[:, k]] == parent.faces[k]).any(axis=0).all()
@@ -53,7 +59,7 @@ class TestQuadtreeNumbering:
             assert np.array_equal(faces, np.arange(j * block, (j + 1) * block))
         mesh = icosphere(depth)
         assert mesh.num_faces == 20 * block
-        assert _inside(icosphere(0), np.arange(mesh.num_faces) // block, mesh.centroids).all()
+        assert _inside(icosphere(0), np.arange(mesh.num_faces) // block, _all_centroids(mesh)).all()
 
 
 def _same_bits(a, b):
@@ -76,15 +82,10 @@ def _ref_subdivide(vertices, faces):
 
 
 def _ref_geometry(vertices, faces):
-    """Centroids, covering radii, centroid reaches and longest edge, kept verbatim."""
+    """Centroids, centroid reaches and longest edge of every face, kept verbatim."""
     v0, v1, v2 = vertices[faces]
     centroids = v0 + v1 + v2
     centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
-    normal = np.cross(v1 - v0, v2 - v0)
-    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-    flip = np.einsum("fi,fi->f", normal, centroids) < 0.0
-    normal[flip] *= -1.0
-    circumradius = _geodesic(np.einsum("fi,fi->f", normal, v0))
     reach = np.maximum(
         _geodesic(np.einsum("fi,fi->f", centroids, v0)),
         np.maximum(
@@ -95,7 +96,7 @@ def _ref_geometry(vertices, faces):
     max_edge = 0.0
     for a, b in ((v0, v1), (v1, v2), (v2, v0)):
         max_edge = max(max_edge, float(_geodesic(np.einsum("fi,fi->f", a, b)).max()))
-    return centroids, circumradius, reach, max_edge
+    return centroids, reach, max_edge
 
 
 class TestMeshBits:
@@ -107,10 +108,13 @@ class TestMeshBits:
             mesh = icosphere(depth)
             assert np.array_equal(mesh.faces, faces)
             assert _same_bits(mesh.vertices, vertices)
-            centroids, radius, reach, max_edge = _ref_geometry(vertices, faces)
-            assert _same_bits(mesh.centroids, centroids)
-            assert _same_bits(mesh.covering_radius, radius)
-            assert _same_bits(mesh.centroid_reach, reach)
+            # The per-face arrays are the first half's rows of the whole mesh's,
+            # and the longest edge of that half is the whole mesh's.
+            centroids, reach, max_edge = _ref_geometry(vertices, faces)
+            half = mesh.num_faces // 2
+            assert _same_bits(mesh.centroids, centroids[:half])
+            assert _same_bits(mesh.centroid_reach, reach[:half])
+            assert _same_bits(mesh.areas, spherical_face_areas(*vertices[faces])[:half])
             assert mesh.max_edge == max_edge
 
     @pytest.mark.parametrize("depth", range(7))
@@ -129,10 +133,10 @@ class TestMeshBits:
             )
             ids = _children(faces)
             assert _same_bits(kids, child.vertices[child.faces[:, ids]])
-            centroids, radius, reach = face_geometry(*kids)
-            assert _same_bits(centroids, child.centroids[ids])
-            assert _same_bits(radius, child.covering_radius[ids])
-            assert _same_bits(reach, child.centroid_reach[ids])
+            centroids, reach = face_geometry(*kids)
+            whole = face_geometry(*child.vertices[child.faces])
+            assert _same_bits(centroids, whole[0][ids])
+            assert _same_bits(reach, whole[1][ids])
 
     @pytest.mark.parametrize("depth", [-1, -2])
     def test_negative_depth_is_rejected(self, depth):
@@ -146,27 +150,21 @@ def _arc(a, b):
 
 
 class TestFaceBounds:
-    """The per-face radii that the zero finder's exclusion tests and Newton caps rely on."""
+    """The per-face reaches that the zero finder's exclusion test and Newton caps rely on."""
 
     @pytest.mark.parametrize("depth", range(8))
     def test_every_point_of_a_face_is_within_its_bounds(self, depth):
-        # Random points of up to 4000 faces, their edge midpoints and
-        # centroids, and their circumcenters, the covering radius's worst case.
+        # Random points of up to 4000 faces of the half, their edge midpoints and centroids.
         mesh = icosphere(depth)
         rng = np.random.default_rng([depth, 3])
-        faces = np.sort(rng.choice(mesh.num_faces, size=min(mesh.num_faces, 4000), replace=False))
+        half = mesh.num_faces // 2
+        faces = np.sort(rng.choice(half, size=min(half, 4000), replace=False))
         v0, v1, v2 = mesh.vertices[mesh.faces[:, faces]]
         weights = np.vstack([
             rng.dirichlet([1.0, 1.0, 1.0], size=64),
             [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
         ])
         pts = _unit(np.einsum("wk,kfi->wfi", weights, np.stack([v0, v1, v2])))
-        normal = _unit(np.cross(v1 - v0, v2 - v0))
-        normal *= np.sign(np.einsum("fi,fi->f", normal, mesh.centroids[faces]))[:, None]
-        pts = np.concatenate([pts, normal[None]])
-        nearest = np.minimum(np.minimum(_arc(pts, v0), _arc(pts, v1)), _arc(pts, v2))
-        # The circumcenter is at the covering radius, up to the rounding of its cross product.
-        assert np.max(nearest - mesh.covering_radius[faces]) <= 1e-12
         assert np.all(_arc(pts, mesh.centroids[faces]) <= mesh.centroid_reach[faces])
         # A zero in a kept face is within one longest edge of its Newton start.
         assert mesh.centroid_reach.max() < mesh.max_edge
@@ -198,14 +196,15 @@ def _antipodal_faces(mesh):
 class TestAntipodalHalf:
     @pytest.mark.parametrize("depth", range(7))
     def test_first_half_and_its_antipodes_tile_the_sphere(self, depth):
-        # The S2 embedding quadrature integrates over faces [0, F/2) only.
+        # The S2 embedding quadrature and the zero finder read faces [0, F/2) only.
         mesh = icosphere(depth)
         half = mesh.num_faces // 2
         antipodes = _antipodal_faces(mesh)
         assert np.array_equal(np.sort(antipodes[:half]), np.arange(half, mesh.num_faces))
         assert np.array_equal(antipodes[antipodes], np.arange(mesh.num_faces))
         # The negated centroids of the second half are the first half's centroids.
-        assert np.max(np.abs(-mesh.centroids[antipodes[:half]] - mesh.centroids[:half])) <= 1e-15
+        centroids = _all_centroids(mesh)
+        assert np.max(np.abs(-centroids[antipodes[:half]] - mesh.centroids)) <= 1e-15
         areas = spherical_face_areas(*mesh.vertices[mesh.faces])
-        assert np.max(np.abs(areas[antipodes[:half]] - areas[:half])) <= 1e-15
-        assert abs(2.0 * np.sum(areas[:half]) - 4.0 * np.pi) <= 1e-12
+        assert np.max(np.abs(areas[antipodes[:half]] - mesh.areas)) <= 1e-15
+        assert abs(2.0 * np.sum(mesh.areas) - 4.0 * np.pi) <= 1e-12

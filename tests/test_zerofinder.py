@@ -1,6 +1,5 @@
 """Zero enumeration on S1/S2, count ceilings, and circle restrictions."""
 
-import functools
 import importlib
 import json
 import math
@@ -33,7 +32,7 @@ from sphere_zeros.harmonics import (
     rotate_coefficients,
     tangent_frames,
 )
-from sphere_zeros.icosphere import icosphere
+from sphere_zeros.icosphere import face_geometry, icosphere
 from sphere_zeros.integralgeom import (
     circle_frames,
     sample_subspace,
@@ -614,8 +613,7 @@ class TestAntipodalHalves:
         for _ in range(samples):
             _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
             half = zerofinder._mesh_zeros(groups, rows, lipschitz, mesh, bezout)
-            faces = np.arange(mesh.num_faces)
-            starts, _ = _ref_candidate_faces(mesh, groups, rows, lipschitz, faces)
+            starts = _ref_candidate_faces(mesh, groups, rows, lipschitz, np.arange(mesh.num_faces))
             points, ok = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
             points = points[ok]
             resid = np.abs(zerofinder._row_values(groups, rows, points)).max(axis=1)
@@ -628,37 +626,50 @@ class TestAntipodalHalves:
             assert gap.min(axis=0).max() < 1e-12
 
 
-class TestFaceExclusion:
-    @staticmethod
-    def sign_change_or_near_vertex(v0, v1, v2, clearance):
-        """Reference: every u_i changes sign on the face or comes within clearance at a vertex."""
-        vmax = np.maximum(np.maximum(v0, v1), v2)
-        vmin = np.minimum(np.minimum(v0, v1), v2)
-        amin = np.minimum(np.minimum(np.abs(v0), np.abs(v1)), np.abs(v2))
-        return (((vmax >= 0.0) & (vmin <= 0.0)) | (amin <= clearance)).all(axis=1)
+def _row_keys(a):
+    """Each row of a float array (P, 3) as one opaque key, for exact row matching."""
+    return np.ascontiguousarray(a).view(np.dtype((np.void, 3 * a.itemsize))).ravel()
 
-    @settings(max_examples=300)
-    @given(data=st.data(), faces=st.integers(1, 8), n=st.integers(1, 3))
-    def test_may_vanish_matches_sign_change_or_near_vertex(self, data, faces, n):
-        # Signed zeros, exact ties at +-c and its neighbours, and sign-definite triples.
-        clearance = np.array(
-            data.draw(st.lists(st.sampled_from([0.0, 1e-300, 0.5]) | st.floats(0.0, 4.0),
-                               min_size=n, max_size=n))
-        )
-        values = np.empty((3, faces, n))
-        for f in range(faces):
-            for i, c in enumerate(clearance):
-                near = [0.0, -0.0, c, -c, np.nextafter(c, np.inf), -np.nextafter(c, np.inf),
-                        np.nextafter(c, -np.inf), -np.nextafter(c, -np.inf)]
-                sign = data.draw(st.sampled_from([None, 1.0, -1.0]))
-                for k in range(3):
-                    v = data.draw(st.sampled_from(near) | st.floats(-8.0, 8.0))
-                    values[k, f, i] = v if sign is None else math.copysign(v, sign)
-        clearance = np.broadcast_to(clearance, (faces, n))
-        assert np.array_equal(
-            zerofinder._may_vanish(*values, clearance),
-            self.sign_change_or_near_vertex(*values, clearance),
-        )
+
+def _soundness_sample(kind, m1, m2, share, seed):
+    """A Gaussian pair of degree m1, a mixed pair (m1, m2) or a zonal pair of degree m1
+    tilted by ``share`` of its threshold, with its bases."""
+    if kind == "zonal":
+        basis = build_basis(2, m1)
+        alpha = share * zonal_tilt_threshold(m1)
+        axes = [NORTH, np.array([math.sin(alpha), 0.0, math.cos(alpha)])]
+        return [basis, basis], make_sample([zonal(basis, a) for a in axes], [m1, m1])
+    degrees = (m1, m1) if kind == "gaussian" else (m1, m2)
+    bases = [build_basis(2, m) for m in degrees]
+    return bases, sample_subspace(bases, np.random.default_rng([seed, *degrees]))
+
+
+class TestFaceExclusion:
+    @settings(max_examples=40)
+    @given(
+        kind=st.sampled_from(["gaussian", "mixed", "zonal"]),
+        m1=st.integers(1, 12),
+        m2=st.integers(1, 12),
+        share=st.floats(0.35, 0.65),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_reported_zero_lies_in_reach_of_a_kept_face(self, kind, m1, m2, share, seed):
+        # A zero in a face forces the face through the centroid test, so each
+        # zero, or its antipode, is within the reach of a kept face's centroid.
+        bases, sample = _soundness_sample(kind, m1, m2, share, seed)
+        result = find_common_zeros_s2(bases, sample)
+        if result.status is SolverStatus.DEGENERATE:
+            return
+        mesh = icosphere(result.depth_used)
+        groups = zerofinder._degree_groups(bases)
+        lipschitz = np.array([math.sqrt(b.gradient_sum_constant) for b in bases])
+        kept = zerofinder._candidate_faces(groups, sample.frame, lipschitz, mesh)
+        # The kept centroids are rows of mesh.centroids, in face order.
+        reach = mesh.centroid_reach[np.isin(_row_keys(mesh.centroids), _row_keys(kept))]
+        assert reach.size == kept.shape[0]
+        for z in result.zeros:
+            gap = np.minimum(np.linalg.norm(kept - z, axis=1), np.linalg.norm(kept + z, axis=1))
+            assert np.any(2.0 * np.arcsin(gap / 2.0) <= reach + 1e-12), z
 
 
 def _points(k):
@@ -936,29 +947,13 @@ def _ref_newton_refine(groups, rows, starts, max_edge):
     return pts, state == 1
 
 
-@functools.cache
-def _ref_vertex_block(degree, depth):
-    return eval_basis_many(build_basis(2, degree), icosphere(depth).vertices)
-
-
 def _ref_candidate_faces(mesh, groups, rows, lipschitz, face_pool):
-    """The exclusion pass over a whole mesh's vertex block, at every depth, kept verbatim."""
-    corners = np.take(mesh.faces, face_pool, axis=1)
-    cov = mesh.covering_radius[face_pool]
-    keep = np.ones(face_pool.size, dtype=bool)
-    for basis, idx in groups:
-        values = _ref_vertex_block(basis.degree, mesh.depth) @ rows[idx, : basis.dimension].T
-        values = np.ascontiguousarray(values.T)
-        clearance = lipschitz[idx][:, None] * cov
-        keep &= zerofinder._may_vanish(*(np.take(values, v, axis=1).T for v in corners), clearance.T)
-    cand = face_pool[keep]
-    if cand.size == 0:
-        return np.empty((0, 3)), cand
-    centroids = np.take(mesh.centroids, cand, axis=0)
-    reach = mesh.centroid_reach[cand]
+    """The centroid exclusion over any faces of a mesh, either half, with the centroids and
+    reaches computed from their corners."""
+    centroids, reach = face_geometry(*mesh.vertices[mesh.faces[:, face_pool]])
     vals = zerofinder._row_values(groups, rows, centroids)
     ok = (np.abs(vals) <= lipschitz[None, :] * reach[:, None]).all(axis=1)
-    return centroids[ok], cand[ok]
+    return centroids[ok]
 
 
 def _same_bits(a, b):
@@ -1075,8 +1070,8 @@ class TestMatchesReference:
             assert not ok.all() and (ok.any() or max_iter == 3)
 
     def test_exclusion_pass_keeps_the_faces_of_the_reference(self):
-        # The frozen solver cases at their mesh depth: the same Newton starts
-        # as the exclusion over the whole vertex block, on the first half.
+        # The frozen solver cases at their mesh depth: the same Newton starts,
+        # to the bit, as the kernel's row values at the first half's centroids.
         for case in json.loads(FROZEN_OUTCOMES.read_text()):
             bases = [build_basis(2, m) for m in case["degrees"]]
             rows = make_sample(case["rows"], case["degrees"]).frame
@@ -1085,7 +1080,7 @@ class TestMatchesReference:
             depth = zerofinder.default_mesh_depth(max(case["degrees"]))
             mesh = icosphere(depth)
             starts = zerofinder._candidate_faces(groups, rows, lipschitz, mesh)
-            ref_starts, _ = _ref_candidate_faces(mesh, groups, rows, lipschitz, _first_half(depth))
+            ref_starts = _ref_candidate_faces(mesh, groups, rows, lipschitz, _first_half(depth))
             assert _same_bits(starts, ref_starts)
 
 
@@ -1120,8 +1115,8 @@ class TestPassSweep:
         depth = zerofinder.default_mesh_depth(3)
         assert faces == [depth]
         assert sweeps == [icosphere(depth).max_edge]
-        # The centroids, the residual filter, and the max residual on the reported zeros.
-        assert len(values) == 3
+        # The residual filter and the max residual on the reported zeros.
+        assert len(values) == 2
         assert values[-1] is result.zeros
 
     @pytest.mark.parametrize(
@@ -1132,14 +1127,14 @@ class TestPassSweep:
     def test_only_the_base_mesh_is_built(self, monkeypatch, capsys, argv, depth0):
         meshes, blocks, passes = [], [], []
         module = importlib.import_module("sphere_zeros.icosphere")
-        mesh, block = module.icosphere, zerofinder._basis_at_vertices
+        mesh, block = module.icosphere, zerofinder._basis_at_centroids
         candidate_faces = zerofinder._candidate_faces
 
         def built(depth):
             meshes.append(depth)
             return mesh(depth)
 
-        def vertex_block(degree, depth):
+        def centroid_block(degree, depth):
             blocks.append(depth)
             return block(degree, depth)
 
@@ -1149,7 +1144,7 @@ class TestPassSweep:
 
         monkeypatch.setattr(module, "icosphere", built)
         monkeypatch.setattr(zerofinder, "icosphere", built)
-        monkeypatch.setattr(zerofinder, "_basis_at_vertices", vertex_block)
+        monkeypatch.setattr(zerofinder, "_basis_at_centroids", centroid_block)
         monkeypatch.setattr(zerofinder, "_candidate_faces", searched)
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "Complete"
