@@ -21,7 +21,6 @@ from .harmonics import (
     build_basis,
     eval_basis_many,
     eval_gradient_many,
-    laplacian_residual,
     zonal,
 )
 from .integralgeom import (
@@ -71,7 +70,6 @@ __all__ = [
     "find_common_zeros_s1",
     "find_common_zeros_s2",
     "image_volume",
-    "laplacian_residual",
     "make_sample",
     "pencil_count",
     "pencil_counts",

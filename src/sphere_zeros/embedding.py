@@ -1,15 +1,16 @@
 """Numeric checks of the joint eigenbasis map f = (f_1, ..., f_N) into R^N.
 
 The map sends the sphere onto a round sphere of radius R = sqrt(N/vol(M)),
-is a metric dilation by C = lam*N / (n*vol(M)) (so its differential has
-Gram matrix C*I in any orthonormal tangent frame), and covers its image
-with some finite degree d.  This module measures all of these numerically:
+is a metric dilation by C = lam*N / (n*vol(M)), and covers its image with
+some finite degree d.  This module measures all of these numerically:
 R and C from pointwise identities, d by counting collisions f(x) = f(x0),
 and the image volume by integrating sqrt(det Gram) over a geodesic mesh and
-dividing by the multiplicity d.  The integrand is even, so the S2
-quadrature visits only the half of the mesh whose antipodes cover the rest.
-On S1 the collisions are found in closed form: each is a zero of the
-degree-m eigenfunction x -> <f(x), df(x0)>.
+dividing by the multiplicity d.  The metric needs no tangent frame: with
+A(x) = sum_k grad f_k grad f_k^T, any orthonormal frame F at x has
+Gram = F A F^T and A - C(I - x x^T) = F^T (Gram - C*I) F.  The integrand
+is even, so the S2 quadrature visits only the half of the mesh whose
+antipodes cover the rest.  On S1 the collisions are found in closed form:
+each is a zero of the degree-m eigenfunction x -> <f(x), df(x0)>.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .harmonics import (
     eval_gradient_many,
     point_blocks,
     random_sphere_points,
-    tangent_frames,
 )
 from .icosphere import icosphere
 from .zerofinder import find_common_zeros_s1, make_sample
@@ -53,7 +53,7 @@ class EmbeddingReport:
     covering_degree: int
     numeric_integral: float           # integral of sqrt(det Gram) over the source
     predicted_image_volume: float     # (1/d) * dilation^(n/2) * vol M
-    max_gram_residual: float          # worst |Gram - C*I| entry over the quadrature nodes
+    max_gram_residual: float          # worst |A - C(I - x x^T)| entry over the quadrature nodes
     antipodal_identified: bool        # whether f(-x) = f(x), read off the covering degree
 
     @property
@@ -62,24 +62,36 @@ class EmbeddingReport:
         return self.numeric_integral / self.covering_degree
 
 
-def _gram(basis: HarmonicBasis, nodes: np.ndarray) -> np.ndarray:
-    """Gram matrices of the differential in orthonormal tangent frames, shape (n, n, P)."""
-    grads = eval_gradient_many(basis, nodes)          # (P, N, n+1)
-    frames = tangent_frames(nodes)                    # (P, n, n+1)
-    d = [np.einsum("pkj,pj->pk", grads, frames[:, i]) for i in range(basis.sphere_dim)]
-    return np.array([[np.einsum("pk,pk->p", a, b) for b in d] for a in d])
+_ENTRIES = {1: ((0, 0), (1, 1), (0, 1)), 2: ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))}
+
+
+def _det_and_residual(basis: HarmonicBasis, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det Gram and the max |A - C(I - x x^T)| entry at each node, each of shape (P,).
+
+    A has Gram's eigenvalues plus a 0 along x, so det Gram is tr A on S1 and
+    the sum of A's principal 2 x 2 minors on S2.  The residual is 0 exactly
+    when Gram = C*I, and A - C(I - x x^T) has the Frobenius norm of Gram - C*I.
+    """
+    grads = eval_gradient_many(basis, nodes).transpose(2, 0, 1)    # (n+1, P, N)
+    a, residual = {}, np.zeros(len(nodes))
+    for i, j in _ENTRIES[basis.sphere_dim]:       # the distinct entries of the symmetric A
+        a[i, j] = np.einsum("pk,pk->p", grads[i], grads[j])
+        target = basis.dilation_constant * ((i == j) - nodes[:, i] * nodes[:, j])
+        np.maximum(residual, np.abs(a[i, j] - target), out=residual)
+    if basis.sphere_dim == 1:
+        return a[0, 0] + a[1, 1], residual
+    return sum(a[i, i] * a[j, j] - a[i, j] ** 2 for i, j in ((0, 1), (0, 2), (1, 2))), residual
 
 
 def dilation_check(basis: HarmonicBasis, point) -> float:
-    """Max |Gram - C*I| entry of the differential at one point.
+    """Max |A - C(I - x x^T)| entry at one point, A = sum_k grad f_k grad f_k^T.
 
-    The differential rows are the tangential gradients expressed in an
-    orthonormal frame; the trace of the Gram matrix equals the pointwise
-    gradient sum, tying this check to the radius identity.
+    It is 0 exactly when the Gram matrix of the differential is C*I in any
+    orthonormal tangent frame; tr A is the pointwise gradient sum, which
+    ties this check to the radius identity.
     """
     p = as_sphere_point(point, basis.sphere_dim)
-    gram = _gram(basis, p[None])[:, :, 0]
-    return float(np.max(np.abs(gram - basis.dilation_constant * np.eye(basis.sphere_dim))))
+    return float(_det_and_residual(basis, p[None])[1][0])
 
 
 def covering_degree(basis: HarmonicBasis, rng: np.random.Generator) -> int:
@@ -121,7 +133,8 @@ def covering_degree(basis: HarmonicBasis, rng: np.random.Generator) -> int:
 
     t0 = rng.uniform(0.0, 2.0 * math.pi, size=6)
     base = np.stack([np.cos(t0), np.sin(t0)], axis=1)
-    df0 = np.einsum("pkj,pj->pk", eval_gradient_many(basis, base), tangent_frames(base)[:, 0])
+    tangent = np.stack([-base[:, 1], base[:, 0]], axis=1)
+    df0 = np.einsum("pkj,pj->pk", eval_gradient_many(basis, base), tangent)
     counts = set()
     for ref, row in zip(eval_basis_many(basis, base), df0):
         zeros = find_common_zeros_s1(basis, make_sample([row], [basis.degree])).zeros
@@ -146,11 +159,11 @@ def image_volume(
 
     On S2 the nodes are the centroids of the faces [0, F/2) that
     ``icosphere`` gives geometry for, weighted by twice their exact areas.
-    Since f(-x) = (-1)^m f(x), the differential rows at -x are those at x
-    up to signs, so sqrt(det Gram), the Gram residual and |f|^2 are even.
+    Since f(-x) = (-1)^m f(x), the gradients at -x are those at x up to
+    signs, so A is even, and with it det Gram, the residual and |f|^2.
     The half's faces and their antipodes tile S2, so the doubled half sum is
-    the full mesh sum, and the radius and the Gram residual read off the
-    half are those of the whole mesh, up to rounding.
+    the full mesh sum, and the radius and the residual read off the half are
+    those of the whole mesh, up to rounding.
     """
     depths = range(1, MAX_QUADRATURE_DEPTH + 1)
     if (
@@ -181,9 +194,7 @@ def image_volume(
     # the report has the bits of a single pass.
     det, deviation, sq_norm = np.empty((3, nodes.shape[0]))
     for block in point_blocks(basis, nodes.shape[0]):
-        gram = _gram(basis, nodes[block])
-        det[block] = gram[0, 0] if n == 1 else gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2
-        deviation[block] = np.max(np.abs(gram - target * np.eye(n)[:, :, None]), axis=(0, 1))
+        det[block], deviation[block] = _det_and_residual(basis, nodes[block])
         values = eval_basis_many(basis, nodes[block])
         sq_norm[block] = np.einsum("pk,pk->p", values, values)
     gram_residual = float(np.max(deviation))

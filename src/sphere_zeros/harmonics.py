@@ -54,7 +54,6 @@ import numpy as np
 
 UNIT_NORM_TOL = 1e-12
 MAX_DEGREE = 50
-LAPLACIAN_STEP = 1e-4         # geodesic step of the laplacian_residual stencil
 EVAL_BLOCK = 32768            # basis values per kernel block: P * N, bounds the temporaries
 
 
@@ -374,23 +373,6 @@ def eval_basis_and_gradient_many(
     return _evaluate(basis, points, want_gradient=True, rows=rows)
 
 
-def tangent_frames(points: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent frames at unit vectors on S1 or S2, shape (P, n, n+1).
-
-    On S1 the frame is the unit tangent (-y, x).  On S2 the first vector is
-    x crossed with the coordinate axis least aligned with x, normalized; the
-    second is x crossed with the first.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[1] == 2:
-        return np.stack([-pts[:, 1], pts[:, 0]], axis=1)[:, None, :]
-    axis = np.zeros_like(pts)
-    axis[np.arange(pts.shape[0]), np.argmin(np.abs(pts), axis=1)] = 1.0
-    e1 = np.cross(pts, axis)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    return np.stack([e1, np.cross(pts, e1)], axis=1)
-
-
 def check_coefficients(basis: HarmonicBasis, coeffs) -> np.ndarray:
     """Validate a coefficient vector for u = sum_i c_i f_i."""
     c = np.asarray(coeffs, dtype=float)
@@ -401,31 +383,6 @@ def check_coefficients(basis: HarmonicBasis, coeffs) -> np.ndarray:
     if not np.isfinite(c).all():
         raise SphereInputError("coefficients must be finite")
     return c
-
-
-def eval_function(basis: HarmonicBasis, coeffs, points: np.ndarray) -> np.ndarray:
-    """Evaluate u = sum_i c_i f_i at points of shape (P, n+1)."""
-    c = check_coefficients(basis, coeffs)
-    return eval_basis_many(basis, points) @ c
-
-
-def laplacian_residual(basis: HarmonicBasis, coeffs, point) -> float:
-    """|Delta u(x) + lam * u(x)| from a symmetric second-order stencil.
-
-    The stencil walks geodesics from x along an orthonormal tangent frame, so
-    it is independent of the analytic gradient code it cross-checks.
-    """
-    c = check_coefficients(basis, coeffs)
-    p = as_sphere_point(point, basis.sphere_dim)
-    u0 = float(eval_function(basis, c, p[None, :])[0])
-    cos_h, sin_h = math.cos(LAPLACIAN_STEP), math.sin(LAPLACIAN_STEP)
-    lap = 0.0
-    for e in tangent_frames(p[None, :])[0]:
-        plus = cos_h * p + sin_h * e
-        minus = cos_h * p - sin_h * e
-        u_pm = eval_function(basis, c, np.stack([plus, minus]))
-        lap += (u_pm[0] - 2.0 * u0 + u_pm[1]) / LAPLACIAN_STEP**2
-    return abs(lap + basis.eigenvalue * u0)
 
 
 def zonal(basis: HarmonicBasis, axis) -> np.ndarray:
@@ -453,32 +410,6 @@ def legendre_roots(degree: int) -> np.ndarray:
     if degree < 1:
         raise SphereInputError("degree must be >= 1")
     return np.polynomial.legendre.leggauss(degree)[0]
-
-
-def rotation_coefficient_matrix(basis: HarmonicBasis, rotation: np.ndarray) -> np.ndarray:
-    """Matrix A with (A c) the coefficients of x -> u(R^T x).
-
-    Obtained numerically, by evaluating the rotated basis functions and
-    projecting them back onto the basis with the exact-degree quadrature;
-    rotated eigenfunctions stay inside the eigenspace, so the projection is
-    accurate to machine level.  Used for equivariance checks.
-    """
-    rot = np.asarray(rotation, dtype=float)
-    d = basis.ambient_dim
-    if rot.shape != (d, d):
-        raise SphereInputError(f"rotation must be {d}x{d}, got {rot.shape}")
-    if not np.max(np.abs(rot @ rot.T - np.eye(d))) <= 1e-10:
-        raise SphereInputError("rotation matrix is not orthogonal")
-    pts, wts, values = _quadrature_values(basis)
-    rotated_values = eval_basis_many(basis, pts @ rot)  # columns f_j(R^T x_p)
-    # A_kj = <f_j(R^T .), f_k> turns coefficients by u(R^T x) = sum (A c)_k f_k.
-    return (values * wts[:, None]).T @ rotated_values
-
-
-def rotate_coefficients(basis: HarmonicBasis, coeffs, rotation: np.ndarray) -> np.ndarray:
-    """Coefficients of the rotated function x -> u(R^T x)."""
-    c = check_coefficients(basis, coeffs)
-    return rotation_coefficient_matrix(basis, rotation) @ c
 
 
 def orthonormality_quadrature(basis: HarmonicBasis) -> tuple[np.ndarray, np.ndarray]:

@@ -1,0 +1,78 @@
+"""Reference computations that only the tests use.
+
+A tangent frame, a finite-difference Laplacian and the action of rotations
+on coefficient vectors.  None of them serves a command, so they live here
+rather than in the package; each works through the package's own basis
+evaluation and input checks.
+"""
+
+import math
+
+import numpy as np
+
+from sphere_zeros import SphereInputError, eval_basis_many
+from sphere_zeros.harmonics import _quadrature_values, as_sphere_point, check_coefficients
+
+LAPLACIAN_STEP = 1e-4         # geodesic step of the laplacian_residual stencil
+
+
+def tangent_frames(points: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent frames at unit vectors on S1 or S2, shape (P, n, n+1).
+
+    On S1 the frame is the unit tangent (-y, x).  On S2 the first vector is
+    x crossed with the coordinate axis least aligned with x, normalized; the
+    second is x crossed with the first.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[1] == 2:
+        return np.stack([-pts[:, 1], pts[:, 0]], axis=1)[:, None, :]
+    helper = np.zeros_like(pts)
+    helper[np.arange(pts.shape[0]), np.argmin(np.abs(pts), axis=1)] = 1.0
+    e1 = np.cross(pts, helper)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    return np.stack([e1, np.cross(pts, e1)], axis=1)
+
+
+def laplacian_residual(basis, coeffs, point) -> float:
+    """|Delta u(x) + lam * u(x)| from a symmetric second-order stencil.
+
+    The stencil walks geodesics from x along an orthonormal tangent frame, so
+    it is independent of the analytic gradient code it cross-checks.
+    """
+    c = check_coefficients(basis, coeffs)
+    p = as_sphere_point(point, basis.sphere_dim)
+    u0 = float(eval_basis_many(basis, p[None, :])[0] @ c)
+    cos_h, sin_h = math.cos(LAPLACIAN_STEP), math.sin(LAPLACIAN_STEP)
+    lap = 0.0
+    for e in tangent_frames(p[None, :])[0]:
+        plus = cos_h * p + sin_h * e
+        minus = cos_h * p - sin_h * e
+        u_pm = eval_basis_many(basis, np.stack([plus, minus])) @ c
+        lap += (u_pm[0] - 2.0 * u0 + u_pm[1]) / LAPLACIAN_STEP**2
+    return abs(lap + basis.eigenvalue * u0)
+
+
+def rotation_coefficient_matrix(basis, rotation: np.ndarray) -> np.ndarray:
+    """Matrix A with (A c) the coefficients of x -> u(R^T x).
+
+    Obtained numerically, by evaluating the rotated basis functions and
+    projecting them back onto the basis with the exact-degree quadrature;
+    rotated eigenfunctions stay inside the eigenspace, so the projection is
+    accurate to machine level.
+    """
+    rot = np.asarray(rotation, dtype=float)
+    d = basis.ambient_dim
+    if rot.shape != (d, d):
+        raise SphereInputError(f"rotation must be {d}x{d}, got {rot.shape}")
+    if not np.max(np.abs(rot @ rot.T - np.eye(d))) <= 1e-10:
+        raise SphereInputError("rotation matrix is not orthogonal")
+    pts, wts, values = _quadrature_values(basis)
+    rotated_values = eval_basis_many(basis, pts @ rot)  # columns f_j(R^T x_p)
+    # A_kj = <f_j(R^T .), f_k> turns coefficients by u(R^T x) = sum (A c)_k f_k.
+    return (values * wts[:, None]).T @ rotated_values
+
+
+def rotate_coefficients(basis, coeffs, rotation: np.ndarray) -> np.ndarray:
+    """Coefficients of the rotated function x -> u(R^T x)."""
+    c = check_coefficients(basis, coeffs)
+    return rotation_coefficient_matrix(basis, rotation) @ c

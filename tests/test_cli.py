@@ -453,14 +453,19 @@ class TestOutputFormats:
         assert "invariant violation" in err
 
 
-def _run_module(argv, stdout):
-    """``python -m sphere_zeros`` with ``argv`` in a fresh interpreter writing to ``stdout``."""
+def _run_python(args, stdout=subprocess.PIPE):
+    """A fresh interpreter run with ``args``, importing this package, writing to ``stdout``."""
     paths = [str(Path(sphere_zeros.harmonics.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     return subprocess.run(
-        [sys.executable, "-m", "sphere_zeros", *argv],
+        [sys.executable, *args],
         stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
     )
+
+
+def _run_module(argv, stdout):
+    """``python -m sphere_zeros`` with ``argv`` in a fresh interpreter writing to ``stdout``."""
+    return _run_python(["-m", "sphere_zeros", *argv], stdout)
 
 
 class TestUnwritableStdout:
@@ -602,3 +607,27 @@ class TestArgumentFuzz:
         assert out == ""
         assert any("error: " in line for line in err.splitlines()), err
         assert "Traceback" not in err
+
+
+# Blocks the test extras, then runs each argv of argv[1] in this one interpreter.
+NUMPY_ONLY = """
+import contextlib, io, json, sys
+for name in ("scipy", "hypothesis", "pytest"):
+    sys.modules[name] = None            # any import of them now raises ImportError
+from sphere_zeros.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_the_package_runs_on_numpy_alone():
+    # numpy is the only runtime dependency: one small op of every subcommand
+    # exits 0 in a fresh interpreter that cannot import the test extras.
+    argvs = [_argv(command, VALID_ARGVS[command]) for command in sorted(VALID_ARGVS)]
+    assert len(argvs) == 7
+    proc = _run_python(["-c", NUMPY_ONLY, json.dumps(argvs)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(argvs), proc.stderr

@@ -25,6 +25,8 @@ from sphere_zeros.harmonics import (
 )
 from sphere_zeros.icosphere import icosphere
 
+from oracles import tangent_frames
+
 
 class TestRadius:
     def test_degree1_sphere(self):
@@ -89,6 +91,65 @@ class TestDilation:
     def test_rejects_off_sphere(self):
         with pytest.raises(SphereInputError):
             dilation_check(build_basis(2, 2), np.array([0.0, 0.0, 2.0]))
+
+
+def _ref_gram(basis, nodes):
+    """Gram matrices of the differential in orthonormal tangent frames, shape (n, n, P).
+
+    The frame-projected metric that the frame-free one replaced, kept
+    verbatim but for reading the gradients through the ``embedding`` module,
+    so that a test can swap them for both.
+    """
+    grads = embedding.eval_gradient_many(basis, nodes)   # (P, N, n+1)
+    frames = tangent_frames(nodes)                        # (P, n, n+1)
+    d = [np.einsum("pkj,pj->pk", grads, frames[:, i]) for i in range(basis.sphere_dim)]
+    return np.array([[np.einsum("pk,pk->p", a, b) for b in d] for a in d])
+
+
+METRIC_CASES = [(2, m) for m in range(1, 25)] + [(1, m) for m in range(1, 51)]
+
+
+class TestFrameFreeMetric:
+    @pytest.mark.parametrize("scaled", [False, True], ids=["basis", "scaled"])
+    @pytest.mark.parametrize("sphere, m", METRIC_CASES)
+    def test_matches_the_frame_projection(self, sphere, m, scaled, monkeypatch):
+        # "scaled" replaces f_k by s_k f_k, s_k in [0.5, 1.5], so that Gram is
+        # far from C*I and the residual identity is tested away from 0.
+        basis = build_basis(sphere, m)
+        rng = np.random.default_rng([sphere, m, int(scaled)])
+        nodes = random_sphere_points(sphere, 200, rng)
+        if scaled:
+            scale = rng.uniform(0.5, 1.5, basis.dimension)[:, None]
+            gradients = embedding.eval_gradient_many
+            monkeypatch.setattr(embedding, "eval_gradient_many", lambda b, p: scale * gradients(b, p))
+        c = basis.dilation_constant
+        gram = _ref_gram(basis, nodes)
+        det, residual = embedding._det_and_residual(basis, nodes)
+        ref_det = gram[0, 0] if sphere == 1 else gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2
+        assert np.max(np.abs(det - ref_det) / ref_det) <= 1e-13
+        grads = embedding.eval_gradient_many(basis, nodes)
+        a = np.einsum("pki,pkj->pij", grads, grads) - c * (
+            np.eye(sphere + 1) - np.einsum("pi,pj->pij", nodes, nodes)
+        )
+        frobenius = np.linalg.norm(a, axis=(1, 2))
+        ref_frobenius = np.linalg.norm(gram - c * np.eye(sphere)[:, :, None], axis=(0, 1))
+        assert np.max(np.abs(frobenius - ref_frobenius)) <= 1e-13 * c
+        assert np.max(np.abs(residual - np.max(np.abs(a), axis=(1, 2)))) <= 1e-13 * c
+
+    @pytest.mark.parametrize("sphere, m", [(2, 1), (2, 4), (2, 12), (2, 24), (1, 3), (1, 8)])
+    def test_dilation_check_has_the_bits_of_the_quadrature_residual(self, sphere, m, monkeypatch):
+        basis = build_basis(sphere, m)
+        calls = []
+        metric = embedding._det_and_residual
+        monkeypatch.setattr(
+            embedding, "_det_and_residual", lambda b, p: calls.append((p, metric(b, p))) or calls[-1][1]
+        )
+        report = image_volume(basis, quadrature_depth=2)
+        nodes = np.concatenate([p for p, _ in calls])
+        residual = np.concatenate([r for _, (_, r) in calls])
+        assert float(np.max(residual)) == report.max_gram_residual
+        for i in range(0, len(nodes), 7):
+            assert dilation_check(basis, nodes[i]) == residual[i], i
 
 
 class TestCoveringDegree:
@@ -187,22 +248,25 @@ class TestImageVolume:
         # report keeps the bits of the default block size.
         basis = build_basis(sphere, m)
         whole = image_volume(basis, quadrature_depth=3)
-        grams, values = [], []
-        gram, basis_values = embedding._gram, embedding.eval_basis_many
-        monkeypatch.setattr(embedding, "_gram", lambda b, p: grams.append(len(p)) or gram(b, p))
+        blocks, values = [], []
+        metric, basis_values = embedding._det_and_residual, embedding.eval_basis_many
+        monkeypatch.setattr(
+            embedding, "_det_and_residual", lambda b, p: blocks.append(len(p)) or metric(b, p)
+        )
         monkeypatch.setattr(
             embedding, "eval_basis_many", lambda b, p: values.append(len(p)) or basis_values(b, p)
         )
         monkeypatch.setattr(harmonics, "EVAL_BLOCK", 7 * basis.dimension)
         split = image_volume(basis, quadrature_depth=3)
         assert repr(split) == repr(whole)
-        assert max(grams) == 7 and sum(grams) > 100
-        assert values[-len(grams) :] == grams
+        assert max(blocks) == 7 and sum(blocks) > 100
+        assert values[-len(blocks) :] == blocks
 
 
 def _full_mesh_quadrature(basis, depth):
     """(numeric_integral, radius, max_gram_residual) of the S2 quadrature over every face of
-    icosphere(depth), with the exact face areas; kept verbatim as the half mesh's reference."""
+    icosphere(depth), with the exact face areas; kept verbatim as the half mesh's reference,
+    but for the per-node metric, which is the module's."""
     mesh = icosphere(depth)
     v0, v1, v2 = mesh.vertices[mesh.faces]
     nodes = v0 + v1 + v2
@@ -215,13 +279,9 @@ def _full_mesh_quadrature(basis, depth):
         + np.einsum("fi,fi->f", v2, v0)
     )
     weights = 2.0 * np.arctan2(numer, denom)
-    n = 2
-    target = basis.dilation_constant
     det, deviation, sq_norm = np.empty((3, nodes.shape[0]))
     for block in point_blocks(basis, nodes.shape[0]):
-        gram = embedding._gram(basis, nodes[block])
-        det[block] = gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2
-        deviation[block] = np.max(np.abs(gram - target * np.eye(n)[:, :, None]), axis=(0, 1))
+        det[block], deviation[block] = embedding._det_and_residual(basis, nodes[block])
         values = eval_basis_many(basis, nodes[block])
         sq_norm[block] = np.einsum("pk,pk->p", values, values)
     gram_residual = float(np.max(deviation))
@@ -243,8 +303,8 @@ class TestHalfMeshQuadrature:
 
     def test_quadrature_visits_the_first_half_of_the_faces(self, monkeypatch):
         nodes = []
-        gram = embedding._gram
-        monkeypatch.setattr(embedding, "_gram", lambda b, p: nodes.append(p) or gram(b, p))
+        metric = embedding._det_and_residual
+        monkeypatch.setattr(embedding, "_det_and_residual", lambda b, p: nodes.append(p) or metric(b, p))
         image_volume(build_basis(2, 3), quadrature_depth=2)
         mesh = icosphere(2)
         v0, v1, v2 = mesh.vertices[mesh.faces[:, : mesh.num_faces // 2]]

@@ -24,13 +24,14 @@ from sphere_zeros import (
     zonal_tilt_threshold,
 )
 from sphere_zeros import integralgeom, zerofinder
-from sphere_zeros.harmonics import rotate_coefficients
 from sphere_zeros.integralgeom import (
     circle_frames,
     theoretical_average,
     zonal_nodal_colatitudes,
     zonal_nodal_length,
 )
+
+from oracles import rotate_coefficients
 
 EQUATOR = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 

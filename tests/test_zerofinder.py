@@ -29,8 +29,6 @@ from sphere_zeros.harmonics import (
     check_coefficients,
     eval_basis_and_gradient_many,
     random_sphere_points,
-    rotate_coefficients,
-    tangent_frames,
 )
 from sphere_zeros.icosphere import face_geometry, icosphere
 from sphere_zeros.integralgeom import (
@@ -44,6 +42,8 @@ from sphere_zeros.zerofinder import (
     ZeroFindingResult,
     _circle_eigenvalues,
 )
+
+from oracles import rotate_coefficients, tangent_frames
 
 NORTH = np.array([0.0, 0.0, 1.0])
 FROZEN_OUTCOMES = Path(__file__).parent / "data" / "solver" / "s2_outcomes.json"
