@@ -26,17 +26,19 @@ ambient polynomial gradients that are projected to the tangent plane.
 The kernel works on blocks of about EVAL_BLOCK basis values, one row per
 basis function, and steps every order mu of the Legendre recurrence at once,
 so a block costs O(m) array operations and its temporaries stay bounded.
-Q and dQ/dz form one stack, so one ufunc call steps both recurrences;
-values-only calls skip dQ.  Values and gradients land in one (1 or n+2,
-N, P) buffer, which the row contraction of ``eval_basis_many`` and
+Gradients need no second recurrence: dQ/dz of order mu is a fixed multiple
+of Q one order up, so a gradient call costs the values recurrence plus one
+scaled multiply.  Values and gradients land in one (1 or n+2, N, P) buffer,
+which the row contraction of ``eval_basis_many`` and
 ``eval_basis_and_gradient_many`` reads directly when given coefficient rows
 (the S2 zero finder uses this), so the (P, N, n+1) gradient tensor is
 never formed.  Every value and gradient is bit-identical to the
-straightforward evaluation: per-order recurrences, the (P, N, n+1) tensor
-projected with ``einsum("pki,pi->pk")`` and contracted with
-``einsum("pkj,rk->prj")``, and row values summed over k in ascending order
-from zero.  The summation orders that make this so are pinned by a
-reference test; none of them depends on the number of points in a call.
+straightforward evaluation: per-order recurrences for Q, dQ/dz read off Q,
+the (P, N, n+1) tensor projected with ``einsum("pki,pi->pk")`` and
+contracted with ``einsum("pkj,rk->prj")``, and row values summed over k in
+ascending order from zero.  The summation orders that make this so are
+pinned by a reference test; none of them depends on the number of points
+in a call.
 
 The orthonormality grid has only m + 1 distinct latitudes, so its values
 run the Legendre recurrence once per latitude and hand each block's
@@ -164,8 +166,10 @@ def random_sphere_points(sphere_dim: int, count: int, rng: np.random.Generator) 
 @functools.lru_cache(maxsize=None)
 def _legendre_steps(degree: int):
     """Scalars of the normalized recurrence: the diagonal start of each order
-    mu, its first step in the degree, and per degree ell >= 2 the (mu, 1)
-    columns of the three-term coefficients for the orders mu <= ell - 2."""
+    mu, its first step in the degree, per degree ell >= 2 the (mu, 1)
+    columns of the three-term coefficients for the orders mu <= ell - 2, and
+    the (m, 1) column of ratios sqrt((m - mu)(m + mu + 1)), mu < m, that turn
+    Q[mu + 1] into dQ[mu]/dz."""
     m = degree
     diag = [math.sqrt(1.0 / (4.0 * math.pi))]
     for mu in range(1, m + 1):
@@ -179,61 +183,55 @@ def _legendre_steps(degree: int):
             for mu in range(ell - 1)
         ]
         steps.append((np.array(a)[:, None], np.array(b)[:, None]))
-    return diag, first, steps
+    ratio = np.sqrt([(m - mu) * (m + mu + 1.0) for mu in range(m)])[:, None]
+    return diag, first, steps, ratio
 
 
-def _legendre_q_block(degree: int, z: np.ndarray, want_derivative: bool) -> np.ndarray:
-    """Normalized Legendre polynomial parts Q and, if asked, dQ/dz, stacked (1 or 2, m+1, P).
+def _legendre_q_block(degree: int, z: np.ndarray) -> np.ndarray:
+    """Normalized Legendre polynomial parts Q, shape (m+1, P).
 
     Q[mu] is the degree-(m - mu) polynomial in z with
     Pbar_m^mu(cos t) = sin(t)^mu * Q[mu](cos t), where Pbar is normalized so
     the resulting basis is orthonormal for the unnormalized surface measure.
     Three-term recurrences in the degree keep this stable far beyond m = 50.
     All orders step through the degree together (order mu joins at degree
-    mu + 1), so the cost is O(m) array operations on (mu, P) blocks.  One
-    ufunc call steps Q and dQ together; dQ still rounds as z*dQ + Q, then
-    - b*dQ_prev, then * a.  Values-only calls use a stack of depth 1.
+    mu + 1), so the cost is O(m) array operations on (mu, P) blocks.
     """
     m = degree
-    diag, first, steps = _legendre_steps(m)
-    prev, curr, nxt = np.empty((3, 1 + want_derivative, m + 1, z.shape[0]))
+    diag, first, steps, _ = _legendre_steps(m)
+    prev, curr, nxt = np.empty((3, m + 1, z.shape[0]))
     for ell in range(1, m + 1):
         k = ell - 1                       # orders below k step, order k starts
         if k:
             a, b = steps[ell - 2]
-            np.multiply(z, curr[:, :k], out=nxt[:, :k])
-            if want_derivative:
-                nxt[1, :k] += curr[0, :k]
-            nxt[:, :k] -= b * prev[:, :k]
-            nxt[:, :k] *= a
+            np.multiply(z, curr[:k], out=nxt[:k])
+            nxt[:k] -= b * prev[:k]
+            nxt[:k] *= a
         prev, curr, nxt = curr, nxt, prev
-        prev[0, k] = diag[k]
-        np.multiply(first[k] * z, diag[k], out=curr[0, k])
-        if want_derivative:
-            prev[1, k] = 0.0
-            curr[1, k] = first[k] * diag[k]
-    curr[0, m] = diag[m]
-    if want_derivative:
-        curr[1, m] = 0.0
+        prev[k] = diag[k]
+        np.multiply(first[k] * z, diag[k], out=curr[k])
+    curr[m] = diag[m]
     return curr
 
 
-def _eval_s2(degree: int, pts: np.ndarray, want_gradient: bool, stack=None) -> np.ndarray:
+def _eval_s2(degree: int, pts: np.ndarray, want_gradient: bool, q=None) -> np.ndarray:
     """Values and optionally tangential gradients on S2, stacked (1 or 4, N, P).
 
     Function-major: ``parts[0, k]`` is basis function k and
     ``parts[1 + j, k]`` its gradient component j, so the row contraction
-    reads one buffer.  The ambient polynomial gradients are projected to the
-    tangent plane inside the kernel, with the radial part summed from zero
-    as (g0*x + g2*z) + g1*y, the order of ``einsum("pki,pi->pk")`` on the
-    (P, N, 3) tensor.  ``stack``, if given, is ``_legendre_q_block`` of the
-    points' z coordinates, computed by the caller.
+    reads one buffer.  dQ/dz is read off the values: Q[mu] is
+    N_m^mu * d^mu P_m / dz^mu, so dQ[mu]/dz = sqrt((m - mu)(m + mu + 1)) *
+    Q[mu + 1] for mu < m and dQ[m]/dz = 0, rounded as r_mu * (sqrt(2) *
+    Q[mu + 1]) on the cos/sin rows.  The ambient polynomial gradients are
+    projected to the tangent plane inside the kernel, with the radial part
+    summed from zero as (g0*x + g2*z) + g1*y, the order of
+    ``einsum("pki,pi->pk")`` on the (P, N, 3) tensor.  ``q``, if given, is
+    ``_legendre_q_block`` of the points' z coordinates, computed by the caller.
     """
     m = degree
     x, y, z = coords = np.ascontiguousarray(pts.T)
-    if stack is None:
-        stack = _legendre_q_block(m, z, want_gradient)
-    q, dq = stack[0], stack[-1]
+    if q is None:
+        q = _legendre_q_block(m, z)
     # cr + i*ci = (x + i*y)^mu, row mu.
     cr, ci = np.empty((2, m + 1, pts.shape[0]))
     cr[0], ci[0] = 1.0, 0.0
@@ -250,17 +248,19 @@ def _eval_s2(degree: int, pts: np.ndarray, want_gradient: bool, stack=None) -> n
     np.multiply(qc, ci[1:], out=vals[2::2])
     if not want_gradient:
         return parts
+    ratio = _legendre_steps(m)[3]
     grads = parts[1:]
     grads[:2, 0] = 0.0
-    grads[2, 0] = dq[0]
+    np.multiply(ratio[0], q[1], out=grads[2, 0])
+    dqc = np.zeros_like(qc)               # the last row, order m, stays 0
+    np.multiply(ratio[1:], qc[1:], out=dqc[:-1])
+    np.multiply(dqc, cr[1:], out=grads[2, 1::2])
+    np.multiply(dqc, ci[1:], out=grads[2, 2::2])
     qc *= np.arange(1.0, m + 1.0)[:, None]
     np.multiply(qc, cr[:-1], out=grads[0, 1::2])
     np.multiply(qc, ci[:-1], out=grads[0, 2::2])
     np.negative(grads[0, 2::2], out=grads[1, 1::2])
     grads[1, 2::2] = grads[0, 1::2]
-    dqc = math.sqrt(2.0) * dq[1:]
-    np.multiply(dqc, cr[1:], out=grads[2, 1::2])
-    np.multiply(dqc, ci[1:], out=grads[2, 2::2])
     radial = grads[0] * x
     radial += 0.0                         # a sum from zero: -0.0 becomes 0.0
     radial += grads[2] * z
@@ -451,11 +451,11 @@ def _quadrature_values(basis: HarmonicBasis) -> tuple[np.ndarray, np.ndarray, np
         return pts, wts, eval_basis_many(basis, pts)
     m = basis.degree
     n_phi = len(pts) // (m + 1)
-    stack = _legendre_q_block(m, pts[::n_phi, 2], want_derivative=False)
+    q = _legendre_q_block(m, pts[::n_phi, 2])
     latitude = np.arange(len(pts)) // n_phi
     values = np.empty((len(pts), basis.dimension))
     for block in point_blocks(basis, len(pts)):
-        values[block] = _eval_s2(m, pts[block], False, stack[:, :, latitude[block]])[0].T
+        values[block] = _eval_s2(m, pts[block], False, q[:, latitude[block]])[0].T
     return pts, wts, values
 
 

@@ -408,7 +408,9 @@ class TestKernelAndEquivariance:
 # Reference kernels: verbatim copies of the per-order Legendre recurrence, the
 # S1/S2 evaluation with the (P, N, n+1) gradient tensor and the row contraction
 # (ascending-k values, einsum over that tensor).  The kernel in harmonics
-# must reproduce them bit for bit.
+# must reproduce them bit for bit.  dQ/dz comes in two forms: the bit
+# reference reads it off Q one order up, as the kernel does; the per-order
+# derivative recurrence is kept as an independent oracle of its accuracy.
 def _ref_legendre_q_block(degree: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = degree
     npts = z.shape[0]
@@ -437,18 +439,39 @@ def _ref_legendre_q_block(degree: int, z: np.ndarray) -> tuple[np.ndarray, np.nd
     return q_out, dq_out
 
 
-def _ref_eval_s2(degree: int, pts: np.ndarray, want_gradient: bool):
+def _ref_dq_from_q(degree: int, q: np.ndarray) -> np.ndarray:
+    """dQ/dz of order 0, then sqrt(2) * dQ/dz of the orders 1..m, read off Q.
+
+    Q[mu] = N_m^mu * d^mu P_m / dz^mu and N_m^mu / N_m^(mu+1) =
+    sqrt((m - mu)(m + mu + 1)), so dQ[mu]/dz = sqrt((m - mu)(m + mu + 1)) *
+    Q[mu + 1] and dQ[m]/dz = 0; the cos/sin rows round as r * (sqrt(2) * Q).
+    """
+    m = degree
+    out = np.zeros_like(q)
+    for mu in range(m):
+        r = math.sqrt((m - mu) * (m + mu + 1.0))
+        out[mu] = r * q[1] if mu == 0 else r * (math.sqrt(2.0) * q[mu + 1])
+    return out
+
+
+def _ref_eval_s2(degree: int, pts: np.ndarray, want_gradient: bool, dq_recurrence: bool = False):
+    """Values and gradients (P, N), (P, N, 3); dQ/dz from the derivative
+    recurrence if ``dq_recurrence``, else read off Q as the kernel does."""
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     q, dq = _ref_legendre_q_block(degree, z)
+    root2 = math.sqrt(2.0)
+    if dq_recurrence:
+        dqc_rows = np.concatenate([dq[:1], root2 * dq[1:]])
+    else:
+        dqc_rows = _ref_dq_from_q(degree, q)
     npts = pts.shape[0]
     nfun = 2 * degree + 1
     vals = np.empty((npts, nfun))
     vals[:, 0] = q[0]
-    root2 = math.sqrt(2.0)
     grads = None
     if want_gradient:
         grads = np.zeros((npts, nfun, 3))
-        grads[:, 0, 2] = dq[0]
+        grads[:, 0, 2] = dqc_rows[0]
     cr = np.ones(npts)
     ci = np.zeros(npts)
     for mu in range(1, degree + 1):
@@ -459,7 +482,7 @@ def _ref_eval_s2(degree: int, pts: np.ndarray, want_gradient: bool):
         vals[:, 2 * mu - 1] = qc * cr
         vals[:, 2 * mu] = qc * ci
         if want_gradient:
-            dqc = root2 * dq[mu]
+            dqc = dqc_rows[mu]
             grads[:, 2 * mu - 1, 0] = qc * mu * cr_prev
             grads[:, 2 * mu - 1, 1] = -qc * mu * ci_prev
             grads[:, 2 * mu - 1, 2] = dqc * cr
@@ -572,6 +595,53 @@ class TestKernelMatchesReference:
                 evaluate(basis, _points_with_poles(5, seed=0), rows=np.ones((2, 6)))
 
 
+class TestDerivativeFromValues:
+    """dQ/dz is read off Q one order up; gradient calls run no second recurrence."""
+
+    @pytest.mark.parametrize("m", range(1, 51))
+    def test_gradients_match_the_derivative_recurrence(self, m):
+        basis = build_basis(2, m)
+        pts = _points_with_poles(200, seed=7 * m)
+        ref = _ref_eval_s2(m, pts, want_gradient=True, dq_recurrence=True)[1]
+        scale = math.sqrt(basis.gradient_sum_constant)
+        assert np.max(np.abs(eval_gradient_many(basis, pts) - ref)) <= 2e-14 * scale
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 12, 24, 50])
+    def test_gradients_match_central_differences(self, m):
+        # On the great circle cos(h) x + sin(h) t a basis function is a
+        # trigonometric polynomial of degree m bounded by A = sqrt(N / 4 pi),
+        # so by Bernstein's inequality its third derivative is at most m^3 A
+        # and the central difference misses grad . t by at most m^3 A h^2 / 6,
+        # plus the rounding of the two values over 2h, about m eps A / h
+        # (allowed 16 times that).
+        basis = build_basis(2, m)
+        pts = _points_with_poles(200, seed=m)
+        grads = eval_gradient_many(basis, pts)
+        bound, h = basis.embedding_radius, 1e-4 / m
+        tol = m**3 * bound * h * h / 6.0 + 16.0 * m * np.finfo(float).eps * bound / h
+        for t in tangent_frames(pts).transpose(1, 0, 2):
+            ahead = eval_basis_many(basis, math.cos(h) * pts + math.sin(h) * t)
+            behind = eval_basis_many(basis, math.cos(h) * pts - math.sin(h) * t)
+            slope = np.einsum("pki,pi->pk", grads, t)
+            assert np.max(np.abs((ahead - behind) / (2.0 * h) - slope)) <= tol
+
+    def test_a_gradient_call_runs_one_recurrence_per_block(self, monkeypatch):
+        basis = build_basis(2, 24)
+        pts = _points_with_poles(2000, seed=24)
+        shapes = []
+        legendre = harmonics._legendre_q_block
+        def counted(degree, z):
+            q = legendre(degree, z)
+            shapes.append(q.shape)
+            return q
+
+        monkeypatch.setattr(harmonics, "_legendre_q_block", counted)
+        eval_gradient_many(basis, pts)
+        blocks = harmonics.point_blocks(basis, len(pts))
+        assert len(blocks) == 3
+        assert shapes == [(25, len(pts[block])) for block in blocks]
+
+
 def _ref_orthonormality_residual(basis):
     """``orthonormality_residual`` with the values from ``eval_basis_many``, kept verbatim."""
     pts, wts = orthonormality_quadrature(basis)
@@ -609,9 +679,9 @@ class TestQuadratureGrid:
     def test_recurrence_runs_once_on_the_latitudes(self, monkeypatch):
         sizes = []
         legendre = harmonics._legendre_q_block
-        def counted(degree, z, want_derivative):
+        def counted(degree, z):
             sizes.append(len(z))
-            return legendre(degree, z, want_derivative)
+            return legendre(degree, z)
 
         monkeypatch.setattr(harmonics, "_legendre_q_block", counted)
         orthonormality_residual(build_basis(2, 50))
