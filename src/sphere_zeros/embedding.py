@@ -24,6 +24,7 @@ from .harmonics import (
     HarmonicBasis,
     SphereInputError,
     as_sphere_point,
+    check_integer,
     eval_basis_many,
     eval_gradient_many,
     point_blocks,
@@ -157,8 +158,9 @@ def image_volume(
     1e-4; the integrand is constant for an exact eigenbasis, so accuracy is
     limited only by the pointwise identity residuals.
 
-    On S2 the nodes are the centroids of the faces [0, F/2) that
-    ``icosphere`` gives geometry for, weighted by twice their exact areas.
+    On S2 the nodes are the centroids of the faces [0, F/2) of the depth-d
+    icosphere, the only faces ``icosphere`` builds, weighted by twice their
+    exact areas.
     Since f(-x) = (-1)^m f(x), the gradients at -x are those at x up to
     signs, so A is even, and with it det Gram, the residual and |f|^2.
     The half's faces and their antipodes tile S2, so the doubled half sum is
@@ -172,7 +174,7 @@ def image_volume(
         or quadrature_depth not in depths
     ):
         raise SphereInputError(f"quadrature depth must be an integer in [1, {depths[-1]}]")
-    rng = np.random.default_rng([seed, basis.sphere_dim, basis.degree])
+    rng = np.random.default_rng([check_integer("seed", seed, 0), basis.sphere_dim, basis.degree])
     degree_count = covering_degree(basis, rng)
     n = basis.sphere_dim
     target = basis.dilation_constant

@@ -63,6 +63,13 @@ class SphereInputError(ValueError):
     """Raised for points off the sphere or invalid basis parameters."""
 
 
+def check_integer(name: str, value, low: int) -> int:
+    """``value`` as an int; SphereInputError unless it is an integer >= ``low``, bools rejected."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < low:
+        raise SphereInputError(f"{name} must be an integer >= {low}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class HarmonicBasis:
     """An orthonormal real eigenbasis of the Laplacian on S1 or S2.
@@ -114,11 +121,9 @@ def build_basis(sphere_dim: int, degree: int) -> HarmonicBasis:
     """
     if isinstance(sphere_dim, (bool, np.bool_)) or sphere_dim not in (1, 2):
         raise SphereInputError(f"sphere_dim must be 1 or 2, got {sphere_dim}")
-    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 1:
-        raise SphereInputError(f"degree must be an integer >= 1, got {degree}")
+    degree = check_integer("degree", degree, 1)
     if degree > MAX_DEGREE:
         raise SphereInputError(f"degree {degree} exceeds supported maximum {MAX_DEGREE}")
-    degree = int(degree)
     if sphere_dim == 1:
         n_funcs = 2
         volume = 2.0 * math.pi
@@ -407,9 +412,7 @@ def legendre_roots(degree: int) -> np.ndarray:
     the symmetric companion matrix of P_m, polishes them with one Newton
     step and symmetrizes them about 0.
     """
-    if degree < 1:
-        raise SphereInputError("degree must be >= 1")
-    return np.polynomial.legendre.leggauss(degree)[0]
+    return np.polynomial.legendre.leggauss(check_integer("degree", degree, 1))[0]
 
 
 def orthonormality_quadrature(basis: HarmonicBasis) -> tuple[np.ndarray, np.ndarray]:

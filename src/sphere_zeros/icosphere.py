@@ -1,16 +1,16 @@
 """Geodesic icosphere meshes: subdivided icosahedra projected to the unit sphere.
 
-Depth d has 20 * 4^d triangles and 10 * 4^d + 2 vertices.  Faces are
+A mesh is the searched half of the depth-d icosphere: the 10 * 4^d faces
+[0, F/2) of its F = 20 * 4^d, the descendants of icosahedron faces 0-9,
 numbered as a quadtree: the children of face p are faces 4p..4p+3 one depth
-deeper, so the descendants of icosahedron face j at depth d are the block
+deeper, so the descendants of icosahedron face j are the block
 [j * 4^d, (j + 1) * 4^d).  Icosahedron faces 10-19 are the antipodes of
-faces 0-9 and every vertex has its negation among the vertices, so at every
-depth the first half of the faces, [0, F/2), and its antipodes tile S2.
-Meshes carry the geometry of that half only, which is all the zero finder's
-exclusion test and the S2 image volume read: unit centroids, the max
-geodesic distance from each centroid to its face's corners, exact spherical
-areas, and the longest edge, which the antipodes share to the bit.  Meshes
-are cached.
+faces 0-9, so the half and its antipodes tile S2; that is all the zero
+finder's exclusion test and the S2 image volume need, and the tests check
+it on the whole mesh.  A mesh carries the geometry of its faces: unit
+centroids, the max geodesic distance from each centroid to its face's
+corners, exact spherical areas, and the longest edge, which the antipodes
+share to the bit.  Only the depths asked for are cached.
 """
 
 from __future__ import annotations
@@ -57,19 +57,13 @@ def _geodesic(dots: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SphereMesh:
-    """A triangulation of S2 with the geometry of faces [0, F/2), whose antipodes are the rest."""
+    """The geometry of faces [0, F/2) of an icosphere, whose antipodes are the rest."""
 
     depth: int
-    vertices: np.ndarray      # (V, 3) unit vectors
-    faces: np.ndarray         # (3, F) vertex indices, corner-major, all faces
-    centroids: np.ndarray     # (F/2, 3) unit vectors, faces [0, F/2)
+    centroids: np.ndarray     # (F/2, 3) unit vectors
     centroid_reach: np.ndarray    # (F/2,) geodesic bound: centroid -> any point of the face
     areas: np.ndarray         # (F/2,) exact spherical areas
     max_edge: float           # largest geodesic edge length in the mesh
-
-    @property
-    def num_faces(self) -> int:
-        return self.faces.shape[1]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -111,25 +105,15 @@ def _max_edge(v0, v1, v2) -> float:
 
 @functools.lru_cache(maxsize=10)
 def icosphere(depth: int) -> SphereMesh:
-    """The depth-d geodesic icosphere with the cached geometry of faces [0, F/2)."""
+    """The geometry of faces [0, F/2) of the depth-d icosphere, icosahedron faces 0-9 subdivided."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if depth == 0:
-        vertices, faces = _ICO_VERTICES.copy(), _ICO_FACES.T.copy()
-    else:
-        parent = icosphere(depth - 1)
-        vertices, faces = _subdivide(parent.vertices, parent.faces)
-    corners = vertices[faces[:, : faces.shape[1] // 2]]
+    vertices, faces = _ICO_VERTICES, _ICO_FACES[:10].T
+    for _ in range(depth):
+        vertices, faces = _subdivide(vertices, faces)
+    corners = vertices[faces]
     centroids, reach = face_geometry(*corners)
-    return SphereMesh(
-        depth=depth,
-        vertices=vertices,
-        faces=faces,
-        centroids=centroids,
-        centroid_reach=reach,
-        areas=spherical_face_areas(*corners),
-        max_edge=_max_edge(*corners),
-    )
+    return SphereMesh(depth, centroids, reach, spherical_face_areas(*corners), _max_edge(*corners))
 
 
 def spherical_face_areas(v0, v1, v2) -> np.ndarray:

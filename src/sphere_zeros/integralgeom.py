@@ -31,6 +31,7 @@ from .harmonics import (
     SphereInputError,
     build_basis,
     check_coefficients,
+    check_integer,
     legendre_roots,
     zonal,
 )
@@ -53,8 +54,7 @@ AVERAGE_CHUNK_TRIALS = 1024   # Monte Carlo trials drawn and counted per batch
 
 def sphere_surface_area(k: int) -> float:
     """k-dimensional volume of the unit k-sphere: 2 pi^((k+1)/2) / Gamma((k+1)/2)."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise SphereInputError(f"sphere dimension must be an integer >= 1, got {k}")
+    k = check_integer("sphere dimension", k, 1)
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
 
 
@@ -195,8 +195,7 @@ def _monte_carlo_average(
     whose margin is the smallest off-circle one (inf without one) and which
     declines the draws it cannot count.
     """
-    if trials < 1:
-        raise SphereInputError("trials must be >= 1")
+    trials, seed = check_integer("trials", trials, 1), check_integer("seed", seed, 0)
     if not bases or len(bases) != bases[0].sphere_dim or len({b.sphere_dim for b in bases}) != 1:
         raise SphereInputError("need as many functions as the sphere dimension")
     theory = theoretical_average(
@@ -282,8 +281,7 @@ def crofton_length(basis: HarmonicBasis, coeffs, trials: int, seed: int = 0) -> 
     """
     if basis.sphere_dim != 2:
         raise SphereInputError("length estimation is defined on S2")
-    if trials < 1:
-        raise SphereInputError("trials must be >= 1")
+    trials, seed = check_integer("trials", trials, 1), check_integer("seed", seed, 0)
     c = check_coefficients(basis, coeffs)
     if not np.any(c):
         raise SphereInputError("zero function has no zero-level curve")
@@ -337,9 +335,7 @@ def zonal_pair_demo(degree: int, alpha: float) -> ZeroFindingResult:
     up one-to-one and the count is exactly 2m.  alpha = 0 duplicates the
     function and is reported Degenerate.
     """
-    if degree < 1:
-        raise SphereInputError("degree must be >= 1")
-    _check_solver_degree(degree)
+    _check_solver_degree(check_integer("degree", degree, 1))
     if not 0.0 <= alpha < math.pi:
         raise SphereInputError("tilt angle must lie in [0, pi)")
     basis = build_basis(2, degree)

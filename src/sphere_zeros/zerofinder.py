@@ -7,9 +7,9 @@ and confirms their number with a second, independent counter.  It
 1. counts Z with ``pencil_count`` (below); a sample the pencil declines
    (a common zero curve, or every center declined) is Degenerate, and the
    mesh does not run,
-2. takes the faces [0, F/2) of the icosahedral geodesic mesh of depth D,
-   the half whose antipodes are the rest and whose geometry ``icosphere``
-   provides,
+2. takes the depth-D ``icosphere``, the faces [0, F/2) of the icosahedral
+   geodesic mesh: the descendants of icosahedron faces 0-9, whose
+   antipodes are the rest and which are all that ``icosphere`` builds,
 3. discards every triangle on which some f_i provably cannot vanish: a
    centroid value further from zero than the Lipschitz constant times the
    centroid's reach to the face (the constant comes from the exact

@@ -1,17 +1,19 @@
 """Reference computations that only the tests use.
 
-A tangent frame, a finite-difference Laplacian and the action of rotations
-on coefficient vectors.  None of them serves a command, so they live here
-rather than in the package; each works through the package's own basis
-evaluation and input checks.
+A tangent frame, a finite-difference Laplacian, the action of rotations
+on coefficient vectors and the whole icosphere.  None of them serves a
+command, so they live here rather than in the package; each works through
+the package's own basis evaluation, input checks and mesh subdivision.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from sphere_zeros import SphereInputError, eval_basis_many
 from sphere_zeros.harmonics import _quadrature_values, as_sphere_point, check_coefficients
+from sphere_zeros.icosphere import _ICO_FACES, _ICO_VERTICES, _subdivide
 
 LAPLACIAN_STEP = 1e-4         # geodesic step of the laplacian_residual stencil
 
@@ -76,3 +78,19 @@ def rotate_coefficients(basis, coeffs, rotation: np.ndarray) -> np.ndarray:
     """Coefficients of the rotated function x -> u(R^T x)."""
     c = check_coefficients(basis, coeffs)
     return rotation_coefficient_matrix(basis, rotation) @ c
+
+
+@functools.lru_cache(maxsize=None)
+def whole_icosphere(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (V, 3) and faces (3, F) of the whole depth-d icosphere, all 20 * 4^d faces.
+
+    Each depth subdivides all faces of the one above it, so faces [0, F/2)
+    are those of ``icosphere(depth)``, in its order, and the rest are their
+    antipodes.  The arrays are read-only, since they are cached.
+    """
+    if depth == 0:
+        vertices, faces = _ICO_VERTICES.copy(), _ICO_FACES.T.copy()
+    else:
+        vertices, faces = _subdivide(*whole_icosphere(depth - 1))
+    vertices.flags.writeable = faces.flags.writeable = False
+    return vertices, faces

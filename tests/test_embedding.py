@@ -25,7 +25,7 @@ from sphere_zeros.harmonics import (
 )
 from sphere_zeros.icosphere import icosphere
 
-from oracles import tangent_frames
+from oracles import tangent_frames, whole_icosphere
 
 
 class TestRadius:
@@ -265,10 +265,10 @@ class TestImageVolume:
 
 def _full_mesh_quadrature(basis, depth):
     """(numeric_integral, radius, max_gram_residual) of the S2 quadrature over every face of
-    icosphere(depth), with the exact face areas; kept verbatim as the half mesh's reference,
-    but for the per-node metric, which is the module's."""
-    mesh = icosphere(depth)
-    v0, v1, v2 = mesh.vertices[mesh.faces]
+    the whole depth-d icosphere, with the exact face areas; kept verbatim as the half mesh's
+    reference, but for the per-node metric, which is the module's."""
+    vertices, faces = whole_icosphere(depth)
+    v0, v1, v2 = vertices[faces]
     nodes = v0 + v1 + v2
     nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
     numer = np.abs(np.einsum("fi,fi->f", v0, np.cross(v1, v2)))
@@ -306,8 +306,8 @@ class TestHalfMeshQuadrature:
         metric = embedding._det_and_residual
         monkeypatch.setattr(embedding, "_det_and_residual", lambda b, p: nodes.append(p) or metric(b, p))
         image_volume(build_basis(2, 3), quadrature_depth=2)
-        mesh = icosphere(2)
-        v0, v1, v2 = mesh.vertices[mesh.faces[:, : mesh.num_faces // 2]]
+        vertices, faces = whole_icosphere(2)
+        v0, v1, v2 = vertices[faces[:, : faces.shape[1] // 2]]
         centroids = (v0 + v1 + v2) / np.linalg.norm(v0 + v1 + v2, axis=1, keepdims=True)
         assert np.array_equal(np.concatenate(nodes), centroids)
 
@@ -319,10 +319,18 @@ class TestHalfMeshQuadrature:
         lambda: build_basis(np.True_, 3),
         lambda: build_basis(2, True),
         lambda: image_volume(build_basis(2, 2), quadrature_depth=True),
+        lambda: image_volume(build_basis(2, 2), seed=True),
     ],
-    ids=["sphere_dim", "numpy_sphere_dim", "degree", "quadrature_depth"],
+    ids=["sphere_dim", "numpy_sphere_dim", "degree", "quadrature_depth", "seed"],
 )
 def test_bools_are_rejected(call):
-    # True == 1, so a bool would otherwise pass as S1, degree 1 or depth 1.
+    # True == 1, so a bool would otherwise pass as S1, degree 1, depth 1 or seed 1.
     with pytest.raises(SphereInputError):
         call()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_seed_must_be_a_count(seed):
+    # numpy's generator would reject both, deep inside, with its own error.
+    with pytest.raises(SphereInputError, match="seed must be an integer >= 0"):
+        image_volume(build_basis(2, 2), quadrature_depth=2, seed=seed)

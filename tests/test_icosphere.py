@@ -1,4 +1,8 @@
-"""Quadtree numbering of icosphere faces, the bits of each mesh, and their antipodes."""
+"""Quadtree numbering of icosphere faces, the bits of each mesh, and their antipodes.
+
+A mesh is the searched half of an icosphere; the whole icosphere, with both
+halves, is the reference ``oracles.whole_icosphere``.
+"""
 
 import numpy as np
 import pytest
@@ -14,20 +18,24 @@ from sphere_zeros.icosphere import (
     spherical_face_areas,
 )
 
+from oracles import whole_icosphere
+
 
 def _children(faces):
     """The faces 4p..4p+3 one depth deeper, per face p."""
     return (4 * faces[:, None] + np.arange(4)).ravel()
 
 
-def _all_centroids(mesh):
-    """Unit centroids of every face of the mesh, both halves, from its corners."""
-    return face_geometry(*mesh.vertices[mesh.faces])[0]
+def _all_centroids(depth):
+    """Unit centroids of every face of the whole depth-d icosphere, from its corners."""
+    vertices, faces = whole_icosphere(depth)
+    return face_geometry(*vertices[faces])[0]
 
 
-def _inside(mesh, faces, points):
-    """Mask of the points strictly inside the spherical triangle of their face."""
-    v0, v1, v2 = mesh.vertices[mesh.faces[:, faces]]
+def _inside(depth, faces, points):
+    """Mask of the points strictly inside the spherical triangle of their depth-d face."""
+    vertices, all_faces = whole_icosphere(depth)
+    v0, v1, v2 = vertices[all_faces[:, faces]]
     orientation = np.sign(np.einsum("fi,fi->f", v0, np.cross(v1, v2)))
     edges = ((v0, v1), (v1, v2), (v2, v0))
     sides = [np.einsum("fi,fi->f", np.cross(a, b), points) for a, b in edges]
@@ -37,17 +45,17 @@ def _inside(mesh, faces, points):
 class TestQuadtreeNumbering:
     @pytest.mark.parametrize("depth", range(6))
     def test_children_of_face_p_are_4p_to_4p_plus_3(self, depth):
-        parent, child = icosphere(depth), icosphere(depth + 1)
-        faces = np.arange(parent.num_faces)
+        (parent_vertices, parent_faces), (_, child_faces) = map(whole_icosphere, (depth, depth + 1))
+        faces = np.arange(parent_faces.shape[1])
         kids = _children(faces).reshape(-1, 4)
-        assert child.num_faces == kids.size
+        assert child_faces.shape[1] == kids.size
         # The centroid of child 4p + k lies inside face p.
-        centroids = _all_centroids(child)[kids.ravel()]
-        assert _inside(parent, np.repeat(faces, 4), centroids).all()
+        centroids = _all_centroids(depth + 1)[kids.ravel()]
+        assert _inside(depth, np.repeat(faces, 4), centroids).all()
         # Child k < 3 keeps corner k of p; the centre child has midpoints only.
         for k in range(3):
-            assert (child.faces[:, kids[:, k]] == parent.faces[k]).any(axis=0).all()
-        assert (child.faces[:, kids[:, 3]] >= parent.vertices.shape[0]).all()
+            assert (child_faces[:, kids[:, k]] == parent_faces[k]).any(axis=0).all()
+        assert (child_faces[:, kids[:, 3]] >= parent_vertices.shape[0]).all()
 
     @pytest.mark.parametrize("depth", range(7))
     def test_descendants_of_an_icosahedron_face_are_one_block(self, depth):
@@ -57,9 +65,9 @@ class TestQuadtreeNumbering:
             for _ in range(depth):
                 faces = _children(faces)
             assert np.array_equal(faces, np.arange(j * block, (j + 1) * block))
-        mesh = icosphere(depth)
-        assert mesh.num_faces == 20 * block
-        assert _inside(icosphere(0), np.arange(mesh.num_faces) // block, _all_centroids(mesh)).all()
+        num_faces = whole_icosphere(depth)[1].shape[1]
+        assert num_faces == 20 * block
+        assert _inside(0, np.arange(num_faces) // block, _all_centroids(depth)).all()
 
 
 def _same_bits(a, b):
@@ -105,13 +113,13 @@ class TestMeshBits:
         for depth in range(7):
             if depth:
                 vertices, faces = _ref_subdivide(vertices, faces)
-            mesh = icosphere(depth)
-            assert np.array_equal(mesh.faces, faces)
-            assert _same_bits(mesh.vertices, vertices)
+            mesh, (whole_vertices, whole_faces) = icosphere(depth), whole_icosphere(depth)
+            assert np.array_equal(whole_faces, faces)
+            assert _same_bits(whole_vertices, vertices)
             # The per-face arrays are the first half's rows of the whole mesh's,
             # and the longest edge of that half is the whole mesh's.
             centroids, reach, max_edge = _ref_geometry(vertices, faces)
-            half = mesh.num_faces // 2
+            half = faces.shape[1] // 2
             assert _same_bits(mesh.centroids, centroids[:half])
             assert _same_bits(mesh.centroid_reach, reach[:half])
             assert _same_bits(mesh.areas, spherical_face_areas(*vertices[faces])[:half])
@@ -122,21 +130,39 @@ class TestMeshBits:
         # Per-face data is computed face by face: any subset of faces, split
         # by ``quadrisect`` one coordinate at a time, gives its children's
         # corners and geometry with the bits of the whole deeper mesh.
-        parent, child = icosphere(depth), icosphere(depth + 1)
+        (parent_vertices, parent_faces), (child_vertices, child_faces) = map(
+            whole_icosphere, (depth, depth + 1)
+        )
+        num_faces = parent_faces.shape[1]
         rng = np.random.default_rng(depth)
-        some = np.sort(rng.choice(parent.num_faces, size=min(37, parent.num_faces), replace=False))
-        for faces in (np.arange(parent.num_faces), some):
-            a, b, c = parent.vertices[parent.faces[:, faces]]
+        some = np.sort(rng.choice(num_faces, size=min(37, num_faces), replace=False))
+        for faces in (np.arange(num_faces), some):
+            a, b, c = parent_vertices[parent_faces[:, faces]]
             mids = _unit(a + b), _unit(b + c), _unit(c + a)
             kids = np.stack(
                 [quadrisect(*(v[:, j] for v in (a, b, c, *mids))) for j in range(3)], axis=-1
             )
             ids = _children(faces)
-            assert _same_bits(kids, child.vertices[child.faces[:, ids]])
+            assert _same_bits(kids, child_vertices[child_faces[:, ids]])
             centroids, reach = face_geometry(*kids)
-            whole = face_geometry(*child.vertices[child.faces])
+            whole = face_geometry(*child_vertices[child_faces])
             assert _same_bits(centroids, whole[0][ids])
             assert _same_bits(reach, whole[1][ids])
+
+    @pytest.mark.parametrize("depth", range(8))
+    def test_mesh_has_the_bits_of_the_whole_meshs_first_half(self, depth):
+        mesh, (vertices, faces) = icosphere(depth), whole_icosphere(depth)
+        first_half = faces[:, : faces.shape[1] // 2]
+        centroids, reach, max_edge = _ref_geometry(vertices, first_half)
+        assert _same_bits(mesh.centroids, centroids)
+        assert _same_bits(mesh.centroid_reach, reach)
+        assert _same_bits(mesh.areas, spherical_face_areas(*vertices[first_half]))
+        assert mesh.max_edge == max_edge
+
+    def test_only_the_depth_asked_for_is_cached(self):
+        icosphere.cache_clear()
+        icosphere(6)
+        assert icosphere.cache_info().currsize == 1
 
     @pytest.mark.parametrize("depth", [-1, -2])
     def test_negative_depth_is_rejected(self, depth):
@@ -155,11 +181,11 @@ class TestFaceBounds:
     @pytest.mark.parametrize("depth", range(8))
     def test_every_point_of_a_face_is_within_its_bounds(self, depth):
         # Random points of up to 4000 faces of the half, their edge midpoints and centroids.
-        mesh = icosphere(depth)
+        mesh, (vertices, all_faces) = icosphere(depth), whole_icosphere(depth)
         rng = np.random.default_rng([depth, 3])
-        half = mesh.num_faces // 2
+        half = all_faces.shape[1] // 2
         faces = np.sort(rng.choice(half, size=min(half, 4000), replace=False))
-        v0, v1, v2 = mesh.vertices[mesh.faces[:, faces]]
+        v0, v1, v2 = vertices[all_faces[:, faces]]
         weights = np.vstack([
             rng.dirichlet([1.0, 1.0, 1.0], size=64),
             [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
@@ -173,9 +199,9 @@ class TestFaceBounds:
         assert np.max(edges) <= mesh.max_edge + 1e-12
 
 
-def _antipodal_faces(mesh):
+def _antipodal_faces(vertices, faces):
     """For each face p, the face whose corners are the negated corners of p."""
-    vertices, nv = mesh.vertices, mesh.vertices.shape[0]
+    nv = vertices.shape[0]
     # Midpoints of negated vertices are the negated midpoints, to the bit, so
     # sorting the vertices and their negations pairs them exactly.
     antipode = np.empty(nv, dtype=np.int64)
@@ -186,10 +212,10 @@ def _antipodal_faces(mesh):
         a, b, c = np.sort(faces, axis=0)
         return (a * nv + b) * nv + c
 
-    own = keys(mesh.faces)
+    own = keys(faces)
     order = np.argsort(own)
-    found = order[np.searchsorted(own, keys(antipode[mesh.faces]), sorter=order)]
-    assert np.array_equal(own[found], keys(antipode[mesh.faces]))
+    found = order[np.searchsorted(own, keys(antipode[faces]), sorter=order)]
+    assert np.array_equal(own[found], keys(antipode[faces]))
     return found
 
 
@@ -197,14 +223,15 @@ class TestAntipodalHalf:
     @pytest.mark.parametrize("depth", range(7))
     def test_first_half_and_its_antipodes_tile_the_sphere(self, depth):
         # The S2 embedding quadrature and the zero finder read faces [0, F/2) only.
-        mesh = icosphere(depth)
-        half = mesh.num_faces // 2
-        antipodes = _antipodal_faces(mesh)
-        assert np.array_equal(np.sort(antipodes[:half]), np.arange(half, mesh.num_faces))
-        assert np.array_equal(antipodes[antipodes], np.arange(mesh.num_faces))
+        mesh, (vertices, faces) = icosphere(depth), whole_icosphere(depth)
+        num_faces = faces.shape[1]
+        half = num_faces // 2
+        antipodes = _antipodal_faces(vertices, faces)
+        assert np.array_equal(np.sort(antipodes[:half]), np.arange(half, num_faces))
+        assert np.array_equal(antipodes[antipodes], np.arange(num_faces))
         # The negated centroids of the second half are the first half's centroids.
-        centroids = _all_centroids(mesh)
+        centroids = _all_centroids(depth)
         assert np.max(np.abs(-centroids[antipodes[:half]] - mesh.centroids)) <= 1e-15
-        areas = spherical_face_areas(*mesh.vertices[mesh.faces])
+        areas = spherical_face_areas(*vertices[faces])
         assert np.max(np.abs(areas[antipodes[:half]] - mesh.areas)) <= 1e-15
         assert abs(2.0 * np.sum(mesh.areas) - 4.0 * np.pi) <= 1e-12

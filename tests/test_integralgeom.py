@@ -436,3 +436,32 @@ class TestZonalPairDemo:
         # alpha = 0 gives two equal rows; the cap is checked before the rank check.
         with pytest.raises(SphereInputError, match="S2 zero finding supports degrees up to 12"):
             zonal_pair_demo(13, alpha)
+
+
+_S1, _S2 = build_basis(1, 2), build_basis(2, 2)
+_ESTIMATORS = {
+    "average": lambda trials, seed: average_zero_count([_S1], trials, seed),
+    "mixed": lambda trials, seed: conjecture_mixed_average([_S2, build_basis(2, 3)], trials, seed),
+    "crofton": lambda trials, seed: crofton_length(_S2, np.ones(5), trials, seed),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(_ESTIMATORS))
+@pytest.mark.parametrize(
+    "trials, seed, name",
+    [(True, 0, "trials"), (2.5, 0, "trials"), (2, -1, "seed"), (2, 1.5, "seed")],
+    ids=["trials-True", "trials-2.5", "seed-minus-1", "seed-1.5"],
+)
+def test_trials_and_seed_must_be_counts(estimator, trials, seed, name):
+    # True == 1 would run one trial; 2.5 and 1.5 would fail in numpy, and so would -1.
+    with pytest.raises(SphereInputError, match=f"{name} must be an integer"):
+        _ESTIMATORS[estimator](trials, seed)
+
+
+@pytest.mark.parametrize(
+    "call", [zonal_tilt_threshold, zonal_nodal_length, sphere_surface_area], ids=lambda f: f.__name__
+)
+def test_bool_degree_or_dimension_is_rejected(call):
+    # True == 1 would otherwise give the m = 1 or k = 1 value.
+    with pytest.raises(SphereInputError, match="must be an integer"):
+        call(True)

@@ -1,6 +1,5 @@
 """Zero enumeration on S1/S2, count ceilings, and circle restrictions."""
 
-import importlib
 import json
 import math
 from pathlib import Path
@@ -43,7 +42,7 @@ from sphere_zeros.zerofinder import (
     _circle_eigenvalues,
 )
 
-from oracles import rotate_coefficients, tangent_frames
+from oracles import rotate_coefficients, tangent_frames, whole_icosphere
 
 NORTH = np.array([0.0, 0.0, 1.0])
 FROZEN_OUTCOMES = Path(__file__).parent / "data" / "solver" / "s2_outcomes.json"
@@ -559,21 +558,21 @@ def _first_half(depth):
     return np.arange(10 * 4**depth)
 
 
-def _antipodal_faces(mesh):
+def _antipodal_faces(vertices, faces):
     """Index of the face whose vertices are the exact negations of each face's vertices."""
-    n = mesh.vertices.shape[0]
-    both = np.concatenate([mesh.vertices, -mesh.vertices]) + 0.0   # + 0.0 folds -0.0 into 0.0
+    n, num_faces = vertices.shape[0], faces.shape[1]
+    both = np.concatenate([vertices, -vertices]) + 0.0   # + 0.0 folds -0.0 into 0.0
     keys, inverse = np.unique(both, axis=0, return_inverse=True)
     assert keys.shape[0] == n                   # every negated vertex is a vertex
     vertex_of = np.empty(n, dtype=np.int64)
     vertex_of[inverse[:n]] = np.arange(n)
     negated = vertex_of[inverse[n:]]
-    corners = np.sort(np.concatenate([mesh.faces.T, negated[mesh.faces.T]]), axis=1)
+    corners = np.sort(np.concatenate([faces.T, negated[faces.T]]), axis=1)
     keys, inverse = np.unique(corners, axis=0, return_inverse=True)
-    assert keys.shape[0] == mesh.num_faces       # every negated face is a face
-    face_of = np.empty(mesh.num_faces, dtype=np.int64)
-    face_of[inverse[: mesh.num_faces]] = np.arange(mesh.num_faces)
-    return face_of[inverse[mesh.num_faces :]]
+    assert keys.shape[0] == num_faces       # every negated face is a face
+    face_of = np.empty(num_faces, dtype=np.int64)
+    face_of[inverse[:num_faces]] = np.arange(num_faces)
+    return face_of[inverse[num_faces:]]
 
 
 class TestAntipodalHalves:
@@ -581,7 +580,7 @@ class TestAntipodalHalves:
 
     @pytest.mark.parametrize("depth", range(7))
     def test_mesh_splits_into_antipodal_halves(self, depth):
-        antipode = _antipodal_faces(icosphere(depth))
+        antipode = _antipodal_faces(*whole_icosphere(depth))
         faces = np.arange(antipode.size)
         half = _first_half(depth)
         assert half.size == antipode.size // 2
@@ -613,7 +612,7 @@ class TestAntipodalHalves:
         for _ in range(samples):
             _, rows, groups, lipschitz = _sweep_inputs(degrees, rng)
             half = zerofinder._mesh_zeros(groups, rows, lipschitz, mesh, bezout)
-            starts = _ref_candidate_faces(mesh, groups, rows, lipschitz, np.arange(mesh.num_faces))
+            starts = _ref_candidate_faces(depth, groups, rows, lipschitz, np.arange(20 * 4**depth))
             points, ok = zerofinder._newton_refine(groups, rows, starts, mesh.max_edge)
             points = points[ok]
             resid = np.abs(zerofinder._row_values(groups, rows, points)).max(axis=1)
@@ -947,10 +946,11 @@ def _ref_newton_refine(groups, rows, starts, max_edge):
     return pts, state == 1
 
 
-def _ref_candidate_faces(mesh, groups, rows, lipschitz, face_pool):
-    """The centroid exclusion over any faces of a mesh, either half, with the centroids and
-    reaches computed from their corners."""
-    centroids, reach = face_geometry(*mesh.vertices[mesh.faces[:, face_pool]])
+def _ref_candidate_faces(depth, groups, rows, lipschitz, face_pool):
+    """The centroid exclusion over any faces of the whole depth-d icosphere, either half, with
+    the centroids and reaches computed from their corners."""
+    vertices, faces = whole_icosphere(depth)
+    centroids, reach = face_geometry(*vertices[faces[:, face_pool]])
     vals = zerofinder._row_values(groups, rows, centroids)
     ok = (np.abs(vals) <= lipschitz[None, :] * reach[:, None]).all(axis=1)
     return centroids[ok]
@@ -1080,7 +1080,7 @@ class TestMatchesReference:
             depth = zerofinder.default_mesh_depth(max(case["degrees"]))
             mesh = icosphere(depth)
             starts = zerofinder._candidate_faces(groups, rows, lipschitz, mesh)
-            ref_starts = _ref_candidate_faces(mesh, groups, rows, lipschitz, _first_half(depth))
+            ref_starts = _ref_candidate_faces(depth, groups, rows, lipschitz, _first_half(depth))
             assert _same_bits(starts, ref_starts)
 
 
@@ -1126,8 +1126,7 @@ class TestPassSweep:
     )
     def test_only_the_base_mesh_is_built(self, monkeypatch, capsys, argv, depth0):
         meshes, blocks, passes = [], [], []
-        module = importlib.import_module("sphere_zeros.icosphere")
-        mesh, block = module.icosphere, zerofinder._basis_at_centroids
+        mesh, block = zerofinder.icosphere, zerofinder._basis_at_centroids
         candidate_faces = zerofinder._candidate_faces
 
         def built(depth):
@@ -1142,7 +1141,6 @@ class TestPassSweep:
             passes.append(mesh.depth)
             return candidate_faces(groups, rows, lipschitz, mesh)
 
-        monkeypatch.setattr(module, "icosphere", built)
         monkeypatch.setattr(zerofinder, "icosphere", built)
         monkeypatch.setattr(zerofinder, "_basis_at_centroids", centroid_block)
         monkeypatch.setattr(zerofinder, "_candidate_faces", searched)
