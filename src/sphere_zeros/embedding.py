@@ -22,7 +22,6 @@ import numpy as np
 
 from .harmonics import (
     HarmonicBasis,
-    SphereInputError,
     as_sphere_point,
     check_integer,
     eval_basis_many,
@@ -167,13 +166,7 @@ def image_volume(
     the full mesh sum, and the radius and the residual read off the half are
     those of the whole mesh, up to rounding.
     """
-    depths = range(1, MAX_QUADRATURE_DEPTH + 1)
-    if (
-        isinstance(quadrature_depth, bool)
-        or not isinstance(quadrature_depth, (int, np.integer))
-        or quadrature_depth not in depths
-    ):
-        raise SphereInputError(f"quadrature depth must be an integer in [1, {depths[-1]}]")
+    quadrature_depth = check_integer("quadrature depth", quadrature_depth, 1, MAX_QUADRATURE_DEPTH)
     rng = np.random.default_rng([check_integer("seed", seed, 0), basis.sphere_dim, basis.degree])
     degree_count = covering_degree(basis, rng)
     n = basis.sphere_dim

@@ -63,10 +63,12 @@ class SphereInputError(ValueError):
     """Raised for points off the sphere or invalid basis parameters."""
 
 
-def check_integer(name: str, value, low: int) -> int:
-    """``value`` as an int; SphereInputError unless it is an integer >= ``low``, bools rejected."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < low:
-        raise SphereInputError(f"{name} must be an integer >= {low}, got {value}")
+def check_integer(name: str, value, low: int, high: float = math.inf) -> int:
+    """``value`` as an int; SphereInputError unless an integer in [low, high], bools rejected."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+    if not (integer and low <= value <= high):
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise SphereInputError(f"{name} must be an integer {bounds}, got {value}")
     return int(value)
 
 
@@ -116,14 +118,11 @@ class HarmonicBasis:
 def build_basis(sphere_dim: int, degree: int) -> HarmonicBasis:
     """Construct the degree-m eigenbasis descriptor for S1 or S2.
 
-    Rejects sphere_dim outside {1, 2} and degree < 1 (the constant
-    eigenfunction with eigenvalue 0 is excluded).
+    Rejects sphere_dim outside {1, 2} and degree outside [1, MAX_DEGREE] (the
+    constant eigenfunction with eigenvalue 0 is excluded).
     """
-    if isinstance(sphere_dim, (bool, np.bool_)) or sphere_dim not in (1, 2):
-        raise SphereInputError(f"sphere_dim must be 1 or 2, got {sphere_dim}")
-    degree = check_integer("degree", degree, 1)
-    if degree > MAX_DEGREE:
-        raise SphereInputError(f"degree {degree} exceeds supported maximum {MAX_DEGREE}")
+    sphere_dim = check_integer("sphere_dim", sphere_dim, 1, 2)
+    degree = check_integer("degree", degree, 1, MAX_DEGREE)
     if sphere_dim == 1:
         n_funcs = 2
         volume = 2.0 * math.pi
@@ -476,6 +475,8 @@ def _max_over_blocks(basis: HarmonicBasis, points: np.ndarray, deviation) -> flo
     bits of one call over all points without holding its (P, N) values or
     (P, N, n+1) gradients.
     """
+    if len(points) == 0:
+        raise SphereInputError("the identity checks need at least one point")
     return max(float(np.max(deviation(points[b]))) for b in point_blocks(basis, len(points)))
 
 

@@ -1,15 +1,15 @@
 """Geodesic icosphere meshes: subdivided icosahedra projected to the unit sphere.
 
 A mesh is the searched half of the depth-d icosphere: the 10 * 4^d faces
-[0, F/2) of its F = 20 * 4^d, the descendants of icosahedron faces 0-9,
-numbered as a quadtree: the children of face p are faces 4p..4p+3 one depth
-deeper, so the descendants of icosahedron face j are the block
-[j * 4^d, (j + 1) * 4^d).  Icosahedron faces 10-19 are the antipodes of
-faces 0-9, so the half and its antipodes tile S2; that is all the zero
-finder's exclusion test and the S2 image volume need, and the tests check
-it on the whole mesh.  A mesh carries the geometry of its faces: unit
-centroids, the max geodesic distance from each centroid to its face's
-corners, exact spherical areas, and the longest edge, which the antipodes
+[0, F/2) of its F = 20 * 4^d, the descendants of icosahedron faces 0-9.  The
+children of face p are faces 4p..4p+3 one depth deeper, so the descendants of
+icosahedron face j are the block [j * 4^d, (j + 1) * 4^d).  Faces 10-19 are
+the antipodes of faces 0-9, so the half and its antipodes tile S2, all that
+the zero finder and the S2 image volume need.  Each depth splits the faces'
+corners at their unit edge midpoints, with no vertex table: a midpoint shared
+by two faces is computed in each, with the same bits, as float addition
+commutes.  A mesh carries unit centroids, centroid reaches (to the farthest
+corner), exact spherical areas and the longest edge, which the antipodes
 share to the bit.  Only the depths asked for are cached.
 """
 
@@ -71,23 +71,11 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def quadrisect(a, b, c, ab, bc, ca) -> np.ndarray:
-    """Data (3, 4F) at the corners of the children of F faces, from the data (F,) at their
-    corners and edge midpoints.  The children of face p are 4p..4p+3; child k < 3 keeps
-    corner k of p as its corner 0, and child 3 is the centre."""
-    return np.stack([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]], axis=2).reshape(3, -1)
-
-
-def _subdivide(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint quadrisection of (3, F) faces into faces 4p..4p+3 per face p.
-
-    Edges are keyed ``low * V + high``, so the new vertices come in the
-    lexicographic order of their edges' vertex pairs.
-    """
-    nv = vertices.shape[0]
-    edges = np.sort(np.stack([faces.ravel(), faces[[1, 2, 0]].ravel()], axis=1), axis=1)
-    keys, inverse = np.unique(edges[:, 0] * nv + edges[:, 1], return_inverse=True)
-    midpoints = _unit(vertices[keys // nv] + vertices[keys % nv])
-    return np.vstack([vertices, midpoints]), quadrisect(*faces, *(nv + inverse).reshape(3, -1))
+    """Data (3, 4F, ...) at the children's corners of F faces, from the data (F, ...) at their
+    corners and edge midpoints: one coordinate (F,) or corner rows (F, 3).  The children of face
+    p are 4p..4p+3; child k < 3 keeps corner k of p as its corner 0, and child 3 is the centre."""
+    quads = np.stack([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]], axis=2)
+    return quads.reshape(3, -1, *np.shape(a)[1:])
 
 
 def face_geometry(v0, v1, v2) -> tuple[np.ndarray, np.ndarray]:
@@ -108,10 +96,10 @@ def icosphere(depth: int) -> SphereMesh:
     """The geometry of faces [0, F/2) of the depth-d icosphere, icosahedron faces 0-9 subdivided."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    vertices, faces = _ICO_VERTICES, _ICO_FACES[:10].T
+    corners = _ICO_VERTICES[_ICO_FACES[:10].T]
     for _ in range(depth):
-        vertices, faces = _subdivide(vertices, faces)
-    corners = vertices[faces]
+        a, b, c = corners
+        corners = quadrisect(a, b, c, _unit(a + b), _unit(b + c), _unit(c + a))
     centroids, reach = face_geometry(*corners)
     return SphereMesh(depth, centroids, reach, spherical_face_areas(*corners), _max_edge(*corners))
 

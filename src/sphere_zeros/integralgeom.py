@@ -98,8 +98,7 @@ def _summaries(counts: np.ndarray) -> tuple[float, float, dict[int, int]]:
         stderr = float(counts.std(ddof=1) / math.sqrt(counts.size))
     else:
         stderr = 0.0
-    values, freq = np.unique(counts, return_counts=True)
-    histogram = {int(v): int(f) for v, f in zip(values, freq)}
+    histogram = {k: int(f) for k, f in enumerate(np.bincount(counts)) if f}
     return mean, stderr, histogram
 
 
@@ -336,7 +335,7 @@ def zonal_pair_demo(degree: int, alpha: float) -> ZeroFindingResult:
     function and is reported Degenerate.
     """
     _check_solver_degree(check_integer("degree", degree, 1))
-    if not 0.0 <= alpha < math.pi:
+    if isinstance(alpha, (bool, np.bool_)) or not 0.0 <= alpha < math.pi:
         raise SphereInputError("tilt angle must lie in [0, pi)")
     basis = build_basis(2, degree)
     pole = np.array([0.0, 0.0, 1.0])

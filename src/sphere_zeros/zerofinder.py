@@ -465,6 +465,8 @@ def find_common_zeros_s1(basis: HarmonicBasis, sample: SubspaceSample) -> ZeroFi
         raise SphereInputError("an S1 basis is required")
     if sample.rows.shape != (1, 2):
         raise SphereInputError("S1 sample must be a single row of two coefficients")
+    if sample.source_degrees != (basis.degree,):
+        raise SphereInputError("sample degree does not match its basis")
     a, b = sample.rows[0]
     amplitude = math.hypot(a, b)
     if amplitude == 0.0:

@@ -2,8 +2,10 @@
 
 A tangent frame, a finite-difference Laplacian, the action of rotations
 on coefficient vectors and the whole icosphere.  None of them serves a
-command, so they live here rather than in the package; each works through
-the package's own basis evaluation, input checks and mesh subdivision.
+command, so they live here rather than in the package.  Each works through
+the package's own basis evaluation and input checks; the whole icosphere
+is subdivided over a shared-vertex table of its own, independently of the
+package's face-corner mesh.
 """
 
 import functools
@@ -13,7 +15,7 @@ import numpy as np
 
 from sphere_zeros import SphereInputError, eval_basis_many
 from sphere_zeros.harmonics import _quadrature_values, as_sphere_point, check_coefficients
-from sphere_zeros.icosphere import _ICO_FACES, _ICO_VERTICES, _subdivide
+from sphere_zeros.icosphere import _ICO_FACES, _ICO_VERTICES
 
 LAPLACIAN_STEP = 1e-4         # geodesic step of the laplacian_residual stencil
 
@@ -80,6 +82,20 @@ def rotate_coefficients(basis, coeffs, rotation: np.ndarray) -> np.ndarray:
     return rotation_coefficient_matrix(basis, rotation) @ c
 
 
+def _ref_subdivide(vertices, faces):
+    """Midpoint quadrisection with np.unique over edge rows (axis=0), kept verbatim."""
+    nv = vertices.shape[0]
+    edges = np.sort(np.stack([faces.ravel(), faces[[1, 2, 0]].ravel()], axis=1), axis=1)
+    unique_edges, inverse = np.unique(edges, axis=0, return_inverse=True)
+    midpoints = vertices[unique_edges[:, 0]] + vertices[unique_edges[:, 1]]
+    midpoints /= np.linalg.norm(midpoints, axis=1, keepdims=True)
+    vertices = np.vstack([vertices, midpoints])
+    a, b, c = faces
+    ab, bc, ca = (nv + inverse).reshape(3, -1)
+    quads = np.stack([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]], axis=-1)
+    return vertices, quads.reshape(3, -1)
+
+
 @functools.lru_cache(maxsize=None)
 def whole_icosphere(depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Vertices (V, 3) and faces (3, F) of the whole depth-d icosphere, all 20 * 4^d faces.
@@ -91,6 +107,6 @@ def whole_icosphere(depth: int) -> tuple[np.ndarray, np.ndarray]:
     if depth == 0:
         vertices, faces = _ICO_VERTICES.copy(), _ICO_FACES.T.copy()
     else:
-        vertices, faces = _subdivide(*whole_icosphere(depth - 1))
+        vertices, faces = _ref_subdivide(*whole_icosphere(depth - 1))
     vertices.flags.writeable = faces.flags.writeable = False
     return vertices, faces

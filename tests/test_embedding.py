@@ -230,7 +230,7 @@ class TestImageVolume:
             assert report.numeric_image_volume == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-10)
             assert report.antipodal_identified == (m % 2 == 0)
 
-    @pytest.mark.parametrize("depth", [0, 10, 12, -1, 2.5])
+    @pytest.mark.parametrize("depth", [0, 10, 12, -1, 2.5, 2.0, True])
     def test_depth_outside_the_range_is_rejected_before_any_mesh(self, depth):
         # Depth 12 alone would build a 335M-face mesh.
         misses = icosphere.cache_info().misses

@@ -74,6 +74,12 @@ class TestBuildBasis:
         with pytest.raises(SphereInputError):
             build_basis(2, 51)
 
+    @pytest.mark.parametrize("sphere_dim", [2.0, np.float64(1.0), True], ids=repr)
+    def test_sphere_dim_must_be_an_integer(self, sphere_dim):
+        # A float dimension would reach numpy shapes and seeds, which reject it deep inside.
+        with pytest.raises(SphereInputError, match=r"sphere_dim must be an integer in \[1, 2\]"):
+            build_basis(sphere_dim, 3)
+
 
 class TestEvalBasis:
     def test_degree1_normalization_against_quadrature_oracle(self):
@@ -176,6 +182,11 @@ class TestGradients:
             monkeypatch.setattr(harmonics, "EVAL_BLOCK", block)
             assert gradient_sum_residual(basis, pts) == expected_grad
             assert unsold_residual(basis, pts) == expected_sum
+
+    @pytest.mark.parametrize("residual", [unsold_residual, gradient_sum_residual])
+    def test_identity_checks_need_a_point(self, residual):
+        with pytest.raises(SphereInputError, match="at least one point"):
+            residual(build_basis(2, 3), np.empty((0, 3)))
 
     def test_gradients_are_tangential(self):
         for m in (1, 5, 12):

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from sphere_zeros.icosphere import (
-    _ICO_FACES,
-    _ICO_VERTICES,
     _geodesic,
     _unit,
     face_geometry,
@@ -75,20 +73,6 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a, b) and same_signs
 
 
-def _ref_subdivide(vertices, faces):
-    """Midpoint quadrisection with np.unique over edge rows (axis=0), kept verbatim."""
-    nv = vertices.shape[0]
-    edges = np.sort(np.stack([faces.ravel(), faces[[1, 2, 0]].ravel()], axis=1), axis=1)
-    unique_edges, inverse = np.unique(edges, axis=0, return_inverse=True)
-    midpoints = vertices[unique_edges[:, 0]] + vertices[unique_edges[:, 1]]
-    midpoints /= np.linalg.norm(midpoints, axis=1, keepdims=True)
-    vertices = np.vstack([vertices, midpoints])
-    a, b, c = faces
-    ab, bc, ca = (nv + inverse).reshape(3, -1)
-    quads = np.stack([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]], axis=-1)
-    return vertices, quads.reshape(3, -1)
-
-
 def _ref_geometry(vertices, faces):
     """Centroids, centroid reaches and longest edge of every face, kept verbatim."""
     v0, v1, v2 = vertices[faces]
@@ -108,28 +92,12 @@ def _ref_geometry(vertices, faces):
 
 
 class TestMeshBits:
-    def test_meshes_match_the_edge_row_construction(self):
-        vertices, faces = _ICO_VERTICES.copy(), _ICO_FACES.T.copy()
-        for depth in range(7):
-            if depth:
-                vertices, faces = _ref_subdivide(vertices, faces)
-            mesh, (whole_vertices, whole_faces) = icosphere(depth), whole_icosphere(depth)
-            assert np.array_equal(whole_faces, faces)
-            assert _same_bits(whole_vertices, vertices)
-            # The per-face arrays are the first half's rows of the whole mesh's,
-            # and the longest edge of that half is the whole mesh's.
-            centroids, reach, max_edge = _ref_geometry(vertices, faces)
-            half = faces.shape[1] // 2
-            assert _same_bits(mesh.centroids, centroids[:half])
-            assert _same_bits(mesh.centroid_reach, reach[:half])
-            assert _same_bits(mesh.areas, spherical_face_areas(*vertices[faces])[:half])
-            assert mesh.max_edge == max_edge
-
     @pytest.mark.parametrize("depth", range(7))
     def test_children_of_any_faces_have_the_bits_of_the_deeper_mesh(self, depth):
         # Per-face data is computed face by face: any subset of faces, split
-        # by ``quadrisect`` one coordinate at a time, gives its children's
-        # corners and geometry with the bits of the whole deeper mesh.
+        # by ``quadrisect`` as corner rows or one coordinate at a time, gives
+        # its children's corners and geometry with the bits of the whole
+        # deeper mesh.
         (parent_vertices, parent_faces), (child_vertices, child_faces) = map(
             whole_icosphere, (depth, depth + 1)
         )
@@ -139,9 +107,11 @@ class TestMeshBits:
         for faces in (np.arange(num_faces), some):
             a, b, c = parent_vertices[parent_faces[:, faces]]
             mids = _unit(a + b), _unit(b + c), _unit(c + a)
-            kids = np.stack(
+            kids = quadrisect(a, b, c, *mids)
+            per_coordinate = np.stack(
                 [quadrisect(*(v[:, j] for v in (a, b, c, *mids))) for j in range(3)], axis=-1
             )
+            assert _same_bits(kids, per_coordinate)
             ids = _children(faces)
             assert _same_bits(kids, child_vertices[child_faces[:, ids]])
             centroids, reach = face_geometry(*kids)

@@ -431,6 +431,11 @@ class TestZonalPairDemo:
         with pytest.raises(SphereInputError):
             zonal_pair_demo(0, 0.1)
 
+    def test_rejects_a_bool_tilt(self):
+        # True == 1 would pass as a tilt of 1 rad.
+        with pytest.raises(SphereInputError, match="tilt angle"):
+            zonal_pair_demo(3, True)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.05])
     def test_rejects_degree_past_solver_cap(self, alpha):
         # alpha = 0 gives two equal rows; the cap is checked before the rank check.

@@ -268,6 +268,11 @@ class TestCircleZeros:
         with pytest.raises(RankDeficientError):
             find_common_zeros_s1(build_basis(1, 3), make_sample([[0.0, 0.0]], [3]))
 
+    def test_sample_degree_must_match_the_basis(self):
+        # A degree-5 sample would otherwise get the 6 zeros of the degree-3 basis.
+        with pytest.raises(SphereInputError, match="sample degree does not match"):
+            find_common_zeros_s1(build_basis(1, 3), make_sample([[1.0, 0.0]], [5]))
+
 
 class TestSphereZeros:
     def test_two_coordinate_functions_meet_at_poles(self):
