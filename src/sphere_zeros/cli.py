@@ -16,8 +16,9 @@ version, and the closed-form reference value with a stable formula
 identifier, and are byte-identical for identical configuration and seed.
 
 Exit codes: 0 success, 2 invalid configuration or input or an unwritable
-report (``--out`` or stdout), 3 a verified identity or count bound failed
-(the report names it), 4 a degenerate zero set on a single-run subcommand.
+report (``--out`` or stdout).  ``main`` reads the other two off the report:
+4 when its ``status`` is Degenerate (a single-run zero set), else 3 when it
+names a ``violated`` identity or count bound.
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ class ConfigError(ValueError):
 
 def _config_echo(args, fields: list[str]) -> dict:
     return {name: getattr(args, name) for name in fields}
+
+
+def _solver_echo() -> dict:
+    """The fixed Newton and dedup constants, echoed by every report that finds zeros."""
+    return {"newton_tol": NEWTON_TOL, "max_iter": MAX_NEWTON_ITER, "dedup_radius": DEDUP_RADIUS}
 
 
 def _report_skeleton(command: str, config: dict) -> dict:
@@ -185,19 +191,18 @@ def _zero_set_report(report: dict, result) -> bool:
     return result.status is SolverStatus.DEGENERATE
 
 
-def run_average(args) -> tuple[dict, int]:
+def run_average(args) -> dict:
     """``average`` (n functions of one degree) and ``conjecture`` (two S2 degrees)."""
     if args.command == "average":
-        fields = ["sphere", "degree"]
+        config = _config_echo(args, ["sphere", "degree"])
         bases = [build_basis(args.sphere, args.degree)] * args.sphere
         estimator = average_zero_count   # the module attribute at call time, which tracing may wrap
     else:
-        args.degree, args.degree2 = args.degrees
-        fields = ["degree", "degree2"]
-        bases = [build_basis(2, args.degree), build_basis(2, args.degree2)]
+        degree, degree2 = args.degrees
+        config = {"degree": degree, "degree2": degree2}
+        bases = [build_basis(2, degree), build_basis(2, degree2)]
         estimator = conjecture_mixed_average
-    fields += ["trials", "seed"]
-    report = _report_skeleton(args.command, _config_echo(args, fields))
+    report = _report_skeleton(args.command, {**config, **_config_echo(args, ["trials", "seed"])})
     result = estimator(bases, args.trials, args.seed)
     report["theory"] = {"value": result.theory, "formula_id": result.formula_id}
     report["estimate"] = {"mean": result.mean, "stderr": result.stderr, "trials": result.trials}
@@ -209,12 +214,12 @@ def run_average(args) -> tuple[dict, int]:
     report["histogram"] = {str(k): v for k, v in sorted(result.histogram.items())}
     report["relative_deviation"] = result.relative_deviation
     report["within_4_stderr"] = result.within_band
-    return report, EXIT_OK
+    return report
 
 
-def run_count(args) -> tuple[dict, int]:
-    config_fields = ["sphere", "degree", "degree2", "seed", "newton_tol", "max_iter", "dedup_radius"]
-    report = _report_skeleton("count", _config_echo(args, config_fields))
+def run_count(args) -> dict:
+    config = {**_config_echo(args, ["sphere", "degree", "degree2", "seed"]), **_solver_echo()}
+    report = _report_skeleton("count", config)
     rng = np.random.default_rng([args.seed, 0, 0])
     if args.sphere == 1:
         if args.degree2 is not None:
@@ -228,32 +233,24 @@ def run_count(args) -> tuple[dict, int]:
         sample = sample_subspace(bases, rng)
         result = find_common_zeros_s2(bases, sample)
     report["theory"] = {"value": float(result.bezout_bound), "formula_id": FORMULA_COUNT_BOUND}
-    if _zero_set_report(report, result):
-        return report, EXIT_DEGENERATE
-    if not verify_bezout(result):
+    if not _zero_set_report(report, result) and not verify_bezout(result):
         report["violated"] = FORMULA_COUNT_BOUND
-        return report, EXIT_INVARIANT_VIOLATION
-    return report, EXIT_OK
+    return report
 
 
-def run_zonal(args) -> tuple[dict, int]:
-    config_fields = ["degree", "alpha", "newton_tol", "max_iter", "dedup_radius"]
+def run_zonal(args) -> dict:
     threshold = zonal_tilt_threshold(args.degree)
-    if args.alpha is None:
-        args.alpha = threshold / 2.0
-    report = _report_skeleton("zonal", _config_echo(args, config_fields))
-    report["config"]["alpha_threshold"] = threshold
-    result = zonal_pair_demo(args.degree, args.alpha)
+    alpha = threshold / 2.0 if args.alpha is None else args.alpha
+    config = {"degree": args.degree, "alpha": alpha, **_solver_echo(), "alpha_threshold": threshold}
+    report = _report_skeleton("zonal", config)
+    result = zonal_pair_demo(args.degree, alpha)
     report["theory"] = {"value": float(2 * args.degree), "formula_id": FORMULA_ZONAL_PAIR}
-    if _zero_set_report(report, result):
-        return report, EXIT_DEGENERATE
-    if args.alpha < threshold and result.count != 2 * args.degree:
+    if not _zero_set_report(report, result) and alpha < threshold and result.count != 2 * args.degree:
         report["violated"] = FORMULA_ZONAL_PAIR
-        return report, EXIT_INVARIANT_VIOLATION
-    return report, EXIT_OK
+    return report
 
 
-def run_invariants(args) -> tuple[dict, int]:
+def run_invariants(args) -> dict:
     config_fields = ["sphere", "degree", "points", "seed"]
     report = _report_skeleton("invariants", _config_echo(args, config_fields))
     basis = build_basis(args.sphere, args.degree)
@@ -264,39 +261,26 @@ def run_invariants(args) -> tuple[dict, int]:
         ("sum_of_squares", FORMULA_SUM_OF_SQUARES, unsold_residual(basis, points), TOL_SUM_OF_SQUARES),
         ("gradient_sum", FORMULA_GRADIENT_SUM, gradient_sum_residual(basis, points), TOL_GRADIENT_SUM),
     ]
-    identities = []
-    violated = None
-    worst = 0.0
-    for name, formula, residual, tolerance in checks:
-        passed = residual <= tolerance
-        worst = max(worst, residual)
-        identities.append(
-            {
-                "name": name,
-                "formula_id": formula,
-                "max_residual": residual,
-                "tolerance": tolerance,
-                "passed": passed,
-            }
-        )
-        if not passed and violated is None:
-            violated = name
-    report["identities"] = identities
-    report["diagnostics"]["max_residual"] = worst
-    if violated is not None:
-        report["violated"] = violated
-        return report, EXIT_INVARIANT_VIOLATION
-    return report, EXIT_OK
+    report["identities"] = [
+        {"name": name, "formula_id": formula, "max_residual": residual,
+         "tolerance": tolerance, "passed": residual <= tolerance}
+        for name, formula, residual, tolerance in checks
+    ]
+    report["diagnostics"]["max_residual"] = max(0.0, *(residual for _, _, residual, _ in checks))
+    failed = [item["name"] for item in report["identities"] if not item["passed"]]
+    if failed:
+        report["violated"] = failed[0]
+    return report
 
 
-def run_embedding(args) -> tuple[dict, int]:
+def run_embedding(args) -> dict:
     # The S1 quadrature and covering degree use neither the depth nor the probes.
-    config_fields = (
-        ["sphere", "degree", "seed"]
-        if args.sphere == 1
-        else ["sphere", "degree", "quadrature_depth", "probes", "seed"]
-    )
-    report = _report_skeleton("embedding", _config_echo(args, config_fields))
+    if args.sphere == 1:
+        config = _config_echo(args, ["sphere", "degree", "seed"])
+    else:
+        fields = ["sphere", "degree", "quadrature_depth"]
+        config = {**_config_echo(args, fields), "probes": COVERING_PROBES, "seed": args.seed}
+    report = _report_skeleton("embedding", config)
     basis = build_basis(args.sphere, args.degree)
     emb = image_volume(basis, args.quadrature_depth, seed=args.seed)
     report["theory"] = {"value": emb.predicted_image_volume, "formula_id": FORMULA_IMAGE_VOLUME}
@@ -323,11 +307,10 @@ def run_embedding(args) -> tuple[dict, int]:
         violated = "covering_parity"
     if violated is not None:
         report["violated"] = violated
-        return report, EXIT_INVARIANT_VIOLATION
-    return report, EXIT_OK
+    return report
 
 
-def run_crofton_length(args) -> tuple[dict, int]:
+def run_crofton_length(args) -> dict:
     config_fields = ["degree", "function", "trials", "seed"]
     report = _report_skeleton("crofton-length", _config_echo(args, config_fields))
     basis = build_basis(2, args.degree)
@@ -347,12 +330,7 @@ def run_crofton_length(args) -> tuple[dict, int]:
     }
     report["mean_crossings"] = result.mean_crossings
     report["diagnostics"]["degenerate_resamples"] = result.degenerate_resamples
-    return report, EXIT_OK
-
-
-def _add_solver_defaults(parser: argparse.ArgumentParser) -> None:
-    # Fixed solver constants, echoed in the report's config.
-    parser.set_defaults(newton_tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER, dedup_radius=DEDUP_RADIUS)
+    return report
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -390,14 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--degree2", type=int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_solver_defaults(p)
     _add_output_flags(p)
     p.set_defaults(func=run_count)
 
     p = sub.add_parser("zonal", help="tilted axis-symmetric pair demo")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--alpha", type=float, default=None, help="tilt angle (default: threshold/2)")
-    _add_solver_defaults(p)
     _add_output_flags(p)
     p.set_defaults(func=run_zonal)
 
@@ -415,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quadrature-depth", type=int, default=4, dest="quadrature_depth")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_flags(p)
-    p.set_defaults(func=run_embedding, probes=COVERING_PROBES)   # echoed in S2 reports
+    p.set_defaults(func=run_embedding)
 
     p = sub.add_parser("crofton-length", help="nodal length from random circle crossings")
     p.add_argument("--degree", type=int, required=True)
@@ -432,16 +408,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _validate_common(args)
-        report, code = args.func(args)
+        report = args.func(args)
         write_report(report, args.format, args.out)
     except (ConfigError, SphereInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    if code == EXIT_INVARIANT_VIOLATION:
-        print(f"invariant violation: {report.get('violated')}", file=sys.stderr)
-    elif code == EXIT_DEGENERATE:
+    if report.get("status") == SolverStatus.DEGENERATE:
         print("degenerate zero set", file=sys.stderr)
-    return code
+        return EXIT_DEGENERATE
+    if "violated" in report:
+        print(f"invariant violation: {report['violated']}", file=sys.stderr)
+        return EXIT_INVARIANT_VIOLATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -411,7 +411,7 @@ def legendre_roots(degree: int) -> np.ndarray:
     the symmetric companion matrix of P_m, polishes them with one Newton
     step and symmetrizes them about 0.
     """
-    return np.polynomial.legendre.leggauss(check_integer("degree", degree, 1))[0]
+    return np.polynomial.legendre.leggauss(check_integer("degree", degree, 1, MAX_DEGREE))[0]
 
 
 def orthonormality_quadrature(basis: HarmonicBasis) -> tuple[np.ndarray, np.ndarray]:

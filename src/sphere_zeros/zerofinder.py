@@ -69,11 +69,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonics import (
+    MAX_DEGREE,
     HarmonicBasis,
     SphereInputError,
     _contract_rows,
     build_basis,
     check_coefficients,
+    check_integer,
     eval_basis_and_gradient_many,
     eval_basis_many,
     point_blocks,
@@ -122,7 +124,7 @@ class SubspaceSample:
 
     def __post_init__(self):
         rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
-        degrees = tuple(int(d) for d in self.source_degrees)
+        degrees = tuple(check_integer("degree", d, 1, MAX_DEGREE) for d in self.source_degrees)
         if rows.shape[0] != len(degrees):
             raise SphereInputError("one source degree is required per row")
         object.__setattr__(self, "rows", rows)
@@ -162,7 +164,6 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 
 def make_sample(coefficient_rows, degrees) -> SubspaceSample:
     """Build a SubspaceSample from possibly ragged coefficient rows."""
-    degrees = tuple(int(d) for d in degrees)
     widths = [np.asarray(r, dtype=float).ravel() for r in coefficient_rows]
     n_max = max(r.shape[0] for r in widths)
     rows = np.zeros((len(widths), n_max))

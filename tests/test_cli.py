@@ -269,16 +269,20 @@ def _csv_value(cell: str):
         return cell                      # an unquoted string such as a status
 
 
-def report_outcome(text: str, fmt: str) -> dict:
-    """The count-level fields of a report, flattened: what a last-bit re-freeze leaves alone."""
+def report_fields(text: str, fmt: str) -> dict:
+    """Every field of a JSON or CSV report, flattened to dotted keys."""
     if fmt == "csv":
         header, row = csv.reader(io.StringIO(text))
-        flat = {key: _csv_value(cell) for key, cell in zip(header, row)}
-    else:
-        flat = {}
-        _flatten("", json.loads(text), flat)
+        return {key: _csv_value(cell) for key, cell in zip(header, row)}
+    flat: dict = {}
+    _flatten("", json.loads(text), flat)
+    return flat
+
+
+def report_outcome(text: str, fmt: str) -> dict:
+    """The count-level fields of a report, flattened: what a last-bit re-freeze leaves alone."""
     return {
-        key: value for key, value in flat.items()
+        key: value for key, value in report_fields(text, fmt).items()
         if key in OUTCOME_FIELDS or key.split(".")[0] in OUTCOME_GROUPS
     }
 
@@ -301,6 +305,15 @@ class TestGoldenReports:
         oracle = json.loads(OUTCOMES.read_text())
         assert set(oracle) == set(GOLDEN_REPORTS)
         assert {"exit_code": code, **report_outcome(out.read_text(), fmt)} == oracle[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_exit_code_follows_from_the_report(self, name):
+        # main's rule: a Degenerate status exits 4, a named violation 3, anything else 0.
+        argv, expected_code = GOLDEN_REPORTS[name]
+        fmt = "csv" if "csv" in argv else "json"
+        flat = report_fields((DATA / "reports" / f"{name}.{fmt}").read_text(), fmt)
+        code = 4 if flat.get("status") == "Degenerate" else 3 if "violated" in flat else 0
+        assert code == expected_code
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
     def test_matches_golden_report(self, name, tmp_path, capsys):
@@ -426,8 +439,9 @@ class TestOutputFormats:
         assert out == ""
         assert any("error: " in line for line in err.splitlines()), err
 
-    def test_readme_examples_parse_and_validate(self):
-        # A README example with a removed or out-of-range flag fails here.
+    def test_readme_examples_exit_0_with_a_json_report(self, capsys):
+        # A README example with a removed or out-of-range flag, or one that
+        # no longer succeeds, fails here.
         examples, fenced = [], False
         for line in README.read_text(encoding="utf-8").splitlines():
             if line.startswith("```"):
@@ -436,7 +450,10 @@ class TestOutputFormats:
                 examples.append(line)
         assert len(examples) >= 7
         for line in examples:
-            _validate_common(build_parser().parse_args(shlex.split(line, comments=True)[1:]))
+            argv = shlex.split(line, comments=True)[1:]
+            code, report, err = run_json(argv, capsys)
+            assert code == 0, (line, err)
+            assert report["command"] == argv[0], line
 
     def test_high_degree_allowed_off_solver_paths(self, capsys):
         code, report, _ = run_json(["invariants", "--sphere", "2", "--degree", "50"], capsys)

@@ -311,6 +311,13 @@ class TestZonal:
             nodes = np.polynomial.legendre.leggauss(m)[0]
             assert np.max(np.abs(legendre_roots(m) - nodes)) <= 1e-13, m
 
+    @pytest.mark.parametrize("degree", [harmonics.MAX_DEGREE + 1, True], ids=["51", "True"])
+    def test_legendre_roots_reject_a_bad_degree(self, degree, monkeypatch):
+        # Rejected before leggauss builds its dense degree x degree companion matrix.
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
+        with pytest.raises(SphereInputError, match="degree must be an integer"):
+            legendre_roots(degree)
+
     def test_matches_legendre_profile(self):
         m = 4
         basis = build_basis(2, m)

@@ -13,6 +13,7 @@ from sphere_zeros import (
     RankDeficientError,
     SolverStatus,
     SphereInputError,
+    SubspaceSample,
     build_basis,
     eval_basis_many,
     find_common_zeros_s1,
@@ -25,6 +26,7 @@ from sphere_zeros import (
 from sphere_zeros import zerofinder
 from sphere_zeros.cli import main
 from sphere_zeros.harmonics import (
+    MAX_DEGREE,
     check_coefficients,
     eval_basis_and_gradient_many,
     random_sphere_points,
@@ -82,6 +84,23 @@ class TestSubspaceSample:
     def test_zero_row_rejected(self):
         with pytest.raises(RankDeficientError):
             make_sample([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1, 1])
+
+    # A truncated 3.7 made a degree-3 sample, on which the S1 solver reported 6 zeros.
+    @pytest.mark.parametrize(
+        "degree", [3.7, True, np.float64(3.0), 0, MAX_DEGREE + 1],
+        ids=["3.7", "True", "float64-3", "0", "51"],
+    )
+    def test_non_integer_or_out_of_range_degree_rejected(self, degree):
+        # Both constructors run the one check in SubspaceSample.
+        with pytest.raises(SphereInputError, match="degree must be an integer"):
+            make_sample([[1.0, 0.0]], [degree])
+        with pytest.raises(SphereInputError, match="degree must be an integer"):
+            SubspaceSample(rows=np.array([[1.0, 0.0]]), source_degrees=(degree,))
+
+    def test_numpy_integer_degree_accepted(self):
+        sample = make_sample([[1.0, 0.0]], [np.int64(3)])
+        assert sample.source_degrees == (3,)
+        assert type(sample.source_degrees[0]) is int
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rows_rejected(self, bad):
