@@ -7,10 +7,12 @@ R and C from pointwise identities, d by counting collisions f(x) = f(x0),
 and the image volume by integrating sqrt(det Gram) over a geodesic mesh and
 dividing by the multiplicity d.  The metric needs no tangent frame: with
 A(x) = sum_k grad f_k grad f_k^T, any orthonormal frame F at x has
-Gram = F A F^T and A - C(I - x x^T) = F^T (Gram - C*I) F.  The integrand
-is even, so the S2 quadrature visits only the half of the mesh whose
-antipodes cover the rest.  On S1 the collisions are found in closed form:
-each is a zero of the degree-m eigenfunction x -> <f(x), df(x0)>.
+Gram = F A F^T and A - C(I - x x^T) = F^T (Gram - C*I) F.  The quadrature
+makes one kernel call per block of nodes and reads |f|^2 and A's distinct
+entries off the kernel's function-major buffer (``kernel_blocks``).  The
+integrand is even, so the S2 quadrature visits only the half of the mesh
+whose antipodes cover the rest.  On S1 the collisions are found in closed
+form: each is a zero of the degree-m eigenfunction x -> <f(x), df(x0)>.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .harmonics import (
     check_integer,
     eval_basis_many,
     eval_gradient_many,
-    point_blocks,
+    kernel_blocks,
     random_sphere_points,
 )
 from .icosphere import icosphere
@@ -65,22 +67,31 @@ class EmbeddingReport:
 _ENTRIES = {1: ((0, 0), (1, 1), (0, 1)), 2: ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))}
 
 
-def _det_and_residual(basis: HarmonicBasis, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """det Gram and the max |A - C(I - x x^T)| entry at each node, each of shape (P,).
+def _node_metric(basis: HarmonicBasis, nodes: np.ndarray) -> np.ndarray:
+    """det Gram, the max |A - C(I - x x^T)| entry and |f|^2 at each node, shape (3, P).
 
     A has Gram's eigenvalues plus a 0 along x, so det Gram is tr A on S1 and
     the sum of A's principal 2 x 2 minors on S2.  The residual is 0 exactly
     when Gram = C*I, and A - C(I - x x^T) has the Frobenius norm of Gram - C*I.
+    One kernel call per block: A's entries and |f|^2 are read off its buffer,
+    with the bits, in blocks of two or more nodes, of sums over the strided
+    rows of the (P, N, n+1) gradient tensor and of a separate values pass.
     """
-    grads = eval_gradient_many(basis, nodes).transpose(2, 0, 1)    # (n+1, P, N)
-    a, residual = {}, np.zeros(len(nodes))
-    for i, j in _ENTRIES[basis.sphere_dim]:       # the distinct entries of the symmetric A
-        a[i, j] = np.einsum("pk,pk->p", grads[i], grads[j])
-        target = basis.dilation_constant * ((i == j) - nodes[:, i] * nodes[:, j])
-        np.maximum(residual, np.abs(a[i, j] - target), out=residual)
-    if basis.sphere_dim == 1:
-        return a[0, 0] + a[1, 1], residual
-    return sum(a[i, i] * a[j, j] - a[i, j] ** 2 for i, j in ((0, 1), (0, 2), (1, 2))), residual
+    out = np.zeros((3, len(nodes)))
+    det, residual, sq_norm = out
+    for block, parts in kernel_blocks(basis, nodes, want_gradient=True):
+        values = np.ascontiguousarray(parts[0].T)      # (P, N), the layout |f|^2 is summed on
+        sq_norm[block] = np.einsum("pk,pk->p", values, values)
+        x, a, dev = nodes[block], {}, residual[block]
+        for i, j in _ENTRIES[basis.sphere_dim]:       # the distinct entries of the symmetric A
+            a[i, j] = np.einsum("kp,kp->p", parts[1 + i], parts[1 + j])
+            target = basis.dilation_constant * ((i == j) - x[:, i] * x[:, j])
+            np.maximum(dev, np.abs(a[i, j] - target), out=dev)
+        if basis.sphere_dim == 1:
+            det[block] = a[0, 0] + a[1, 1]
+        else:
+            det[block] = sum(a[i, i] * a[j, j] - a[i, j] ** 2 for i, j in ((0, 1), (0, 2), (1, 2)))
+    return out
 
 
 def dilation_check(basis: HarmonicBasis, point) -> float:
@@ -91,7 +102,8 @@ def dilation_check(basis: HarmonicBasis, point) -> float:
     ties this check to the radius identity.
     """
     p = as_sphere_point(point, basis.sphere_dim)
-    return float(_det_and_residual(basis, p[None])[1][0])
+    # Two copies of x: einsum sums a one-column block's A in another order.
+    return float(_node_metric(basis, np.stack([p, p]))[1, 0])
 
 
 def covering_degree(basis: HarmonicBasis, rng: np.random.Generator) -> int:
@@ -108,8 +120,7 @@ def covering_degree(basis: HarmonicBasis, rng: np.random.Generator) -> int:
     tol = COLLISION_FACTOR * radius
     if basis.sphere_dim == 2:
         pts = random_sphere_points(2, COVERING_PROBES, rng)
-        values = eval_basis_many(basis, pts)
-        mirrored = eval_basis_many(basis, -pts)
+        values, mirrored = np.split(eval_basis_many(basis, np.concatenate([pts, -pts])), 2)
         antipodal = bool(np.max(np.linalg.norm(values - mirrored, axis=1)) <= tol)
         degree = 2 if antipodal else 1
         # Collision scan over random far-apart, non-identified pairs.
@@ -121,9 +132,8 @@ def covering_degree(basis: HarmonicBasis, rng: np.random.Generator) -> int:
             anti_sep = np.arccos(np.clip(-np.einsum("pi,pi->p", x, y), -1.0, 1.0))
             ok &= anti_sep > MIN_SEPARATION
         if np.any(ok):
-            dist = np.linalg.norm(
-                eval_basis_many(basis, x[ok]) - eval_basis_many(basis, y[ok]), axis=1
-            )
+            fx, fy = np.split(eval_basis_many(basis, np.concatenate([x[ok], y[ok]])), 2)
+            dist = np.linalg.norm(fx - fy, axis=1)
             if np.any(dist < tol):
                 raise UnexpectedFiberError(
                     "collision between non-identified points; covering degree "
@@ -183,15 +193,11 @@ def image_volume(
         nodes = np.stack([np.cos(t), np.sin(t)], axis=1)
         weights = np.full(n_nodes, 2.0 * math.pi / n_nodes)
 
-    # One block of nodes at a time, so the (P, N, n+1) gradients and (P, N)
-    # values of all nodes are never held at once.  Each per-node entry
-    # depends on its node only, and the sums run over the full arrays, so
-    # the report has the bits of a single pass.
-    det, deviation, sq_norm = np.empty((3, nodes.shape[0]))
-    for block in point_blocks(basis, nodes.shape[0]):
-        det[block], deviation[block] = _det_and_residual(basis, nodes[block])
-        values = eval_basis_many(basis, nodes[block])
-        sq_norm[block] = np.einsum("pk,pk->p", values, values)
+    # One kernel block of nodes at a time, so the kernel's buffer for all
+    # nodes is never held at once.  Each per-node entry depends on its node
+    # only, and the sums run over the full arrays, so the report has the
+    # bits of a single pass.
+    det, deviation, sq_norm = _node_metric(basis, nodes)
     gram_residual = float(np.max(deviation))
 
     numeric_integral = float(np.sum(weights * np.sqrt(np.clip(det, 0.0, None))))

@@ -29,16 +29,16 @@ so a block costs O(m) array operations and its temporaries stay bounded.
 Gradients need no second recurrence: dQ/dz of order mu is a fixed multiple
 of Q one order up, so a gradient call costs the values recurrence plus one
 scaled multiply.  Values and gradients land in one (1 or n+2, N, P) buffer,
-which the row contraction of ``eval_basis_many`` and
-``eval_basis_and_gradient_many`` reads directly when given coefficient rows
-(the S2 zero finder uses this), so the (P, N, n+1) gradient tensor is
-never formed.  Every value and gradient is bit-identical to the
-straightforward evaluation: per-order recurrences for Q, dQ/dz read off Q,
-the (P, N, n+1) tensor projected with ``einsum("pki,pi->pk")`` and
-contracted with ``einsum("pkj,rk->prj")``, and row values summed over k in
-ascending order from zero.  The summation orders that make this so are
-pinned by a reference test; none of them depends on the number of points
-in a call.
+handed out block by block by ``kernel_blocks``.  The row contraction
+(coefficient rows, as the S2 zero finder uses) and the embedding quadrature
+(|f|^2 and A = sum_k grad f_k grad f_k^T) read it directly, so they never
+form the (P, N, n+1) gradient tensor.  Every value and gradient is
+bit-identical to the straightforward evaluation: per-order recurrences for
+Q, dQ/dz read off Q, the (P, N, n+1) tensor projected with
+``einsum("pki,pi->pk")`` and contracted with ``einsum("pkj,rk->prj")``,
+and row values summed over k in ascending order from zero.  The summation
+orders that make this so are pinned by a reference test; none of them
+depends on the number of points in a call.
 
 The orthonormality grid has only m + 1 distinct latitudes, so its values
 run the Legendre recurrence once per latitude and hand each block's
@@ -320,8 +320,16 @@ def point_blocks(basis: HarmonicBasis, count: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
+def kernel_blocks(basis: HarmonicBasis, points: np.ndarray, want_gradient: bool):
+    """(block, parts) per block of ``point_blocks``, ``parts`` the kernel's buffer
+    (1 or n+2, N, P) at the block's points; the points are checked once, up front."""
+    pts = _check_points(points, basis.sphere_dim)
+    kernel = _eval_s1 if basis.sphere_dim == 1 else _eval_s2
+    return ((b, kernel(basis.degree, pts[b], want_gradient)) for b in point_blocks(basis, len(pts)))
+
+
 def _evaluate(basis: HarmonicBasis, points: np.ndarray, want_gradient: bool, rows=None):
-    """Values and, if asked, tangential gradients on S1 or S2, EVAL_BLOCK // N points at a time.
+    """Values and, if asked, tangential gradients on S1 or S2, from ``kernel_blocks``.
 
     Without ``rows``: values (P, N) and gradients (P, N, n+1).  With rows of
     shape (r, N): the row functions' values (P, r) and gradients (P, r, n+1),
@@ -329,20 +337,17 @@ def _evaluate(basis: HarmonicBasis, points: np.ndarray, want_gradient: bool, row
     depends on its own point only, so neither the chunking nor the other
     points of a call change its bits.
     """
-    pts = _check_points(points, basis.sphere_dim)
+    blocks = kernel_blocks(basis, points, want_gradient)
     if rows is not None:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != basis.dimension:
             raise SphereInputError(
                 f"coefficient rows must have shape (r, {basis.dimension}), got {rows.shape}"
             )
-    kernel = _eval_s1 if basis.sphere_dim == 1 else _eval_s2
-    npts = pts.shape[0]
     width = basis.dimension if rows is None else rows.shape[0]
-    vals = np.empty((npts, width))
-    grads = np.empty((npts, width, basis.ambient_dim)) if want_gradient else None
-    for block in point_blocks(basis, npts):
-        parts = kernel(basis.degree, pts[block], want_gradient)
+    vals = np.empty((len(points), width))
+    grads = np.empty((len(points), width, basis.ambient_dim)) if want_gradient else None
+    for block, parts in blocks:
         if rows is not None:
             parts = _contract_rows(parts, rows)   # values and gradients in one loop
         vals[block] = parts[0].T

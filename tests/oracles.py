@@ -1,11 +1,11 @@
 """Reference computations that only the tests use.
 
 A tangent frame, a finite-difference Laplacian, the action of rotations
-on coefficient vectors and the whole icosphere.  None of them serves a
-command, so they live here rather than in the package.  Each works through
-the package's own basis evaluation and input checks; the whole icosphere
-is subdivided over a shared-vertex table of its own, independently of the
-package's face-corner mesh.
+on coefficient vectors, the whole icosphere and the two-pass embedding
+metric.  None of them serves a command, so they live here rather than in
+the package.  Each works through the package's own basis evaluation and
+input checks; the whole icosphere is subdivided over a shared-vertex table
+of its own, independently of the package's face-corner mesh.
 """
 
 import functools
@@ -13,8 +13,13 @@ import math
 
 import numpy as np
 
-from sphere_zeros import SphereInputError, eval_basis_many
-from sphere_zeros.harmonics import _quadrature_values, as_sphere_point, check_coefficients
+from sphere_zeros import SphereInputError, eval_basis_many, eval_gradient_many
+from sphere_zeros.harmonics import (
+    _quadrature_values,
+    as_sphere_point,
+    check_coefficients,
+    point_blocks,
+)
 from sphere_zeros.icosphere import _ICO_FACES, _ICO_VERTICES
 
 LAPLACIAN_STEP = 1e-4         # geodesic step of the laplacian_residual stencil
@@ -110,3 +115,31 @@ def whole_icosphere(depth: int) -> tuple[np.ndarray, np.ndarray]:
         vertices, faces = _ref_subdivide(*whole_icosphere(depth - 1))
     vertices.flags.writeable = faces.flags.writeable = False
     return vertices, faces
+
+
+def two_pass_metric(basis, nodes: np.ndarray) -> np.ndarray:
+    """det Gram, the max |A - C(I - x x^T)| entry and |f|^2 at each node, shape (3, P).
+
+    The two-pass form of ``embedding._node_metric``, kept as its reference:
+    per block of ``point_blocks``, one gradient call whose (P, N, n+1)
+    tensor gives A by ``einsum("pk,pk->p")`` over its strided rows, then a
+    second, values-only call for |f|^2.
+    """
+    entries = {1: ((0, 0), (1, 1), (0, 1)), 2: ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))}
+    det, deviation, sq_norm = out = np.empty((3, nodes.shape[0]))
+    for block in point_blocks(basis, nodes.shape[0]):
+        x = nodes[block]
+        grads = eval_gradient_many(basis, x).transpose(2, 0, 1)    # (n+1, P, N)
+        a, residual = {}, np.zeros(len(x))
+        for i, j in entries[basis.sphere_dim]:
+            a[i, j] = np.einsum("pk,pk->p", grads[i], grads[j])
+            target = basis.dilation_constant * ((i == j) - x[:, i] * x[:, j])
+            np.maximum(residual, np.abs(a[i, j] - target), out=residual)
+        if basis.sphere_dim == 1:
+            det[block] = a[0, 0] + a[1, 1]
+        else:
+            det[block] = sum(a[i, i] * a[j, j] - a[i, j] ** 2 for i, j in ((0, 1), (0, 2), (1, 2)))
+        deviation[block] = residual
+        values = eval_basis_many(basis, x)
+        sq_norm[block] = np.einsum("pk,pk->p", values, values)
+    return out

@@ -36,6 +36,9 @@ OPS = (
     ["conjecture", "--degrees", "1", "2", "--trials", "1"],
     ["crofton-length", "--degree", "2", "--trials", "2"],
     ["embedding", "--sphere", "2", "--degree", "2", "--quadrature-depth", "1"],
+    # Only the S1 covering degree calls embedding.eval_gradient_many; the
+    # image volume reads harmonics.kernel_blocks.
+    ["embedding", "--sphere", "1", "--degree", "3"],
     ["invariants", "--degree", "2", "--points", "10"],
     # Averages count zeros with the great-circle pencil; the mesh solver and
     # its icosphere run here, as in the traced zonal ops of mc_high.

@@ -25,7 +25,7 @@ from sphere_zeros.harmonics import (
 )
 from sphere_zeros.icosphere import icosphere
 
-from oracles import tangent_frames, whole_icosphere
+from oracles import tangent_frames, two_pass_metric, whole_icosphere
 
 
 class TestRadius:
@@ -113,18 +113,27 @@ class TestFrameFreeMetric:
     @pytest.mark.parametrize("scaled", [False, True], ids=["basis", "scaled"])
     @pytest.mark.parametrize("sphere, m", METRIC_CASES)
     def test_matches_the_frame_projection(self, sphere, m, scaled, monkeypatch):
-        # "scaled" replaces f_k by s_k f_k, s_k in [0.5, 1.5], so that Gram is
-        # far from C*I and the residual identity is tested away from 0.
+        # "scaled" replaces the gradient rows of f_k by s_k grad f_k, s_k in
+        # [0.5, 1.5], in the kernel blocks that both the metric and the
+        # reference read, so that Gram is far from C*I and the residual
+        # identity is tested away from 0.
         basis = build_basis(sphere, m)
         rng = np.random.default_rng([sphere, m, int(scaled)])
         nodes = random_sphere_points(sphere, 200, rng)
         if scaled:
             scale = rng.uniform(0.5, 1.5, basis.dimension)[:, None]
-            gradients = embedding.eval_gradient_many
-            monkeypatch.setattr(embedding, "eval_gradient_many", lambda b, p: scale * gradients(b, p))
+            blocks = harmonics.kernel_blocks
+
+            def scaled_blocks(b, p, want_gradient):
+                for block, parts in blocks(b, p, want_gradient):
+                    parts[1:] *= scale
+                    yield block, parts
+
+            monkeypatch.setattr(harmonics, "kernel_blocks", scaled_blocks)
+            monkeypatch.setattr(embedding, "kernel_blocks", scaled_blocks)
         c = basis.dilation_constant
         gram = _ref_gram(basis, nodes)
-        det, residual = embedding._det_and_residual(basis, nodes)
+        det, residual, _ = embedding._node_metric(basis, nodes)
         ref_det = gram[0, 0] if sphere == 1 else gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2
         assert np.max(np.abs(det - ref_det) / ref_det) <= 1e-13
         grads = embedding.eval_gradient_many(basis, nodes)
@@ -140,16 +149,38 @@ class TestFrameFreeMetric:
     def test_dilation_check_has_the_bits_of_the_quadrature_residual(self, sphere, m, monkeypatch):
         basis = build_basis(sphere, m)
         calls = []
-        metric = embedding._det_and_residual
+        metric = embedding._node_metric
         monkeypatch.setattr(
-            embedding, "_det_and_residual", lambda b, p: calls.append((p, metric(b, p))) or calls[-1][1]
+            embedding, "_node_metric", lambda b, p: calls.append((p, metric(b, p))) or calls[-1][1]
         )
         report = image_volume(basis, quadrature_depth=2)
         nodes = np.concatenate([p for p, _ in calls])
-        residual = np.concatenate([r for _, (_, r) in calls])
+        residual = np.concatenate([r[1] for _, r in calls])
         assert float(np.max(residual)) == report.max_gram_residual
         for i in range(0, len(nodes), 7):
             assert dilation_check(basis, nodes[i]) == residual[i], i
+
+
+FUSED_CASES = [(1, m) for m in (1, 3, 8, 50)] + [(2, m) for m in (1, 2, 4, 12, 24, 50)]
+
+
+class TestFusedMetric:
+    @pytest.mark.parametrize("small_blocks", [False, True], ids=["default_blocks", "small_blocks"])
+    @pytest.mark.parametrize("sphere, m", FUSED_CASES)
+    def test_has_the_bits_of_the_two_pass_metric(self, sphere, m, small_blocks, monkeypatch):
+        # One kernel pass per block, read off its function-major buffer, gives
+        # det, residual and |f|^2 with the bits of a gradient pass reduced
+        # over the strided (P, N, n+1) tensor followed by a values pass.
+        basis = build_basis(sphere, m)
+        rng = np.random.default_rng([sphere, m, 5])
+        nodes = random_sphere_points(sphere, 3000, rng)
+        if sphere == 2:
+            nodes = np.concatenate([icosphere(4).centroids, nodes])
+        if small_blocks:
+            monkeypatch.setattr(harmonics, "EVAL_BLOCK", 7 * basis.dimension)
+        assert len(point_blocks(basis, len(nodes))) > (100 if small_blocks else 0)
+        fused = embedding._node_metric(basis, nodes)
+        assert fused.tobytes() == two_pass_metric(basis, nodes).tobytes()
 
 
 class TestCoveringDegree:
@@ -248,19 +279,48 @@ class TestImageVolume:
         # report keeps the bits of the default block size.
         basis = build_basis(sphere, m)
         whole = image_volume(basis, quadrature_depth=3)
-        blocks, values = [], []
-        metric, basis_values = embedding._det_and_residual, embedding.eval_basis_many
-        monkeypatch.setattr(
-            embedding, "_det_and_residual", lambda b, p: blocks.append(len(p)) or metric(b, p)
-        )
-        monkeypatch.setattr(
-            embedding, "eval_basis_many", lambda b, p: values.append(len(p)) or basis_values(b, p)
-        )
+        blocks, rows = [], []
+        kernel_blocks = embedding.kernel_blocks
+
+        def recorded(b, p, want_gradient):
+            for block, parts in kernel_blocks(b, p, want_gradient):
+                blocks.append(parts.shape[2])
+                rows.append(parts.shape[0])
+                yield block, parts
+
+        monkeypatch.setattr(embedding, "kernel_blocks", recorded)
         monkeypatch.setattr(harmonics, "EVAL_BLOCK", 7 * basis.dimension)
         split = image_volume(basis, quadrature_depth=3)
         assert repr(split) == repr(whole)
         assert max(blocks) == 7 and sum(blocks) > 100
-        assert values[-len(blocks) :] == blocks
+        # |f|^2 is read off each block's value row: there is no values pass.
+        assert rows == [sphere + 2] * len(blocks)
+
+    @pytest.mark.parametrize("sphere, m, depth", [(2, 3, 3), (2, 24, 4), (2, 50, 3), (1, 8, 3)])
+    def test_one_kernel_call_per_quadrature_block(self, sphere, m, depth, monkeypatch):
+        # Only the quadrature runs here: the covering degree is fixed and the
+        # package's (P, N) and (P, N, n+1) evaluations raise.
+        basis = build_basis(sphere, m)
+        degree = covering_degree(basis, np.random.default_rng(0))
+        kernels = []
+        kernel = harmonics._eval_s1 if sphere == 1 else harmonics._eval_s2
+
+        def counted(m, pts, want_gradient, *q):
+            kernels.append((len(pts), want_gradient))
+            return kernel(m, pts, want_gradient, *q)
+
+        def no_tensor(*args, **kwargs):
+            raise AssertionError("the quadrature built a (P, N) or (P, N, n+1) tensor")
+
+        monkeypatch.setattr(embedding, "covering_degree", lambda b, rng: degree)
+        monkeypatch.setattr(harmonics, "_evaluate", no_tensor)
+        monkeypatch.setattr(harmonics, "_eval_s1" if sphere == 1 else "_eval_s2", counted)
+        monkeypatch.setattr(harmonics, "EVAL_BLOCK", 50 * basis.dimension)
+        image_volume(basis, quadrature_depth=depth)
+        n_nodes = 10 * 4**depth if sphere == 2 else max(512, 64 * m)
+        blocks = point_blocks(basis, n_nodes)
+        assert len(blocks) > 1
+        assert kernels == [(len(range(n_nodes)[b]), True) for b in blocks]
 
 
 def _full_mesh_quadrature(basis, depth):
@@ -279,11 +339,7 @@ def _full_mesh_quadrature(basis, depth):
         + np.einsum("fi,fi->f", v2, v0)
     )
     weights = 2.0 * np.arctan2(numer, denom)
-    det, deviation, sq_norm = np.empty((3, nodes.shape[0]))
-    for block in point_blocks(basis, nodes.shape[0]):
-        det[block], deviation[block] = embedding._det_and_residual(basis, nodes[block])
-        values = eval_basis_many(basis, nodes[block])
-        sq_norm[block] = np.einsum("pk,pk->p", values, values)
+    det, deviation, sq_norm = embedding._node_metric(basis, nodes)
     gram_residual = float(np.max(deviation))
     numeric_integral = float(np.sum(weights * np.sqrt(np.clip(det, 0.0, None))))
     radius = float(math.sqrt(np.mean(sq_norm)))
@@ -303,8 +359,8 @@ class TestHalfMeshQuadrature:
 
     def test_quadrature_visits_the_first_half_of_the_faces(self, monkeypatch):
         nodes = []
-        metric = embedding._det_and_residual
-        monkeypatch.setattr(embedding, "_det_and_residual", lambda b, p: nodes.append(p) or metric(b, p))
+        metric = embedding._node_metric
+        monkeypatch.setattr(embedding, "_node_metric", lambda b, p: nodes.append(p) or metric(b, p))
         image_volume(build_basis(2, 3), quadrature_depth=2)
         vertices, faces = whole_icosphere(2)
         v0, v1, v2 = vertices[faces[:, : faces.shape[1] // 2]]
