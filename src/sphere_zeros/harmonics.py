@@ -40,10 +40,10 @@ and row values summed over k in ascending order from zero.  The summation
 orders that make this so are pinned by a reference test; none of them
 depends on the number of points in a call.
 
-The orthonormality grid has only m + 1 distinct latitudes, so its values
-run the Legendre recurrence once per latitude and hand each block's
-columns to the same kernel; the recurrence is elementwise in z, so these
-values keep the bits of ``eval_basis_many`` on the grid points.
+The orthonormality grid is mirrored in z latitude by latitude, bit for bit,
+and so is the kernel up to the sign (-1)^(m - mu): Q[mu] has the parity of
+m - mu and rounding is symmetric under z -> -z.  So the Gram is read off the
+latitudes z <= 0, the Legendre recurrence run once per latitude.
 """
 
 from __future__ import annotations
@@ -445,32 +445,43 @@ def orthonormality_quadrature(basis: HarmonicBasis) -> tuple[np.ndarray, np.ndar
     return pts, wts
 
 
-def _quadrature_values(basis: HarmonicBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Points and weights of ``orthonormality_quadrature`` and the basis values (P, N) there.
-
-    The S2 grid is latitude-major, m + 1 latitudes of equally many points,
-    so the Legendre recurrence runs once on the m + 1 latitudes and every
-    point takes its latitude's column; the recurrence is elementwise in z,
-    so the values have the bits of ``eval_basis_many`` on the same points.
-    """
-    pts, wts = orthonormality_quadrature(basis)
-    if basis.sphere_dim == 1:
-        return pts, wts, eval_basis_many(basis, pts)
-    m = basis.degree
-    n_phi = len(pts) // (m + 1)
+def _half_grid_values(basis: HarmonicBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and basis values (P, N) of the first m // 2 + 1 latitudes (z <= 0) of the S2
+    grid: the recurrence runs once per latitude, with the bits of ``eval_basis_many``."""
+    m, n_phi = basis.degree, 4 * basis.degree + 4
+    pts, wts = (a[: (m // 2 + 1) * n_phi] for a in orthonormality_quadrature(basis))
     q = _legendre_q_block(m, pts[::n_phi, 2])
     latitude = np.arange(len(pts)) // n_phi
     values = np.empty((len(pts), basis.dimension))
     for block in point_blocks(basis, len(pts)):
         values[block] = _eval_s2(m, pts[block], False, q[:, latitude[block]])[0].T
-    return pts, wts, values
+    return wts, values
+
+
+def _orthonormality_gram(basis: HarmonicBasis) -> np.ndarray:
+    """Gram matrix (N, N) of the basis under exact-degree quadrature.
+
+    On S2 the grid's latitudes i and m - i are mirror images in z, and
+    f_k(x, y, -z) = (-1)^(m - mu_k) f_k(x, y, z) to the bit (mu_k the order
+    of f_k).  With M the Gram of the rows z < 0, the Gram is 2M on pairs of
+    equal parity, 0 across parities, plus the equator rows' Gram when m is even.
+    """
+    if basis.sphere_dim == 1:
+        pts, wts = orthonormality_quadrature(basis)
+        values = eval_basis_many(basis, pts)
+        return (values * wts[:, None]).T @ values
+    wts, values = _half_grid_values(basis)
+    south = (basis.degree + 1) // 2 * (4 * basis.degree + 4)   # rows z < 0; then the equator's
+    gram = (values[:south] * wts[:south, None]).T @ values[:south]
+    parity = np.arange(1, basis.dimension + 1) // 2 % 2     # of mu_k, so of m - mu_k up to a flip
+    gram = np.where(parity[:, None] == parity, gram + gram, 0.0)
+    gram += (values[south:] * wts[south:, None]).T @ values[south:]
+    return gram
 
 
 def orthonormality_residual(basis: HarmonicBasis) -> float:
     """Max |Gram_ij - delta_ij| of the basis under exact-degree quadrature."""
-    _, wts, values = _quadrature_values(basis)
-    gram = (values * wts[:, None]).T @ values
-    return float(np.max(np.abs(gram - np.eye(basis.dimension))))
+    return float(np.max(np.abs(_orthonormality_gram(basis) - np.eye(basis.dimension))))
 
 
 def _max_over_blocks(basis: HarmonicBasis, points: np.ndarray, deviation) -> float:

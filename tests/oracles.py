@@ -15,9 +15,9 @@ import numpy as np
 
 from sphere_zeros import SphereInputError, eval_basis_many, eval_gradient_many
 from sphere_zeros.harmonics import (
-    _quadrature_values,
     as_sphere_point,
     check_coefficients,
+    orthonormality_quadrature,
     point_blocks,
 )
 from sphere_zeros.icosphere import _ICO_FACES, _ICO_VERTICES
@@ -75,7 +75,8 @@ def rotation_coefficient_matrix(basis, rotation: np.ndarray) -> np.ndarray:
         raise SphereInputError(f"rotation must be {d}x{d}, got {rot.shape}")
     if not np.max(np.abs(rot @ rot.T - np.eye(d))) <= 1e-10:
         raise SphereInputError("rotation matrix is not orthogonal")
-    pts, wts, values = _quadrature_values(basis)
+    pts, wts = orthonormality_quadrature(basis)
+    values = eval_basis_many(basis, pts)
     rotated_values = eval_basis_many(basis, pts @ rot)  # columns f_j(R^T x_p)
     # A_kj = <f_j(R^T .), f_k> turns coefficients by u(R^T x) = sum (A c)_k f_k.
     return (values * wts[:, None]).T @ rotated_values

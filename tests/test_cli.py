@@ -594,7 +594,8 @@ def _run_without_evaluation(argv):
     _clear_package_caches()
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sphere_zeros.harmonics, "_evaluate", no_evaluation)
+        mp.setattr(sphere_zeros.harmonics, "_eval_s1", no_evaluation)
+        mp.setattr(sphere_zeros.harmonics, "_eval_s2", no_evaluation)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)

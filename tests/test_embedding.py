@@ -182,6 +182,20 @@ class TestFusedMetric:
         fused = embedding._node_metric(basis, nodes)
         assert fused.tobytes() == two_pass_metric(basis, nodes).tobytes()
 
+    def test_no_default_quadrature_has_a_one_node_block(self):
+        # A node alone in a kernel block gets other bits from _node_metric
+        # (see dilation_check), so every block of the S2 half meshes, 10 * 4^d
+        # centroids, and of the S1 grids, max(512, 64m) nodes, holds two or more.
+        for depth in range(1, 5):
+            assert len(icosphere(depth).centroids) == 10 * 4**depth
+        half_meshes = [10 * 4**depth for depth in range(1, embedding.MAX_QUADRATURE_DEPTH + 1)]
+        for m in range(1, 51):
+            for sphere, counts in ((2, half_meshes), (1, [max(512, 64 * m)])):
+                basis = build_basis(sphere, m)
+                for count in counts:
+                    sizes = [len(range(count)[block]) for block in point_blocks(basis, count)]
+                    assert sum(sizes) == count and min(sizes) >= 2, (sphere, m, count)
+
 
 class TestCoveringDegree:
     @pytest.mark.parametrize("m", range(1, 11))

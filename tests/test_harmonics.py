@@ -660,12 +660,36 @@ class TestDerivativeFromValues:
         assert shapes == [(25, len(pts[block])) for block in blocks]
 
 
-def _ref_orthonormality_residual(basis):
-    """``orthonormality_residual`` with the values from ``eval_basis_many``, kept verbatim."""
+def _ref_gram(basis):
+    """The Gram over the whole grid from ``eval_basis_many``: the reference for the half grid."""
     pts, wts = orthonormality_quadrature(basis)
     values = eval_basis_many(basis, pts)
-    gram = (values * wts[:, None]).T @ values
-    return float(np.max(np.abs(gram - np.eye(basis.dimension))))
+    return (values * wts[:, None]).T @ values
+
+
+def _ref_orthonormality_residual(basis):
+    """``orthonormality_residual`` on the full grid, with the values from ``eval_basis_many``."""
+    return float(np.max(np.abs(_ref_gram(basis) - np.eye(basis.dimension))))
+
+
+def _parity_signs(basis):
+    """(-1)^(m - mu_k) for S2 basis function k of order mu_k: its sign under z -> -z."""
+    return (-1.0) ** (basis.degree - np.arange(1, basis.dimension + 1) // 2)
+
+
+def _half_grid_gram(basis):
+    """The S2 Gram of ``orthonormality_residual`` from ``eval_basis_many`` on the rows z <= 0:
+    twice the strictly southern Gram on pairs of equal parity, 0 across parities,
+    plus the equator's Gram (no rows when m is odd)."""
+    m = basis.degree
+    pts, wts = orthonormality_quadrature(basis)
+    south, half = (m + 1) // 2 * (4 * m + 4), (m // 2 + 1) * (4 * m + 4)
+    values = eval_basis_many(basis, pts[:half])
+    gram = (values[:south] * wts[:south, None]).T @ values[:south]
+    signs = _parity_signs(basis)
+    gram = np.where(signs[:, None] == signs, gram + gram, 0.0)
+    gram += (values[south:] * wts[south:half, None]).T @ values[south:]
+    return gram
 
 
 def _ref_rotation_coefficient_matrix(basis, rot):
@@ -677,30 +701,67 @@ def _ref_rotation_coefficient_matrix(basis, rot):
 
 
 class TestQuadratureGrid:
-    @pytest.mark.parametrize("sphere_dim, m", [(2, m) for m in [*range(1, 13), 16, 24, 50]] + [(1, 3)])
-    def test_once_per_latitude_values_have_the_bits_of_eval_basis_many(self, sphere_dim, m):
-        basis = build_basis(sphere_dim, m)
-        pts, wts, values = harmonics._quadrature_values(basis)
+    @pytest.mark.parametrize("m", [*range(1, 13), 16, 24, 49, 50])
+    def test_once_per_latitude_values_have_the_bits_of_eval_basis_many(self, m):
+        basis = build_basis(2, m)
+        wts, values = harmonics._half_grid_values(basis)
         ref_pts, ref_wts = orthonormality_quadrature(basis)
-        assert _same_bits(pts, ref_pts) and _same_bits(wts, ref_wts)
-        assert _same_bits(values, eval_basis_many(basis, pts))
+        assert len(values) == (m // 2 + 1) * (4 * m + 4)
+        assert _same_bits(wts, ref_wts[: len(values)])
+        assert _same_bits(values, eval_basis_many(basis, ref_pts[: len(values)]))
+
+    def test_the_grid_and_the_basis_are_mirrored_in_z_to_the_bit(self):
+        for m in range(1, 51):
+            basis = build_basis(2, m)
+            pts, wts = orthonormality_quadrature(basis)
+            grid = pts.reshape(m + 1, 4 * m + 4, 3)
+            south = (m + 1) // 2
+            assert _same_bits(grid[..., :2], grid[::-1, :, :2]), m
+            assert _same_bits(wts, wts.reshape(m + 1, -1)[::-1].reshape(-1)), m
+            assert _same_bits(grid[:south, :, 2], -grid[::-1][:south, :, 2]), m
+            values = eval_basis_many(basis, pts).reshape(m + 1, 4 * m + 4, -1)
+            signs = _parity_signs(basis)
+            assert _same_bits(values[:south] * signs, values[::-1][:south]), m
+            if m % 2 == 0:
+                assert np.all(grid[m // 2, :, 2] == 0.0), m
+                assert np.all(values[m // 2][:, signs < 0] == 0.0), m
+
+    def test_half_grid_gram_matches_the_full_grid_gram(self):
+        for m in range(1, 51):
+            basis = build_basis(2, m)
+            gram = harmonics._orthonormality_gram(basis)
+            assert _same_bits(gram, _half_grid_gram(basis)), m
+            signs = _parity_signs(basis)
+            assert np.max(np.abs(gram - _ref_gram(basis))) <= 2e-14, m
+            assert np.all(gram[signs[:, None] != signs] == 0.0), m
 
     @pytest.mark.parametrize("sphere_dim, m", [(2, 1), (2, 2), (2, 5), (2, 12), (2, 50), (1, 3)])
     def test_residual_and_rotation_matrix_keep_their_bits(self, sphere_dim, m):
         basis = build_basis(sphere_dim, m)
-        assert orthonormality_residual(basis) == _ref_orthonormality_residual(basis)
+        if sphere_dim == 1:
+            assert orthonormality_residual(basis) == _ref_orthonormality_residual(basis)
+        else:
+            gram = _half_grid_gram(basis)
+            assert orthonormality_residual(basis) == float(np.max(np.abs(gram - np.eye(2 * m + 1))))
         rng = np.random.default_rng(m)
         rot = np.linalg.qr(rng.standard_normal((sphere_dim + 1, sphere_dim + 1)))[0]
         ref = _ref_rotation_coefficient_matrix(basis, rot)
         assert _same_bits(rotation_coefficient_matrix(basis, rot), ref)
 
-    def test_recurrence_runs_once_on_the_latitudes(self, monkeypatch):
-        sizes = []
-        legendre = harmonics._legendre_q_block
+    @pytest.mark.parametrize("m, latitudes", [(50, 26), (49, 25)])
+    def test_recurrence_runs_once_on_the_latitudes(self, m, latitudes, monkeypatch):
+        sizes, points = [], []
+        legendre, kernel = harmonics._legendre_q_block, harmonics._eval_s2
         def counted(degree, z):
             sizes.append(len(z))
             return legendre(degree, z)
 
+        def counted_kernel(degree, pts, want_gradient, q=None):
+            points.append(len(pts))
+            return kernel(degree, pts, want_gradient, q)
+
         monkeypatch.setattr(harmonics, "_legendre_q_block", counted)
-        orthonormality_residual(build_basis(2, 50))
-        assert sizes == [51]
+        monkeypatch.setattr(harmonics, "_eval_s2", counted_kernel)
+        orthonormality_residual(build_basis(2, m))
+        assert sizes == [latitudes]
+        assert sum(points) == latitudes * (4 * m + 4)
