@@ -24,7 +24,6 @@ import numpy as np
 
 from .harmonics import (
     HarmonicBasis,
-    as_sphere_point,
     check_integer,
     eval_basis_many,
     eval_gradient_many,
@@ -101,7 +100,7 @@ def dilation_check(basis: HarmonicBasis, point) -> float:
     orthonormal tangent frame; tr A is the pointwise gradient sum, which
     ties this check to the radius identity.
     """
-    p = as_sphere_point(point, basis.sphere_dim)
+    p = np.asarray(point, dtype=float)
     # Two copies of x: einsum sums a one-column block's A in another order.
     return float(_node_metric(basis, np.stack([p, p]))[1, 0])
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,9 +76,12 @@ def check_integer(name: str, value, low: int, high: float = math.inf) -> int:
 class HarmonicBasis:
     """An orthonormal real eigenbasis of the Laplacian on S1 or S2.
 
+    Given (sphere_dim, degree); the rest is derived from them and cannot be set.
+
     Attributes:
         sphere_dim: intrinsic dimension n, 1 or 2.
-        degree: polynomial degree m >= 1.
+        degree: polynomial degree m in [1, MAX_DEGREE] (the constant
+            eigenfunction with eigenvalue 0 is excluded).
         dimension: N, number of basis functions (2 on S1, 2m+1 on S2).
         eigenvalue: lam = m*(m + n - 1), exact integer arithmetic then cast.
         manifold_volume: 2*pi for S1, 4*pi for S2.
@@ -86,9 +89,21 @@ class HarmonicBasis:
 
     sphere_dim: int
     degree: int
-    dimension: int
-    eigenvalue: float
-    manifold_volume: float
+    dimension: int = field(init=False)
+    eigenvalue: float = field(init=False)
+    manifold_volume: float = field(init=False)
+
+    def __post_init__(self):
+        n = check_integer("sphere_dim", self.sphere_dim, 1, 2)
+        m = check_integer("degree", self.degree, 1, MAX_DEGREE)
+        for name, value in (
+            ("sphere_dim", n),
+            ("degree", m),
+            ("dimension", 2 if n == 1 else 2 * m + 1),
+            ("eigenvalue", float(m * (m + n - 1))),
+            ("manifold_volume", 2.0 * math.pi if n == 1 else 4.0 * math.pi),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def ambient_dim(self) -> int:
@@ -116,39 +131,8 @@ class HarmonicBasis:
 
 
 def build_basis(sphere_dim: int, degree: int) -> HarmonicBasis:
-    """Construct the degree-m eigenbasis descriptor for S1 or S2.
-
-    Rejects sphere_dim outside {1, 2} and degree outside [1, MAX_DEGREE] (the
-    constant eigenfunction with eigenvalue 0 is excluded).
-    """
-    sphere_dim = check_integer("sphere_dim", sphere_dim, 1, 2)
-    degree = check_integer("degree", degree, 1, MAX_DEGREE)
-    if sphere_dim == 1:
-        n_funcs = 2
-        volume = 2.0 * math.pi
-    else:
-        n_funcs = 2 * degree + 1
-        volume = 4.0 * math.pi
-    eigenvalue = float(degree * (degree + sphere_dim - 1))
-    return HarmonicBasis(
-        sphere_dim=sphere_dim,
-        degree=degree,
-        dimension=n_funcs,
-        eigenvalue=eigenvalue,
-        manifold_volume=volume,
-    )
-
-
-def as_sphere_point(point, sphere_dim: int) -> np.ndarray:
-    """Validate and return a unit vector of the right ambient dimension."""
-    p = np.asarray(point, dtype=float)
-    if p.shape != (sphere_dim + 1,):
-        raise SphereInputError(
-            f"expected a {sphere_dim + 1}-vector for S{sphere_dim}, got shape {p.shape}"
-        )
-    if not abs(np.dot(p, p) - 1.0) <= 2.0 * UNIT_NORM_TOL:
-        raise SphereInputError(f"point is not on the unit sphere: |x| = {np.linalg.norm(p)!r}")
-    return p
+    """The degree-m eigenbasis descriptor ``HarmonicBasis(sphere_dim, degree)`` for S1 or S2."""
+    return HarmonicBasis(sphere_dim, degree)
 
 
 def _check_points(points: np.ndarray, sphere_dim: int) -> np.ndarray:
@@ -403,10 +387,9 @@ def zonal(basis: HarmonicBasis, axis) -> np.ndarray:
     """
     if basis.sphere_dim != 2:
         raise SphereInputError("axis-symmetric construction is only defined on S2")
-    a = as_sphere_point(axis, 2)
     # Pointwise-kernel construction: coefficients are the basis values at the
     # axis, scaled to unit norm (their squared sum is N / vol(M) everywhere).
-    return eval_basis_many(basis, a[None, :])[0] / basis.embedding_radius
+    return eval_basis_many(basis, np.asarray(axis, dtype=float)[None])[0] / basis.embedding_radius
 
 
 def legendre_roots(degree: int) -> np.ndarray:

@@ -41,6 +41,7 @@ from .zerofinder import (
     ZeroFindingResult,
     find_common_zeros_s1,
     find_common_zeros_s2,
+    _check_s2_bases,
     _check_solver_degree,
     make_sample,
     pencil_counts,
@@ -192,11 +193,14 @@ def _monte_carlo_average(
     AVERAGE_CHUNK_TRIALS at a time as (count, margin): an S1 draw in closed
     form, with margin inf, and the S2 draws together by ``pencil_counts``,
     whose margin is the smallest off-circle one (inf without one) and which
-    declines the draws it cannot count.
+    declines the draws it cannot count.  The S2 bases, with the solver's
+    degree ceiling, are checked before the first draw.
     """
     trials, seed = check_integer("trials", trials, 1), check_integer("seed", seed, 0)
     if not bases or len(bases) != bases[0].sphere_dim or len({b.sphere_dim for b in bases}) != 1:
         raise SphereInputError("need as many functions as the sphere dimension")
+    if bases[0].sphere_dim == 2:
+        _check_s2_bases(bases)            # before the first draw
     theory = theoretical_average(
         bases[0].sphere_dim, [b.eigenvalue for b in bases], bases[0].manifold_volume
     )
@@ -233,7 +237,7 @@ def average_zero_count(bases, trials: int, seed: int = 0) -> AverageReport:
     All bases must share one degree and one sphere.
     """
     bases = list(bases)
-    if len({b.degree for b in bases}) != 1:
+    if len({b.degree for b in bases}) > 1:
         raise SphereInputError("equal-average theory requires equal degrees")
     return _monte_carlo_average(bases, trials, seed, experimental=False, formula_id="THM_1_1")
 

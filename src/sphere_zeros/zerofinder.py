@@ -125,6 +125,8 @@ class SubspaceSample:
     def __post_init__(self):
         rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
         degrees = tuple(check_integer("degree", d, 1, MAX_DEGREE) for d in self.source_degrees)
+        if not rows.shape[0]:
+            raise SphereInputError("a sample needs at least one row")
         if rows.shape[0] != len(degrees):
             raise SphereInputError("one source degree is required per row")
         object.__setattr__(self, "rows", rows)
@@ -165,7 +167,7 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 def make_sample(coefficient_rows, degrees) -> SubspaceSample:
     """Build a SubspaceSample from possibly ragged coefficient rows."""
     widths = [np.asarray(r, dtype=float).ravel() for r in coefficient_rows]
-    n_max = max(r.shape[0] for r in widths)
+    n_max = max((r.shape[0] for r in widths), default=0)
     rows = np.zeros((len(widths), n_max))
     for i, r in enumerate(widths):
         rows[i, : r.shape[0]] = r
@@ -412,12 +414,17 @@ def _mesh_zeros(
     return _dedup_and_sort(np.concatenate([points, -points]), cap)
 
 
-def _check_s2_pair(bases, sample: SubspaceSample) -> list[HarmonicBasis]:
-    """The two S2 bases of ``sample``'s rows as a list; SphereInputError if they do not fit."""
+def _check_s2_bases(bases) -> list[HarmonicBasis]:
+    """``bases`` as a list; SphereInputError unless two S2 bases within MAX_SOLVER_DEGREE."""
     bases = list(bases)
     if len(bases) != 2 or any(b.sphere_dim != 2 for b in bases):
         raise SphereInputError("two S2 bases are required, one per sample row")
     _check_solver_degree(max(b.degree for b in bases))
+    return bases
+
+
+def _check_s2_rows(bases: list[HarmonicBasis], sample: SubspaceSample) -> None:
+    """SphereInputError unless ``sample`` has one row per basis, of its degree and width."""
     if sample.rows.shape[0] != 2:
         raise SphereInputError("sample must have exactly two rows on S2")
     for i, b in enumerate(bases):
@@ -425,7 +432,6 @@ def _check_s2_pair(bases, sample: SubspaceSample) -> list[HarmonicBasis]:
             raise SphereInputError(f"row {i} degree does not match its basis")
         if sample.rows.shape[1] < b.dimension or np.any(sample.rows[i, b.dimension :]):
             raise SphereInputError(f"row {i} must hold {b.dimension} coefficients, then only zeros")
-    return bases
 
 
 def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
@@ -440,7 +446,8 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     Unconfirmed, with the mesh's zeros, when they do not.  ``max_residual``
     is max |u_i| over the unit rows.
     """
-    bases = _check_s2_pair(bases, sample)
+    bases = _check_s2_bases(bases)
+    _check_s2_rows(bases, sample)
     bezout = 2 * bases[0].degree * bases[1].degree
     depth = default_mesh_depth(max(b.degree for b in bases))
     counted = pencil_count(bases, sample)
@@ -691,11 +698,9 @@ def pencil_counts(bases, samples) -> list[tuple[int, float] | None]:
     most ``PENCIL_BATCH`` Sylvester entries; more samples are counted in
     several batches.
     """
-    samples = list(samples)
+    bases, samples = _check_s2_bases(bases), list(samples)
     for sample in samples:
-        bases = _check_s2_pair(bases, sample)
-    if not samples:
-        return []
+        _check_s2_rows(bases, sample)
     m1, m2 = bases[0].degree, bases[1].degree
     size = max(1, PENCIL_BATCH // ((m1 * m2 + 1) * (m1 + m2) ** 2))
     batches = (samples[lo : lo + size] for lo in range(0, len(samples), size))

@@ -15,7 +15,7 @@ import numpy as np
 
 from sphere_zeros import SphereInputError, eval_basis_many, eval_gradient_many
 from sphere_zeros.harmonics import (
-    as_sphere_point,
+    _check_points,
     check_coefficients,
     orthonormality_quadrature,
     point_blocks,
@@ -49,7 +49,7 @@ def laplacian_residual(basis, coeffs, point) -> float:
     it is independent of the analytic gradient code it cross-checks.
     """
     c = check_coefficients(basis, coeffs)
-    p = as_sphere_point(point, basis.sphere_dim)
+    p = _check_points([point], basis.sphere_dim)[0]
     u0 = float(eval_basis_many(basis, p[None, :])[0] @ c)
     cos_h, sin_h = math.cos(LAPLACIAN_STEP), math.sin(LAPLACIAN_STEP)
     lap = 0.0

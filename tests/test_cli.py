@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphere_zeros.harmonics
+import sphere_zeros.integralgeom
 from sphere_zeros.cli import (
     MAX_POINTS,
     MAX_TRIALS,
@@ -411,6 +412,21 @@ class TestOutputFormats:
         assert code == 2
         assert out == ""
         assert err.startswith("error: S2 zero finding supports degrees up to 12")
+
+    @pytest.mark.parametrize("argv", [
+        ["average", "--degree", "13", "--trials", "1000000"],
+        ["conjecture", "--degrees", "13", "2"],
+    ], ids=["average", "conjecture"])
+    def test_solver_degree_cap_comes_before_any_draw(self, argv, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(sphere_zeros.integralgeom, "sample_subspace", no_draw)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: S2 zero finding supports degrees up to 12")
+        assert err.count("\n") == 1
 
     # The first two in-range values starved Newton into a wrong Complete count
     # (0 zeros where there are 10); the solver settings are fixed constants now.

@@ -1,5 +1,6 @@
 """Eigenbasis construction, evaluation, gradients, and pointwise identities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -79,6 +80,30 @@ class TestBuildBasis:
         # A float dimension would reach numpy shapes and seeds, which reject it deep inside.
         with pytest.raises(SphereInputError, match=r"sphere_dim must be an integer in \[1, 2\]"):
             build_basis(sphere_dim, 3)
+
+    @pytest.mark.parametrize("sphere_dim", [1, 2])
+    def test_derived_fields_keep_their_bits(self, sphere_dim):
+        volume = float.fromhex("0x1.921fb54442d18p+2" if sphere_dim == 1 else "0x1.921fb54442d18p+3")
+        for m in range(1, harmonics.MAX_DEGREE + 1):
+            basis = build_basis(sphere_dim, m)
+            assert basis == harmonics.HarmonicBasis(sphere_dim, m)
+            assert basis.dimension == (2 if sphere_dim == 1 else 2 * m + 1), m
+            assert type(basis.dimension) is int and type(basis.eigenvalue) is float
+            assert basis.eigenvalue.hex() == float(m * (m + sphere_dim - 1)).hex(), m
+            assert basis.manifold_volume.hex() == volume.hex(), m
+
+    def test_derived_fields_cannot_be_set(self):
+        with pytest.raises(TypeError):
+            harmonics.HarmonicBasis(2, 3, 7, 10.0, 4.0 * math.pi)
+        with pytest.raises(TypeError):
+            harmonics.HarmonicBasis(2, 3, dimension=7)
+
+    def test_replace_derives_the_fields_again(self):
+        basis = dataclasses.replace(build_basis(2, 3), degree=5)
+        assert (basis.dimension, basis.eigenvalue) == (11, 30.0)
+        assert basis == build_basis(2, 5)
+        with pytest.raises(SphereInputError):
+            dataclasses.replace(basis, degree=51)
 
 
 class TestEvalBasis:
@@ -262,6 +287,25 @@ class TestNonFiniteGeometry:
     def test_nan_input_rejected(self, call):
         with pytest.raises(SphereInputError):
             call(build_basis(2, 3))
+
+
+class TestPointChecks:
+    # zonal and dilation_check hand their point to the kernel's own check,
+    # which must reject it before either kernel runs.
+    @pytest.mark.parametrize(
+        "point",
+        [[0.0, 0.0, 2.0], [math.nan, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0], [[0.0, 0.0, 1.0]]],
+        ids=["off-sphere", "nan", "shape-4", "shape-1x3"],
+    )
+    @pytest.mark.parametrize("call", [zonal, dilation_check], ids=["zonal", "dilation_check"])
+    def test_bad_point_rejected_before_any_kernel(self, call, point, monkeypatch):
+        def kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran on an unchecked point")
+
+        monkeypatch.setattr(harmonics, "_eval_s1", kernel)
+        monkeypatch.setattr(harmonics, "_eval_s2", kernel)
+        with pytest.raises(SphereInputError):
+            call(build_basis(2, 3), np.array(point))
 
 
 class TestLaplacianStencil:

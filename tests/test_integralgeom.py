@@ -141,6 +141,21 @@ class TestAverageZeroCount:
         with pytest.raises(SphereInputError):
             average_zero_count([build_basis(2, 1), build_basis(2, 2)], trials=4)
 
+    def test_no_bases_need_as_many_functions_as_the_sphere_dimension(self):
+        with pytest.raises(SphereInputError, match="need as many functions as the sphere dimension"):
+            average_zero_count([], trials=3)
+
+    def test_solver_degree_is_checked_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(integralgeom, "sample_subspace", no_draw)
+        high, low = build_basis(2, 13), build_basis(2, 2)
+        with pytest.raises(SphereInputError, match="degrees up to 12"):
+            average_zero_count([high, high], trials=10**6)
+        with pytest.raises(SphereInputError, match="degrees up to 12"):
+            conjecture_mixed_average([high, low], trials=400)
+
     def test_determinism(self):
         basis = build_basis(2, 2)
         r1 = average_zero_count([basis, basis], trials=30, seed=8)

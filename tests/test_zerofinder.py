@@ -85,6 +85,13 @@ class TestSubspaceSample:
         with pytest.raises(RankDeficientError):
             make_sample([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1, 1])
 
+    def test_a_sample_without_rows_rejected(self):
+        # Both constructors run the one check in SubspaceSample.
+        with pytest.raises(SphereInputError, match="at least one row"):
+            SubspaceSample(rows=np.empty((0, 3)), source_degrees=())
+        with pytest.raises(SphereInputError, match="at least one row"):
+            make_sample([], [])
+
     # A truncated 3.7 made a degree-3 sample, on which the S1 solver reported 6 zeros.
     @pytest.mark.parametrize(
         "degree", [3.7, True, np.float64(3.0), 0, MAX_DEGREE + 1],
@@ -492,6 +499,15 @@ class TestSphereZeros:
         sample = make_sample([[1, 0, 0], [0, 1, 0]], [1, 1])
         with pytest.raises(Exception):
             find_common_zeros_s2([basis, basis], sample)
+
+    def test_bases_are_checked_without_samples(self):
+        # The base pair is checked once per call, before any sample.
+        assert zerofinder.pencil_counts([build_basis(2, 3)] * 2, []) == []
+        for bases in ([build_basis(1, 3)], [build_basis(2, 3)], [build_basis(1, 3)] * 2):
+            with pytest.raises(SphereInputError, match="two S2 bases"):
+                zerofinder.pencil_counts(bases, [])
+        with pytest.raises(SphereInputError, match="degrees up to 12"):
+            zerofinder.pencil_counts([build_basis(2, 3), build_basis(2, 13)], [])
 
     def test_rows_narrower_than_their_basis_rejected(self):
         basis = build_basis(2, 2)
