@@ -33,9 +33,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .embedding import COVERING_PROBES, MAX_QUADRATURE_DEPTH, image_volume
+from .embedding import COVERING_PROBES, image_volume
 from .harmonics import (
-    MAX_DEGREE,
     SphereInputError,
     build_basis,
     gradient_sum_residual,
@@ -170,13 +169,6 @@ def _validate_common(args) -> None:
         raise ConfigError("seed must be >= 0")
     if getattr(args, "points", None) is not None and not 1 <= args.points <= MAX_POINTS:
         raise ConfigError(f"points must be in [1, {MAX_POINTS}]")
-    degrees = (getattr(args, "degree", None), getattr(args, "degree2", None))
-    for value in degrees + tuple(getattr(args, "degrees", ())):
-        if value is not None and not 1 <= value <= MAX_DEGREE:
-            raise ConfigError(f"degrees must be in [1, {MAX_DEGREE}]")
-    qdepth = getattr(args, "quadrature_depth", None)
-    if qdepth is not None and not 1 <= qdepth <= MAX_QUADRATURE_DEPTH:
-        raise ConfigError(f"quadrature depth must be in [1, {MAX_QUADRATURE_DEPTH}]")
 
 
 def _zero_set_report(report: dict, result) -> bool:

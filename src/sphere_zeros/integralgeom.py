@@ -42,7 +42,6 @@ from .zerofinder import (
     find_common_zeros_s1,
     find_common_zeros_s2,
     _check_s2_bases,
-    _check_solver_degree,
     make_sample,
     pencil_counts,
     restrict_to_great_circle,
@@ -71,7 +70,6 @@ class AverageReport:
     relative_deviation: float
     degenerate_resamples: int
     min_off_circle_margin: float | None   # smallest pencil margin off the circle, if any
-    seed: int
     experimental: bool
     formula_id: str
 
@@ -90,7 +88,6 @@ class LengthReport:
     length: float                     # pi * mean_crossings on the unit S2
     stderr: float                     # pi * stderr of the crossing count
     degenerate_resamples: int
-    seed: int
 
 
 def _summaries(counts: np.ndarray) -> tuple[float, float, dict[int, int]]:
@@ -127,8 +124,10 @@ def _draw_and_count(trials: int, seed: int, chunk: int, draw, count) -> tuple[li
     in one ``count(draws)``, one result per draw or None where it declines
     one; only those are redrawn, with attempt + 1, for at most
     MAX_RESAMPLES_PER_TRIAL attempts.  ``count`` counts each draw on its
-    own, so the results do not depend on the batching.
+    own, so the results do not depend on the batching.  ``trials`` and
+    ``seed`` are checked here, before the first draw.
     """
+    trials, seed = check_integer("trials", trials, 1), check_integer("seed", seed, 0)
     results: list = [None] * trials
     resamples = 0
     for start in range(0, trials, chunk):
@@ -196,7 +195,6 @@ def _monte_carlo_average(
     declines the draws it cannot count.  The S2 bases, with the solver's
     degree ceiling, are checked before the first draw.
     """
-    trials, seed = check_integer("trials", trials, 1), check_integer("seed", seed, 0)
     if not bases or len(bases) != bases[0].sphere_dim or len({b.sphere_dim for b in bases}) != 1:
         raise SphereInputError("need as many functions as the sphere dimension")
     if bases[0].sphere_dim == 2:
@@ -217,7 +215,7 @@ def _monte_carlo_average(
     margin = min(low for _, low in counted)
     mean, stderr, histogram = _summaries(counts)
     return AverageReport(
-        trials=trials,
+        trials=counts.size,
         histogram=histogram,
         mean=mean,
         stderr=stderr,
@@ -225,7 +223,6 @@ def _monte_carlo_average(
         relative_deviation=abs(mean - theory) / theory,
         degenerate_resamples=resamples,
         min_off_circle_margin=margin if margin < math.inf else None,
-        seed=seed,
         experimental=experimental,
         formula_id=formula_id,
     )
@@ -284,7 +281,6 @@ def crofton_length(basis: HarmonicBasis, coeffs, trials: int, seed: int = 0) -> 
     """
     if basis.sphere_dim != 2:
         raise SphereInputError("length estimation is defined on S2")
-    trials, seed = check_integer("trials", trials, 1), check_integer("seed", seed, 0)
     c = check_coefficients(basis, coeffs)
     if not np.any(c):
         raise SphereInputError("zero function has no zero-level curve")
@@ -300,12 +296,11 @@ def crofton_length(basis: HarmonicBasis, coeffs, trials: int, seed: int = 0) -> 
     )
     mean, stderr, _ = _summaries(np.array(counted, dtype=np.int64))
     return LengthReport(
-        trials=trials,
+        trials=len(counted),
         mean_crossings=mean,
         length=math.pi * mean,
         stderr=math.pi * stderr,
         degenerate_resamples=resamples,
-        seed=seed,
     )
 
 
@@ -338,15 +333,15 @@ def zonal_pair_demo(degree: int, alpha: float) -> ZeroFindingResult:
     up one-to-one and the count is exactly 2m.  alpha = 0 duplicates the
     function and is reported Degenerate.
     """
-    _check_solver_degree(check_integer("degree", degree, 1))
+    basis = build_basis(2, degree)
+    bases = _check_s2_bases([basis, basis])    # the solver's degree ceiling, before the tilt
     if isinstance(alpha, (bool, np.bool_)) or not 0.0 <= alpha < math.pi:
         raise SphereInputError("tilt angle must lie in [0, pi)")
-    basis = build_basis(2, degree)
     pole = np.array([0.0, 0.0, 1.0])
     tilted = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
     try:
         sample = make_sample([zonal(basis, pole), zonal(basis, tilted)], [degree, degree])
     except RankDeficientError:
         # alpha = 0, or axes so close that the two functions coincide numerically.
-        return ZeroFindingResult.degenerate(2 * degree * degree)
-    return find_common_zeros_s2([basis, basis], sample)
+        return ZeroFindingResult.degenerate(2 * basis.degree**2)
+    return find_common_zeros_s2(bases, sample)

@@ -213,15 +213,6 @@ def default_mesh_depth(max_degree: int) -> int:
     return max(4, math.ceil(math.log2(max_degree)) + 3)
 
 
-def _check_solver_degree(degree: int) -> None:
-    """Raise SphereInputError past MAX_SOLVER_DEGREE, the reach of the pencil count."""
-    if degree > MAX_SOLVER_DEGREE:
-        raise SphereInputError(
-            f"S2 zero finding supports degrees up to {MAX_SOLVER_DEGREE} "
-            "(the reach validated for the great-circle pencil count)"
-        )
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -419,7 +410,11 @@ def _check_s2_bases(bases) -> list[HarmonicBasis]:
     bases = list(bases)
     if len(bases) != 2 or any(b.sphere_dim != 2 for b in bases):
         raise SphereInputError("two S2 bases are required, one per sample row")
-    _check_solver_degree(max(b.degree for b in bases))
+    if max(b.degree for b in bases) > MAX_SOLVER_DEGREE:
+        raise SphereInputError(
+            f"S2 zero finding supports degrees up to {MAX_SOLVER_DEGREE} "
+            "(the reach validated for the great-circle pencil count)"
+        )
     return bases
 
 
@@ -437,12 +432,12 @@ def _check_s2_rows(bases: list[HarmonicBasis], sample: SubspaceSample) -> None:
 def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     """Enumerate Z(u1, u2) on S2 for the two coefficient rows of ``sample``.
 
-    ``pencil_count`` counts Z first; when it declines the sample, the
-    result is Degenerate and the mesh does not run.  Otherwise
-    ``_mesh_zeros`` finds the zeros on the mesh of depth D =
-    ``default_mesh_depth`` of the larger degree, solving on
-    ``sample.frame``, whose rows have unit norm, so the gradient sum is a
-    Lipschitz bound.  The result is Complete when the two counts agree and
+    ``_pencil_rounds``, ``pencil_count`` past the checks made here, counts
+    Z first; when it declines the sample, the result is Degenerate and the
+    mesh does not run.  Otherwise ``_mesh_zeros`` finds the zeros on the
+    mesh of depth D = ``default_mesh_depth`` of the larger degree, solving
+    on ``sample.frame``, whose rows have unit norm, so the gradient sum is
+    a Lipschitz bound.  The result is Complete when the two counts agree and
     Unconfirmed, with the mesh's zeros, when they do not.  ``max_residual``
     is max |u_i| over the unit rows.
     """
@@ -450,7 +445,7 @@ def find_common_zeros_s2(bases, sample: SubspaceSample) -> ZeroFindingResult:
     _check_s2_rows(bases, sample)
     bezout = 2 * bases[0].degree * bases[1].degree
     depth = default_mesh_depth(max(b.degree for b in bases))
-    counted = pencil_count(bases, sample)
+    counted = _pencil_rounds(bases, [sample])[0]
     if counted is None:
         return ZeroFindingResult.degenerate(bezout, depth)
     groups = _degree_groups(bases)

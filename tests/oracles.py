@@ -1,11 +1,12 @@
 """Reference computations that only the tests use.
 
 A tangent frame, a finite-difference Laplacian, the action of rotations
-on coefficient vectors, the whole icosphere and the two-pass embedding
-metric.  None of them serves a command, so they live here rather than in
-the package.  Each works through the package's own basis evaluation and
-input checks; the whole icosphere is subdivided over a shared-vertex table
-of its own, independently of the package's face-corner mesh.
+on coefficient vectors, a pair family with a known count of common zeros,
+the whole icosphere and the two-pass embedding metric.  None of them
+serves a command, so they live here rather than in the package.  Each
+works through the package's own basis evaluation and input checks; the
+whole icosphere is subdivided over a shared-vertex table of its own,
+independently of the package's face-corner mesh.
 """
 
 import functools
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from sphere_zeros import SphereInputError, eval_basis_many, eval_gradient_many
+from sphere_zeros import SphereInputError, build_basis, eval_basis_many, eval_gradient_many
 from sphere_zeros.harmonics import (
     _check_points,
     check_coefficients,
@@ -86,6 +87,28 @@ def rotate_coefficients(basis, coeffs, rotation: np.ndarray) -> np.ndarray:
     """Coefficients of the rotated function x -> u(R^T x)."""
     c = check_coefficients(basis, coeffs)
     return rotation_coefficient_matrix(basis, rotation) @ c
+
+
+def tesseral_zonal_rows(m: int, mu: int, rotation: np.ndarray) -> np.ndarray:
+    """Rows (2, 2m + 1) of a degree-m pair with exactly 2 mu m common zeros, rotated by R.
+
+    Row 0 is the unit row e_{2mu-1}, the cos(mu*phi)-type basis function
+    Re((x + iy)^mu) P_m^(mu)(z) up to scale, with P_m^(mu) = d^mu P_m / dz^mu;
+    row 1 is e_0, the zonal P_m(z).  Both are rotated by
+    ``rotate_coefficients``, which moves the zero set and keeps its count.
+
+    The tesseral function vanishes on mu great circles through the poles
+    (2 mu half-meridians), on the m - mu latitudes where P_m^(mu) = 0 and at
+    both poles; the zonal one on the m latitudes where P_m = 0 and not at
+    the poles.  When the two sets of latitudes are disjoint, the common
+    zeros are the m zonal latitudes crossed by the 2 mu half-meridians,
+    exactly 2 mu m, all transverse; mu = m gives the ceiling 2 m^2.  For odd
+    m with m - mu odd, both P_m and P_m^(mu) are odd and vanish on the
+    equator, a common zero curve: such members have no finite count.
+    """
+    basis = build_basis(2, m)
+    unit = np.eye(basis.dimension)
+    return np.stack([rotate_coefficients(basis, unit[k], rotation) for k in (2 * mu - 1, 0)])
 
 
 def _ref_subdivide(vertices, faces):

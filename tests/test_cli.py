@@ -21,9 +21,7 @@ import sphere_zeros.integralgeom
 from sphere_zeros.cli import (
     MAX_POINTS,
     MAX_TRIALS,
-    ConfigError,
     _flatten,
-    _validate_common,
     build_parser,
     main,
 )
@@ -97,14 +95,12 @@ class TestConjectureCommand:
         assert report["theory"]["formula_id"] == "SEC5_CONJECTURE"
         assert report["theory"]["value"] == pytest.approx(math.sqrt(12.0), rel=1e-12)
 
-    def test_degrees_validated_before_the_run(self, capsys):
-        args = build_parser().parse_args(["conjecture", "--degrees", "1", "51"])
-        with pytest.raises(ConfigError, match=r"degrees must be in \[1, 50\]"):
-            _validate_common(args)
-        code, out, err = run_cli(["conjecture", "--degrees", "1", "51"], capsys)
+    def test_degrees_validated_before_the_run(self):
+        # The library rejects the degree before any kernel runs.
+        code, out, err = _run_without_evaluation(["conjecture", "--degrees", "1", "51"])
         assert code == 2
         assert out == ""
-        assert err == "error: degrees must be in [1, 50]\n"
+        assert err == "error: degree must be an integer in [1, 50], got 51\n"
 
 
 class TestCountCommand:
@@ -361,9 +357,10 @@ class TestOutputFormats:
         assert a.read_bytes() == b.read_bytes()
 
     def test_degree_out_of_range(self, capsys):
-        code, _, err = run_cli(["average", "--sphere", "2", "--degree", "51"], capsys)
+        code, out, err = run_cli(["average", "--sphere", "2", "--degree", "51"], capsys)
         assert code == 2
-        assert "degrees" in err
+        assert out == ""
+        assert err == "error: degree must be an integer in [1, 50], got 51\n"
 
     def test_solver_degree_cap(self, capsys):
         code, _, err = run_cli(["count", "--sphere", "2", "--degree", "13"], capsys)
@@ -625,6 +622,26 @@ def _argv(command, pairs):
     for flag, value in pairs:
         argv += [flag] + (value.split(" ") if flag == "--degrees" else [value])
     return argv
+
+
+# The library's bounds, reached on the CLI path before either kernel runs.
+LIBRARY_BOUNDS = [
+    *([command, "--degree", "51"]
+      for command in ("average", "count", "zonal", "invariants", "embedding", "crofton-length")),
+    ["conjecture", "--degrees", "2", "51"],
+    ["count", "--degree", "2", "--degree2", "51"],
+    *(["embedding", "--sphere", sphere, "--degree", "2", "--quadrature-depth", depth]
+      for sphere in ("1", "2") for depth in ("0", "10")),
+]
+
+
+@pytest.mark.parametrize("argv", LIBRARY_BOUNDS, ids=" ".join)
+def test_library_bounds_exit_2_before_any_kernel(argv):
+    code, out, err = _run_without_evaluation(argv)
+    assert code == 2, argv
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert ("degree" if "51" in argv else "quadrature depth") in err
 
 
 class TestArgumentFuzz:

@@ -23,7 +23,7 @@ from sphere_zeros import (
     zonal_pair_demo,
     zonal_tilt_threshold,
 )
-from sphere_zeros import integralgeom, zerofinder
+from sphere_zeros import harmonics, integralgeom, zerofinder
 from sphere_zeros.integralgeom import (
     circle_frames,
     theoretical_average,
@@ -451,9 +451,10 @@ class TestZonalPairDemo:
         with pytest.raises(SphereInputError, match="tilt angle"):
             zonal_pair_demo(3, True)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.05])
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 4.0])
     def test_rejects_degree_past_solver_cap(self, alpha):
-        # alpha = 0 gives two equal rows; the cap is checked before the rank check.
+        # alpha = 0 gives two equal rows and 4 is no tilt; the cap is checked
+        # before the tilt and the rank checks.
         with pytest.raises(SphereInputError, match="S2 zero finding supports degrees up to 12"):
             zonal_pair_demo(13, alpha)
 
@@ -472,8 +473,15 @@ _ESTIMATORS = {
     [(True, 0, "trials"), (2.5, 0, "trials"), (2, -1, "seed"), (2, 1.5, "seed")],
     ids=["trials-True", "trials-2.5", "seed-minus-1", "seed-1.5"],
 )
-def test_trials_and_seed_must_be_counts(estimator, trials, seed, name):
+def test_trials_and_seed_must_be_counts(monkeypatch, estimator, trials, seed, name):
     # True == 1 would run one trial; 2.5 and 1.5 would fail in numpy, and so would -1.
+    # The driver checks both before its first draw, so no kernel runs.
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    for kernel in ("_eval_s1", "_eval_s2"):
+        monkeypatch.setattr(harmonics, kernel, no_evaluation)
+    monkeypatch.setattr(integralgeom, "sample_subspace", no_evaluation)
     with pytest.raises(SphereInputError, match=f"{name} must be an integer"):
         _ESTIMATORS[estimator](trials, seed)
 
